@@ -4,12 +4,12 @@ Each identity evaluates its two sides through independent code paths:
 at population level one side integrates in the x-domain (touching only
 the model's distribution/survival functions) while the other works in
 the quantile domain (touching only Q), so a bug in either surface cannot
-cancel.  At sample level the two sides use different estimator
+cancel.  No quadrature runs inside an integrand: the conditional means
+inside ge/gce and inside I13's transform averages are integrated out by
+hand (Fubini).  At sample level the two sides use different estimator
 constructions (order-statistic weights vs step-ECDF integrals vs
-double-loop means).  Two documented exceptions: I4's sample side is
-exact by construction because cj is *defined* through that identity,
-and I13 compares two transform-space constructions that each need both
-surfaces.
+double-loop means).  One documented exception: I4's sample side is exact
+by construction because cj is *defined* through that identity.
 
 Exactness classes:
 
@@ -44,6 +44,7 @@ from .measures import (
     MeasureSpec,
     PhiSelector,
     WeightSelector,
+    _sorted_gmd,
     cj,
     crj,
     crt,
@@ -153,12 +154,6 @@ def _t_points(model):
     return [float(model.quantile(p)) for p in _T_LEVELS]
 
 
-def _sorted_gmd(values: np.ndarray) -> float:
-    n = values.shape[0]
-    i = np.arange(1, n + 1, dtype=float)
-    return float(2.0 * np.sum((2.0 * i - n - 1.0) * values) / (n * (n - 1.0)))
-
-
 def _plugin_cov(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.mean(x * g) - np.mean(x) * np.mean(g))
 
@@ -180,24 +175,22 @@ def _step_xweighted(values: np.ndarray, g) -> float:
 def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
     """A truncation point near the middle of the data meeting the counts.
 
-    Midpoints between distinct values are tried center-outward; returns
-    None when no point qualifies (e.g. all-equal samples for a strict
-    upper tail).
+    Of the midpoints between distinct values that qualify, the one whose
+    index is closest to the center wins, the lower on ties; returns None
+    when no point qualifies (e.g. all-equal samples for a strict upper
+    tail).
     """
     x = sample.values
-    distinct = np.unique(x)
-    if distinct.size < 2:
-        t = float(x[0])
-        if need_above == 0 and np.sum(x <= t) >= need_below:
-            return t
+    # run starts: index of the first copy of each distinct value but the
+    # smallest, which is also the count at or below the midpoint before it
+    starts = np.flatnonzero(np.diff(x)) + 1
+    if starts.size == 0:
+        return float(x[0]) if need_above == 0 and x.size >= need_below else None
+    ok = np.flatnonzero((x.size - starts >= need_above) & (starts >= need_below))
+    if ok.size == 0:
         return None
-    mids = 0.5 * (distinct[:-1] + distinct[1:])
-    center = (mids.size - 1) / 2.0
-    for i in sorted(range(mids.size), key=lambda ix: (abs(ix - center), ix)):
-        t = float(mids[i])
-        if np.sum(x > t) >= need_above and np.sum(x <= t) >= need_below:
-            return t
-    return None
+    i = starts[ok[np.argmin(np.abs(ok - (starts.size - 1) / 2.0))]]
+    return float(0.5 * (x[i - 1] + x[i]))
 
 
 _W_SF1 = WeightSelector("sf-power", j=1.0)
@@ -400,56 +393,38 @@ def _i12_sample(s, conv):
     return _worst(pairs)
 
 
-def _i13_pop(model, cfg):
-    from dataclasses import replace
+def _sq_log(f: float) -> float:
+    """f^2 log f, taking 0 log 0 = 0."""
+    return f * f * math.log(f) if f > 0.0 else 0.0
 
-    icfg = replace(cfg, abs_tol=cfg.abs_tol * 1e-2, rel_tol=cfg.rel_tol * 1e-2)
+
+def _i13_x_sides(model, cfg):
+    """I13's x-domain sides, from F and the survival function alone.
+
+    -1/2 E[m_Z(Z)] for Z = min(X1, X2) is int S^2 log S dx = -CRE(Z)/2;
+    1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2.
+    """
     lo, hi = model.support
-    mid = float(model.quantile(0.5))
+    lhs_min = integrate_x(lambda x: _sq_log(float(model.sf(x))), 0.0, hi, cfg, breakpoints=(lo,))
+    lhs_max = -integrate_x(lambda x: _sq_log(float(model.cdf(x))), 0.0, hi, cfg, breakpoints=(lo,))
+    return lhs_min, lhs_max
 
-    # Min transform Z = min(X1, X2): the half-weighted mean residual life of
-    # Z equals the F-bar-weighted average of (gmd_left - m).
-    def m_z(t: float) -> float:
-        st2 = float(model.sf(t)) ** 2
-        val = integrate_x(lambda y: float(model.sf(y)) ** 2, t, hi, icfg,
-                          breakpoints=(lo, mid))
-        return val / st2
 
-    def q_z(p: float) -> float:
-        return float(model.quantile(1.0 - math.sqrt(1.0 - p)))
+def _i13_u_sides(model, cfg):
+    """I13's quantile-domain sides, from Q alone.
 
-    lhs_min = -0.5 * integrate_u(lambda p: m_z(q_z(p)), cfg)
+    The (1-p)-weighted average of gmd_left - m and the p-weighted average
+    of r - gmd_right at t = Q(p) reduce to int (1-u)(1 + 2 log(1-u)) Q(u) du
+    and int u (1 + 2 log u) Q(u) du.
+    """
+    Q = lambda u: float(model.quantile(u))
+    rhs_min = integrate_u(lambda u: (1.0 - u) * (1.0 + 2.0 * math.log1p(-u)) * Q(u), cfg)
+    rhs_max = integrate_u(lambda u: u * (1.0 + 2.0 * math.log(u)) * Q(u), cfg)
+    return rhs_min, rhs_max
 
-    def rhs_min_f(p: float) -> float:
-        t = float(model.quantile(p))
-        diff = gmd_left_population(model, t, icfg, route="quantile") \
-            - mean_residual_life(model, t, icfg)
-        return diff * (1.0 - p)
 
-    rhs_min = integrate_u(rhs_min_f, cfg)
-
-    # Max transform Z' = max(X1, X2): the half-weighted mean past life of
-    # Z' equals the F-weighted average of (r - gmd_right).
-    def r_zmax(t: float) -> float:
-        ft2 = float(model.cdf(t)) ** 2
-        val = integrate_x(lambda y: float(model.cdf(y)) ** 2, 0.0, t, icfg,
-                          breakpoints=(lo, mid))
-        return val / ft2
-
-    def q_zmax(p: float) -> float:
-        return float(model.quantile(math.sqrt(p)))
-
-    lhs_max = 0.5 * integrate_u(lambda p: r_zmax(q_zmax(p)), cfg)
-
-    def rhs_max_f(p: float) -> float:
-        t = float(model.quantile(p))
-        diff = mean_past_life(model, t, icfg) \
-            - gmd_right_population(model, t, icfg, route="quantile")
-        return diff * p
-
-    rhs_max = integrate_u(rhs_max_f, cfg)
-
-    return _worst([(lhs_min, rhs_min), (lhs_max, rhs_max)])
+def _i13_pop(model, cfg):
+    return _worst(zip(_i13_x_sides(model, cfg), _i13_u_sides(model, cfg)))
 
 
 def _i14_pop(model, cfg):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
+from scipy.special import exprel, hyp2f1
 
 from .empirical import (
     Sample,
@@ -102,6 +102,11 @@ __all__ = [
 # weight / phi selectors for the generalized entropies
 
 
+def _power_over_complement(j: float, x):
+    """int_0^x p^j/(1-p) dp = x^(j+1)/(j+1) * 2F1(1, j+1; j+2; x)."""
+    return x ** (j + 1.0) / (j + 1.0) * hyp2f1(1.0, j + 1.0, j + 2.0, x)
+
+
 @dataclass(frozen=True)
 class WeightSelector:
     """Weight w(.) restricted to the forms the identity registry needs.
@@ -128,6 +133,26 @@ class WeightSelector:
         if self.kind == "cdf-power":
             return np.asarray(p, dtype=float) ** self.j
         return (1.0 - np.asarray(p, dtype=float)) ** self.j
+
+    def cumulative_up(self, q):
+        """W_up(q) = int_0^q w(p)/(1-p) dp (works on arrays)."""
+        q = np.asarray(q, dtype=float)
+        if self.kind == "cdf-power":
+            return _power_over_complement(self.j, q)
+        log_sf = np.log1p(-q)
+        if self.kind == "const":
+            return -self.c * log_sf
+        return -log_sf * exprel(self.j * log_sf)  # (1 - (1-q)^j)/j
+
+    def cumulative_down(self, q):
+        """W_down(q) = int_q^1 w(p)/p dp (works on arrays)."""
+        q = np.asarray(q, dtype=float)
+        if self.kind == "sf-power":
+            return _power_over_complement(self.j, 1.0 - q)
+        log_q = np.log(q)
+        if self.kind == "const":
+            return -self.c * log_q
+        return -log_q * exprel(self.j * log_q)  # (1 - q^j)/j
 
     def describe(self) -> str:
         if self.kind == "const":
@@ -257,19 +282,19 @@ class MeasureSpec:
         self._validate_values()
 
     def _validate_values(self):
-        if self.t is not None:
-            if not math.isfinite(self.t):
-                raise NonFiniteError("t must be finite")
-            if self.t < 0:
-                raise BadParameterError("t must be non-negative")
+        for name in ("t", "v", "alpha", "beta", "p"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise NonFiniteError(f"{name} must be finite")
+        if self.t is not None and self.t < 0:
+            raise BadParameterError("t must be non-negative")
         if self.v is not None:
             if self.v <= 0:
                 raise BadParameterError("v must be positive")
             if self.v == 1:
                 raise BadParameterError("v must differ from 1")
-        if self.k is not None:
-            if self.k != int(self.k) or self.k < 2:
-                raise BadParameterError("k must be an integer >= 2")
+        if self.k is not None and (not float(self.k).is_integer() or self.k < 2):
+            raise BadParameterError("k must be an integer >= 2")
         if self.id in _TSALLIS_IDS:
             if self.alpha <= 0:
                 raise BadParameterError("alpha must be positive")
@@ -301,14 +326,16 @@ class MeasureSpec:
 # Gini mean difference and truncated variants
 
 
-def gmd(sample: Sample) -> float:
-    """Gini mean difference, the i<j U-statistic of |x_i - x_j|.
-
-    Uses the sorted form (2/(n(n-1))) sum_i (2i - n - 1) x_(i).
-    """
-    n = sample.n
+def _sorted_gmd(values: np.ndarray) -> float:
+    """Mean |x_i - x_j| over pairs i<j of a sorted array: (2/(n(n-1))) sum (2i-n-1) x_(i)."""
+    n = values.shape[0]
     i = np.arange(1, n + 1, dtype=float)
-    return float(2.0 * np.sum((2.0 * i - n - 1.0) * sample.values) / (n * (n - 1.0)))
+    return float(2.0 * np.sum((2.0 * i - n - 1.0) * values) / (n * (n - 1.0)))
+
+
+def gmd(sample: Sample) -> float:
+    """Gini mean difference, the i<j U-statistic of |x_i - x_j|."""
+    return _sorted_gmd(sample.values)
 
 
 def gmd_via_pwm(sample: Sample) -> float:
@@ -427,7 +454,7 @@ def crj(sample: Sample) -> float:
 
 def ce(sample: Sample) -> float:
     """Min-representation extropy -E[X(1-F(X))]; same number as :func:`crj`."""
-    return -pwm_unbiased_alpha(sample, 1)
+    return crj(sample)
 
 
 def cj(sample: Sample) -> float:
@@ -574,7 +601,7 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
 
 
 def _check_order_k(sample: Sample, k) -> int:
-    if k is None or k != int(k) or int(k) < 2:
+    if k is None or not float(k).is_integer() or k < 2:
         raise BadParameterError("k must be an integer >= 2")
     k = int(k)
     if sample.n < k:
@@ -583,21 +610,15 @@ def _check_order_k(sample: Sample, k) -> int:
 
 
 def expected_min_of_k(sample: Sample, k) -> float:
-    """Unbiased estimate of E(min of k draws): sum C(n-i, k-1)/C(n,k) x_(i)."""
+    """Unbiased estimate of E(min of k draws): k a_{k-1} = sum C(n-i, k-1)/C(n,k) x_(i)."""
     k = _check_order_k(sample, k)
-    n = sample.n
-    i = np.arange(1, n + 1, dtype=float)
-    wts = special.comb(n - i, k - 1) / special.comb(n, k)
-    return float(np.sum(wts * sample.values))
+    return k * pwm_unbiased_alpha(sample, k - 1)
 
 
 def expected_max_of_k(sample: Sample, k) -> float:
-    """Unbiased estimate of E(max of k draws): sum C(i-1, k-1)/C(n,k) x_(i)."""
+    """Unbiased estimate of E(max of k draws): k b_{k-1} = sum C(i-1, k-1)/C(n,k) x_(i)."""
     k = _check_order_k(sample, k)
-    n = sample.n
-    i = np.arange(1, n + 1, dtype=float)
-    wts = special.comb(i - 1, k - 1) / special.comb(n, k)
-    return float(np.sum(wts * sample.values))
+    return k * pwm_unbiased_beta(sample, k - 1)
 
 
 def risk_premium(sample: Sample, k) -> float:
@@ -669,10 +690,10 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
     if mid == "gain_premium":
         return gain_premium(sample, spec.k), "order-statistic-weights"
     if mid == "pwm":
-        idx = PwmIndex(spec.p, spec.r or 0.0, spec.s or 0.0)
-        if idx.p == 1 and idx.s == 0 and idx.r == int(idx.r) and sample.n > int(idx.r):
-            return pwm_unbiased_beta(sample, int(idx.r)), _UNBIASED
-        if idx.p == 1 and idx.r == 0 and idx.s == int(idx.s) and sample.n > int(idx.s):
-            return pwm_unbiased_alpha(sample, int(idx.s)), _UNBIASED
-        return pwm_plugin(sample, idx, conv), _PLUGIN
+        r, s = spec.r or 0.0, spec.s or 0.0
+        if spec.p == 1 and s == 0:
+            return _m1_hat(sample, r, "cdf", conv)
+        if spec.p == 1 and r == 0:
+            return _m1_hat(sample, s, "sf", conv)
+        return pwm_plugin(sample, PwmIndex(spec.p, r, s), conv), _PLUGIN
     raise BadParameterError(f"unknown measure {mid!r}")  # pragma: no cover

@@ -1,14 +1,21 @@
 """Brute-force reference implementations for the test suite.
 
 Everything here is deliberately naive — double loops over pairs,
-exhaustive enumeration of k-tuples, elementwise sums — so the fast
-order-statistic implementations can be checked against primitive
-definitions computed a completely different way.
+exhaustive enumeration of k-tuples, elementwise sums, integrals nested
+as the definitions nest them — so the fast implementations can be
+checked against primitive definitions computed a completely different
+way.
 """
 
 import itertools
 
 import numpy as np
+
+from gmdinfo import QuadratureConfig, integrate_u
+
+# inner integrals of the nested references run 100x tighter than the
+# default outer quadrature, so their error stays below the outer tolerance
+_INNER = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
 
 
 def brute_gmd(x) -> float:
@@ -150,3 +157,45 @@ def brute_gce(x, u, w_at, phi) -> float:
         lower = x[x <= x[i]]
         total += float(w_at(u[i])) * (float(phi(x[i])) - float(np.mean(phi(lower))))
     return total / n
+
+
+def nested_ge(model, w, phi) -> float:
+    """GE by its definition: an inner conditional-mean quadrature per outer node.
+
+    int_0^1 w(p) * ((1/(1-p)) int_p^1 phi(Q(q)) dq - phi(Q(p))) dp.
+    """
+    def f(p: float) -> float:
+        total = integrate_u(lambda q: float(phi(model.quantile(q))), _INNER, lo=p, hi=1.0)
+        return float(w.at_probability(p)) * (total / (1.0 - p) - float(phi(model.quantile(p))))
+
+    return integrate_u(f)
+
+
+def nested_gce(model, w, phi) -> float:
+    """GCE by its definition: int_0^1 w(p) * (phi(Q(p)) - (1/p) int_0^p phi(Q(q)) dq) dp."""
+    def f(p: float) -> float:
+        total = integrate_u(lambda q: float(phi(model.quantile(q))), _INNER, lo=0.0, hi=p)
+        return float(w.at_probability(p)) * (float(phi(model.quantile(p))) - total / p)
+
+    return integrate_u(f)
+
+
+def brute_pick_t(x, need_above=0, need_below=0):
+    """The truncation-point rule by exhaustive ordering.
+
+    Sorts every midpoint between distinct values by (distance from the
+    center index, index) and returns the first one with at least
+    need_above values strictly above and need_below at or below it.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    distinct = np.unique(x)
+    if distinct.size < 2:
+        t = float(x[0])
+        return t if need_above == 0 and np.sum(x <= t) >= need_below else None
+    mids = 0.5 * (distinct[:-1] + distinct[1:])
+    center = (mids.size - 1) / 2.0
+    for i in sorted(range(mids.size), key=lambda ix: (abs(ix - center), ix)):
+        t = float(mids[i])
+        if np.sum(x > t) >= need_above and np.sum(x <= t) >= need_below:
+            return t
+    return None

@@ -80,7 +80,7 @@ def test_c1_closed_form_population_values():
 
 
 def test_c2_identity_suite_population():
-    """verify_all is 14/14 on every stock model, within 30 seconds total."""
+    """verify_all is 14/14 on every stock model, within 10 seconds total."""
     models = [
         Uniform(0.0, 1.0),
         Exponential(0.5), Exponential(1.0), Exponential(2.0),
@@ -94,7 +94,7 @@ def test_c2_identity_suite_population():
         bad = [(r.identity, r.abs_residual) for r in reports if not r.passed]
         assert not bad, f"{model.describe()}: {bad}"
     elapsed = time.perf_counter() - start
-    assert elapsed < 30.0, f"identity sweep took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"identity sweep took {elapsed:.1f}s"
     print("criterion 2: PASS")
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from gmdinfo import (
     ASYMPTOTIC_SAMPLE_TOL,
+    DEFAULT_CONFIG,
     EXACT_SAMPLE_TOL,
     POPULATION_TOL,
     BadParameterError,
@@ -20,6 +21,8 @@ from gmdinfo import (
     verify,
     verify_all,
 )
+from gmdinfo.identities import _i13_u_sides, _i13_x_sides, _pick_t
+from oracles import brute_pick_t
 
 BY_ID = {identity.id: identity for identity in REGISTRY}
 
@@ -71,6 +74,89 @@ class TestPopulationLevel:
     def test_residuals_are_tiny_not_just_under_gate(self):
         for report in verify_all(Exponential(1.0)):
             assert report.abs_residual < 1e-6, report.identity
+
+
+class TestTransformIdentity:
+    """I13 as two pure dual-route pairs: int S^2 log S dx against
+    int (1-u)(1 + 2 log(1-u)) Q du, and -int F^2 log F dx against
+    int u (1 + 2 log u) Q du."""
+
+    # (min pair, max pair), each (x side, quantile side), as the nested
+    # form (conditional-mean integrals inside transform averages, inner
+    # quadratures at 100x tighter tolerance) computed them
+    NESTED = {
+        "uniform(a=0, b=1)": ((-0.11111111111111115, -0.1111111111111111),
+                              (0.11111111111111115, 0.11111111111111113)),
+        "exponential(mean=0.5)": ((-0.12499999999999999, -0.12499999999999983),
+                                  (0.1974670334241206, 0.1974670334241128)),
+        "exponential(mean=1)": ((-0.24999999999999997, -0.24999999999999975),
+                                (0.3949340668482412, 0.3949340668482256)),
+        "exponential(mean=2)": ((-0.49999999999999994, -0.4999999999999992),
+                                (0.7898681336964825, 0.7898681336964511)),
+        "weibull(shape=0.5, scale=1)": ((-0.5000000000000003, -0.4999999999998108),
+                                        (1.338916006863097, 1.3389160068637085)),
+        "weibull(shape=1, scale=1)": ((-0.24999999999999997, -0.24999999999999975),
+                                      (0.3949340668482412, 0.3949340668482256)),
+        "weibull(shape=2, scale=1)": ((-0.15666426716445425, -0.15666426716431137),
+                                      (0.18243272714598935, 0.18243272714552586)),
+        "pareto(shape=3, scale=1)": ((-0.12000000000000016, -0.11999999999998986),
+                                     (0.25383375159303634, 0.25383375159307553)),
+        "weibull(shape=1.5, scale=1)": ((-0.18956463288039022, -0.1895646328804661),
+                                        (0.24572847463648867, 0.24572847464130512)),
+        "pareto(shape=4, scale=2)": ((-0.16326530612244902, -0.16326530612244475),
+                                     (0.3165967546606656, 0.31659675466067294)),
+    }
+    MODELS = [Uniform(0.0, 1.0), Exponential(0.5), Exponential(1.0), Exponential(2.0),
+              Weibull(0.5, 1.0), Weibull(1.0, 1.0), Weibull(2.0, 1.0), Pareto(3.0, 1.0),
+              Weibull(1.5, 1.0), Pareto(4.0, 2.0)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+    def test_single_integrals_reproduce_the_nested_values(self, model):
+        pairs = zip(_i13_x_sides(model, DEFAULT_CONFIG), _i13_u_sides(model, DEFAULT_CONFIG))
+        for got, want in zip(pairs, self.NESTED[model.describe()]):
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert verify(BY_ID["I13"], model).passed
+
+    def test_sides_touch_disjoint_model_surfaces(self):
+        class NoQuantile(Weibull):
+            def quantile(self, u):
+                raise AssertionError("x-domain side called the quantile")
+
+        class NoDistribution(Weibull):
+            def cdf(self, x):
+                raise AssertionError("quantile side called the cdf")
+
+            def sf(self, x):
+                raise AssertionError("quantile side called the sf")
+
+        plain = Weibull(1.5, 1.0)
+        assert _i13_x_sides(NoQuantile(1.5, 1.0), DEFAULT_CONFIG) == \
+            _i13_x_sides(plain, DEFAULT_CONFIG)
+        assert _i13_u_sides(NoDistribution(1.5, 1.0), DEFAULT_CONFIG) == \
+            _i13_u_sides(plain, DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("identity_id", ["I8", "I13"])
+    def test_steep_weibull_passes(self, identity_id):
+        assert verify(BY_ID[identity_id], Weibull(0.3, 1.0)).passed
+
+
+class TestTruncationPoint:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("ties", [False, True], ids=["untied", "tied"])
+    def test_matches_the_center_outward_rule(self, seed, ties):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        x = rng.integers(0, 5, size=n).astype(float) if ties else rng.gamma(2.0, 1.0, size=n)
+        sample = make_sample(x)
+        for need_above in (0, 1, 2, n // 2, n):
+            for need_below in (0, 1, 2, n // 2, n):
+                assert _pick_t(sample, need_above, need_below) == \
+                    brute_pick_t(x, need_above, need_below), (need_above, need_below)
+
+    def test_all_equal_sample(self):
+        flat = make_sample([3.0, 3.0, 3.0])
+        assert _pick_t(flat, need_below=2) == 3.0
+        assert _pick_t(flat, need_above=1) is None
 
 
 class TestExactSampleLevel:

@@ -2,6 +2,8 @@
 pair/combination oracles on small random samples, exact algebraic relations
 between estimators, and the measure dispatcher."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gmdinfo import (
     EmptyTailError,
     FewerThanTwoError,
     MeasureSpec,
+    NonFiniteError,
     PhiSelector,
     TooFewObservationsError,
     WeightSelector,
@@ -29,6 +32,7 @@ from gmdinfo import (
     gmd_right,
     gmd_via_pwm,
     h_dyn,
+    integrate_u,
     j_dyn,
     make_sample,
     measure_sample,
@@ -263,6 +267,19 @@ class TestSelectors:
         with pytest.raises(BadParameterError):
             PhiSelector(v=0.0)
 
+    @pytest.mark.parametrize("text", ["const:2", "F", "F^0", "F^1.5", "F^3",
+                                      "Fbar", "Fbar^0", "Fbar^2.5"])
+    def test_cumulative_weights_integrate_the_weighted_hazards(self, text):
+        w = parse_weight(text)
+        for q in (1e-3, 0.3, 0.5, 0.9, 0.999):
+            up = integrate_u(lambda p: float(w.at_probability(p)) / (1.0 - p), lo=0.0, hi=q)
+            down = integrate_u(lambda p: float(w.at_probability(p)) / p, lo=q, hi=1.0)
+            assert float(w.cumulative_up(q)) == pytest.approx(up, rel=1e-9, abs=1e-12)
+            assert float(w.cumulative_down(q)) == pytest.approx(down, rel=1e-9, abs=1e-12)
+        grid = np.array([0.1, 0.5, 0.9])
+        assert np.array_equal(w.cumulative_up(grid), [float(w.cumulative_up(q)) for q in grid])
+        assert np.array_equal(w.cumulative_down(grid), [float(w.cumulative_down(q)) for q in grid])
+
     def test_describe_round_trip(self):
         for text in ("const:2", "F^1", "Fbar^2"):
             assert parse_weight(parse_weight(text).describe()) == parse_weight(text)
@@ -297,6 +314,20 @@ class TestMeasureSpec:
             MeasureSpec("sr", alpha=2.0, beta=2.0)
         with pytest.raises(BadParameterError, match="must exceed -1"):
             MeasureSpec("pwm", p=1, s=-1.0)
+        with pytest.raises(NonFiniteError, match="v must be finite"):
+            MeasureSpec("s_gini", v=float("nan"))
+        with pytest.raises(NonFiniteError, match="alpha must be finite"):
+            MeasureSpec("crt", alpha=float("inf"))
+        with pytest.raises(NonFiniteError, match="alpha must be finite"):
+            MeasureSpec("sr", alpha=float("nan"), beta=2.0)
+        with pytest.raises(NonFiniteError, match="beta must be finite"):
+            MeasureSpec("sp", alpha=2.0, beta=float("-inf"))
+        with pytest.raises(BadParameterError, match="k must be an integer >= 2"):
+            MeasureSpec("risk_premium", k=float("nan"))
+        with pytest.raises(BadParameterError, match="k must be an integer >= 2"):
+            MeasureSpec("gain_premium", k=float("inf"))
+        with pytest.raises(NonFiniteError, match="p must be finite"):
+            MeasureSpec("pwm", p=float("nan"))
 
     def test_params_dict_renders_selectors(self):
         spec = MeasureSpec("ge", w=parse_weight("Fbar"), phi=parse_phi("2*x"))
@@ -376,6 +407,17 @@ class TestTruncationErrors:
             gmd_right(S123, 1.5)
         with pytest.raises(FewerThanTwoError):
             h_dyn(S123, 1.0)
+
+    def test_order_k_premia_stay_finite_for_large_k(self):
+        # the binomial weights C(n-i, k-1)/C(n, k) overflow here; the
+        # running-ratio PWM weights do not
+        n, k = 2000, 400
+        x = make_sample(np.random.default_rng(17).gamma(2.0, 1.0, size=n)).values
+        sample = make_sample(x)
+        want_min = sum(comb(n - i, k - 1) / comb(n, k) * x[i - 1] for i in range(1, n + 1))
+        want_max = sum(comb(i - 1, k - 1) / comb(n, k) * x[i - 1] for i in range(1, n + 1))
+        assert expected_min_of_k(sample, k) == pytest.approx(want_min, rel=1e-12)
+        assert expected_max_of_k(sample, k) == pytest.approx(want_max, rel=1e-12)
 
     def test_order_k_guards(self):
         with pytest.raises(TooFewObservationsError, match="k=4 needs at least 4"):

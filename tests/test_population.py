@@ -32,7 +32,9 @@ from gmdinfo import (
     mean_past_life,
     mean_residual_life,
     measure_population,
+    parse_weight,
 )
+from oracles import nested_gce, nested_ge
 
 U01 = Uniform(0.0, 1.0)
 EXP1 = Exponential(1.0)
@@ -172,6 +174,15 @@ class TestGeneralizedEntropies:
         assert gce_population(U01, self.W1, self.PHI_X) == pytest.approx(0.25, abs=TOL)
         wfbar = WeightSelector("sf-power", j=1.0)
         assert ge_population(U01, wfbar, self.PHI_X) == pytest.approx(1.0 / 6.0, abs=TOL)
+
+    @pytest.mark.parametrize("weight", ["const:2", "F^1.5", "Fbar^2.5"])
+    @pytest.mark.parametrize("model", [EXP1, Pareto(4.0, 2.0)], ids=lambda m: m.describe())
+    def test_single_integral_matches_nested_definition(self, model, weight):
+        w = parse_weight(weight)
+        assert ge_population(model, w, self.PHI_X) == pytest.approx(
+            nested_ge(model, w, self.PHI_X), rel=1e-9, abs=0.0)
+        assert gce_population(model, w, self.PHI_X) == pytest.approx(
+            nested_gce(model, w, self.PHI_X), rel=1e-9, abs=0.0)
 
     def test_phi_moment_guard(self):
         with pytest.raises(UnsupportedSpecError, match="does not exist"):
