@@ -42,6 +42,7 @@ _VERIFY_FIELDS = ("identity", "description", "source", "level", "exactness",
                   "passed")
 _COMPUTE_FIELDS = ("measure", "parameters", "value", "estimator_route", "n")
 _MC_FIELDS = ("n", "reps", "mean", "bias", "sd", "rmse", "population")
+_SELECTORS = {"w": parse_weight, "phi": parse_phi}  # measure flags given as text
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +164,12 @@ def _measure_specs(args) -> List[MeasureSpec]:
             raise BadParameterError(
                 f"unknown measure {mid!r}; expected one of {sorted(MEASURE_IDS)}"
             )
-        names = set(MEASURE_IDS[mid]) | ({"r", "s"} if mid == "pwm" else set())
+        entry = MEASURE_IDS[mid]
         kwargs = {}
-        for name in names:
+        for name in entry.params + entry.optional:
             val = getattr(args, name)
-            if val is None:
-                continue
-            if name == "w":
-                val = parse_weight(val)
-            elif name == "phi":
-                val = parse_phi(val)
-            kwargs[name] = val
+            if val is not None:
+                kwargs[name] = _SELECTORS[name](val) if name in _SELECTORS else val
         try:
             specs.append(MeasureSpec(mid, **kwargs))
         except DomainError as exc:

@@ -26,6 +26,12 @@ gain_premium        E(max of k) - E(X)                           k
 pwm                 raw probability weighted moment M_{p,r,s}    p, r, s
 ==================  ============================================  ==========
 
+Each measure is one entry of :data:`MEASURE_IDS`: its parameters, their
+check, its PWM form (one expression over an ``M(p, r, s)`` evaluator), its
+x-domain integral and, where the data need one, a dedicated sample route.
+The quantile route, the x-domain route and the sample estimators all read
+that entry, so adding a measure means adding one entry.
+
 Note on crj vs ce: the survival-square integral and the pairwise-minimum
 representation are the same number (-1/2 E[min(X1,X2)] = -E[X(1-F(X))]),
 so the two ids coincide at both population and sample level; both are
@@ -39,7 +45,7 @@ the sample-level decompositions below exact rather than asymptotic.
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import exprel, hyp2f1
@@ -216,38 +222,122 @@ def parse_phi(text: str) -> PhiSelector:
 
 
 # ---------------------------------------------------------------------------
-# measure descriptors
+# the measure table
 
-#: measure id -> required parameter names
+
+@dataclass(frozen=True)
+class _Measure:
+    """One measure, defined once; every route reads this entry.
+
+    ``pwm(M, *args)`` writes the measure as a combination of PWMs
+    M(p, r, s): the quantile route passes the population moment, the
+    sample route an estimator.  ``x(X, *args)`` is the defining integral
+    over (0, sup) on an x-domain evaluator (F, S, the mean and the
+    survival-power guard).  ``sample(sample, conv, *args)`` returns
+    (value, route) where the estimator is not the PWM form.  ``args`` are
+    the parameter values, required then optional, in declared order.
+    """
+
+    params: Tuple[str, ...] = ()
+    optional: Tuple[str, ...] = ()
+    check: Optional[Callable] = None
+    pwm: Optional[Callable] = None
+    x: Optional[Callable] = None
+    sample: Optional[Callable] = None
+
+    def args(self, spec) -> tuple:
+        return tuple(getattr(spec, name) for name in self.params + self.optional)
+
+
+def _check_t(t):
+    if t < 0:
+        raise BadParameterError("t must be non-negative")
+
+
+def _check_k(k):
+    if k is None or not float(k).is_integer() or k < 2:
+        raise BadParameterError("k must be an integer >= 2")
+
+
+def _check_order(name: str):
+    """Check of an order that must be positive and differ from 1 (v, alpha)."""
+    def check(value):
+        if value <= 0:
+            raise BadParameterError(f"{name} must be positive")
+        if value == 1:
+            raise BadParameterError(f"{name} must differ from 1")
+    return check
+
+
+def _check_pair(alpha, beta):
+    if alpha <= 0 or beta <= 0:
+        raise BadParameterError("alpha and beta must be positive")
+    if alpha == beta:
+        raise BadParameterError("beta must differ from alpha")
+
+
+# parameters and check shared by a family of measures
+_T = dict(params=("t",), check=_check_t)
+_A = dict(params=("alpha",), check=_check_order("alpha"))
+_AB = dict(params=("alpha", "beta"), check=_check_pair)
+_K = dict(params=("k",), check=_check_k)
+_TRUNC = "truncated-u-statistic"
+_CRJ = _Measure(pwm=lambda M: -M(1, 0, 1), x=lambda X: -0.5 * X(lambda x: X.S(x) ** 2))
+
+#: measure id -> its definition (see :class:`_Measure`)
 MEASURE_IDS = {
-    "gmd": (),
-    "gmd_left": ("t",),
-    "gmd_right": ("t",),
-    "s_gini": ("v",),
-    "crj": (),
-    "cj": (),
-    "ce": (),
-    "crjw": (),
-    "wce": (),
-    "j_dyn": ("t",),
-    "h_dyn": ("t",),
-    "crt": ("alpha",),
-    "wcrt": ("alpha",),
-    "ct": ("alpha",),
-    "wct": ("alpha",),
-    "sr": ("alpha", "beta"),
-    "sp": ("alpha", "beta"),
-    "srw": ("alpha", "beta"),
-    "spw": ("alpha", "beta"),
-    "ge": ("w", "phi"),
-    "gce": ("w", "phi"),
-    "risk_premium": ("k",),
-    "gain_premium": ("k",),
-    "pwm": ("p",),
+    "gmd": _Measure(pwm=lambda M: 2.0 * M(1, 1, 0) - 2.0 * M(1, 0, 1),
+                    x=lambda X: 2.0 * X(lambda x: X.F(x) * X.S(x)),
+                    sample=lambda s, conv: (gmd(s), "sorted-u-statistic")),
+    "gmd_left": _Measure(**_T, sample=lambda s, conv, t: (gmd_left(s, t), _TRUNC)),
+    "gmd_right": _Measure(**_T, sample=lambda s, conv, t: (gmd_right(s, t), _TRUNC)),
+    "s_gini": _Measure(("v",), check=_check_order("v"),
+                       pwm=lambda M, v: M(1, 0, 0) / v - M(1, 0, v - 1.0),
+                       x=lambda X, v: X(lambda x: X.S(x) - X.S(x) ** v, sf=min(v, 1.0)) / v),
+    "crj": _CRJ,
+    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x: 1.0 - X.F(x) ** 2),
+                   sample=lambda s, conv: (cj(s), "identity(crj - gmd/2)")),
+    "ce": _CRJ,
+    "crjw": _Measure(pwm=lambda M: -0.5 * M(2, 1, 0),
+                     x=lambda X: -0.5 * X(lambda x: x * (1.0 - X.F(x) ** 2))),
+    "wce": _Measure(pwm=lambda M: -0.5 * M(2, 0, 1), x=lambda X: -0.5 * X(lambda x: x * X.S(x) ** 2)),
+    "j_dyn": _Measure(**_T, sample=lambda s, conv, t: (j_dyn(s, t), _TRUNC)),
+    "h_dyn": _Measure(**_T, sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
+    "crt": _Measure(**_A, pwm=lambda M, a: (M(1, 0, 0) - a * M(1, 0, a - 1.0)) / (a - 1.0),
+                    x=lambda X, a: X(lambda x: X.S(x) - X.S(x) ** a, sf=min(a, 1.0)) / (a - 1.0)),
+    "wcrt": _Measure(**_A, pwm=lambda M, a: (M(2, 0, 0) - a * M(2, 0, a - 1.0)) / (2.0 * (a - 1.0)),
+                     x=lambda X, a: X(lambda x: x * (X.S(x) - X.S(x) ** a), sf=min(a, 1.0), xpow=1)
+                     / (a - 1.0)),
+    "ct": _Measure(**_A, pwm=lambda M, a: (a * M(1, a - 1.0, 0) - M(1, 0, 0)) / (a - 1.0),
+                   x=lambda X, a: X(lambda x: X.F(x) - X.F(x) ** a) / (a - 1.0)),
+    "wct": _Measure(**_A, pwm=lambda M, a: (a * M(2, a - 1.0, 0) - M(2, 0, 0)) / (2.0 * (a - 1.0)),
+                    x=lambda X, a: X(lambda x: x * (X.F(x) - X.F(x) ** a)) / (a - 1.0)),
+    "sr": _Measure(**_AB,
+                   pwm=lambda M, a, b: (a * M(1, 0, a - 1.0) - b * M(1, 0, b - 1.0)) / (b - a),
+                   x=lambda X, a, b: X(lambda x: X.S(x) ** a - X.S(x) ** b, sf=min(a, b)) / (b - a)),
+    "sp": _Measure(**_AB,
+                   pwm=lambda M, a, b: (b * M(1, b - 1.0, 0) - a * M(1, a - 1.0, 0)) / (b - a),
+                   x=lambda X, a, b: X(lambda x: X.F(x) ** a - X.F(x) ** b) / (b - a)),
+    "srw": _Measure(**_AB,
+                    pwm=lambda M, a, b: (a * M(2, 0, a - 1.0) - b * M(2, 0, b - 1.0)) / (2.0 * (b - a)),
+                    x=lambda X, a, b: X(lambda x: x * (X.S(x) ** a - X.S(x) ** b), sf=min(a, b), xpow=1)
+                    / (b - a)),
+    "spw": _Measure(**_AB,
+                    pwm=lambda M, a, b: (b * M(2, b - 1.0, 0) - a * M(2, a - 1.0, 0)) / (2.0 * (b - a)),
+                    x=lambda X, a, b: X(lambda x: x * (X.F(x) ** a - X.F(x) ** b)) / (b - a)),
+    "ge": _Measure(("w", "phi"), sample=lambda s, conv, w, phi: (
+        generalized_residual_entropy(s, w, phi, conv), "ecdf-double-mean")),
+    "gce": _Measure(("w", "phi"), sample=lambda s, conv, w, phi: (
+        generalized_cumulative_entropy(s, w, phi, conv), "ecdf-double-mean")),
+    "risk_premium": _Measure(**_K, pwm=lambda M, k: M(1, 0, 0) - k * M(1, 0, k - 1.0),
+                             x=lambda X, k: X.mean() - X(lambda x: X.S(x) ** k),
+                             sample=lambda s, conv, k: (risk_premium(s, k), "order-statistic-weights")),
+    "gain_premium": _Measure(**_K, pwm=lambda M, k: k * M(1, k - 1.0, 0) - M(1, 0, 0),
+                             x=lambda X, k: X(lambda x: 1.0 - X.F(x) ** k) - X.mean(),
+                             sample=lambda s, conv, k: (gain_premium(s, k), "order-statistic-weights")),
+    "pwm": _Measure(("p",), ("r", "s"), check=lambda p, r, s: PwmIndex(p, r or 0.0, s or 0.0),
+                    pwm=lambda M, p, r, s: M(p, r or 0.0, s or 0.0)),
 }
-
-_TSALLIS_IDS = ("crt", "wcrt", "ct", "wct")
-_STM_IDS = ("sr", "sp", "srw", "spw")
 
 
 @dataclass(frozen=True)
@@ -271,42 +361,19 @@ class MeasureSpec:
             raise BadParameterError(
                 f"unknown measure {self.id!r}; expected one of {sorted(MEASURE_IDS)}"
             )
-        required = MEASURE_IDS[self.id]
-        allowed = set(required) | ({"r", "s"} if self.id == "pwm" else set())
+        entry = MEASURE_IDS[self.id]
         for name in ("t", "v", "k", "alpha", "beta", "p", "r", "s", "w", "phi"):
             val = getattr(self, name)
-            if name in required and val is None:
+            if name in entry.params and val is None:
                 raise BadParameterError(f"measure {self.id!r} requires parameter {name!r}")
-            if name not in allowed and val is not None:
+            if name not in entry.params + entry.optional and val is not None:
                 raise BadParameterError(f"measure {self.id!r} does not take parameter {name!r}")
-        self._validate_values()
-
-    def _validate_values(self):
         for name in ("t", "v", "alpha", "beta", "p"):
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
                 raise NonFiniteError(f"{name} must be finite")
-        if self.t is not None and self.t < 0:
-            raise BadParameterError("t must be non-negative")
-        if self.v is not None:
-            if self.v <= 0:
-                raise BadParameterError("v must be positive")
-            if self.v == 1:
-                raise BadParameterError("v must differ from 1")
-        if self.k is not None and (not float(self.k).is_integer() or self.k < 2):
-            raise BadParameterError("k must be an integer >= 2")
-        if self.id in _TSALLIS_IDS:
-            if self.alpha <= 0:
-                raise BadParameterError("alpha must be positive")
-            if self.alpha == 1:
-                raise BadParameterError("alpha must differ from 1")
-        if self.id in _STM_IDS:
-            if self.alpha <= 0 or self.beta <= 0:
-                raise BadParameterError("alpha and beta must be positive")
-            if self.alpha == self.beta:
-                raise BadParameterError("beta must differ from alpha")
-        if self.id == "pwm":
-            PwmIndex(self.p, self.r or 0.0, self.s or 0.0)
+        if entry.check is not None:
+            entry.check(*entry.args(self))
 
     def params_dict(self) -> dict:
         """Non-empty parameters, selectors rendered as strings."""
@@ -415,46 +482,39 @@ _UNBIASED = "unbiased-pwm"
 _PLUGIN = "plugin-pwm"
 
 
-def _m1_hat(sample: Sample, exponent: float, side: str, conv: str):
-    """Estimate M_{1,e,0} (side='cdf') or M_{1,0,e} (side='sf').
+def _pwm_hat(sample: Sample, p, r, s, conv: str):
+    """Estimate M_{p,r,s}; returns (value, route).
 
-    Integer exponents with enough data take the exact unbiased
-    order-statistic route; everything else is the plug-in.
+    M_{1,e,0} and M_{1,0,e} with an integer e < n take the exact unbiased
+    order-statistic route (b_e, a_e); everything else is the plug-in.
     """
-    e = float(exponent)
-    if e >= 0 and e == int(e) and sample.n > int(e):
-        est = pwm_unbiased_beta if side == "cdf" else pwm_unbiased_alpha
+    r, s = float(r), float(s)
+    if p == 1 and r == s == 0:
+        return float(np.mean(sample.values)), _UNBIASED  # b_0 = a_0 = the mean
+    e = r + s  # the one non-zero exponent when the other is 0
+    if p == 1 and (r == 0 or s == 0) and e >= 0 and e == int(e) and sample.n > int(e):
+        est = pwm_unbiased_beta if s == 0 else pwm_unbiased_alpha
         return est(sample, int(e)), _UNBIASED
-    idx = PwmIndex(1, r=e if side == "cdf" else 0.0, s=e if side == "sf" else 0.0)
-    return pwm_plugin(sample, idx, conv), _PLUGIN
+    return pwm_plugin(sample, PwmIndex(p, r, s), conv), _PLUGIN
 
 
-def _m2_hat(sample: Sample, exponent: float, side: str, conv: str):
-    """Plug-in estimate of M_{2,e,0} (side='cdf') or M_{2,0,e} (side='sf')."""
-    e = float(exponent)
-    idx = PwmIndex(2, r=e if side == "cdf" else 0.0, s=e if side == "sf" else 0.0)
-    return pwm_plugin(sample, idx, conv), _PLUGIN
-
-
-def _join(*routes: str) -> str:
-    return _UNBIASED if all(r == _UNBIASED for r in routes) else _PLUGIN
+def _lookup(mid: str, sample: Sample, conv: str = "hazen", **params):
+    return measure_sample(sample, MeasureSpec(mid, **params), conv)
 
 
 def s_gini(sample: Sample, v: float, conv: str = "hazen"):
     """S-Gini index S_v = (1/v) E(X) - M_{1,0,v-1}; returns (value, route)."""
-    _require(v is not None and v > 0 and v != 1, "v must be positive and differ from 1")
-    m, route = _m1_hat(sample, v - 1.0, "sf", conv)
-    return float(np.mean(sample.values)) / v - m, route
+    return _lookup("s_gini", sample, conv, v=v)
 
 
 def crj(sample: Sample) -> float:
     """Cumulative residual extropy: -a_1 (minus half the pairwise-min mean)."""
-    return -pwm_unbiased_alpha(sample, 1)
+    return _lookup("crj", sample)[0]
 
 
 def ce(sample: Sample) -> float:
     """Min-representation extropy -E[X(1-F(X))]; same number as :func:`crj`."""
-    return crj(sample)
+    return _lookup("ce", sample)[0]
 
 
 def cj(sample: Sample) -> float:
@@ -469,17 +529,12 @@ def cj(sample: Sample) -> float:
 
 def crjw(sample: Sample, conv: str = "hazen") -> float:
     """Max-weighted extropy -1/2 M_{2,1,0} (plug-in)."""
-    return -0.5 * pwm_plugin(sample, PwmIndex(2, r=1.0), conv)
+    return _lookup("crjw", sample, conv)[0]
 
 
 def wce(sample: Sample, conv: str = "hazen") -> float:
     """Min-weighted extropy -1/2 M_{2,0,1} (plug-in)."""
-    return -0.5 * pwm_plugin(sample, PwmIndex(2, s=1.0), conv)
-
-
-def _check_alpha(alpha: float) -> None:
-    _require(alpha is not None and alpha > 0, "alpha must be positive")
-    _require(alpha != 1, "alpha must differ from 1")
+    return _lookup("wce", sample, conv)[0]
 
 
 def crt(sample: Sample, alpha: float, conv: str = "hazen"):
@@ -488,72 +543,42 @@ def crt(sample: Sample, alpha: float, conv: str = "hazen"):
     (1/(alpha-1)) [E(X) - alpha M_{1,0,alpha-1}]; at alpha=2 on the
     unbiased route this is exactly gmd/2.
     """
-    _check_alpha(alpha)
-    m, route = _m1_hat(sample, alpha - 1.0, "sf", conv)
-    mean = float(np.mean(sample.values))
-    return (mean - alpha * m) / (alpha - 1.0), route
+    return _lookup("crt", sample, conv, alpha=alpha)
 
 
 def ct(sample: Sample, alpha: float, conv: str = "hazen"):
     """Cumulative (past) Tsallis entropy: (alpha M_{1,alpha-1,0} - E(X))/(alpha-1)."""
-    _check_alpha(alpha)
-    m, route = _m1_hat(sample, alpha - 1.0, "cdf", conv)
-    mean = float(np.mean(sample.values))
-    return (alpha * m - mean) / (alpha - 1.0), route
+    return _lookup("ct", sample, conv, alpha=alpha)
 
 
 def wcrt(sample: Sample, alpha: float, conv: str = "hazen"):
     """Weighted cumulative residual Tsallis entropy (second-moment form)."""
-    _check_alpha(alpha)
-    m200 = pwm_plugin(sample, PwmIndex(2), conv)
-    m, route = _m2_hat(sample, alpha - 1.0, "sf", conv)
-    return (m200 - alpha * m) / (2.0 * (alpha - 1.0)), route
+    return _lookup("wcrt", sample, conv, alpha=alpha)
 
 
 def wct(sample: Sample, alpha: float, conv: str = "hazen"):
     """Weighted cumulative (past) Tsallis entropy (second-moment form)."""
-    _check_alpha(alpha)
-    m200 = pwm_plugin(sample, PwmIndex(2), conv)
-    m, route = _m2_hat(sample, alpha - 1.0, "cdf", conv)
-    return (alpha * m - m200) / (2.0 * (alpha - 1.0)), route
-
-
-def _check_alpha_beta(alpha: float, beta: float) -> None:
-    _require(alpha is not None and beta is not None and alpha > 0 and beta > 0,
-             "alpha and beta must be positive")
-    _require(alpha != beta, "beta must differ from alpha")
+    return _lookup("wct", sample, conv, alpha=alpha)
 
 
 def sr(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
     """Survival two-parameter entropy (alpha M_{1,0,a-1} - beta M_{1,0,b-1})/(beta-alpha)."""
-    _check_alpha_beta(alpha, beta)
-    ma, ra = _m1_hat(sample, alpha - 1.0, "sf", conv)
-    mb, rb = _m1_hat(sample, beta - 1.0, "sf", conv)
-    return (alpha * ma - beta * mb) / (beta - alpha), _join(ra, rb)
+    return _lookup("sr", sample, conv, alpha=alpha, beta=beta)
 
 
 def sp(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
     """Past two-parameter entropy (beta M_{1,b-1,0} - alpha M_{1,a-1,0})/(beta-alpha)."""
-    _check_alpha_beta(alpha, beta)
-    ma, ra = _m1_hat(sample, alpha - 1.0, "cdf", conv)
-    mb, rb = _m1_hat(sample, beta - 1.0, "cdf", conv)
-    return (beta * mb - alpha * ma) / (beta - alpha), _join(ra, rb)
+    return _lookup("sp", sample, conv, alpha=alpha, beta=beta)
 
 
 def srw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
     """Weighted survival two-parameter entropy (second-moment form)."""
-    _check_alpha_beta(alpha, beta)
-    ma, ra = _m2_hat(sample, alpha - 1.0, "sf", conv)
-    mb, rb = _m2_hat(sample, beta - 1.0, "sf", conv)
-    return (alpha * ma - beta * mb) / (2.0 * (beta - alpha)), _join(ra, rb)
+    return _lookup("srw", sample, conv, alpha=alpha, beta=beta)
 
 
 def spw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
     """Weighted past two-parameter entropy (second-moment form)."""
-    _check_alpha_beta(alpha, beta)
-    ma, ra = _m2_hat(sample, alpha - 1.0, "cdf", conv)
-    mb, rb = _m2_hat(sample, beta - 1.0, "cdf", conv)
-    return (beta * mb - alpha * ma) / (2.0 * (beta - alpha)), _join(ra, rb)
+    return _lookup("spw", sample, conv, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +626,7 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
 
 
 def _check_order_k(sample: Sample, k) -> int:
-    if k is None or not float(k).is_integer() or k < 2:
-        raise BadParameterError("k must be an integer >= 2")
+    _check_k(k)
     k = int(k)
     if sample.n < k:
         raise TooFewObservationsError(f"k={k} needs at least {k} observations, got {sample.n}")
@@ -635,65 +659,22 @@ def gain_premium(sample: Sample, k) -> float:
 # dispatcher
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise BadParameterError(message)
-
-
 def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
-    """Evaluate a measure on a sample; returns (value, estimator_route)."""
-    mid = spec.id
-    if mid == "gmd":
-        return gmd(sample), "sorted-u-statistic"
-    if mid == "gmd_left":
-        return gmd_left(sample, spec.t), "truncated-u-statistic"
-    if mid == "gmd_right":
-        return gmd_right(sample, spec.t), "truncated-u-statistic"
-    if mid == "j_dyn":
-        return j_dyn(sample, spec.t), "truncated-u-statistic"
-    if mid == "h_dyn":
-        return h_dyn(sample, spec.t), "truncated-u-statistic"
-    if mid == "s_gini":
-        return s_gini(sample, spec.v, conv)
-    if mid == "crj":
-        return crj(sample), _UNBIASED
-    if mid == "ce":
-        return ce(sample), _UNBIASED
-    if mid == "cj":
-        return cj(sample), "identity(crj - gmd/2)"
-    if mid == "crjw":
-        return crjw(sample, conv), _PLUGIN
-    if mid == "wce":
-        return wce(sample, conv), _PLUGIN
-    if mid == "crt":
-        return crt(sample, spec.alpha, conv)
-    if mid == "ct":
-        return ct(sample, spec.alpha, conv)
-    if mid == "wcrt":
-        return wcrt(sample, spec.alpha, conv)
-    if mid == "wct":
-        return wct(sample, spec.alpha, conv)
-    if mid == "sr":
-        return sr(sample, spec.alpha, spec.beta, conv)
-    if mid == "sp":
-        return sp(sample, spec.alpha, spec.beta, conv)
-    if mid == "srw":
-        return srw(sample, spec.alpha, spec.beta, conv)
-    if mid == "spw":
-        return spw(sample, spec.alpha, spec.beta, conv)
-    if mid == "ge":
-        return generalized_residual_entropy(sample, spec.w, spec.phi, conv), "ecdf-double-mean"
-    if mid == "gce":
-        return generalized_cumulative_entropy(sample, spec.w, spec.phi, conv), "ecdf-double-mean"
-    if mid == "risk_premium":
-        return risk_premium(sample, spec.k), "order-statistic-weights"
-    if mid == "gain_premium":
-        return gain_premium(sample, spec.k), "order-statistic-weights"
-    if mid == "pwm":
-        r, s = spec.r or 0.0, spec.s or 0.0
-        if spec.p == 1 and s == 0:
-            return _m1_hat(sample, r, "cdf", conv)
-        if spec.p == 1 and r == 0:
-            return _m1_hat(sample, s, "sf", conv)
-        return pwm_plugin(sample, PwmIndex(spec.p, r, s), conv), _PLUGIN
-    raise BadParameterError(f"unknown measure {mid!r}")  # pragma: no cover
+    """Evaluate a measure on a sample; returns (value, estimator_route).
+
+    Without a dedicated sample route, the measure's PWM form is evaluated
+    with one estimate per moment; the route is unbiased-pwm only when every
+    moment took the unbiased route.
+    """
+    entry = MEASURE_IDS[spec.id]
+    if entry.sample is not None:
+        return entry.sample(sample, conv, *entry.args(spec))
+    routes = set()
+
+    def M(p, r, s):
+        value, route = _pwm_hat(sample, p, r, s, conv)
+        routes.add(route)
+        return value
+
+    value = entry.pwm(M, *entry.args(spec))
+    return value, _PLUGIN if _PLUGIN in routes else _UNBIASED

@@ -17,15 +17,18 @@ verification can compare genuinely independent evaluations:
     the preferred route per measure: quantile wherever a PWM form
     exists (no infinite domain, no tail truncation), x-domain for the
     truncated/dynamic measures whose definitions live there.
+
+Both routes read the measure's entry in :data:`~gmdinfo.measures.MEASURE_IDS`:
+the quantile route evaluates its PWM form with :func:`pwm_population`, the
+direct route its x-domain integral.
 """
 
 import math
+from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import BadParameterError, EmptyTailError, UnsupportedSpecError
-from .measures import MeasureSpec, PhiSelector, WeightSelector
+from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector
 from .pwm import PwmIndex, pwm_population
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_u, integrate_x
 
@@ -45,10 +48,6 @@ __all__ = [
 ]
 
 
-def _M(model, p, r, s, cfg) -> float:
-    return pwm_population(model, PwmIndex(p, r, s), cfg)
-
-
 def _xquad(model, g, a, b, cfg) -> float:
     """x-domain integral of g with splits at the support kink and median."""
     lo, hi = model.support
@@ -63,6 +62,25 @@ def _check_sf_power(model, gamma: float, xpow: int = 0) -> None:
         raise UnsupportedSpecError(
             f"integral of x^{xpow} * sf^{gamma:g} diverges for {model.describe()}"
         )
+
+
+class _XDomain:
+    """The evaluator a measure's ``x`` form integrates with.
+
+    Carries the model's F, S and closed-form mean.  Calling it integrates
+    g over (0, sup); given ``sf``, it first refuses when the Pareto tail
+    makes int x^xpow * S^sf dx infinite.
+    """
+
+    def __init__(self, model, cfg: QuadratureConfig):
+        self.model, self.cfg, self.mean = model, cfg, model.mean
+        self.F = lambda x: float(model.cdf(x))
+        self.S = lambda x: float(model.sf(x))
+
+    def __call__(self, g, sf=None, xpow: int = 0) -> float:
+        if sf is not None:
+            _check_sf_power(self.model, sf, xpow)
+        return _xquad(self.model, g, 0.0, self.model.support[1], self.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -192,112 +210,14 @@ def gce_population(model, w: WeightSelector, phi: PhiSelector,
 # dispatcher
 
 
-def _quantile_value(model, spec: MeasureSpec, cfg: QuadratureConfig) -> float:
-    mid = spec.id
-    a, b, v, k = spec.alpha, spec.beta, spec.v, spec.k
-    if mid == "gmd":
-        return 2.0 * _M(model, 1, 1, 0, cfg) - 2.0 * _M(model, 1, 0, 1, cfg)
-    if mid == "s_gini":
-        return _M(model, 1, 0, 0, cfg) / v - _M(model, 1, 0, v - 1.0, cfg)
-    if mid in ("crj", "ce"):
-        return -_M(model, 1, 0, 1, cfg)
-    if mid == "cj":
-        return -_M(model, 1, 1, 0, cfg)
-    if mid == "crjw":
-        return -0.5 * _M(model, 2, 1, 0, cfg)
-    if mid == "wce":
-        return -0.5 * _M(model, 2, 0, 1, cfg)
-    if mid == "crt":
-        return (_M(model, 1, 0, 0, cfg) - a * _M(model, 1, 0, a - 1.0, cfg)) / (a - 1.0)
-    if mid == "ct":
-        return (a * _M(model, 1, a - 1.0, 0, cfg) - _M(model, 1, 0, 0, cfg)) / (a - 1.0)
-    if mid == "wcrt":
-        return (_M(model, 2, 0, 0, cfg) - a * _M(model, 2, 0, a - 1.0, cfg)) / (2.0 * (a - 1.0))
-    if mid == "wct":
-        return (a * _M(model, 2, a - 1.0, 0, cfg) - _M(model, 2, 0, 0, cfg)) / (2.0 * (a - 1.0))
-    if mid == "sr":
-        return (a * _M(model, 1, 0, a - 1.0, cfg) - b * _M(model, 1, 0, b - 1.0, cfg)) / (b - a)
-    if mid == "sp":
-        return (b * _M(model, 1, b - 1.0, 0, cfg) - a * _M(model, 1, a - 1.0, 0, cfg)) / (b - a)
-    if mid == "srw":
-        return (a * _M(model, 2, 0, a - 1.0, cfg) - b * _M(model, 2, 0, b - 1.0, cfg)) / (2.0 * (b - a))
-    if mid == "spw":
-        return (b * _M(model, 2, b - 1.0, 0, cfg) - a * _M(model, 2, a - 1.0, 0, cfg)) / (2.0 * (b - a))
-    if mid == "risk_premium":
-        return _M(model, 1, 0, 0, cfg) - k * _M(model, 1, 0, k - 1.0, cfg)
-    if mid == "gain_premium":
-        return k * _M(model, 1, k - 1.0, 0, cfg) - _M(model, 1, 0, 0, cfg)
-    if mid == "gmd_left":
-        return gmd_left_population(model, spec.t, cfg, route="quantile")
-    if mid == "gmd_right":
-        return gmd_right_population(model, spec.t, cfg, route="quantile")
-    if mid == "ge":
-        return ge_population(model, spec.w, spec.phi, cfg)
-    if mid == "gce":
-        return gce_population(model, spec.w, spec.phi, cfg)
-    if mid == "pwm":
-        return _M(model, spec.p, spec.r or 0.0, spec.s or 0.0, cfg)
-    raise UnsupportedSpecError(f"no quantile-domain route for measure {mid!r}")
-
-
-def _direct_value(model, spec: MeasureSpec, cfg: QuadratureConfig) -> float:
-    mid = spec.id
-    a, b, v, k = spec.alpha, spec.beta, spec.v, spec.k
-    lo, hi = model.support
-    F = lambda x: float(model.cdf(x))
-    S = lambda x: float(model.sf(x))
-    if mid == "gmd":
-        return 2.0 * _xquad(model, lambda x: F(x) * S(x), 0.0, hi, cfg)
-    if mid == "s_gini":
-        _check_sf_power(model, min(v, 1.0))
-        return _xquad(model, lambda x: S(x) - S(x) ** v, 0.0, hi, cfg) / v
-    if mid in ("crj", "ce"):
-        return -0.5 * _xquad(model, lambda x: S(x) ** 2, 0.0, hi, cfg)
-    if mid == "cj":
-        return -0.5 * _xquad(model, lambda x: 1.0 - F(x) ** 2, 0.0, hi, cfg)
-    if mid == "crjw":
-        return -0.5 * _xquad(model, lambda x: x * (1.0 - F(x) ** 2), 0.0, hi, cfg)
-    if mid == "wce":
-        return -0.5 * _xquad(model, lambda x: x * S(x) ** 2, 0.0, hi, cfg)
-    if mid == "crt":
-        _check_sf_power(model, min(a, 1.0))
-        return _xquad(model, lambda x: S(x) - S(x) ** a, 0.0, hi, cfg) / (a - 1.0)
-    if mid == "ct":
-        return _xquad(model, lambda x: F(x) - F(x) ** a, 0.0, hi, cfg) / (a - 1.0)
-    if mid == "wcrt":
-        _check_sf_power(model, min(a, 1.0), xpow=1)
-        return _xquad(model, lambda x: x * (S(x) - S(x) ** a), 0.0, hi, cfg) / (a - 1.0)
-    if mid == "wct":
-        return _xquad(model, lambda x: x * (F(x) - F(x) ** a), 0.0, hi, cfg) / (a - 1.0)
-    if mid == "sr":
-        _check_sf_power(model, min(a, b))
-        return _xquad(model, lambda x: S(x) ** a - S(x) ** b, 0.0, hi, cfg) / (b - a)
-    if mid == "sp":
-        return _xquad(model, lambda x: F(x) ** a - F(x) ** b, 0.0, hi, cfg) / (b - a)
-    if mid == "srw":
-        _check_sf_power(model, min(a, b), xpow=1)
-        return _xquad(model, lambda x: x * (S(x) ** a - S(x) ** b), 0.0, hi, cfg) / (b - a)
-    if mid == "spw":
-        return _xquad(model, lambda x: x * (F(x) ** a - F(x) ** b), 0.0, hi, cfg) / (b - a)
-    if mid == "risk_premium":
-        emin = _xquad(model, lambda x: S(x) ** k, 0.0, hi, cfg)
-        return model.mean() - emin
-    if mid == "gain_premium":
-        emax = _xquad(model, lambda x: 1.0 - F(x) ** k, 0.0, hi, cfg)
-        return emax - model.mean()
-    if mid == "j_dyn":
-        return j_dyn_population(model, spec.t, cfg)
-    if mid == "h_dyn":
-        return h_dyn_population(model, spec.t, cfg)
-    if mid == "gmd_left":
-        return gmd_left_population(model, spec.t, cfg, route="direct")
-    if mid == "gmd_right":
-        return gmd_right_population(model, spec.t, cfg, route="direct")
-    raise UnsupportedSpecError(f"no x-domain route for measure {mid!r}")
-
-
-# measures whose preferred route is the x-domain definition
-_X_FIRST = {"j_dyn", "h_dyn", "gmd_left", "gmd_right"}
+#: the measures without a PWM form or without a single x-domain integral
+#: keep their named functions, per route; "auto" prefers the x-domain for
+#: the measures in _DIRECT, whose definitions live there
+_QUANTILE = {"gmd_left": gmd_left_population, "gmd_right": gmd_right_population,
+             "ge": ge_population, "gce": gce_population}
+_DIRECT = {"gmd_left": partial(gmd_left_population, route="direct"),
+           "gmd_right": partial(gmd_right_population, route="direct"),
+           "j_dyn": j_dyn_population, "h_dyn": h_dyn_population}
 
 
 def measure_population(model, spec: MeasureSpec,
@@ -310,7 +230,15 @@ def measure_population(model, spec: MeasureSpec,
     if route not in ("auto", "quantile", "direct"):
         raise BadParameterError(f"unknown route {route!r}")
     if route == "auto":
-        route = "direct" if spec.id in _X_FIRST else "quantile"
-    if route == "quantile":
-        return _quantile_value(model, spec, cfg)
-    return _direct_value(model, spec, cfg)
+        route = "direct" if spec.id in _DIRECT else "quantile"
+    entry = MEASURE_IDS[spec.id]
+    args = entry.args(spec)
+    named = (_QUANTILE if route == "quantile" else _DIRECT).get(spec.id)
+    if named is not None:
+        return named(model, *args, cfg)
+    if route == "quantile" and entry.pwm is not None:
+        return entry.pwm(lambda p, r, s: pwm_population(model, PwmIndex(p, r, s), cfg), *args)
+    if route == "direct" and entry.x is not None:
+        return entry.x(_XDomain(model, cfg), *args)
+    domain = "quantile-domain" if route == "quantile" else "x-domain"
+    raise UnsupportedSpecError(f"no {domain} route for measure {spec.id!r}")

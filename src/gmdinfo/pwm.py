@@ -53,8 +53,7 @@ class PwmIndex:
     s: float = 0.0
 
     def __post_init__(self):
-        if int(self.p) != self.p or self.p < 0:
-            raise BadParameterError(f"p must be a non-negative integer, got {self.p}")
+        _check_integer_order("p", self.p)
         for name, val in (("r", self.r), ("s", self.s)):
             if not math.isfinite(val):
                 raise NonFiniteError(f"{name} must be finite")
@@ -97,6 +96,8 @@ def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:
 
 
 def _check_integer_order(name: str, value) -> int:
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{name} must be finite")
     if value != int(value) or value < 0:
         raise BadParameterError(f"{name} must be a non-negative integer, got {value}")
     return int(value)

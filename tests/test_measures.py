@@ -2,7 +2,9 @@
 pair/combination oracles on small random samples, exact algebraic relations
 between estimators, and the measure dispatcher."""
 
+import re
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gmdinfo import (
     BadParameterError,
     EmptyTailError,
     FewerThanTwoError,
+    MEASURE_IDS,
     MeasureSpec,
     NonFiniteError,
     PhiSelector,
@@ -51,6 +54,7 @@ from gmdinfo import (
     wcrt,
     wct,
 )
+from gmdinfo import measures as measures_module
 from oracles import (
     brute_gain_premium,
     brute_gce,
@@ -382,6 +386,16 @@ class TestDispatcher:
         for spec, want in pairs:
             assert measure_sample(sample, spec)[0] == pytest.approx(want, abs=1e-15), spec.id
 
+    def test_lookups_validate_through_the_spec(self):
+        with pytest.raises(NonFiniteError, match="alpha must be finite"):
+            crt(S123, float("nan"))
+        with pytest.raises(NonFiniteError, match="beta must be finite"):
+            sr(S123, 2.0, float("inf"))
+        with pytest.raises(BadParameterError, match="v must differ from 1"):
+            s_gini(S123, 1.0)
+        with pytest.raises(BadParameterError, match="beta must differ from alpha"):
+            spw(S123, 2.0, 2.0)
+
     def test_convention_changes_plugin_routes_only(self):
         sample = make_sample(np.random.default_rng(6).random(7))
         hz = measure_sample(sample, MeasureSpec("crjw"), conv="hazen")[0]
@@ -424,3 +438,20 @@ class TestTruncationErrors:
             expected_min_of_k(S123, 4)
         with pytest.raises(BadParameterError, match="k must be an integer >= 2"):
             expected_max_of_k(S123, 1)
+
+
+class TestDocumentedIds:
+    """The README's and the module docstring's measure tables list exactly MEASURE_IDS."""
+
+    def test_readme_measures_table(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Measures\n", 1)[1].split("\n## ", 1)[0]
+        cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert {mid for cell in cells for mid in re.findall(r"`(\w+)`", cell)} == set(MEASURE_IDS)
+
+    def test_module_docstring_table(self):
+        lines = measures_module.__doc__.splitlines()
+        rules = [i for i, line in enumerate(lines) if line.startswith("====")]
+        width = lines[rules[0]].index(" ")
+        rows = [line[:width] for line in lines[rules[1] + 1:rules[2]]]
+        assert {mid for row in rows for mid in re.findall(r"\w+", row)} == set(MEASURE_IDS)

@@ -12,6 +12,7 @@ from gmdinfo import (
     ClippedTailWarning,
     EmptyTailError,
     Exponential,
+    MEASURE_IDS,
     MeasureSpec,
     NoConvergenceError,
     Pareto,
@@ -29,9 +30,12 @@ from gmdinfo import (
     integrate_u,
     integrate_x,
     j_dyn_population,
+    make_sample,
     mean_past_life,
     mean_residual_life,
     measure_population,
+    measure_sample,
+    parse_phi,
     parse_weight,
 )
 from oracles import nested_gce, nested_ge
@@ -197,23 +201,53 @@ class TestGeneralizedEntropies:
         assert measure_population(U01, spec) == pytest.approx(0.25, abs=TOL)
 
 
-class TestRoutes:
-    MEASURES = [
-        MeasureSpec("gmd"),
-        MeasureSpec("crj"),
-        MeasureSpec("cj"),
-        MeasureSpec("wce"),
-        MeasureSpec("crt", alpha=2.5),
-        MeasureSpec("sr", alpha=1.0, beta=2.0),
-        MeasureSpec("risk_premium", k=3),
-    ]
+#: one parameter set per measure id; "median" becomes the model's median
+PARAMS = {
+    "gmd": {}, "gmd_left": {"t": "median"}, "gmd_right": {"t": "median"},
+    "j_dyn": {"t": "median"}, "h_dyn": {"t": "median"}, "s_gini": {"v": 2.5},
+    "crj": {}, "cj": {}, "ce": {}, "crjw": {}, "wce": {},
+    "crt": {"alpha": 2.5}, "wcrt": {"alpha": 2.5}, "ct": {"alpha": 2.5}, "wct": {"alpha": 2.5},
+    "sr": {"alpha": 1.0, "beta": 2.0}, "sp": {"alpha": 1.5, "beta": 3.0},
+    "srw": {"alpha": 1.5, "beta": 3.0}, "spw": {"alpha": 1.5, "beta": 3.0},
+    "ge": {"w": parse_weight("Fbar"), "phi": parse_phi("2*x")},
+    "gce": {"w": parse_weight("F"), "phi": parse_phi("2*x")},
+    "risk_premium": {"k": 3}, "gain_premium": {"k": 3}, "pwm": {"p": 1, "s": 0.5},
+}
+#: the measures with a single population route, and that route
+ONE_ROUTE = {"j_dyn": "direct", "h_dyn": "direct", "ge": "quantile", "gce": "quantile",
+             "pwm": "quantile"}
 
-    @pytest.mark.parametrize("spec", MEASURES, ids=lambda s: s.id)
+
+def spec_at_median(model, mid):
+    t = float(model.quantile(0.5))
+    return MeasureSpec(mid, **{k: t if v == "median" else v for k, v in PARAMS[mid].items()})
+
+
+class TestRoutes:
+    @pytest.mark.parametrize("mid", sorted(set(MEASURE_IDS) - set(ONE_ROUTE)))
     @pytest.mark.parametrize("model", [U01, EXP1, PAR31], ids=lambda m: m.describe())
-    def test_quantile_vs_direct(self, model, spec):
+    def test_quantile_vs_direct(self, model, mid):
+        spec = spec_at_median(model, mid)
         q = measure_population(model, spec, route="quantile")
         d = measure_population(model, spec, route="direct")
-        assert q == pytest.approx(d, abs=1e-7)
+        assert q == pytest.approx(d, rel=1e-9, abs=1e-12)
+
+    def test_every_id_has_a_sample_route_and_a_population_route(self):
+        assert set(PARAMS) == set(MEASURE_IDS)
+        sample = make_sample(np.random.default_rng(3).exponential(1.0, 200))
+        for mid in MEASURE_IDS:
+            spec = spec_at_median(EXP1, mid)
+            value, route = measure_sample(sample, spec)
+            assert math.isfinite(value) and route, mid
+            routes = []
+            for name in ("quantile", "direct"):
+                try:
+                    assert math.isfinite(measure_population(EXP1, spec, route=name)), mid
+                    routes.append(name)
+                except UnsupportedSpecError as exc:
+                    assert f"no {'quantile-domain' if name == 'quantile' else 'x-domain'} route" \
+                        in str(exc), mid
+            assert routes == ([ONE_ROUTE[mid]] if mid in ONE_ROUTE else ["quantile", "direct"]), mid
 
     def test_unknown_route_rejected(self):
         with pytest.raises(BadParameterError, match="unknown route"):

@@ -6,7 +6,9 @@ import pytest
 
 from gmdinfo import (
     BadParameterError,
+    DomainError,
     Exponential,
+    NonFiniteError,
     Pareto,
     PwmIndex,
     TooFewObservationsError,
@@ -38,6 +40,10 @@ class TestPwmIndex:
             PwmIndex(-1)
         with pytest.raises(BadParameterError):
             PwmIndex(1.5)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NonFiniteError, match="p must be finite"):
+                PwmIndex(bad)
+        assert issubclass(NonFiniteError, DomainError)
 
 
 class TestPopulationClosedForms:
@@ -137,6 +143,16 @@ class TestUnbiasedRoutes:
             a1 = pwm_unbiased_alpha(s, 1)
             assert b1 + a1 == pytest.approx(np.mean(x), rel=1e-13)
             assert 2.0 * b1 - 2.0 * a1 == pytest.approx(brute_gmd(x), rel=1e-12, abs=1e-13)
+
+    def test_rejects_bad_orders(self):
+        s = make_sample([1.0, 2.0, 3.0])
+        for est, name in ((pwm_unbiased_beta, "r"), (pwm_unbiased_alpha, "s")):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(NonFiniteError, match=f"{name} must be finite"):
+                    est(s, bad)
+            for bad in (1.5, -1):
+                with pytest.raises(BadParameterError, match="non-negative integer"):
+                    est(s, bad)
 
     def test_needs_more_data_than_order(self):
         s = make_sample([1.0, 2.0])
