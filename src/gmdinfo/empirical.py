@@ -7,6 +7,7 @@ on ascending order.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,10 @@ class Sample:
 
     def digest(self) -> str:
         """Short content hash, used to label reports."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:  # hashed once per sample; a string, not an array, is kept
         h = hashlib.sha1(self.values.tobytes()).hexdigest()[:8]
         return f"sample(n={self.n}, sha1={h})"
 
@@ -88,6 +93,15 @@ def _check_convention(conv: str) -> None:
         )
 
 
+def _position(i, n: int, conv: str):
+    """u_i for a float rank i (scalar or array) of n."""
+    if conv == "hazen":
+        return (i - 0.5) / n
+    if conv == "naive":
+        return i / n
+    return i / (n + 1)
+
+
 def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
     """Plotting positions u_1 < ... < u_n for ranks 1..n.
 
@@ -95,12 +109,13 @@ def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
     Tied observations keep distinct consecutive positions.
     """
     _check_convention(conv)
-    i = np.arange(1, n + 1, dtype=float)
-    if conv == "hazen":
-        return (i - 0.5) / n
-    if conv == "naive":
-        return i / n
-    return i / (n + 1)
+    return _position(np.arange(1, n + 1, dtype=float), n, conv)
+
+
+def _run_ends(x: np.ndarray) -> np.ndarray:
+    """For sorted x, the count of values <= x_i at each i: searchsorted(x, x, "right")."""
+    ends = np.append(np.flatnonzero(np.diff(x)) + 1, x.shape[0])
+    return ends if ends.shape[0] == x.shape[0] else np.repeat(ends, np.diff(ends, prepend=0))
 
 
 def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:
@@ -111,9 +126,9 @@ def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:
     """
     if not np.isfinite(x):
         raise NonFiniteError("evaluation point must be finite")
-    u = plotting_positions(sample.n, conv)
+    _check_convention(conv)
     k = int(np.searchsorted(sample.values, x, side="right"))
-    return 0.0 if k == 0 else float(u[k - 1])
+    return 0.0 if k == 0 else float(_position(float(k), sample.n, conv))
 
 
 def values_above(sample: Sample, t: float) -> np.ndarray:

@@ -39,7 +39,7 @@ from .empirical import (
     conditional_mean_below,
     plotting_positions,
 )
-from .errors import BadParameterError, NotApplicableError
+from .errors import BadParameterError, NonFiniteError, NotApplicableError
 from .measures import (
     MeasureSpec,
     PhiSelector,
@@ -114,8 +114,9 @@ class Identity:
     description: str
     level: str  # "population" | "sample" | "both"
     exactness: str
-    population_sides: Optional[Callable] = None  # (model, cfg) -> (lhs, rhs)
-    sample_sides: Optional[Callable] = None  # (sample, conv) -> (lhs, rhs) | None
+    # each returns its (lhs, rhs) pairs; verify reports the worst of them
+    population_sides: Optional[Callable] = None  # (model, cfg) -> [(lhs, rhs), ...]
+    sample_sides: Optional[Callable] = None  # (sample, conv) -> pairs, [] when inapplicable
 
 
 @dataclass(frozen=True)
@@ -158,18 +159,16 @@ def _plugin_cov(x: np.ndarray, g: np.ndarray) -> float:
     return float(np.mean(x * g) - np.mean(x) * np.mean(g))
 
 
-def _step_plain(values: np.ndarray, g) -> float:
-    """int g(F_hat(x)) dx for the naive step ECDF (i/n between order stats)."""
+def _step_integrals(values: np.ndarray, gs) -> list:
+    """(int g(F_hat(x)) dx, int x g(F_hat(x)) dx) for each g, for the naive step ECDF.
+
+    F_hat is i/n between order statistics i and i+1; each g is evaluated once.
+    """
     n = values.shape[0]
     levels = np.arange(1, n, dtype=float) / n
-    return float(np.sum(np.diff(values) * g(levels)))
-
-
-def _step_xweighted(values: np.ndarray, g) -> float:
-    """int x * g(F_hat(x)) dx for the naive step ECDF."""
-    n = values.shape[0]
-    levels = np.arange(1, n, dtype=float) / n
-    return float(np.sum(0.5 * np.diff(values**2) * g(levels)))
+    dx, half_dx2 = np.diff(values), 0.5 * np.diff(values**2)
+    return [(float(np.sum(dx * gv)), float(np.sum(half_dx2 * gv)))
+            for gv in (g(levels) for g in gs)]
 
 
 def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
@@ -202,39 +201,39 @@ _W_CDF1 = WeightSelector("cdf-power", j=1.0)
 
 
 def _i1_pop(model, cfg):
-    return _mx(model, cfg, id="gmd"), _mq(model, cfg, id="gmd")
+    return [(_mx(model, cfg, id="gmd"), _mq(model, cfg, id="gmd"))]
 
 
 def _i1_sample(s, conv):
-    return gmd(s), gmd_via_pwm(s)
+    return [(gmd(s), gmd_via_pwm(s))]
 
 
 def _i2_pop(model, cfg):
     lhs = _mx(model, cfg, id="gmd")
     cov = pwm_population(model, PwmIndex(1, 1, 0), cfg) - 0.5 * model.mean()
-    return lhs, 4.0 * cov
+    return [(lhs, 4.0 * cov)]
 
 
 def _i2_sample(s, conv):
     u = plotting_positions(s.n, conv)
-    return gmd(s), 4.0 * _plugin_cov(s.values, u)
+    return [(gmd(s), 4.0 * _plugin_cov(s.values, u))]
 
 
 def _i3_pop(model, cfg):
-    return _mx(model, cfg, id="gmd"), 2.0 * _mq(model, cfg, id="crt", alpha=2.0)
+    return [(_mx(model, cfg, id="gmd"), 2.0 * _mq(model, cfg, id="crt", alpha=2.0))]
 
 
 def _i3_sample(s, conv):
-    return gmd(s), 2.0 * crt(s, 2.0, conv)[0]
+    return [(gmd(s), 2.0 * crt(s, 2.0, conv)[0])]
 
 
 def _i4_pop(model, cfg):
     lhs = 2.0 * _mx(model, cfg, id="crj") - 2.0 * _mx(model, cfg, id="cj")
-    return lhs, _mq(model, cfg, id="gmd")
+    return [(lhs, _mq(model, cfg, id="gmd"))]
 
 
 def _i4_sample(s, conv):
-    return 2.0 * crj(s) - 2.0 * cj(s), gmd(s)
+    return [(2.0 * crj(s) - 2.0 * cj(s), gmd(s))]
 
 
 def _i5_pop(model, cfg):
@@ -243,14 +242,14 @@ def _i5_pop(model, cfg):
         lhs = gmd_left_population(model, t, cfg, route="quantile")
         rhs = mean_residual_life(model, t, cfg) + 2.0 * j_dyn_population(model, t, cfg)
         pairs.append((lhs, rhs))
-    return _worst(pairs)
+    return pairs
 
 
 def _i5_sample(s, conv):
     t = _pick_t(s, need_above=2)
     if t is None:
-        return None
-    return gmd_left(s, t), conditional_mean_above(s, t) + 2.0 * j_dyn(s, t)
+        return []
+    return [(gmd_left(s, t), conditional_mean_above(s, t) + 2.0 * j_dyn(s, t))]
 
 
 def _i6_pop(model, cfg):
@@ -259,14 +258,14 @@ def _i6_pop(model, cfg):
         lhs = gmd_right_population(model, t, cfg, route="quantile")
         rhs = 2.0 * h_dyn_population(model, t, cfg) + mean_past_life(model, t, cfg)
         pairs.append((lhs, rhs))
-    return _worst(pairs)
+    return pairs
 
 
 def _i6_sample(s, conv):
     t = _pick_t(s, need_below=2)
     if t is None:
-        return None
-    return gmd_right(s, t), 2.0 * h_dyn(s, t) + conditional_mean_below(s, t)
+        return []
+    return [(gmd_right(s, t), 2.0 * h_dyn(s, t) + conditional_mean_below(s, t))]
 
 
 def _range_moment_direct(model, v: float, cfg) -> float:
@@ -288,7 +287,7 @@ def _i7_pop(model, cfg):
         lhs = ge_population(model, _W_SF1, PhiSelector(c=2.0, v=v), cfg)
         rhs = _range_moment_direct(model, v, cfg)
         pairs.append((lhs, rhs))
-    return _worst(pairs)
+    return pairs
 
 
 def _i7_sample(s, conv):
@@ -297,33 +296,27 @@ def _i7_sample(s, conv):
         lhs = generalized_residual_entropy(s, _W_SF1, PhiSelector(c=2.0, v=v), conv)
         rhs = _sorted_gmd(s.values**v)
         pairs.append((lhs, rhs))
-    return _worst(pairs)
+    return pairs
 
 
 def _i8_pop(model, cfg):
     lhs = gce_population(model, _W_CDF1, PhiSelector(c=2.0, v=1.0), cfg)
-    return lhs, _mx(model, cfg, id="gmd")
+    return [(lhs, _mx(model, cfg, id="gmd"))]
 
 
 def _i8_sample(s, conv):
     lhs = generalized_cumulative_entropy(s, _W_CDF1, PhiSelector(c=2.0, v=1.0), conv)
-    return lhs, _sorted_gmd(s.values)
+    return [(lhs, _sorted_gmd(s.values))]
 
 
 def _i9_pop(model, cfg):
-    pairs = [
-        (_mx(model, cfg, id=mid), _mq(model, cfg, id=mid))
-        for mid in ("crj", "cj", "crjw", "wce")
-    ]
-    return _worst(pairs)
+    return [(_mx(model, cfg, id=mid), _mq(model, cfg, id=mid))
+            for mid in ("crj", "cj", "crjw", "wce")]
 
 
 def _i9_sample(s, conv):
-    pairs = [
-        (-0.5 * pairwise_min_mean(s.values), crj(s)),
-        (-0.5 * pairwise_max_mean(s.values), cj(s)),
-    ]
-    return _worst(pairs)
+    return [(-0.5 * pairwise_min_mean(s.values), crj(s)),
+            (-0.5 * pairwise_max_mean(s.values), cj(s))]
 
 
 def _i10_pop(model, cfg):
@@ -332,23 +325,18 @@ def _i10_pop(model, cfg):
         for mid in ("crt", "ct", "wcrt", "wct"):
             pairs.append((_mx(model, cfg, id=mid, alpha=alpha),
                           _mq(model, cfg, id=mid, alpha=alpha)))
-    return _worst(pairs)
+    return pairs
 
 
 def _i10_sample(s, conv):
-    x = s.values
-    pairs = []
-    for alpha in (2.0, 3.0):
-        a = alpha
-        pairs.append((_step_plain(x, lambda F: (1 - F) - (1 - F) ** a) / (a - 1),
-                      crt(s, a, conv)[0]))
-        pairs.append((_step_plain(x, lambda F: F - F**a) / (a - 1),
-                      ct(s, a, conv)[0]))
-        pairs.append((_step_xweighted(x, lambda F: (1 - F) - (1 - F) ** a) / (a - 1),
-                      wcrt(s, a, conv)[0]))
-        pairs.append((_step_xweighted(x, lambda F: F - F**a) / (a - 1),
-                      wct(s, a, conv)[0]))
-    return _worst(pairs)
+    alphas = (2.0, 3.0)
+    steps = _step_integrals(s.values, [g for a in alphas for g in (
+        lambda F, a=a: (1 - F) - (1 - F) ** a, lambda F, a=a: F - F**a)])
+    pairs = []  # per alpha: the survival-side g, then the distribution-side g
+    for a, (crt_x, wcrt_x), (ct_x, wct_x) in zip(alphas, steps[::2], steps[1::2]):
+        pairs += [(crt_x / (a - 1), crt(s, a, conv)[0]), (ct_x / (a - 1), ct(s, a, conv)[0]),
+                  (wcrt_x / (a - 1), wcrt(s, a, conv)[0]), (wct_x / (a - 1), wct(s, a, conv)[0])]
+    return pairs
 
 
 def _i11_pop(model, cfg):
@@ -357,22 +345,19 @@ def _i11_pop(model, cfg):
         for mid in ("sr", "sp", "srw", "spw"):
             pairs.append((_mx(model, cfg, id=mid, alpha=alpha, beta=beta),
                           _mq(model, cfg, id=mid, alpha=alpha, beta=beta)))
-    return _worst(pairs)
+    return pairs
 
 
 def _i11_sample(s, conv):
-    x = s.values
+    orders = ((1.0, 2.0), (2.0, 3.0))
+    steps = _step_integrals(s.values, [g for a, b in orders for g in (
+        lambda F, a=a, b=b: (1 - F) ** a - (1 - F) ** b, lambda F, a=a, b=b: F**a - F**b)])
     pairs = []
-    for a, b in ((1.0, 2.0), (2.0, 3.0)):
-        pairs.append((_step_plain(x, lambda F: (1 - F) ** a - (1 - F) ** b) / (b - a),
-                      sr(s, a, b, conv)[0]))
-        pairs.append((_step_plain(x, lambda F: F**a - F**b) / (b - a),
-                      sp(s, a, b, conv)[0]))
-        pairs.append((_step_xweighted(x, lambda F: (1 - F) ** a - (1 - F) ** b) / (b - a),
-                      srw(s, a, b, conv)[0]))
-        pairs.append((_step_xweighted(x, lambda F: F**a - F**b) / (b - a),
-                      spw(s, a, b, conv)[0]))
-    return _worst(pairs)
+    for (a, b), (sr_x, srw_x), (sp_x, spw_x) in zip(orders, steps[::2], steps[1::2]):
+        pairs += [(sr_x / (b - a), sr(s, a, b, conv)[0]), (sp_x / (b - a), sp(s, a, b, conv)[0]),
+                  (srw_x / (b - a), srw(s, a, b, conv)[0]),
+                  (spw_x / (b - a), spw(s, a, b, conv)[0])]
+    return pairs
 
 
 def _i12_pop(model, cfg):
@@ -380,7 +365,7 @@ def _i12_pop(model, cfg):
     for v in (2.0, 3.0, 2.5):
         pairs.append((_mx(model, cfg, id="s_gini", v=v),
                       _mq(model, cfg, id="s_gini", v=v)))
-    return _worst(pairs)
+    return pairs
 
 
 def _i12_sample(s, conv):
@@ -390,7 +375,7 @@ def _i12_sample(s, conv):
     for v in (2.0, 3.0):
         lhs = -_plugin_cov(x, (1.0 - u) ** (v - 1.0))
         pairs.append((lhs, s_gini(s, v, conv)[0]))
-    return _worst(pairs)
+    return pairs
 
 
 def _sq_log(f: float) -> float:
@@ -424,7 +409,7 @@ def _i13_u_sides(model, cfg):
 
 
 def _i13_pop(model, cfg):
-    return _worst(zip(_i13_x_sides(model, cfg), _i13_u_sides(model, cfg)))
+    return list(zip(_i13_x_sides(model, cfg), _i13_u_sides(model, cfg)))
 
 
 def _i14_pop(model, cfg):
@@ -441,7 +426,7 @@ def _i14_pop(model, cfg):
         rhs = k * (pwm_population(model, PwmIndex(1, k - 1.0, 0), cfg)
                    - pwm_population(model, PwmIndex(1, 0, k - 1.0), cfg))
         pairs.append((lhs, rhs))
-    return _worst(pairs)
+    return pairs
 
 
 def _i14_sample(s, conv):
@@ -454,9 +439,7 @@ def _i14_sample(s, conv):
         lhs = risk_premium(s, k) + gain_premium(s, k)
         rhs = k * (_plugin_cov(x, u ** (k - 1.0)) - _plugin_cov(x, (1.0 - u) ** (k - 1.0)))
         pairs.append((lhs, rhs))
-    if not pairs:
-        return None
-    return _worst(pairs)
+    return pairs
 
 
 REGISTRY = (
@@ -508,27 +491,33 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """Evaluate both sides of one identity on a model or sample.
 
     Raises NotApplicableError when the identity has no form at the
-    source's level (or the sample is too degenerate to truncate).
+    source's level (or the sample is too degenerate to truncate), and
+    NonFiniteError, naming the identity, when any side is NaN or infinite.
     """
     if isinstance(source, Sample):
         if identity.sample_sides is None or identity.level == "population":
             raise NotApplicableError(f"{identity.id} has no sample-level form")
-        sides = identity.sample_sides(source, conv)
-        if sides is None:
-            raise NotApplicableError(
-                f"{identity.id}: sample admits no usable truncation point"
-            )
+        sides, args = identity.sample_sides, (source, conv)
         level, label = "sample", source.digest()
     elif isinstance(source, ParametricModel):
         if identity.population_sides is None:
             raise NotApplicableError(f"{identity.id} has no population-level form")
-        sides = identity.population_sides(source, cfg)
+        sides, args = identity.population_sides, (source, cfg)
         level, label = "population", source.describe()
     else:
         raise BadParameterError(
             f"source must be a Sample or ParametricModel, got {type(source).__name__}"
         )
-    lhs, rhs = float(sides[0]), float(sides[1])
+    try:
+        pairs = [tuple(map(float, pair)) for pair in sides(*args)]
+        bad = [pair for pair in pairs if not all(map(math.isfinite, pair))]
+        if bad:
+            raise NonFiniteError(f"non-finite side in {bad[0]}")
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{identity.id}: {exc}") from exc
+    if not pairs:
+        raise NotApplicableError(f"{identity.id}: sample admits no usable truncation point")
+    lhs, rhs = _worst(pairs)
     n = source.n if level == "sample" else 0
     tol = float(tolerance) if tolerance is not None else _default_tolerance(identity, level, n)
     abs_res = abs(lhs - rhs)

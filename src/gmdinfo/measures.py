@@ -52,6 +52,7 @@ from scipy.special import exprel, hyp2f1
 
 from .empirical import (
     Sample,
+    _run_ends,
     plotting_positions,
     values_above,
     values_upto,
@@ -396,8 +397,7 @@ class MeasureSpec:
 def _sorted_gmd(values: np.ndarray) -> float:
     """Mean |x_i - x_j| over pairs i<j of a sorted array: (2/(n(n-1))) sum (2i-n-1) x_(i)."""
     n = values.shape[0]
-    i = np.arange(1, n + 1, dtype=float)
-    return float(2.0 * np.sum((2.0 * i - n - 1.0) * values) / (n * (n - 1.0)))
+    return float(2.0 * np.sum(np.arange(1.0 - n, n, 2.0) * values) / (n * (n - 1.0)))
 
 
 def gmd(sample: Sample) -> float:
@@ -415,21 +415,19 @@ def gmd_via_pwm(sample: Sample) -> float:
 
 
 def pairwise_min_mean(values: np.ndarray) -> float:
-    """Mean of min(x_i, x_j) over unordered pairs i<j of a sorted array."""
+    """Mean of min(x_i, x_j) over pairs i<j of a sorted array: (2/(m(m-1))) sum (m-i) x_(i)."""
     m = values.shape[0]
     if m < 2:
         raise FewerThanTwoError("pairwise mean needs at least 2 points")
-    i = np.arange(1, m + 1, dtype=float)
-    return float(2.0 * np.sum((m - i) * values) / (m * (m - 1.0)))
+    return float(2.0 * np.sum(np.arange(m - 1.0, -1.0, -1.0) * values) / (m * (m - 1.0)))
 
 
 def pairwise_max_mean(values: np.ndarray) -> float:
-    """Mean of max(x_i, x_j) over unordered pairs i<j of a sorted array."""
+    """Mean of max(x_i, x_j) over pairs i<j of a sorted array: (2/(m(m-1))) sum (i-1) x_(i)."""
     m = values.shape[0]
     if m < 2:
         raise FewerThanTwoError("pairwise mean needs at least 2 points")
-    i = np.arange(1, m + 1, dtype=float)
-    return float(2.0 * np.sum((i - 1.0) * values) / (m * (m - 1.0)))
+    return float(2.0 * np.sum(np.arange(m, dtype=float) * values) / (m * (m - 1.0)))
 
 
 def _tail(sample: Sample, t: float, need: int) -> np.ndarray:
@@ -599,7 +597,7 @@ def generalized_residual_entropy(sample: Sample, w: WeightSelector,
     wv = w.at_probability(u)
     ph = phi(x)
     # for each i, first rank whose value exceeds x_(i) (handles ties)
-    right = np.searchsorted(x, x, side="right")
+    right = _run_ends(x)
     cnt = n - right
     suffix = np.concatenate([np.cumsum(ph[::-1])[::-1], [0.0]])
     avg_above = np.divide(suffix[right], cnt, out=np.zeros(n), where=cnt > 0)
@@ -615,7 +613,7 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
     u = plotting_positions(n, conv)
     wv = w.at_probability(u)
     ph = phi(x)
-    cnt = np.searchsorted(x, x, side="right")  # includes self and all ties
+    cnt = _run_ends(x)  # includes self and all ties
     prefix = np.concatenate([[0.0], np.cumsum(ph)])
     term = ph - prefix[cnt] / cnt
     return float(np.mean(wv * term))
@@ -664,11 +662,10 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
 
     Without a dedicated sample route, the measure's PWM form is evaluated
     with one estimate per moment; the route is unbiased-pwm only when every
-    moment took the unbiased route.
+    moment took the unbiased route.  A NaN or infinite value (the data
+    overflow, e.g. x^2 near 1e200) raises NonFiniteError.
     """
     entry = MEASURE_IDS[spec.id]
-    if entry.sample is not None:
-        return entry.sample(sample, conv, *entry.args(spec))
     routes = set()
 
     def M(p, r, s):
@@ -676,5 +673,11 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
         routes.add(route)
         return value
 
-    value = entry.pwm(M, *entry.args(spec))
-    return value, _PLUGIN if _PLUGIN in routes else _UNBIASED
+    if entry.sample is not None:
+        value, route = entry.sample(sample, conv, *entry.args(spec))
+    else:
+        value = entry.pwm(M, *entry.args(spec))
+        route = _PLUGIN if _PLUGIN in routes else _UNBIASED
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{spec.id} is not finite on this sample: {value!r}")
+    return value, route

@@ -90,9 +90,12 @@ def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:
         raise BadParameterError(
             "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
         )
-    x = sample.values
-    xp = x ** idx.p if idx.p else np.ones_like(x)
-    return float(np.mean(xp * u**idx.r * (1.0 - u) ** idx.s))
+    y = sample.values ** idx.p if idx.p else np.ones(sample.n)
+    if idx.r:  # a zero exponent's factor is all ones, and 1.0 * y == y
+        y *= u**idx.r
+    if idx.s:
+        y *= (1.0 - u) ** idx.s
+    return float(np.mean(y))
 
 
 def _check_integer_order(name: str, value) -> int:
@@ -110,15 +113,7 @@ def pwm_unbiased_beta(sample: Sample, r) -> float:
     the weight vanishes automatically for i <= r.  Products are built
     as running ratios so no intermediate overflows for large n.
     """
-    r = _check_integer_order("r", r)
-    n = sample.n
-    if n <= r:
-        raise TooFewObservationsError(f"b_{r} needs n > {r}, got n={n}")
-    i = np.arange(1, n + 1, dtype=float)
-    w = np.ones(n)
-    for j in range(1, r + 1):
-        w *= (i - j) / (n - j)
-    return float(np.mean(sample.values * w))
+    return _rank_weighted_mean(sample, "b", _check_integer_order("r", r), reverse=False)
 
 
 def pwm_unbiased_alpha(sample: Sample, s) -> float:
@@ -127,12 +122,23 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
     a_s = (1/n) sum_{i} x_(i) * (n-i)(n-i-1)...(n-i-s+1) / [(n-1)...(n-s)];
     the weight vanishes automatically for i > n - s.
     """
-    s = _check_integer_order("s", s)
+    return _rank_weighted_mean(sample, "a", _check_integer_order("s", s), reverse=True)
+
+
+def _rank_weighted_mean(sample: Sample, name: str, order: int, reverse: bool) -> float:
+    """(1/n) sum_i x_(i) w_i, w_i = prod_{j=1..order} (i - j)/(n - j), reversed for a_s.
+
+    Every numerator is a whole number, exact in floats, so the ranks may be
+    counted from either end.
+    """
     n = sample.n
-    if n <= s:
-        raise TooFewObservationsError(f"a_{s} needs n > {s}, got n={n}")
-    i = np.arange(1, n + 1, dtype=float)
-    w = np.ones(n)
-    for j in range(1, s + 1):
-        w *= (n - i - j + 1) / (n - j)
-    return float(np.mean(sample.values * w))
+    if n <= order:
+        raise TooFewObservationsError(f"{name}_{order} needs n > {order}, got n={n}")
+    if order == 0:
+        return float(np.mean(sample.values))
+    # i - 1 at ranks i = 1..n, or n - i (the rank counted from the top, minus 1) for a_s
+    m = np.arange(n - 1, -1, -1, dtype=float) if reverse else np.arange(n, dtype=float)
+    w = m / (n - 1)
+    for j in range(2, order + 1):
+        w *= (m - (j - 1)) / (n - j)
+    return float(np.mean(np.multiply(sample.values, w, out=w)))

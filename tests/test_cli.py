@@ -157,6 +157,25 @@ class TestInputParsing:
         assert "non-finite" in res.stderr
 
 
+class TestNonFiniteResults:
+    @pytest.fixture
+    def huge(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e200\n2e200\n3e200\n")  # x^2 overflows
+        return str(path)
+
+    def test_compute_exits_3(self, huge):
+        res = run("compute", "--input", huge, "--measure", "crjw")
+        assert res.returncode == 3
+        assert "crjw is not finite" in res.stderr
+        assert res.stdout == ""
+
+    def test_verify_exits_3_naming_the_identity(self, huge):
+        res = run("verify", "--input", huge)
+        assert res.returncode == 3
+        assert "I7: non-finite side" in res.stderr
+
+
 class TestVerify:
     def test_uniform_passes_all(self):
         res = run("verify", "--dist", "uniform", "--a", "0", "--b", "1")

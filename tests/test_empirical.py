@@ -1,9 +1,14 @@
 """Sample container, plotting positions, ECDF, conditional means."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gmdinfo import (
+    ECDF_CONVENTIONS,
     BadParameterError,
     EmptyTailError,
     NegativeValueError,
@@ -14,7 +19,10 @@ from gmdinfo import (
     ecdf_at,
     make_sample,
     plotting_positions,
+    verify_all,
 )
+from gmdinfo import empirical
+from gmdinfo.empirical import _run_ends
 
 
 class TestMakeSample:
@@ -55,6 +63,65 @@ class TestMakeSample:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
         assert a.digest().startswith("sample(n=3, sha1=")
+
+    def test_digest_value(self):
+        h = hashlib.sha1(np.array([1.0, 2.0, 3.0]).tobytes()).hexdigest()[:8]
+        assert make_sample([3.0, 1.0, 2.0]).digest() == f"sample(n=3, sha1={h})"
+
+    def test_digest_hashes_once_per_sample(self, monkeypatch):
+        calls = []
+        sha1 = hashlib.sha1
+        monkeypatch.setattr(empirical.hashlib, "sha1", lambda data: calls.append(1) or sha1(data))
+        a = make_sample([1.0, 2.0, 3.0])
+        assert a.digest() == a.digest() == a.digest()
+        assert len(calls) == 1
+        make_sample([1.0, 2.0, 3.0]).digest()
+        assert len(calls) == 2
+
+    def test_still_frozen(self):
+        s = make_sample([1.0, 2.0])
+        s.digest()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.values = np.array([5.0, 6.0])
+
+    def test_keeps_no_array_beyond_its_values(self):
+        s = make_sample(np.random.default_rng(0).exponential(1.0, size=200))
+        verify_all(s)
+        assert all(isinstance(v, str) for k, v in vars(s).items() if k != "values")
+
+
+def _sorted_floats(elements, **kw):
+    return st.lists(elements, min_size=2, max_size=80, **kw).map(
+        lambda raw: np.sort(np.asarray(raw, dtype=float)))
+
+
+class TestRunEnds:
+    """_run_ends(x) replaces np.searchsorted(x, x, side="right") on sorted data."""
+
+    @staticmethod
+    def check(x):
+        want = np.searchsorted(x, x, side="right")
+        got = _run_ends(x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @given(_sorted_floats(st.integers(0, 4)))
+    @example(np.array([1.0, 1.0]))
+    def test_with_ties(self, x):
+        self.check(x)
+
+    @given(_sorted_floats(st.floats(0.0, 1e300), unique=True))
+    @example(np.array([0.0, 5e-324]))
+    def test_without_ties(self, x):
+        self.check(x)
+
+    @given(st.floats(0.0, 1e300), st.integers(2, 80))
+    def test_all_equal(self, value, n):
+        self.check(np.full(n, value))
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [1.0, 2.0], [0.0, 1e-300]])
+    def test_two_points(self, x):
+        self.check(np.array(x))
 
 
 class TestPlottingPositions:
@@ -112,6 +179,23 @@ class TestEcdfAt:
         s = make_sample([1.0, 2.0])
         with pytest.raises(NonFiniteError):
             ecdf_at(s, np.nan)
+
+    @pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+    def test_equals_plotting_positions_at_every_rank(self, conv):
+        s = make_sample(np.random.default_rng(3).gamma(2.0, 1.0, size=301))
+        u = plotting_positions(s.n, conv)
+        assert [ecdf_at(s, x, conv) for x in s.values] == u.tolist()
+
+    @pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+    def test_ties_read_the_last_rank_of_their_run(self, conv):
+        s = make_sample(np.random.default_rng(4).integers(0, 9, size=120))
+        u = plotting_positions(s.n, conv)
+        ends = np.searchsorted(s.values, s.values, side="right")
+        assert [ecdf_at(s, x, conv) for x in s.values] == u[ends - 1].tolist()
+
+    def test_unknown_convention_below_support(self):
+        with pytest.raises(BadParameterError, match="convention"):
+            ecdf_at(make_sample([1.0, 2.0]), 0.0, "weibull-style")
 
 
 class TestConditionalMeans:

@@ -12,6 +12,8 @@ from gmdinfo import (
     POPULATION_TOL,
     BadParameterError,
     Exponential,
+    Identity,
+    NonFiniteError,
     NotApplicableError,
     Pareto,
     REGISTRY,
@@ -183,6 +185,51 @@ class TestExactSampleLevel:
             assert verify(BY_ID[identity_id], sample).passed, identity_id
 
 
+class TestExactSampleGaps:
+    """Under hazen, some asymptotic pairs differ by a fixed factor of n, exactly.
+
+    Pinned at 1e-12 so that a 1 % slip in either estimator fails here,
+    where the single-sample gate of these identities would let it pass.
+    """
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("ties", [False, True], ids=["untied", "tied"])
+    def test_fixed_factors(self, seed, ties):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(3, 401))
+        x = rng.integers(0, 6, size=n).astype(float) if ties else rng.gamma(2.0, 1.0, size=n)
+        sample = make_sample(x)
+        shrink = (n - 1) / n
+        exact = dict(rel=1e-12, abs=0.0)
+        ((gmd_, cov4),) = BY_ID["I2"].sample_sides(sample, "hazen")
+        assert cov4 == pytest.approx(shrink * gmd_, **exact)
+        k2, k3 = BY_ID["I14"].sample_sides(sample, "hazen")
+        for premia, covs in (k2, k3):
+            assert covs == pytest.approx(shrink * premia, **exact)
+        plugin, s_gini_v2 = BY_ID["I12"].sample_sides(sample, "hazen")[0]
+        assert s_gini_v2 == pytest.approx(plugin / shrink, **exact)
+
+
+class TestNonFiniteSides:
+    HUGE = [1e200, 2e200, 3e200]  # x^2 overflows
+
+    def test_nan_in_a_later_pair_raises_naming_the_identity(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError, match="^I7: "):
+            verify(BY_ID["I7"], make_sample(self.HUGE))
+
+    @pytest.mark.parametrize("source", [make_sample([1.0, 2.0]), Uniform(0.0, 1.0)],
+                             ids=["sample", "population"])
+    def test_every_pair_is_checked(self, source):
+        sides = lambda *args: [(1.0, 1.0), (float("nan"), 1.0), (1.0, 2.0)]
+        ident = Identity("X", "test", "both", "asymptotic", sides, sides)
+        with pytest.raises(NonFiniteError, match="^X: non-finite side"):
+            verify(ident, source)
+
+    def test_finite_identities_still_report(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert verify(BY_ID["I1"], make_sample(self.HUGE)).passed
+
+
 class TestAsymptoticSampleLevel:
     def test_single_sample_reports_pass_within_gate(self):
         rng = np.random.default_rng(99)
@@ -251,6 +298,7 @@ class TestApplicability:
         pair = make_sample([1.0, 3.0])
         report = verify(BY_ID["I14"], pair)
         assert report.passed  # k=3 branch skipped internally, k=2 still checked
+        assert len(BY_ID["I14"].sample_sides(pair, "hazen")) == 1
 
 
 class TestToleranceOverride:

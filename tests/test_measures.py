@@ -396,6 +396,18 @@ class TestDispatcher:
         with pytest.raises(BadParameterError, match="beta must differ from alpha"):
             spw(S123, 2.0, 2.0)
 
+    @pytest.mark.parametrize("spec", [
+        MeasureSpec("crjw"), MeasureSpec("wce"), MeasureSpec("wcrt", alpha=2.0),
+        MeasureSpec("wct", alpha=2.5), MeasureSpec("srw", alpha=1.0, beta=2.0),
+        MeasureSpec("spw", alpha=1.0, beta=2.0), MeasureSpec("pwm", p=2, r=1.0),
+    ], ids=lambda spec: spec.id)
+    def test_non_finite_value_raises(self, spec):
+        huge = make_sample([1e200, 2e200, 3e200])  # x^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match=f"^{spec.id} is not finite"):
+                measure_sample(huge, spec)
+            assert measure_sample(huge, MeasureSpec("gmd"))[0] == pytest.approx(4e200 / 3)
+
     def test_convention_changes_plugin_routes_only(self):
         sample = make_sample(np.random.default_rng(6).random(7))
         hz = measure_sample(sample, MeasureSpec("crjw"), conv="hazen")[0]
