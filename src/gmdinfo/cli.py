@@ -27,7 +27,7 @@ from .errors import (
     NoConvergenceError,
     TooFewObservationsError,
 )
-from .identities import verify_all
+from .identities import _verify_each
 from .measures import MEASURE_IDS, MeasureSpec, measure_sample, parse_phi, parse_weight
 from .models import MODEL_FAMILIES, ParametricModel, make_model
 from .population import measure_population
@@ -213,12 +213,16 @@ def cmd_compute(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     source = _build_source(args, parser)
     cfg = _quad_config(args)
-    reports = verify_all(source, cfg, conv=args.conv)
+    reports, nonfinite = _verify_each(source, cfg, conv=args.conv)
     if args.level:
         reports = [rep for rep in reports if rep.level == args.level]
     _emit([dataclasses.asdict(rep) for rep in reports], _VERIFY_FIELDS, args.format)
     npass = sum(1 for rep in reports if rep.passed)
     print(f"passed {npass}/{len(reports)}")
+    for exc in nonfinite:
+        print(f"gmdinfo: error: {exc}", file=sys.stderr)
+    if nonfinite:
+        return 3
     return 0 if npass == len(reports) else 1
 
 

@@ -39,7 +39,7 @@ from .empirical import (
     conditional_mean_below,
     plotting_positions,
 )
-from .errors import BadParameterError, NonFiniteError, NotApplicableError
+from .errors import BadParameterError, NoConvergenceError, NonFiniteError, NotApplicableError
 from .measures import (
     MeasureSpec,
     PhiSelector,
@@ -71,6 +71,7 @@ from .measures import (
 )
 from .models import ParametricModel
 from .population import (
+    _xquad,
     gce_population,
     ge_population,
     gmd_left_population,
@@ -82,7 +83,7 @@ from .population import (
     measure_population,
 )
 from .pwm import PwmIndex, pwm_population
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_u, integrate_x
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
 
 __all__ = [
     "Identity",
@@ -270,15 +271,10 @@ def _i6_sample(s, conv):
 
 def _range_moment_direct(model, v: float, cfg) -> float:
     """E(max(X1,X2)^v) - E(min(X1,X2)^v) purely from F and the survival."""
-    lo, hi = model.support
-    mid = float(model.quantile(0.5))
+    def g(x):
+        return v * x ** (v - 1.0) * (1.0 - model.cdf(x) ** 2 - model.sf(x) ** 2)
 
-    def g(x: float) -> float:
-        f = float(model.cdf(x))
-        sfv = float(model.sf(x))
-        return v * x ** (v - 1.0) * (1.0 - f * f - sfv * sfv)
-
-    return integrate_x(g, 0.0, hi, cfg, breakpoints=(lo, mid))
+    return _xquad(model, g, 0.0, model.support[1], cfg)
 
 
 def _i7_pop(model, cfg):
@@ -378,9 +374,9 @@ def _i12_sample(s, conv):
     return pairs
 
 
-def _sq_log(f: float) -> float:
-    """f^2 log f, taking 0 log 0 = 0."""
-    return f * f * math.log(f) if f > 0.0 else 0.0
+def _sq_log(f):
+    """f^2 log f, taking 0 log 0 = 0 (works on arrays)."""
+    return f * f * np.log(np.where(f > 0.0, f, 1.0))
 
 
 def _i13_x_sides(model, cfg):
@@ -390,8 +386,8 @@ def _i13_x_sides(model, cfg):
     1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2.
     """
     lo, hi = model.support
-    lhs_min = integrate_x(lambda x: _sq_log(float(model.sf(x))), 0.0, hi, cfg, breakpoints=(lo,))
-    lhs_max = -integrate_x(lambda x: _sq_log(float(model.cdf(x))), 0.0, hi, cfg, breakpoints=(lo,))
+    lhs_min = quad_x(lambda x: _sq_log(model.sf(x)), 0.0, hi, cfg, breakpoints=(lo,))
+    lhs_max = -quad_x(lambda x: _sq_log(model.cdf(x)), 0.0, hi, cfg, breakpoints=(lo,))
     return lhs_min, lhs_max
 
 
@@ -402,9 +398,9 @@ def _i13_u_sides(model, cfg):
     of r - gmd_right at t = Q(p) reduce to int (1-u)(1 + 2 log(1-u)) Q(u) du
     and int u (1 + 2 log u) Q(u) du.
     """
-    Q = lambda u: float(model.quantile(u))
-    rhs_min = integrate_u(lambda u: (1.0 - u) * (1.0 + 2.0 * math.log1p(-u)) * Q(u), cfg)
-    rhs_max = integrate_u(lambda u: u * (1.0 + 2.0 * math.log(u)) * Q(u), cfg)
+    Q = model.quantile
+    rhs_min = quad_u(lambda u: (1.0 - u) * (1.0 + 2.0 * np.log1p(-u)) * Q(u), cfg)
+    rhs_max = quad_u(lambda u: u * (1.0 + 2.0 * np.log(u)) * Q(u), cfg)
     return rhs_min, rhs_max
 
 
@@ -412,17 +408,16 @@ def _i13_pop(model, cfg):
     return list(zip(_i13_x_sides(model, cfg), _i13_u_sides(model, cfg)))
 
 
+def _premia_direct(model, k: int, cfg) -> float:
+    """E(max of k) - E(min of k) = int (1 - F^k) - S^k dx, from F and the survival alone."""
+    return _xquad(model, lambda x: (1.0 - model.cdf(x) ** k) - model.sf(x) ** k,
+                  0.0, model.support[1], cfg)
+
+
 def _i14_pop(model, cfg):
-    lo, hi = model.support
-    mid = float(model.quantile(0.5))
     pairs = []
     for k in (2, 3):
-        def g(x: float, k=k) -> float:
-            f = float(model.cdf(x))
-            sfv = float(model.sf(x))
-            return (1.0 - f**k) - sfv**k
-
-        lhs = integrate_x(g, 0.0, hi, cfg, breakpoints=(lo, mid))
+        lhs = _premia_direct(model, k, cfg)
         rhs = k * (pwm_population(model, PwmIndex(1, k - 1.0, 0), cfg)
                    - pwm_population(model, PwmIndex(1, 0, k - 1.0), cfg))
         pairs.append((lhs, rhs))
@@ -492,7 +487,8 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
     Raises NotApplicableError when the identity has no form at the
     source's level (or the sample is too degenerate to truncate), and
-    NonFiniteError, naming the identity, when any side is NaN or infinite.
+    NonFiniteError, naming the identity, when any side is NaN or infinite;
+    a NoConvergenceError also names the identity.
     """
     if isinstance(source, Sample):
         if identity.sample_sides is None or identity.level == "population":
@@ -513,8 +509,8 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
         bad = [pair for pair in pairs if not all(map(math.isfinite, pair))]
         if bad:
             raise NonFiniteError(f"non-finite side in {bad[0]}")
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"{identity.id}: {exc}") from exc
+    except (NonFiniteError, NoConvergenceError) as exc:
+        raise type(exc)(f"{identity.id}: {exc}") from exc
     if not pairs:
         raise NotApplicableError(f"{identity.id}: sample admits no usable truncation point")
     lhs, rhs = _worst(pairs)
@@ -539,13 +535,24 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     )
 
 
-def verify_all(source, cfg: QuadratureConfig = DEFAULT_CONFIG,
-               conv: str = "hazen") -> list:
-    """Run every identity applicable to the source, in registry order."""
-    reports = []
+def _verify_each(source, cfg: QuadratureConfig, conv: str):
+    """verify over the registry: (the finite reports, a NonFiniteError per other identity)."""
+    reports, nonfinite = [], []
     for identity in REGISTRY:
         try:
             reports.append(verify(identity, source, cfg, conv))
         except NotApplicableError:
             continue
-    return reports
+        except NonFiniteError as exc:
+            nonfinite.append(exc)
+    return reports, nonfinite
+
+
+def verify_all(source, cfg: QuadratureConfig = DEFAULT_CONFIG,
+               conv: str = "hazen") -> list:
+    """Run every identity applicable to the source, in registry order.
+
+    An identity with a non-finite side is left out; :func:`verify` on it
+    raises NonFiniteError naming it.
+    """
+    return _verify_each(source, cfg, conv)[0]

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import exprel, hyp2f1
 
 from .empirical import (
     Sample,
@@ -111,7 +110,16 @@ __all__ = [
 
 def _power_over_complement(j: float, x):
     """int_0^x p^j/(1-p) dp = x^(j+1)/(j+1) * 2F1(1, j+1; j+2; x)."""
+    from scipy.special import hyp2f1  # only ge with F^j and gce with Fbar^j get here
+
     return x ** (j + 1.0) / (j + 1.0) * hyp2f1(1.0, j + 1.0, j + 2.0, x)
+
+
+def _exprel(z):
+    """(e^z - 1)/z, and 1 where |z| < 1e-16 (works on arrays)."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1e-16
+    return np.where(small, 1.0, np.expm1(z) / np.where(small, 1.0, z))
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,7 @@ class WeightSelector:
         log_sf = np.log1p(-q)
         if self.kind == "const":
             return -self.c * log_sf
-        return -log_sf * exprel(self.j * log_sf)  # (1 - (1-q)^j)/j
+        return -log_sf * _exprel(self.j * log_sf)  # (1 - (1-q)^j)/j
 
     def cumulative_down(self, q):
         """W_down(q) = int_q^1 w(p)/p dp (works on arrays)."""
@@ -159,7 +167,7 @@ class WeightSelector:
         log_q = np.log(q)
         if self.kind == "const":
             return -self.c * log_q
-        return -log_q * exprel(self.j * log_q)  # (1 - q^j)/j
+        return -log_q * _exprel(self.j * log_q)  # (1 - q^j)/j
 
     def describe(self) -> str:
         if self.kind == "const":

@@ -2,9 +2,10 @@
 
 Four non-negative families are provided: uniform, exponential, Weibull,
 and Pareto.  Each exposes exactly what the population-side machinery
-needs — ``cdf``/``sf``/``quantile``/``mean``, the support, and the tail
-index governing which moments exist — plus inverse-transform sampling
-for Monte Carlo work.  All methods accept scalars or arrays.
+needs — ``cdf``/``sf``/``quantile``/``mean``/``median``, the support,
+and the tail index governing which moments exist — plus
+inverse-transform sampling for Monte Carlo work.  The distribution
+methods accept scalars or arrays.
 """
 
 import math
@@ -62,6 +63,10 @@ class ParametricModel:
     def mean(self) -> float:
         raise NotImplementedError
 
+    def median(self) -> float:
+        """The closed-form median, so the x-domain routes can split there without Q."""
+        raise NotImplementedError
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -101,6 +106,9 @@ class Uniform(ParametricModel):
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
 
+    def median(self) -> float:
+        return self.a + (self.b - self.a) * 0.5
+
     def describe(self) -> str:
         return f"uniform(a={self.a:g}, b={self.b:g})"
 
@@ -124,6 +132,9 @@ class Exponential(ParametricModel):
 
     def mean(self) -> float:
         return self.mu
+
+    def median(self) -> float:
+        return self.mu * math.log(2.0)
 
     def describe(self) -> str:
         return f"exponential(mean={self.mu:g})"
@@ -150,6 +161,9 @@ class Weibull(ParametricModel):
 
     def mean(self) -> float:
         return self.lam * math.gamma(1.0 + 1.0 / self.kappa)
+
+    def median(self) -> float:
+        return self.lam * math.log(2.0) ** (1.0 / self.kappa)
 
     def describe(self) -> str:
         return f"weibull(shape={self.kappa:g}, scale={self.lam:g})"
@@ -187,6 +201,9 @@ class Pareto(ParametricModel):
 
     def mean(self) -> float:
         return self.a * self.sigma / (self.a - 1.0)
+
+    def median(self) -> float:
+        return self.sigma * 2.0 ** (1.0 / self.a)
 
     def describe(self) -> str:
         return f"pareto(shape={self.a:g}, scale={self.sigma:g})"

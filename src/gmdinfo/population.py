@@ -27,10 +27,10 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .errors import BadParameterError, EmptyTailError, UnsupportedSpecError
+from .errors import BadParameterError, EmptyTailError, NoConvergenceError, UnsupportedSpecError
 from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector
 from .pwm import PwmIndex, pwm_population
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_u, integrate_x
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ParametricModel
@@ -49,10 +49,8 @@ __all__ = [
 
 
 def _xquad(model, g, a, b, cfg) -> float:
-    """x-domain integral of g with splits at the support kink and median."""
-    lo, hi = model.support
-    mid = float(model.quantile(0.5))
-    return integrate_x(g, a, b, cfg, breakpoints=(lo, mid))
+    """x-domain integral of g with splits at the support kink and the closed-form median."""
+    return quad_x(g, a, b, cfg, breakpoints=(model.support[0], model.median()))
 
 
 def _check_sf_power(model, gamma: float, xpow: int = 0) -> None:
@@ -74,8 +72,7 @@ class _XDomain:
 
     def __init__(self, model, cfg: QuadratureConfig):
         self.model, self.cfg, self.mean = model, cfg, model.mean
-        self.F = lambda x: float(model.cdf(x))
-        self.S = lambda x: float(model.sf(x))
+        self.F, self.S = model.cdf, model.sf
 
     def __call__(self, g, sf=None, xpow: int = 0) -> float:
         if sf is not None:
@@ -92,7 +89,7 @@ def mean_residual_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     st = float(model.sf(t))
     if st <= 0.0:
         raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
-    return _xquad(model, lambda x: float(model.sf(x)), t, model.support[1], cfg) / st
+    return _xquad(model, model.sf, t, model.support[1], cfg) / st
 
 
 def mean_past_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -100,7 +97,7 @@ def mean_past_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> f
     ft = float(model.cdf(t))
     if ft <= 0.0:
         raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
-    return _xquad(model, lambda x: float(model.cdf(x)), 0.0, t, cfg) / ft
+    return _xquad(model, model.cdf, 0.0, t, cfg) / ft
 
 
 def j_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -108,7 +105,7 @@ def j_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     st = float(model.sf(t))
     if st <= 0.0:
         raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
-    val = _xquad(model, lambda x: float(model.sf(x)) ** 2, t, model.support[1], cfg)
+    val = _xquad(model, lambda x: model.sf(x) ** 2, t, model.support[1], cfg)
     return -0.5 * val / st**2
 
 
@@ -117,7 +114,7 @@ def h_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     ft = float(model.cdf(t))
     if ft <= 0.0:
         raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
-    val = _xquad(model, lambda x: float(model.cdf(x)) ** 2, 0.0, t, cfg)
+    val = _xquad(model, lambda x: model.cdf(x) ** 2, 0.0, t, cfg)
     return -0.5 * val / ft**2
 
 
@@ -139,10 +136,10 @@ def gmd_left_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
     ft = 1.0 - st
 
-    def f(u: float) -> float:
-        return (st - 2.0 * (1.0 - u)) * float(model.quantile(u))
+    def f(u):
+        return (st - 2.0 * (1.0 - u)) * model.quantile(u)
 
-    return integrate_u(f, cfg, lo=ft, hi=1.0) / st**2
+    return quad_u(f, cfg, lo=ft, hi=1.0) / st**2
 
 
 def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -158,10 +155,10 @@ def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     if ft <= 0.0:
         raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
 
-    def f(u: float) -> float:
-        return (2.0 * u - ft) * float(model.quantile(u))
+    def f(u):
+        return (2.0 * u - ft) * model.quantile(u)
 
-    return integrate_u(f, cfg, lo=0.0, hi=ft) / ft**2
+    return quad_u(f, cfg, lo=0.0, hi=ft) / ft**2
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +182,10 @@ def ge_population(model, w: WeightSelector, phi: PhiSelector,
     """
     _check_phi_moment(model, phi)
 
-    def f(q: float) -> float:
-        return float(phi(model.quantile(q)) * (w.cumulative_up(q) - w.at_probability(q)))
+    def f(q):
+        return phi(model.quantile(q)) * (w.cumulative_up(q) - w.at_probability(q))
 
-    return integrate_u(f, cfg)
+    return quad_u(f, cfg)
 
 
 def gce_population(model, w: WeightSelector, phi: PhiSelector,
@@ -200,10 +197,10 @@ def gce_population(model, w: WeightSelector, phi: PhiSelector,
     """
     _check_phi_moment(model, phi)
 
-    def f(q: float) -> float:
-        return float(phi(model.quantile(q)) * (w.at_probability(q) - w.cumulative_down(q)))
+    def f(q):
+        return phi(model.quantile(q)) * (w.at_probability(q) - w.cumulative_down(q))
 
-    return integrate_u(f, cfg)
+    return quad_u(f, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +223,8 @@ def measure_population(model, spec: MeasureSpec,
     """Population value of a measure for a parametric model.
 
     ``route`` is "auto", "quantile", or "direct" (see module docstring).
+    A :class:`NoConvergenceError` names the measure, its parameters and
+    the model.
     """
     if route not in ("auto", "quantile", "direct"):
         raise BadParameterError(f"unknown route {route!r}")
@@ -234,11 +233,16 @@ def measure_population(model, spec: MeasureSpec,
     entry = MEASURE_IDS[spec.id]
     args = entry.args(spec)
     named = (_QUANTILE if route == "quantile" else _DIRECT).get(spec.id)
-    if named is not None:
-        return named(model, *args, cfg)
-    if route == "quantile" and entry.pwm is not None:
-        return entry.pwm(lambda p, r, s: pwm_population(model, PwmIndex(p, r, s), cfg), *args)
-    if route == "direct" and entry.x is not None:
-        return entry.x(_XDomain(model, cfg), *args)
+    try:
+        if named is not None:
+            return named(model, *args, cfg)
+        if route == "quantile" and entry.pwm is not None:
+            return entry.pwm(lambda p, r, s: pwm_population(model, PwmIndex(p, r, s), cfg), *args)
+        if route == "direct" and entry.x is not None:
+            return entry.x(_XDomain(model, cfg), *args)
+    except NoConvergenceError as exc:
+        params = ", ".join(f"{name}={val}" for name, val in spec.params_dict().items())
+        raise NoConvergenceError(
+            f"{spec.id}({params}) on {model.describe()}, {route} route: {exc}") from exc
     domain = "quantile-domain" if route == "quantile" else "x-domain"
     raise UnsupportedSpecError(f"no {domain} route for measure {spec.id!r}")

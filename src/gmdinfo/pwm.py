@@ -24,7 +24,7 @@ from .errors import (
     TooFewObservationsError,
     UnsupportedSpecError,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_u
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ParametricModel
@@ -72,11 +72,11 @@ def pwm_population(model: "ParametricModel", idx: PwmIndex,
         )
     p, r, s = int(idx.p), float(idx.r), float(idx.s)
 
-    def f(u: float) -> float:
-        q = float(model.quantile(u)) ** p if p else 1.0
+    def f(u):
+        q = model.quantile(u) ** p if p else 1.0
         return q * u**r * (1.0 - u) ** s
 
-    return integrate_u(f, cfg)
+    return quad_u(f, cfg)
 
 
 def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:

@@ -1,0 +1,54 @@
+"""Certified reference values: probability weighted moments in closed form.
+
+M_{p,r,s} = int_0^1 Q(u)^p u^r (1-u)^s du, evaluated with mpmath at 30
+significant digits from each family's closed form, so no quadrature (the
+library's or anyone's) is involved:
+
+* Pareto(xi, sigma), Q(u) = sigma (1-u)^(-1/xi):
+  M = sigma^p B(r+1, s+1-p/xi), for real r and s;
+* Uniform(a, b), Q(u) = a + (b-a) u:
+  M = sum_k C(p,k) a^(p-k) (b-a)^k B(r+k+1, s+1);
+* Weibull(kappa, lam), Q(u) = lam (-log(1-u))^(1/kappa), with the
+  exponential as kappa = 1: substituting y = -log(1-u) and expanding
+  (1 - e^-y)^r for integer r,
+  M = lam^p Gamma(1+p/kappa) sum_j C(r,j) (-1)^j / (s+1+j)^(1+p/kappa).
+
+A measure's reference value is its PWM form (the ``pwm`` entry of
+``MEASURE_IDS``) evaluated on these moments.
+"""
+
+import mpmath
+
+from gmdinfo import MEASURE_IDS, Exponential, Pareto, Uniform, Weibull
+
+DIGITS = 30
+
+
+def pwm_reference(model, p: int, r: float, s: float) -> mpmath.mpf:
+    """M_{p,r,s} of ``model`` at DIGITS significant digits."""
+    with mpmath.workdps(DIGITS):
+        r, s = mpmath.mpf(r), mpmath.mpf(s)
+        if isinstance(model, Pareto):
+            tail = s + 1 - mpmath.mpf(p) / model.a
+            return mpmath.mpf(model.sigma) ** p * mpmath.beta(r + 1, tail)
+        if isinstance(model, Uniform):
+            a, width = mpmath.mpf(model.a), mpmath.mpf(model.b) - mpmath.mpf(model.a)
+            return mpmath.fsum(mpmath.binomial(p, k) * a ** (p - k) * width**k
+                               * mpmath.beta(r + k + 1, s + 1) for k in range(p + 1))
+        if isinstance(model, (Exponential, Weibull)):
+            if r != int(r):
+                raise ValueError("the Weibull closed form needs an integer r")
+            lam, kappa = ((model.mu, 1) if isinstance(model, Exponential)
+                          else (model.lam, model.kappa))
+            c = 1 + mpmath.mpf(p) / kappa
+            terms = (mpmath.binomial(int(r), j) * (-1) ** j / (s + 1 + j) ** c
+                     for j in range(int(r) + 1))
+            return mpmath.mpf(lam) ** p * mpmath.gamma(c) * mpmath.fsum(terms)
+    raise TypeError(f"no closed form for {model!r}")
+
+
+def measure_reference(model, spec) -> mpmath.mpf:
+    """A measure's value through its PWM form on the reference moments."""
+    entry = MEASURE_IDS[spec.id]
+    with mpmath.workdps(DIGITS):
+        return entry.pwm(lambda p, r, s: pwm_reference(model, p, r, s), *entry.args(spec))

@@ -175,6 +175,16 @@ class TestNonFiniteResults:
         assert res.returncode == 3
         assert "I7: non-finite side" in res.stderr
 
+    def test_verify_prints_the_finite_reports(self, huge):
+        res = run("verify", "--input", huge)
+        assert res.returncode == 3
+        recs = json_lines(res.stdout)
+        assert [r["identity"] for r in recs] == [
+            "I1", "I2", "I3", "I4", "I5", "I6", "I8", "I9", "I12", "I14"]
+        assert "nan" not in res.stdout.lower() and "infinity" not in res.stdout.lower()
+        errors = [line for line in res.stderr.splitlines() if line.startswith("gmdinfo: error:")]
+        assert [line.split()[2] for line in errors] == ["I7:", "I10:", "I11:"]
+
 
 class TestVerify:
     def test_uniform_passes_all(self):

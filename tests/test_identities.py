@@ -23,7 +23,15 @@ from gmdinfo import (
     verify,
     verify_all,
 )
-from gmdinfo.identities import _i13_u_sides, _i13_x_sides, _pick_t
+from gmdinfo.identities import (
+    _i13_u_sides,
+    _i13_x_sides,
+    _mx,
+    _pick_t,
+    _premia_direct,
+    _range_moment_direct,
+)
+from gmdinfo.population import j_dyn_population, mean_residual_life
 from oracles import brute_pick_t
 
 BY_ID = {identity.id: identity for identity in REGISTRY}
@@ -228,6 +236,43 @@ class TestNonFiniteSides:
     def test_finite_identities_still_report(self):
         with np.errstate(over="ignore", invalid="ignore"):
             assert verify(BY_ID["I1"], make_sample(self.HUGE)).passed
+
+    def test_verify_all_keeps_every_finite_report(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = verify_all(make_sample(self.HUGE))
+        assert [rep.identity for rep in reports] == [
+            "I1", "I2", "I3", "I4", "I5", "I6", "I8", "I9", "I12", "I14"]
+        for rep in reports:
+            assert all(map(np.isfinite, (rep.lhs, rep.rhs, rep.abs_residual, rep.rel_residual)))
+
+
+class NoQuantile(Weibull):
+    def quantile(self, u):
+        raise AssertionError("x-domain side called the quantile")
+
+
+class TestXDomainSidesNeverCallQ:
+    """The x-domain routes split at the closed-form median, not at Q(0.5)."""
+
+    def test_median_is_q_at_one_half(self):
+        for model in (Uniform(0.5, 2.0), Exponential(3.0), Weibull(0.7, 2.0), Pareto(2.2, 3.0)):
+            assert model.median() == float(model.quantile(0.5))
+
+    def test_measures_and_mean_lives(self):
+        model, plain = NoQuantile(1.5, 1.0), Weibull(1.5, 1.0)
+        assert _mx(model, DEFAULT_CONFIG, id="gmd") == _mx(plain, DEFAULT_CONFIG, id="gmd")
+        t = plain.median()
+        assert j_dyn_population(model, t) == j_dyn_population(plain, t)
+        assert mean_residual_life(model, t) == mean_residual_life(plain, t)
+
+    def test_identity_sides(self):
+        model, plain = NoQuantile(1.5, 1.0), Weibull(1.5, 1.0)
+        for v in (1.0, 2.0):  # I7
+            assert (_range_moment_direct(model, v, DEFAULT_CONFIG)
+                    == _range_moment_direct(plain, v, DEFAULT_CONFIG))
+        for k in (2, 3):  # I14
+            assert (_premia_direct(model, k, DEFAULT_CONFIG)
+                    == _premia_direct(plain, k, DEFAULT_CONFIG))
 
 
 class TestAsymptoticSampleLevel:

@@ -1,0 +1,185 @@
+"""The numpy quadrature core against QUADPACK itself, the two routes into
+it, the error it raises, and the import path it keeps free of scipy.
+
+scipy stays installed as a dependency, so these tests use
+``scipy.integrate.quad`` and ``scipy.special.exprel`` as oracles; the
+library itself imports neither.
+"""
+
+import json
+import math
+import subprocess
+import sys
+import warnings
+
+import mpmath
+import numpy as np
+import pytest
+from scipy import integrate, special
+
+from gmdinfo import (
+    Exponential,
+    MeasureSpec,
+    NoConvergenceError,
+    Pareto,
+    QuadratureConfig,
+    REGISTRY,
+    integrate_u,
+    integrate_x,
+    measure_population,
+    verify,
+)
+from gmdinfo.measures import _exprel
+from gmdinfo.quadrature import _MAX_LOOSENINGS, _ROUNDOFF_SLACK, quad_u, quad_x
+
+PARETO22 = Pareto(2.2)
+
+#: (name, scalar integrand, a, b, breakpoints)
+BATTERY = [
+    ("cubic", lambda u: 3.0 * u**2 - u + 0.5, 0.0, 1.0, ()),
+    ("smooth", lambda u: math.exp(-u) * math.cos(3.0 * u), 0.0, 1.0, ()),
+    ("u^-0.5", lambda u: u**-0.5, 0.0, 1.0, ()),
+    ("log singular", lambda u: math.log(u) * math.log1p(-u), 0.0, 1.0, ()),
+    ("pareto Q", lambda u: PARETO22.sigma * (1.0 - u) ** (-1.0 / PARETO22.a), 0.0, 1.0, ()),
+    ("pareto Q^2 u", lambda u: (1.0 - u) ** (-2.0 / PARETO22.a) * u, 0.0, 1.0, ()),
+    ("weibull Q u", lambda u: (-math.log1p(-u)) ** (1.0 / 0.7) * u, 0.0, 1.0, ()),
+    ("exp", lambda x: math.exp(-x), 0.0, math.inf, ()),
+    ("cauchy", lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, ()),
+    ("pareto tail", lambda x: x * (1.0 - (1.0 - min(1.0, x**-2.2)) ** 2), 1.37, math.inf, ()),
+    ("kink", lambda x: abs(x - 0.3), 0.0, 1.0, (0.3,)),
+    ("step", lambda x: 1.0 if x < 1.0 else math.exp(-(x - 1.0)), 0.0, math.inf, (1.0,)),
+]
+
+
+def scipy_integral(f, a, b, cfg, breakpoints=()):
+    """scipy.integrate.quad per piece with the engine's loosening ladder; None if it fails."""
+    pts = [p for p in sorted(breakpoints) if a < p < b]
+    total = 0.0
+    for left, right in zip([a] + pts, pts + [b]):
+        abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
+        for attempt in range(_MAX_LOOSENINGS + 1):
+            out = integrate.quad(f, left, right, epsabs=abs_tol, epsrel=rel_tol,
+                                 limit=cfg.max_subdivisions, full_output=1)
+            if len(out) <= 3 or (attempt == 0 and out[1] <= _ROUNDOFF_SLACK
+                                 * max(abs_tol, rel_tol * abs(out[0]))):
+                break
+            abs_tol, rel_tol = 10.0 * abs_tol, 10.0 * rel_tol
+        else:
+            return None
+        total += out[0]
+    return total
+
+
+@pytest.mark.parametrize("tol", [None, 1e-13], ids=["default", "1e-13"])
+@pytest.mark.parametrize("name, f, a, b, breakpoints", BATTERY, ids=[c[0] for c in BATTERY])
+def test_core_matches_quadpack(name, f, a, b, breakpoints, tol):
+    cfg = QuadratureConfig() if tol is None else QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        want = scipy_integral(f, a, b, cfg, breakpoints)
+    if a == 0.0 and b == 1.0 and not breakpoints:
+        run = lambda: integrate_u(f, cfg)
+    else:
+        run = lambda: integrate_x(f, a, b, cfg, breakpoints=breakpoints)
+    if want is None:  # QUADPACK fails too (the pareto tail's 1 - F^2 cancels at 1e-13)
+        with pytest.raises(NoConvergenceError):
+            run()
+    else:
+        assert run() == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+#: (array integrand, the same in scalar arithmetic, a, b, breakpoints), built from
+#: exactly rounded operations only: numpy's vector pow and log may differ from
+#: the scalar ones in the last bit, which would hide what is compared here
+ROUTES = [
+    (lambda u: 1.0 / np.sqrt(u), lambda u: 1.0 / math.sqrt(u), 0.0, 1.0, ()),
+    (lambda u: u * np.sqrt(1.0 - u) / (1.0 - u), lambda u: u * math.sqrt(1.0 - u) / (1.0 - u),
+     0.0, 1.0, ()),
+    (lambda u: (3.0 * u - 1.0) * u, lambda u: (3.0 * u - 1.0) * u, 0.25, 0.75, ()),
+    (lambda x: x / ((1.0 + x) * (1.0 + x) * (1.0 + x)),
+     lambda x: x / ((1.0 + x) * (1.0 + x) * (1.0 + x)), 0.0, math.inf, (1.0,)),
+    (lambda x: 1.0 / (1.0 + x * np.sqrt(x)), lambda x: 1.0 / (1.0 + x * math.sqrt(x)),
+     0.5, math.inf, ()),
+]
+
+
+@pytest.mark.parametrize("f_array, f_scalar, a, b, breakpoints", ROUTES)
+def test_array_and_scalar_routes_are_identical(f_array, f_scalar, a, b, breakpoints):
+    """integrate_u/integrate_x map a scalar f over the same nodes quad_u/quad_x pass whole."""
+    if b == 1.0:
+        assert quad_u(f_array, lo=a, hi=b) == integrate_u(f_scalar, lo=a, hi=b)
+    assert (quad_x(f_array, a, b, breakpoints=breakpoints)
+            == integrate_x(f_scalar, a, b, breakpoints=breakpoints))
+
+
+def test_exprel_is_faithful_and_matches_scipy():
+    """expm1(z)/z against the correctly rounded value and against scipy.special.exprel.
+
+    Both are within 1 ulp of the truth; on a dense grid they differ from
+    each other by up to 2 ulps (scipy takes expm1 from its own library).
+    """
+    z = np.concatenate([[0.0, 1e-17, -1e-17, 1e-16, -1e-16, -700.0, -745.0, 1e-3, 700.0],
+                        -np.logspace(-20, 2.87, 300), np.logspace(-20, 2.8, 300),
+                        np.linspace(-60.0, 60.0, 601)])
+    got, want = _exprel(z), special.exprel(z)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    with mpmath.workdps(40):
+        truth = np.array([float(mpmath.expm1(x) / x) if x else 1.0
+                          for x in map(mpmath.mpf, z.tolist())])
+    assert np.all(np.abs(got - truth) <= np.spacing(np.abs(truth)))
+    named = np.array([0.0, 1e-17, -1e-17, -700.0])
+    assert np.all(np.abs(_exprel(named) - special.exprel(named))
+                  <= np.spacing(special.exprel(named)))
+    assert _exprel(0.0) == 1.0 and _exprel(1e-17) == 1.0 and _exprel(-1e-17) == 1.0
+
+
+class TestNoConvergenceContext:
+    def test_core_reports_error_estimate_and_evaluations(self):
+        pattern = r"did not converge: .*\(error estimate \S+ after \d+ evaluations\)"
+        with pytest.raises(NoConvergenceError, match=pattern):
+            integrate_u(lambda u: math.sin(1.0 / u**2))
+
+    def test_measure_population_names_measure_parameters_and_model(self):
+        # the x-domain map of [t, inf) has unit scale, far from this model's
+        # (ROADMAP item 3); its failure must say what was being computed
+        model = Exponential(1e5)
+        with pytest.raises(NoConvergenceError) as info:
+            measure_population(model, MeasureSpec("crt", alpha=2.0), route="direct")
+        text = str(info.value)
+        assert text.startswith("crt(alpha=2.0) on exponential(mean=100000), direct route: ")
+        assert "did not converge" in text
+
+    def test_verify_names_the_identity(self):
+        with pytest.raises(NoConvergenceError, match=r"^I1: gmd\(\) on exponential"):
+            verify(REGISTRY[0], Exponential(1e5))
+
+
+CLI_COMMANDS = {
+    "compute_model": ["compute", "--dist", "exponential", "--mean", "1.3", "--measure", "gmd",
+                      "--measure", "crj", "--measure", "cj", "--measure", "crt", "--alpha", "2",
+                      "--measure", "s_gini", "--v", "2"],
+    "compute_csv": ["compute", "--input", "{csv}", "--measure", "gmd", "--measure", "crj"],
+    "verify": ["verify", "--dist", "uniform"],
+    "mc": ["mc", "--dist", "exponential", "--measure", "gmd", "--seed", "3", "--reps", "50",
+           "--sizes", "50,200"],
+}
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import gmdinfo.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gmdinfo.cli.main(argv)
+    assert code == 0, code
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+@pytest.mark.parametrize("command", [None, *CLI_COMMANDS])
+def test_cli_never_imports_scipy(command, tmp_path):
+    csv = tmp_path / "x.csv"
+    csv.write_text("x\n" + "\n".join(str(0.1 * i * i) for i in range(1, 200)) + "\n")
+    argv = [arg.format(csv=csv) for arg in CLI_COMMANDS.get(command, [])]
+    res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                         capture_output=True, text=True, check=True)
+    assert json.loads(res.stdout) == []

@@ -1,0 +1,86 @@
+"""Population values against certified closed-form references (tests/reference.py).
+
+Agreement between the two routes cannot tell which side is wrong, or
+catch a defect they share; these references can.  Every measure with a
+PWM form is checked on both routes at 1e-9 relative, on the stock models
+and on pareto(2.2).  The only cases skipped are the seed defects the
+benchmark already lists in bench/known_failures.json.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import mpmath
+import pytest
+
+from gmdinfo import (
+    MEASURE_IDS,
+    Exponential,
+    MeasureSpec,
+    Pareto,
+    PwmIndex,
+    Uniform,
+    Weibull,
+    measure_population,
+    pwm_population,
+)
+from reference import measure_reference, pwm_reference
+
+REL = 1e-9
+
+#: tags as the benchmark names them, so its known-failure keys apply
+MODELS = {"uniform": Uniform(0.0, 1.0), "exp1": Exponential(1.0),
+          "weibull1.5": Weibull(1.5), "weibull0.7": Weibull(0.7),
+          "pareto4_2": Pareto(4.0, 2.0), "pareto2.2": Pareto(2.2)}
+
+#: the benchmark's parameters for every measure with a PWM form
+PARAMS = {"gmd": {}, "s_gini": {"v": 2.0}, "crj": {}, "cj": {}, "ce": {}, "crjw": {},
+          "wce": {}, "crt": {"alpha": 2.0}, "wcrt": {"alpha": 2.0}, "ct": {"alpha": 2.0},
+          "wct": {"alpha": 2.0}, "sr": {"alpha": 2.0, "beta": 3.0},
+          "sp": {"alpha": 2.0, "beta": 3.0}, "srw": {"alpha": 2.0, "beta": 3.0},
+          "spw": {"alpha": 2.0, "beta": 3.0}, "risk_premium": {"k": 3},
+          "gain_premium": {"k": 3}, "pwm": {"p": 1}}
+
+_KNOWN = Path(__file__).resolve().parent.parent / "bench" / "known_failures.json"
+KNOWN_FAILURES = set(json.loads(_KNOWN.read_text(encoding="utf-8"))["workloads"]["pop-measures"])
+
+CASES = [(mid, route, tag) for tag in MODELS for mid in PARAMS
+         for route in ("quantile", "direct")
+         if route == "quantile" or MEASURE_IDS[mid].x is not None]
+
+
+def test_every_measure_with_a_pwm_form_is_covered():
+    assert set(PARAMS) == {mid for mid, entry in MEASURE_IDS.items() if entry.pwm is not None}
+
+
+def test_reference_closed_forms_agree_with_known_values():
+    gmd = MeasureSpec("gmd")
+    assert float(measure_reference(Exponential(2.0), gmd)) == 2.0
+    assert float(measure_reference(Uniform(0.0, 1.0), gmd)) == 1 / 3
+    # Weibull(1) is the exponential; the Pareto mean is xi sigma/(xi - 1)
+    w1 = pwm_reference(Weibull(1.0, 3.0), 2, 1, 0.5)
+    assert mpmath.almosteq(w1, pwm_reference(Exponential(3.0), 2, 1, 0.5), rel_eps=1e-28)
+    assert float(pwm_reference(Pareto(2.2, 3.0), 1, 0, 0)) == pytest.approx(5.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("tag", MODELS)
+def test_pwm_population(tag):
+    model = MODELS[tag]
+    for p in (1, 2):
+        for r in (0.0, 1.0, 2.0):
+            for s in (0.0, 0.5, 1.0, 2.5):
+                if p >= getattr(model, "tail_index", math.inf) * (s + 1.0):
+                    continue  # the moment does not exist
+                want = float(pwm_reference(model, p, r, s))
+                got = pwm_population(model, PwmIndex(p, r, s))
+                assert got == pytest.approx(want, rel=REL, abs=0.0), (p, r, s)
+
+
+@pytest.mark.parametrize("mid, route, tag", CASES, ids=[f"{m}.{r}@{t}" for m, r, t in CASES])
+def test_measure_against_reference(mid, route, tag):
+    if f"{mid}.{route}@{tag}" in KNOWN_FAILURES:
+        pytest.skip("a seed defect listed in bench/known_failures.json")
+    model, spec = MODELS[tag], MeasureSpec(mid, **PARAMS[mid])
+    got = measure_population(model, spec, route=route)
+    assert got == pytest.approx(float(measure_reference(model, spec)), rel=REL, abs=0.0)
