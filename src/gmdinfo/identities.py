@@ -33,23 +33,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .empirical import (
-    Sample,
-    conditional_mean_above,
-    conditional_mean_below,
-    plotting_positions,
-)
+from .empirical import Sample, conditional_mean_above, conditional_mean_below
 from .errors import BadParameterError, NoConvergenceError, NonFiniteError, NotApplicableError
 from .measures import (
     MeasureSpec,
     PhiSelector,
     WeightSelector,
+    _pwm_form,
+    _sample_values,
     _sorted_gmd,
     cj,
     crj,
     crt,
-    ct,
-    gain_premium,
     generalized_cumulative_entropy,
     generalized_residual_entropy,
     gmd,
@@ -60,14 +55,6 @@ from .measures import (
     j_dyn,
     pairwise_max_mean,
     pairwise_min_mean,
-    risk_premium,
-    s_gini,
-    sp,
-    spw,
-    sr,
-    srw,
-    wcrt,
-    wct,
 )
 from .models import ParametricModel
 from .population import (
@@ -82,7 +69,7 @@ from .population import (
     mean_residual_life,
     measure_population,
 )
-from .pwm import PwmIndex, pwm_population
+from .pwm import PwmIndex, _fused, pwm_population
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
 
 __all__ = [
@@ -156,20 +143,21 @@ def _t_points(model):
     return [float(model.quantile(p)) for p in _T_LEVELS]
 
 
-def _plugin_cov(x: np.ndarray, g: np.ndarray) -> float:
-    return float(np.mean(x * g) - np.mean(x) * np.mean(g))
+def _plugin_cov(T, r: float, s: float) -> float:
+    """Plug-in Cov(X, u^r (1-u)^s) over kernel terms: E[X g] - E[X] E[g]."""
+    return T((1, r, s, False)) - T((1, 0.0, 0.0, False)) * T((0, r, s, False))
 
 
-def _step_integrals(values: np.ndarray, gs) -> list:
-    """(int g(F_hat(x)) dx, int x g(F_hat(x)) dx) for each g, for the naive step ECDF.
-
-    F_hat is i/n between order statistics i and i+1; each g is evaluated once.
-    """
-    n = values.shape[0]
-    levels = np.arange(1, n, dtype=float) / n
-    dx, half_dx2 = np.diff(values), 0.5 * np.diff(values**2)
-    return [(float(np.sum(dx * gv)), float(np.sum(half_dx2 * gv)))
-            for gv in (g(levels) for g in gs)]
+def _family_pairs(s, conv, specs, gaps, scales):
+    """I10/I11: per order, int g(F_hat) dx and int x g(F_hat) dx (naive step ECDF) of its
+    survival-side and distribution-side g, over its scale, against its four measures."""
+    values, steps = _sample_values(s, specs, conv, gaps)
+    pairs = []
+    for k, scale in enumerate(scales):
+        (surv, surv_x), (dist, dist_x) = steps[2 * k:2 * k + 2]
+        pairs += [(side / scale, value) for side, (value, _) in
+                  zip((surv, dist, surv_x, dist_x), values[4 * k:4 * k + 4])]
+    return pairs
 
 
 def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
@@ -216,8 +204,8 @@ def _i2_pop(model, cfg):
 
 
 def _i2_sample(s, conv):
-    u = plotting_positions(s.n, conv)
-    return [(gmd(s), 4.0 * _plugin_cov(s.values, u))]
+    cov = _fused(s.values, conv, lambda T: _plugin_cov(T, 1.0, 0.0))[0]
+    return [(gmd(s), 4.0 * cov)]
 
 
 def _i3_pop(model, cfg):
@@ -311,8 +299,9 @@ def _i9_pop(model, cfg):
 
 
 def _i9_sample(s, conv):
-    return [(-0.5 * pairwise_min_mean(s.values), crj(s)),
-            (-0.5 * pairwise_max_mean(s.values), cj(s))]
+    crj_value = crj(s)  # one kernel walk: cj is defined as crj - gmd/2
+    return [(-0.5 * pairwise_min_mean(s.values), crj_value),
+            (-0.5 * pairwise_max_mean(s.values), crj_value - 0.5 * gmd(s))]
 
 
 def _i10_pop(model, cfg):
@@ -326,13 +315,10 @@ def _i10_pop(model, cfg):
 
 def _i10_sample(s, conv):
     alphas = (2.0, 3.0)
-    steps = _step_integrals(s.values, [g for a in alphas for g in (
-        lambda F, a=a: (1 - F) - (1 - F) ** a, lambda F, a=a: F - F**a)])
-    pairs = []  # per alpha: the survival-side g, then the distribution-side g
-    for a, (crt_x, wcrt_x), (ct_x, wct_x) in zip(alphas, steps[::2], steps[1::2]):
-        pairs += [(crt_x / (a - 1), crt(s, a, conv)[0]), (ct_x / (a - 1), ct(s, a, conv)[0]),
-                  (wcrt_x / (a - 1), wcrt(s, a, conv)[0]), (wct_x / (a - 1), wct(s, a, conv)[0])]
-    return pairs
+    return _family_pairs(
+        s, conv, [MeasureSpec(mid, alpha=a) for a in alphas for mid in ("crt", "ct", "wcrt", "wct")],
+        [g for a in alphas for g in (lambda F, a=a: (1 - F) - (1 - F) ** a, lambda F, a=a: F - F**a)],
+        [a - 1 for a in alphas])
 
 
 def _i11_pop(model, cfg):
@@ -346,14 +332,12 @@ def _i11_pop(model, cfg):
 
 def _i11_sample(s, conv):
     orders = ((1.0, 2.0), (2.0, 3.0))
-    steps = _step_integrals(s.values, [g for a, b in orders for g in (
-        lambda F, a=a, b=b: (1 - F) ** a - (1 - F) ** b, lambda F, a=a, b=b: F**a - F**b)])
-    pairs = []
-    for (a, b), (sr_x, srw_x), (sp_x, spw_x) in zip(orders, steps[::2], steps[1::2]):
-        pairs += [(sr_x / (b - a), sr(s, a, b, conv)[0]), (sp_x / (b - a), sp(s, a, b, conv)[0]),
-                  (srw_x / (b - a), srw(s, a, b, conv)[0]),
-                  (spw_x / (b - a), spw(s, a, b, conv)[0])]
-    return pairs
+    return _family_pairs(
+        s, conv, [MeasureSpec(mid, alpha=a, beta=b) for a, b in orders
+                  for mid in ("sr", "sp", "srw", "spw")],
+        [g for a, b in orders for g in (
+            lambda F, a=a, b=b: (1 - F) ** a - (1 - F) ** b, lambda F, a=a, b=b: F**a - F**b)],
+        [b - a for a, b in orders])
 
 
 def _i12_pop(model, cfg):
@@ -365,13 +349,9 @@ def _i12_pop(model, cfg):
 
 
 def _i12_sample(s, conv):
-    x = s.values
-    u = plotting_positions(s.n, conv)
-    pairs = []
-    for v in (2.0, 3.0):
-        lhs = -_plugin_cov(x, (1.0 - u) ** (v - 1.0))
-        pairs.append((lhs, s_gini(s, v, conv)[0]))
-    return pairs
+    return _fused(s.values, conv, lambda T: [
+        (-_plugin_cov(T, 0.0, v - 1.0), _pwm_form(T, s.n, MeasureSpec("s_gini", v=v))[0])
+        for v in (2.0, 3.0)])[0]
 
 
 def _sq_log(f):
@@ -425,16 +405,12 @@ def _i14_pop(model, cfg):
 
 
 def _i14_sample(s, conv):
-    x = s.values
-    u = plotting_positions(s.n, conv)
-    pairs = []
-    for k in (2, 3):
-        if s.n < k:
-            continue
-        lhs = risk_premium(s, k) + gain_premium(s, k)
-        rhs = k * (_plugin_cov(x, u ** (k - 1.0)) - _plugin_cov(x, (1.0 - u) ** (k - 1.0)))
-        pairs.append((lhs, rhs))
-    return pairs
+    def pair(T, k, e):  # risk_premium(k) is mean - k a_e, gain_premium(k) k b_e - mean
+        mean = T((1, 0.0, 0.0, True))
+        return ((mean - k * T((1, 0.0, e, True))) + (k * T((1, e, 0.0, True)) - mean),
+                k * (_plugin_cov(T, e, 0.0) - _plugin_cov(T, 0.0, e)))
+
+    return _fused(s.values, conv, lambda T: [pair(T, k, k - 1.0) for k in (2, 3) if k <= s.n])[0]
 
 
 REGISTRY = (

@@ -63,7 +63,7 @@ from .errors import (
     NonFiniteError,
     TooFewObservationsError,
 )
-from .pwm import PwmIndex, pwm_plugin, pwm_unbiased_alpha, pwm_unbiased_beta
+from .pwm import _BLOCK, PwmIndex, _fused, pwm_unbiased_alpha, pwm_unbiased_beta
 
 __all__ = [
     "WeightSelector",
@@ -402,10 +402,20 @@ class MeasureSpec:
 # Gini mean difference and truncated variants
 
 
+def _rank_dot(values: np.ndarray, first: float, step: float) -> float:
+    """sum_k (first + step*k) values[k] over k = 0..m-1, in blocks: no length-m temporary."""
+    total = 0.0
+    for lo in range(0, values.shape[0], _BLOCK):
+        x = values[lo:lo + _BLOCK]
+        w = np.arange(first + step * lo, first + step * (lo + x.shape[0]), step)
+        total += float(np.dot(w, x))
+    return total
+
+
 def _sorted_gmd(values: np.ndarray) -> float:
     """Mean |x_i - x_j| over pairs i<j of a sorted array: (2/(n(n-1))) sum (2i-n-1) x_(i)."""
     n = values.shape[0]
-    return float(2.0 * np.sum(np.arange(1.0 - n, n, 2.0) * values) / (n * (n - 1.0)))
+    return 2.0 * _rank_dot(values, 1.0 - n, 2.0) / (n * (n - 1.0))
 
 
 def gmd(sample: Sample) -> float:
@@ -427,7 +437,7 @@ def pairwise_min_mean(values: np.ndarray) -> float:
     m = values.shape[0]
     if m < 2:
         raise FewerThanTwoError("pairwise mean needs at least 2 points")
-    return float(2.0 * np.sum(np.arange(m - 1.0, -1.0, -1.0) * values) / (m * (m - 1.0)))
+    return 2.0 * _rank_dot(values, m - 1.0, -1.0) / (m * (m - 1.0))
 
 
 def pairwise_max_mean(values: np.ndarray) -> float:
@@ -435,7 +445,7 @@ def pairwise_max_mean(values: np.ndarray) -> float:
     m = values.shape[0]
     if m < 2:
         raise FewerThanTwoError("pairwise mean needs at least 2 points")
-    return float(2.0 * np.sum(np.arange(m, dtype=float) * values) / (m * (m - 1.0)))
+    return 2.0 * _rank_dot(values, 0.0, 1.0) / (m * (m - 1.0))
 
 
 def _tail(sample: Sample, t: float, need: int) -> np.ndarray:
@@ -488,20 +498,37 @@ _UNBIASED = "unbiased-pwm"
 _PLUGIN = "plugin-pwm"
 
 
-def _pwm_hat(sample: Sample, p, r, s, conv: str):
-    """Estimate M_{p,r,s}; returns (value, route).
+def _pwm_form(T, n: int, spec: MeasureSpec):
+    """(value, route) of spec's PWM form on n observations, each moment read as a kernel term T.
 
     M_{1,e,0} and M_{1,0,e} with an integer e < n take the exact unbiased
-    order-statistic route (b_e, a_e); everything else is the plug-in.
+    order-statistic route (b_e, a_e; b_0 = a_0 = the mean); everything
+    else is the plug-in.  The route is unbiased-pwm only when every moment
+    took the unbiased route.
     """
-    r, s = float(r), float(s)
-    if p == 1 and r == s == 0:
-        return float(np.mean(sample.values)), _UNBIASED  # b_0 = a_0 = the mean
-    e = r + s  # the one non-zero exponent when the other is 0
-    if p == 1 and (r == 0 or s == 0) and e >= 0 and e == int(e) and sample.n > int(e):
-        est = pwm_unbiased_beta if s == 0 else pwm_unbiased_alpha
-        return est(sample, int(e)), _UNBIASED
-    return pwm_plugin(sample, PwmIndex(p, r, s), conv), _PLUGIN
+    entry, routes = MEASURE_IDS[spec.id], set()
+
+    def M(p, r, s):
+        r, s = float(r), float(s)
+        e = r + s  # the one non-zero exponent when the other is 0
+        exact = p == 1 and (r == 0 or s == 0) and e >= 0 and e == int(e) and n > int(e)
+        routes.add(_UNBIASED if exact else _PLUGIN)
+        return T((p, r, s, exact))
+
+    value = _check_finite(spec, entry.pwm(M, *entry.args(spec)))
+    return value, _PLUGIN if _PLUGIN in routes else _UNBIASED
+
+
+def _check_finite(spec: MeasureSpec, value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{spec.id} is not finite on this sample: {value!r}")
+    return value
+
+
+def _sample_values(sample: Sample, specs, conv: str, gaps=()):
+    """(value, route) of each PWM-form spec, and the step sums of gaps, from one kernel walk."""
+    return _fused(sample.values, conv, lambda T: [_pwm_form(T, sample.n, spec) for spec in specs],
+                  gaps)
 
 
 def _lookup(mid: str, sample: Sample, conv: str = "hazen", **params):
@@ -669,23 +696,13 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
     """Evaluate a measure on a sample; returns (value, estimator_route).
 
     Without a dedicated sample route, the measure's PWM form is evaluated
-    with one estimate per moment; the route is unbiased-pwm only when every
-    moment took the unbiased route.  A NaN or infinite value (the data
-    overflow, e.g. x^2 near 1e200) raises NonFiniteError.
+    with one estimate per moment, all from one kernel walk; the route is
+    unbiased-pwm only when every moment took the unbiased route.  A NaN or
+    infinite value (the data overflow, e.g. x^2 near 1e200) raises
+    NonFiniteError.
     """
     entry = MEASURE_IDS[spec.id]
-    routes = set()
-
-    def M(p, r, s):
-        value, route = _pwm_hat(sample, p, r, s, conv)
-        routes.add(route)
-        return value
-
-    if entry.sample is not None:
-        value, route = entry.sample(sample, conv, *entry.args(spec))
-    else:
-        value = entry.pwm(M, *entry.args(spec))
-        route = _PLUGIN if _PLUGIN in routes else _UNBIASED
-    if not math.isfinite(value):
-        raise NonFiniteError(f"{spec.id} is not finite on this sample: {value!r}")
-    return value, route
+    if entry.sample is None:
+        return _sample_values(sample, [spec], conv)[0][0]
+    value, route = entry.sample(sample, conv, *entry.args(spec))
+    return _check_finite(spec, value), route

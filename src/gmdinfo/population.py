@@ -27,7 +27,8 @@ import math
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .errors import BadParameterError, EmptyTailError, NoConvergenceError, UnsupportedSpecError
+from .errors import (BadParameterError, EmptyTailError, NoConvergenceError, NonFiniteError,
+                     UnsupportedSpecError)
 from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector
 from .pwm import PwmIndex, pwm_population
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
@@ -223,8 +224,9 @@ def measure_population(model, spec: MeasureSpec,
     """Population value of a measure for a parametric model.
 
     ``route`` is "auto", "quantile", or "direct" (see module docstring).
-    A :class:`NoConvergenceError` names the measure, its parameters and
-    the model.
+    A :class:`NoConvergenceError`, an :class:`UnsupportedSpecError` and the
+    :class:`NonFiniteError` raised for a NaN or infinite value name the
+    measure, its parameters, the model and the route.
     """
     if route not in ("auto", "quantile", "direct"):
         raise BadParameterError(f"unknown route {route!r}")
@@ -235,14 +237,18 @@ def measure_population(model, spec: MeasureSpec,
     named = (_QUANTILE if route == "quantile" else _DIRECT).get(spec.id)
     try:
         if named is not None:
-            return named(model, *args, cfg)
-        if route == "quantile" and entry.pwm is not None:
-            return entry.pwm(lambda p, r, s: pwm_population(model, PwmIndex(p, r, s), cfg), *args)
-        if route == "direct" and entry.x is not None:
-            return entry.x(_XDomain(model, cfg), *args)
-    except NoConvergenceError as exc:
+            value = named(model, *args, cfg)
+        elif route == "quantile" and entry.pwm is not None:
+            value = entry.pwm(lambda p, r, s: pwm_population(model, PwmIndex(p, r, s), cfg), *args)
+        elif route == "direct" and entry.x is not None:
+            value = entry.x(_XDomain(model, cfg), *args)
+        else:
+            domain = "quantile-domain" if route == "quantile" else "x-domain"
+            raise UnsupportedSpecError(f"no {domain} route for measure {spec.id!r}")
+        if not math.isfinite(value):
+            raise NonFiniteError(f"the value is not finite: {value!r}")
+    except (NoConvergenceError, UnsupportedSpecError, NonFiniteError) as exc:
         params = ", ".join(f"{name}={val}" for name, val in spec.params_dict().items())
-        raise NoConvergenceError(
+        raise type(exc)(
             f"{spec.id}({params}) on {model.describe()}, {route} route: {exc}") from exc
-    domain = "quantile-domain" if route == "quantile" else "x-domain"
-    raise UnsupportedSpecError(f"no {domain} route for measure {spec.id!r}")
+    return value

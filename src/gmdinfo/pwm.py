@@ -9,6 +9,13 @@ Three routes are provided:
 * ``pwm_unbiased_beta`` / ``pwm_unbiased_alpha`` — the exact unbiased
   order-statistic estimators b_r of M_{1,r,0} and a_s of M_{1,0,s} for
   integer orders (Greenwood-style PWM estimators).
+
+Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
+``_rank_sums`` computes any number of them, and the identities' step-ECDF
+sums, in one walk over the sorted sample in blocks of ``_BLOCK`` ranks,
+forming each power of x, u and 1-u and each b_r/a_s product once per
+block: no length-n array is made and nothing outlives the call.  ``_fused``
+records the terms a computation reads and serves them from one walk.
 """
 
 import math
@@ -17,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .empirical import Sample, plotting_positions
+from .empirical import Sample, _check_convention, _position
 from .errors import (
     BadParameterError,
     NonFiniteError,
@@ -85,17 +92,7 @@ def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:
     Negative exponents require plotting positions strictly inside
     (0,1); the naive convention puts u_n = 1 and is refused there.
     """
-    u = plotting_positions(sample.n, conv)
-    if idx.s < 0 and u[-1] >= 1.0:
-        raise BadParameterError(
-            "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
-        )
-    y = sample.values ** idx.p if idx.p else np.ones(sample.n)
-    if idx.r:  # a zero exponent's factor is all ones, and 1.0 * y == y
-        y *= u**idx.r
-    if idx.s:
-        y *= (1.0 - u) ** idx.s
-    return float(np.mean(y))
+    return _rank_sums(sample.values, conv, [(idx.p, idx.r, idx.s, False)])[0][0]
 
 
 def _check_integer_order(name: str, value) -> int:
@@ -113,7 +110,7 @@ def pwm_unbiased_beta(sample: Sample, r) -> float:
     the weight vanishes automatically for i <= r.  Products are built
     as running ratios so no intermediate overflows for large n.
     """
-    return _rank_weighted_mean(sample, "b", _check_integer_order("r", r), reverse=False)
+    return _rank_sums(sample.values, "hazen", [(1, _check_integer_order("r", r), 0, True)])[0][0]
 
 
 def pwm_unbiased_alpha(sample: Sample, s) -> float:
@@ -122,23 +119,103 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
     a_s = (1/n) sum_{i} x_(i) * (n-i)(n-i-1)...(n-i-s+1) / [(n-1)...(n-s)];
     the weight vanishes automatically for i > n - s.
     """
-    return _rank_weighted_mean(sample, "a", _check_integer_order("s", s), reverse=True)
+    return _rank_sums(sample.values, "hazen", [(1, 0, _check_integer_order("s", s), True)])[0][0]
 
 
-def _rank_weighted_mean(sample: Sample, name: str, order: int, reverse: bool) -> float:
-    """(1/n) sum_i x_(i) w_i, w_i = prod_{j=1..order} (i - j)/(n - j), reversed for a_s.
+# ---------------------------------------------------------------------------
+# the sample kernel
 
-    Every numerator is a whole number, exact in floats, so the ranks may be
-    counted from either end.
+#: ranks per block of the kernel walk.  A float64 temporary of this length
+#: (64 KiB) stays in cache, where a length-n one is fresh memory each time;
+#: and OpenBLAS runs np.dot on one thread up to 10,000 elements, so the sums
+#: do not depend on the BLAS thread count (checked in tests/test_kernel.py)
+_BLOCK = 1 << 13
+
+
+def _rank_sums(values: np.ndarray, conv: str, terms, gaps=()):
+    """Every term's mean and every gap's step sums, from one blocked walk over sorted values.
+
+    A term (p, r, s, exact) is (1/n) sum_i x_(i)^p w_i.  Not exact, w_i is
+    the plug-in weight u_i^r (1-u_i)^s; exact (p = 1, integer orders, one
+    of them 0), w_i is the unbiased b_r weight prod_{j=1..r} (i-j)/(n-j),
+    or the a_s weight, the same product of ranks counted from the top.
+    Each g in gaps gives (sum_i dx_i g(i/n), sum_i 1/2 d(x^2)_i g(i/n))
+    over the n-1 steps dx_i = x_(i+1) - x_(i) of the naive step ECDF.
+    Returns (means, steps), in the order of terms and gaps.
     """
-    n = sample.n
-    if n <= order:
-        raise TooFewObservationsError(f"{name}_{order} needs n > {order}, got n={n}")
-    if order == 0:
-        return float(np.mean(sample.values))
-    # i - 1 at ranks i = 1..n, or n - i (the rank counted from the top, minus 1) for a_s
-    m = np.arange(n - 1, -1, -1, dtype=float) if reverse else np.arange(n, dtype=float)
-    w = m / (n - 1)
-    for j in range(2, order + 1):
-        w *= (m - (j - 1)) / (n - j)
-    return float(np.mean(np.multiply(sample.values, w, out=w)))
+    n = values.shape[0]
+    factors = []  # per term, the keys of its factors, multiplied left to right
+    for p, r, s, exact in terms:
+        if not exact:
+            keys = [key for key in (("x", p), ("u", r), ("1-u", s)) if key[1]]
+            factors.append(keys or [("x", 0)])  # M_{0,0,0}: x^0 is all ones
+            continue
+        order, name = int(r + s), "b" if s == 0 else "a"
+        if n <= order:
+            raise TooFewObservationsError(f"{name}_{order} needs n > {order}, got n={n}")
+        factors.append([("x", 1), (name, order)] if order else [("x", 1)])
+    plugin_s = [s for _, _, s, exact in terms if not exact]
+    if plugin_s:
+        _check_convention(conv)
+        if min(plugin_s) < 0 and _position(float(n), n, conv) >= 1.0:
+            raise BadParameterError(
+                "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
+            )
+    sums, steps = [0.0] * len(terms), [[0.0, 0.0] for _ in gaps]
+    for lo in range(0, n, _BLOCK):
+        x = values[lo:lo + _BLOCK]
+        hi = lo + x.shape[0]
+        parts = {("x", 1): x}
+
+        def part(key):
+            """This block's x^e, u^e, (1-u)^e, b_e or a_e weight, or ("b"/"a", 0): i-1 or n-i."""
+            if key not in parts:
+                kind, e = key
+                if kind in ("x", "u", "1-u") and e != 1:
+                    value = part((kind, 1)) ** e
+                elif kind == "u":
+                    value = _position(np.arange(lo + 1.0, hi + 1.0), float(n), conv)
+                elif kind == "1-u":
+                    value = 1.0 - part(("u", 1))
+                elif e == 0:
+                    value = (np.arange(lo, hi, dtype=float) if kind == "b"
+                             else np.arange(n - 1.0 - lo, n - 1.0 - hi, -1.0))
+                else:  # the running ratio product
+                    m = part((kind, 0))
+                    value = (m / (n - 1.0) if e == 1
+                             else part((kind, e - 1)) * ((m - (e - 1)) / (n - e)))
+                parts[key] = value
+            return parts[key]
+
+        for k, keys in enumerate(factors):
+            y = part(keys[0])
+            for key in keys[1:-1]:
+                y = y * part(key)
+            sums[k] += float(np.dot(y, part(keys[-1])) if len(keys) > 1 else y.sum())
+        if gaps:
+            j = 1 if lo == 0 else 0  # the first step lies between ranks 1 and 2
+            xs = values[lo + j - 1:hi]  # one value of overlap with the block before
+            dx, half_dx2, levels = np.diff(xs), 0.5 * np.diff(xs * xs), part(("b", 0))[j:] / n
+            for step, g in zip(steps, gaps):
+                gv = g(levels)
+                step[0] += float(np.dot(dx, gv))
+                step[1] += float(np.dot(half_dx2, gv))
+    return [total / n for total in sums], [tuple(step) for step in steps]
+
+
+def _fused(values: np.ndarray, conv: str, compute, gaps=()):
+    """compute(T), with every T(term) it reads taken from one _rank_sums walk; and the gap sums.
+
+    compute runs twice: first each T(term) is recorded and reads 0.0, then,
+    after one walk over the recorded terms, each reads its mean.  compute
+    must ask for the same terms both times.
+    """
+    slots, means = {}, None
+
+    def T(term):
+        slot = slots.setdefault(term, len(slots))
+        return 0.0 if means is None else means[slot]
+
+    compute(T)
+    means, steps = _rank_sums(values, conv, list(slots), gaps)
+    return compute(T), steps

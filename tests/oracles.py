@@ -199,3 +199,66 @@ def brute_pick_t(x, need_above=0, need_below=0):
         if np.sum(x > t) >= need_above and np.sum(x <= t) >= need_below:
             return t
     return None
+
+
+# ---------------------------------------------------------------------------
+# full-array sample estimators: each builds its length-n weights in one go,
+# as the package did before its blocked rank-sum kernel, and serves as that
+# kernel's reference
+
+
+def full_positions(n: int, conv: str) -> np.ndarray:
+    i = np.arange(1, n + 1, dtype=float)
+    if conv == "hazen":
+        return (i - 0.5) / n
+    if conv == "naive":
+        return i / n
+    return i / (n + 1)
+
+
+def full_pwm_plugin(values, p, r, s, conv) -> float:
+    """(1/n) sum x_(i)^p u_i^r (1-u_i)^s over the whole sorted array."""
+    u = full_positions(values.shape[0], conv)
+    y = values**p if p else np.ones(values.shape[0])
+    if r:
+        y *= u**r
+    if s:
+        y *= (1.0 - u) ** s
+    return float(np.mean(y))
+
+
+def full_rank_weighted_mean(values, order: int, reverse: bool) -> float:
+    """b_r (reverse False) or a_s (True): (1/n) sum x_(i) prod_j (m_i - j + 1)/(n - j)."""
+    n = values.shape[0]
+    if order == 0:
+        return float(np.mean(values))
+    m = np.arange(n - 1, -1, -1, dtype=float) if reverse else np.arange(n, dtype=float)
+    w = m / (n - 1)
+    for j in range(2, order + 1):
+        w *= (m - (j - 1)) / (n - j)
+    return float(np.mean(values * w))
+
+
+def full_plugin_cov(x, g) -> float:
+    return float(np.mean(x * g) - np.mean(x) * np.mean(g))
+
+
+def full_step_integrals(values, gs) -> list:
+    """(int g(F_hat) dx, int x g(F_hat) dx) for the naive step ECDF, per g."""
+    n = values.shape[0]
+    levels = np.arange(1, n, dtype=float) / n
+    dx, half_dx2 = np.diff(values), 0.5 * np.diff(values**2)
+    return [(float(np.sum(dx * g(levels))), float(np.sum(half_dx2 * g(levels)))) for g in gs]
+
+
+def exact_order_weighted_mean(values, order: int, reverse: bool) -> float:
+    """b_r or a_s in exact rational arithmetic, through binomial weights."""
+    from fractions import Fraction
+    from math import comb
+
+    n = len(values)
+    total = Fraction(0)
+    for i, x in enumerate(values, start=1):
+        k = n - i if reverse else i - 1
+        total += comb(k, order) * Fraction(float(x))
+    return float(total / (n * comb(n - 1, order)))

@@ -186,6 +186,27 @@ class TestNonFiniteResults:
         assert [line.split()[2] for line in errors] == ["I7:", "I10:", "I11:"]
 
 
+class TestPopulationErrors:
+    """Population failures say which measure, parameters, model and route."""
+
+    def test_unsupported_spec_exits_3_naming_the_measure(self):
+        res = run("compute", "--dist", "pareto", "--shape", "2.5", "--measure", "pwm", "--p", "3")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.strip() == (
+            "gmdinfo: error: measure 'pwm': pwm(p=3) on pareto(shape=2.5, scale=1), quantile "
+            "route: M_{3,0.0,0.0} does not exist for pareto(shape=2.5, scale=1)")
+
+    def test_non_finite_population_value_exits_3(self):
+        res = run("compute", "--dist", "exponential", "--mean", "1e200", "--measure", "gmd",
+                  "--measure", "wcrt", "--alpha", "2")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.strip().endswith(
+            "measure 'wcrt': wcrt(alpha=2.0) on exponential(mean=1e+200), quantile route: "
+            "the value is not finite: nan")
+
+
 class TestVerify:
     def test_uniform_passes_all(self):
         res = run("verify", "--dist", "uniform", "--a", "0", "--b", "1")

@@ -15,6 +15,7 @@ from gmdinfo import (
     MEASURE_IDS,
     MeasureSpec,
     NoConvergenceError,
+    NonFiniteError,
     Pareto,
     PhiSelector,
     QuadratureConfig,
@@ -282,6 +283,42 @@ class TestExistenceGuards:
             measure_population(heavy, MeasureSpec("s_gini", v=0.4), route="direct")
         with pytest.raises(UnsupportedSpecError, match="diverges"):
             measure_population(heavy, MeasureSpec("sr", alpha=0.3, beta=2.0), route="direct")
+
+    def test_unsupported_spec_names_measure_parameters_model_and_route(self):
+        with pytest.raises(UnsupportedSpecError) as info:
+            pop(PAR31, "pwm", p=3)
+        assert str(info.value) == ("pwm(p=3) on pareto(shape=3, scale=1), quantile route: "
+                                   "M_{3,0.0,0.0} does not exist for pareto(shape=3, scale=1)")
+        with pytest.raises(UnsupportedSpecError) as info:
+            measure_population(Pareto(2.1, 1.0), MeasureSpec("s_gini", v=0.4), route="direct")
+        assert str(info.value) == ("s_gini(v=0.4) on pareto(shape=2.1, scale=1), direct route: "
+                                   "integral of x^0 * sf^0.4 diverges for pareto(shape=2.1, scale=1)")
+        with pytest.raises(UnsupportedSpecError) as info:
+            measure_population(U01, MeasureSpec("ge", w=WeightSelector("const"),
+                                                phi=PhiSelector()), route="direct")
+        assert str(info.value) == ("ge(w=const:1, phi=1*x^1) on uniform(a=0, b=1), direct route: "
+                                   "no x-domain route for measure 'ge'")
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite population value raises, naming what was computed."""
+
+    @pytest.mark.parametrize("mid, params, shown", [
+        ("crjw", {}, "-inf"), ("wce", {}, "-inf"), ("wcrt", {"alpha": 2.0}, "nan"),
+        ("pwm", {"p": 2}, "inf")])
+    def test_second_moment_overflow_raises(self, mid, params, shown):
+        model = Exponential(1e200)  # x^2 overflows in the quantile integrand
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteError) as info:
+                measure_population(model, MeasureSpec(mid, **params), route="quantile")
+        assert str(info.value).startswith(f"{mid}(")
+        assert str(info.value).endswith(
+            f" on exponential(mean=1e+200), quantile route: the value is not finite: {shown}")
+
+    def test_first_moments_stay_finite(self):
+        assert measure_population(Exponential(1e200), MeasureSpec("gmd")) == pytest.approx(
+            1e200, rel=1e-9)
 
 
 class TestQuadratureEngine:
