@@ -154,7 +154,7 @@ def _build_source(args, parser):
 def _quad_config(args) -> QuadratureConfig:
     if args.tol is None:
         return DEFAULT_CONFIG
-    return QuadratureConfig(abs_tol=args.tol, rel_tol=args.tol)
+    return QuadratureConfig(tol=args.tol)
 
 
 def _measure_specs(args) -> List[MeasureSpec]:

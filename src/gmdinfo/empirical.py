@@ -132,13 +132,13 @@ def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:
 
 
 def values_above(sample: Sample, t: float) -> np.ndarray:
-    """Observations strictly above t (the left-truncated tail)."""
-    return sample.values[sample.values > t]
+    """Observations strictly above t (the left-truncated tail): a read-only view."""
+    return sample.values[np.searchsorted(sample.values, t, "right"):]
 
 
 def values_upto(sample: Sample, t: float) -> np.ndarray:
-    """Observations at or below t (the right-truncated head)."""
-    return sample.values[sample.values <= t]
+    """Observations at or below t (the right-truncated head): a read-only view."""
+    return sample.values[:np.searchsorted(sample.values, t, "right")]
 
 
 def conditional_mean_above(sample: Sample, t: float) -> float:

@@ -21,8 +21,14 @@ Pareto quantile blow-up at u = 1.  An interval [a, inf) is mapped onto
 evaluates the integrand once, as one array call on the nodes of both
 halves.
 
-Endpoints of (0,1) are never evaluated by the Kronrod nodes; ``u_clip``
-additionally clamps the integrand's argument away from 0 and 1 as a
+Each integral runs once, with ``tol`` as both QUADPACK's absolute and
+relative request.  Its value is returned on success, or when QUADPACK
+reports trouble (as at requests near double precision) but its error
+estimate is within 100x of the request; otherwise
+:class:`NoConvergenceError` gives that run's estimate and evaluation count.
+
+Endpoints of (0,1) are never evaluated by the Kronrod nodes; a clamp at
+1e-12 additionally keeps the integrand's argument away from 0 and 1 as a
 safety net, and a warning is emitted if that clamp is ever hit where the
 integrand is large (the one situation where the clamp could bias the
 result).
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameterError, NoConvergenceError
+from .errors import BadParameterError, NoConvergenceError, NonFiniteError
 
 __all__ = [
     "QuadratureConfig",
@@ -50,31 +56,23 @@ class ClippedTailWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget for adaptive quadrature.
+    """The requested error of each integral.
 
     Parameters
     ----------
-    abs_tol, rel_tol : float
-        Requested absolute/relative error of each integral.
-    u_clip : float
-        Evaluation clamp: integrands on (0,1) are never called with an
-        argument closer than this to either endpoint.
-    max_subdivisions : int
-        Subdivision budget per integral.
+    tol : float
+        QUADPACK's epsabs and epsrel both: each integral's error estimate
+        must be at most max(tol, tol * |value|), or 100 times that if
+        QUADPACK reports trouble.  Finite and positive.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    u_clip: float = 1e-12
-    max_subdivisions: int = 200
+    tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
+        if not math.isfinite(self.tol):
+            raise NonFiniteError(f"quadrature tolerance must be finite, got {self.tol}")
+        if not self.tol > 0:
             raise BadParameterError("quadrature tolerances must be positive")
-        if not 0 < self.u_clip < 1e-6:
-            raise BadParameterError("u_clip must lie in (0, 1e-6)")
-        if self.max_subdivisions < 10:
-            raise BadParameterError("max_subdivisions must be at least 10")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -383,13 +381,11 @@ _MESSAGES = {
 }
 
 # When the core reports trouble (typically roundoff in the extrapolation
-# table: the requested tolerance is below what floating point permits), the
-# returned value is still its best estimate.  Accept it if the estimated
-# error is within this factor of the request; otherwise retry at 10x looser
-# tolerances until a run certifies cleanly, so the returned value always
-# carries a genuine error bound.
+# table: the request is below what floating point permits), its value is
+# still its best estimate; accept it within this factor of the request.
 _ROUNDOFF_SLACK = 100.0
-_MAX_LOOSENINGS = 6
+_U_CLIP = 1e-12  # integrands on (0,1) are never called closer than this to 0 or 1
+_MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
 def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> float:
@@ -398,28 +394,21 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> float:
         g, lo, hi, rule = (lambda t: f(a + (1.0 - t) / t) / t / t), 0.0, 1.0, _G7K15
     else:
         g, lo, hi, rule = f, a, b, _G10K21
-    abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-    evals = 0
-    for attempt in range(_MAX_LOOSENINGS + 1):
-        value, abserr, neval, ier = _qags(g, lo, hi, abs_tol, rel_tol, cfg.max_subdivisions, rule)
-        evals += neval
-        if ier == 0:
-            return value
-        if attempt == 0 and abserr <= _ROUNDOFF_SLACK * max(abs_tol, rel_tol * abs(value)):
-            return value
-        abs_tol *= 10.0
-        rel_tol *= 10.0
-    reason = _MESSAGES[ier].format(limit=cfg.max_subdivisions)
+    tol = cfg.tol
+    value, abserr, neval, ier = _qags(g, lo, hi, tol, tol, _MAX_SUBDIVISIONS, rule)
+    if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(tol, tol * abs(value)):
+        return value
+    reason = _MESSAGES[ier].format(limit=_MAX_SUBDIVISIONS)
     raise NoConvergenceError(
         f"quadrature on [{a}, {b}] did not converge: {reason} "
-        f"(error estimate {abserr:.3g} after {evals} evaluations)"
+        f"(error estimate {abserr:.3g} after {neval} evaluations)"
     )
 
 
 def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
            lo: float = 0.0, hi: float = 1.0) -> float:
     """:func:`integrate_u` for an array-valued ``f`` (one call per node array)."""
-    eps = cfg.u_clip
+    eps = _U_CLIP
     # |f| at the clamp at or beyond 1/eps means a local power singularity
     # u^-c with c >= 1, i.e. a divergent integral; integrable singularities
     # (c < 1) stay strictly below this and extrapolation recovers them.
@@ -471,7 +460,7 @@ def integrate_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """Integrate the scalar function ``f`` over ``(lo, hi)`` inside the unit interval.
 
     ``f`` is evaluated only at clamped arguments in
-    ``[u_clip, 1 - u_clip]``, so quantile integrands that diverge at the
+    ``[1e-12, 1 - 1e-12]``, so quantile integrands that diverge at the
     endpoints stay finite.  Gauss-Kronrod extrapolation recovers the
     true endpoint-singular integral; if the clamp itself is ever active
     where ``|f|`` is large, a :class:`ClippedTailWarning` is emitted.

@@ -15,7 +15,7 @@ from gmdinfo import QuadratureConfig, integrate_u
 
 # inner integrals of the nested references run 100x tighter than the
 # default outer quadrature, so their error stays below the outer tolerance
-_INNER = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-12)
+_INNER = QuadratureConfig(tol=1e-12)
 
 
 def brute_gmd(x) -> float:

@@ -102,6 +102,13 @@ class TestCompute:
         assert res.returncode == 3
         assert "tolerances must be positive" in res.stderr
 
+    def test_infinite_quadrature_tolerance_exits_3(self):
+        res = run("compute", "--dist", "weibull", "--shape", "0.7", "--measure", "gmd",
+                  "--tol", "inf")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "quadrature tolerance must be finite, got inf" in res.stderr
+
     def test_tsv_format(self, data123):
         res = run("compute", "--input", data123, "--measure", "gmd",
                   "--format", "tsv")

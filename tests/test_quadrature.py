@@ -29,8 +29,9 @@ from gmdinfo import (
     measure_population,
     verify,
 )
+from gmdinfo import quadrature
 from gmdinfo.measures import _exprel
-from gmdinfo.quadrature import _MAX_LOOSENINGS, _ROUNDOFF_SLACK, quad_u, quad_x
+from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, quad_u, quad_x
 
 PARETO22 = Pareto(2.2)
 
@@ -52,19 +53,13 @@ BATTERY = [
 
 
 def scipy_integral(f, a, b, cfg, breakpoints=()):
-    """scipy.integrate.quad per piece with the engine's loosening ladder; None if it fails."""
+    """scipy.integrate.quad once per piece, with the engine's acceptance rule; None if it fails."""
     pts = [p for p in sorted(breakpoints) if a < p < b]
     total = 0.0
     for left, right in zip([a] + pts, pts + [b]):
-        abs_tol, rel_tol = cfg.abs_tol, cfg.rel_tol
-        for attempt in range(_MAX_LOOSENINGS + 1):
-            out = integrate.quad(f, left, right, epsabs=abs_tol, epsrel=rel_tol,
-                                 limit=cfg.max_subdivisions, full_output=1)
-            if len(out) <= 3 or (attempt == 0 and out[1] <= _ROUNDOFF_SLACK
-                                 * max(abs_tol, rel_tol * abs(out[0]))):
-                break
-            abs_tol, rel_tol = 10.0 * abs_tol, 10.0 * rel_tol
-        else:
+        out = integrate.quad(f, left, right, epsabs=cfg.tol, epsrel=cfg.tol,
+                             limit=_MAX_SUBDIVISIONS, full_output=1)
+        if len(out) > 3 and out[1] > _ROUNDOFF_SLACK * max(cfg.tol, cfg.tol * abs(out[0])):
             return None
         total += out[0]
     return total
@@ -73,7 +68,7 @@ def scipy_integral(f, a, b, cfg, breakpoints=()):
 @pytest.mark.parametrize("tol", [None, 1e-13], ids=["default", "1e-13"])
 @pytest.mark.parametrize("name, f, a, b, breakpoints", BATTERY, ids=[c[0] for c in BATTERY])
 def test_core_matches_quadpack(name, f, a, b, breakpoints, tol):
-    cfg = QuadratureConfig() if tol is None else QuadratureConfig(abs_tol=tol, rel_tol=tol)
+    cfg = QuadratureConfig() if tol is None else QuadratureConfig(tol=tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         want = scipy_integral(f, a, b, cfg, breakpoints)
@@ -148,6 +143,32 @@ class TestNoConvergenceContext:
         text = str(info.value)
         assert text.startswith("crt(alpha=2.0) on exponential(mean=100000), direct route: ")
         assert "did not converge" in text
+
+    def test_loosened_values_are_not_returned(self):
+        # QUADPACK's estimate of 2.2e-5 is far above the request; a retry at
+        # looser tolerances would return -5.041676..., 1.9e-6 off -121/24
+        with pytest.raises(NoConvergenceError) as info:
+            measure_population(PARETO22, MeasureSpec("crjw"), route="direct")
+        text = str(info.value)
+        assert text.startswith("crjw() on pareto(shape=2.2, scale=1), direct route: ")
+        assert "did not converge" in text
+
+    def test_each_piece_runs_once(self, monkeypatch):
+        calls, qags = [], quadrature._qags
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])  # the piece [lo, hi]
+            return qags(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_qags", counting)
+        with pytest.raises(NoConvergenceError):
+            integrate_u(lambda u: math.sin(1.0 / u**2))
+        assert calls == [(0.0, 1.0)]
+        calls.clear()
+        f = lambda x: 1.0 if x < 1.0 else math.sin(1.0 / (x - 1.0) ** 2)
+        with pytest.raises(NoConvergenceError):
+            integrate_x(f, 0.0, 2.0, breakpoints=(1.0,))
+        assert calls == [(0.0, 1.0), (1.0, 2.0)]
 
     def test_verify_names_the_identity(self):
         with pytest.raises(NoConvergenceError, match=r"^I1: gmd\(\) on exponential"):
