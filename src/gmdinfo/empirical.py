@@ -31,6 +31,13 @@ __all__ = [
     "values_upto",
 ]
 
+#: ranks per block of every walk over a sorted sample.  A float64 temporary
+#: of this length (64 KiB) stays in cache, where a length-n one is fresh
+#: memory each time; and OpenBLAS runs np.dot on one thread up to 10,000
+#: elements, so the sums do not depend on the BLAS thread count (checked in
+#: tests/test_kernel.py)
+_BLOCK = 1 << 13
+
 #: Recognized plotting-position conventions for rank i of n.
 #: hazen keeps u_i strictly inside (0,1), so powers of u and 1-u never
 #: vanish; it is the default everywhere.
@@ -112,12 +119,6 @@ def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
     return _position(np.arange(1, n + 1, dtype=float), n, conv)
 
 
-def _run_ends(x: np.ndarray) -> np.ndarray:
-    """For sorted x, the count of values <= x_i at each i: searchsorted(x, x, "right")."""
-    ends = np.append(np.flatnonzero(np.diff(x)) + 1, x.shape[0])
-    return ends if ends.shape[0] == x.shape[0] else np.repeat(ends, np.diff(ends, prepend=0))
-
-
 def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:
     """Right-continuous step estimate of F(x).
 
@@ -147,7 +148,7 @@ def conditional_mean_above(sample: Sample, t: float) -> float:
     tail = values_above(sample, t)
     if tail.size == 0:
         raise EmptyTailError(f"no observation above t={t}")
-    return float(np.mean(tail - t))
+    return _shifted_sum(tail, t) / tail.size
 
 
 def conditional_mean_below(sample: Sample, t: float) -> float:
@@ -156,7 +157,13 @@ def conditional_mean_below(sample: Sample, t: float) -> float:
     head = values_upto(sample, t)
     if head.size == 0:
         raise EmptyTailError(f"no observation at or below t={t}")
-    return float(np.mean(t - head))
+    return -_shifted_sum(head, t) / head.size
+
+
+def _shifted_sum(values: np.ndarray, t: float) -> float:
+    """sum of (x - t) over values, in blocks: no length-n temporary."""
+    return sum(float(np.sum(values[lo:lo + _BLOCK] - t))
+               for lo in range(0, values.shape[0], _BLOCK))
 
 
 def _check_truncation(t: float) -> None:

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .empirical import Sample, conditional_mean_above, conditional_mean_below
+from .empirical import _BLOCK, Sample, conditional_mean_above, conditional_mean_below
 from .errors import BadParameterError, NoConvergenceError, NonFiniteError, NotApplicableError
 from .measures import (
     MeasureSpec,
@@ -160,6 +160,12 @@ def _family_pairs(s, conv, specs, gaps, scales):
     return pairs
 
 
+def _new_value(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[i] != x[i-1] for the ranks lo <= i < hi of a sorted x, 1 <= lo."""
+    hi = min(hi, x.shape[0])
+    return x[lo:hi] != x[lo - 1:hi - 1]
+
+
 def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
     """A truncation point near the middle of the data meeting the counts.
 
@@ -168,16 +174,29 @@ def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
     when no point qualifies (e.g. all-equal samples for a strict upper
     tail).
     """
-    x = sample.values
-    # run starts: index of the first copy of each distinct value but the
-    # smallest, which is also the count at or below the midpoint before it
-    starts = np.flatnonzero(np.diff(x)) + 1
-    if starts.size == 0:
-        return float(x[0]) if need_above == 0 and x.size >= need_below else None
-    ok = np.flatnonzero((x.size - starts >= need_above) & (starts >= need_below))
-    if ok.size == 0:
+    x, n = sample.values, sample.n
+    # run starts: the rank i of the first copy of each distinct value but
+    # the smallest, which is also the count at or below the midpoint before
+    # it.  They rise, so the qualifying ones, need_below <= i <= n -
+    # need_above, are the j-th for j_lo <= j <= j_hi.  Both bounds and the
+    # chosen start come from the starts counted per block of ranks 1..n-1
+    before = np.cumsum([0] + [np.count_nonzero(_new_value(x, lo, lo + _BLOCK))
+                              for lo in range(1, n, _BLOCK)])
+    if before[-1] == 0:
+        return float(x[0]) if need_above == 0 and n >= need_below else None
+
+    def starts_below(k):
+        k = min(max(k, 1), n)
+        b = (k - 1) // _BLOCK
+        return int(before[b]) + int(np.count_nonzero(_new_value(x, 1 + b * _BLOCK, k)))
+
+    j_lo, j_hi = starts_below(need_below), starts_below(n - need_above + 1) - 1
+    if j_lo > j_hi:
         return None
-    i = starts[ok[np.argmin(np.abs(ok - (starts.size - 1) / 2.0))]]
+    j = min(max((int(before[-1]) - 1) // 2, j_lo), j_hi)  # closest to the center, the lower on ties
+    b = int(np.searchsorted(before, j, "right")) - 1
+    lo = 1 + b * _BLOCK
+    i = lo + int(np.flatnonzero(_new_value(x, lo, lo + _BLOCK))[j - before[b]])
     return float(0.5 * (x[i - 1] + x[i]))
 
 
@@ -278,7 +297,7 @@ def _i7_sample(s, conv):
     pairs = []
     for v in (1.0, 2.0):
         lhs = generalized_residual_entropy(s, _W_SF1, PhiSelector(c=2.0, v=v), conv)
-        rhs = _sorted_gmd(s.values**v)
+        rhs = _sorted_gmd(s.values, v)
         pairs.append((lhs, rhs))
     return pairs
 

@@ -40,6 +40,10 @@ kept because they arise from different definitions.
 All estimators are pure functions of the sorted sample.  Pairwise
 statistics are i<j U-statistics (no self-pairs), which is what makes
 the sample-level decompositions below exact rather than asymptotic.
+Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
+makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
+pairwise means through ``_rank_dot``, and ge/gce through phi's sums
+carried from block to block.
 """
 
 import math
@@ -49,13 +53,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .empirical import (
-    Sample,
-    _run_ends,
-    plotting_positions,
-    values_above,
-    values_upto,
-)
+from .empirical import _BLOCK, Sample, _check_convention, _position, values_above, values_upto
 from .errors import (
     BadParameterError,
     EmptyTailError,
@@ -63,7 +61,7 @@ from .errors import (
     NonFiniteError,
     TooFewObservationsError,
 )
-from .pwm import _BLOCK, PwmIndex, _fused, pwm_unbiased_alpha, pwm_unbiased_beta
+from .pwm import PwmIndex, _fused, pwm_unbiased_alpha, pwm_unbiased_beta
 
 __all__ = [
     "WeightSelector",
@@ -402,20 +400,20 @@ class MeasureSpec:
 # Gini mean difference and truncated variants
 
 
-def _rank_dot(values: np.ndarray, first: float, step: float) -> float:
-    """sum_k (first + step*k) values[k] over k = 0..m-1, in blocks: no length-m temporary."""
+def _rank_dot(values: np.ndarray, first: float, step: float, power: float = 1.0) -> float:
+    """sum_k (first + step*k) values[k]^power over k = 0..m-1, in blocks: no length-m temporary."""
     total = 0.0
     for lo in range(0, values.shape[0], _BLOCK):
         x = values[lo:lo + _BLOCK]
         w = np.arange(first + step * lo, first + step * (lo + x.shape[0]), step)
-        total += float(np.dot(w, x))
+        total += float(np.dot(w, x if power == 1.0 else x**power))
     return total
 
 
-def _sorted_gmd(values: np.ndarray) -> float:
-    """Mean |x_i - x_j| over pairs i<j of a sorted array: (2/(n(n-1))) sum (2i-n-1) x_(i)."""
+def _sorted_gmd(values: np.ndarray, power: float = 1.0) -> float:
+    """Mean |y_i - y_j| over pairs i<j of y = x^power, x sorted: (2/(n(n-1))) sum (2i-n-1) y_(i)."""
     n = values.shape[0]
-    return 2.0 * _rank_dot(values, 1.0 - n, 2.0) / (n * (n - 1.0))
+    return 2.0 * _rank_dot(values, 1.0 - n, 2.0, power) / (n * (n - 1.0))
 
 
 def gmd(sample: Sample) -> float:
@@ -618,40 +616,93 @@ def spw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
 # generalized entropies
 
 
+def _at_run_ends(sums: np.ndarray, x: np.ndarray):
+    """sums[e_i] and e_i, where e_i counts the values <= x_i of a sorted block x."""
+    ends = np.flatnonzero(x[1:] != x[:-1]) + 1
+    if ends.shape[0] == x.shape[0] - 1:  # no ties: each run ends at the next rank
+        return sums[1:], np.arange(1, x.shape[0] + 1)
+    ends = np.append(ends, x.shape[0])
+    ends = np.repeat(ends, np.diff(ends, prepend=0))
+    return sums[ends], ends
+
+
+def _weight_at_ranks(w: WeightSelector, lo: int, hi: int, n: int, conv: str) -> np.ndarray:
+    """w at the plotting positions of ranks lo+1..hi of n."""
+    return w.at_probability(_position(np.arange(lo + 1.0, hi + 1.0), float(n), conv))
+
+
 def generalized_residual_entropy(sample: Sample, w: WeightSelector,
                                  phi: PhiSelector, conv: str = "hazen") -> float:
     """GE: (1/n) sum_i w(x_(i)) * mean over x_j > x_(i) of (phi(x_j) - phi(x_i)).
 
     Ranks with an empty strict upper tail contribute 0.  The weight is
     evaluated through the chosen plotting positions when it references
-    the distribution function.
+    the distribution function.  The sample is walked from the top down in
+    blocks of _BLOCK ranks, carrying phi's sum from the top, and the sum
+    from the end of the tie run that holds the lowest rank walked.
     """
-    x = sample.values
-    n = sample.n
-    u = plotting_positions(n, conv)
-    wv = w.at_probability(u)
-    ph = phi(x)
-    # for each i, first rank whose value exceeds x_(i) (handles ties)
-    right = _run_ends(x)
-    cnt = n - right
-    suffix = np.concatenate([np.cumsum(ph[::-1])[::-1], [0.0]])
-    avg_above = np.divide(suffix[right], cnt, out=np.zeros(n), where=cnt > 0)
-    term = np.where(cnt > 0, avg_above - ph, 0.0)
-    return float(np.mean(wv * term))
+    _check_convention(conv)
+    x, n = sample.values, sample.n
+    total, above = 0.0, 0.0
+    run_end, run_sum = n, 0.0
+    for lo in reversed(range(0, n, _BLOCK)):
+        xb = x[lo:lo + _BLOCK]
+        hi = lo + xb.shape[0]
+        ph = phi(xb)
+        # suffix[k]: phi's sum from rank lo + k up, added from the top down as one cumsum would
+        suffix = np.cumsum(np.concatenate(([above], ph[::-1])))[::-1]
+        above = float(suffix[0])
+        open_top = hi < n and x[hi] == xb[-1]  # the top run goes on into the block above
+        if open_top:
+            suffix[-1] = run_sum
+        sums, ends = _at_run_ends(suffix, xb)
+        cnt = n - lo - ends
+        if open_top:
+            cnt[ends == xb.shape[0]] = n - run_end
+        term = np.where(cnt > 0, sums / np.maximum(cnt, 1) - ph, 0.0)
+        total += float(np.dot(_weight_at_ranks(w, lo, hi, n, conv), term))
+        run_end, run_sum = n - int(cnt[0]), float(sums[0])
+    return total / n
+
+
+def _phi_sum(x: np.ndarray, phi: PhiSelector, lo: int, hi: int, total: float) -> float:
+    """total plus phi over ranks lo..hi-1, added in rank order in blocks, as one cumsum would."""
+    for start in range(lo, hi, _BLOCK):
+        ph = phi(x[start:min(start + _BLOCK, hi)])
+        total = float(np.cumsum(np.concatenate(([total], ph)))[-1])
+    return total
 
 
 def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
                                    phi: PhiSelector, conv: str = "hazen") -> float:
-    """GCE: (1/n) sum_i w(x_(i)) * mean over x_j <= x_(i) of (phi(x_i) - phi(x_j))."""
-    x = sample.values
-    n = sample.n
-    u = plotting_positions(n, conv)
-    wv = w.at_probability(u)
-    ph = phi(x)
-    cnt = _run_ends(x)  # includes self and all ties
-    prefix = np.concatenate([[0.0], np.cumsum(ph)])
-    term = ph - prefix[cnt] / cnt
-    return float(np.mean(wv * term))
+    """GCE: (1/n) sum_i w(x_(i)) * mean over x_j <= x_(i) of (phi(x_i) - phi(x_j)).
+
+    The sample is walked from the bottom up in blocks of _BLOCK ranks,
+    carrying phi's sum from the bottom; a tie run that goes on past a block
+    is summed ahead to its end once.
+    """
+    _check_convention(conv)
+    x, n = sample.values, sample.n
+    total, below = 0.0, 0.0
+    run_end, run_sum = 0, 0.0
+    for lo in range(0, n, _BLOCK):
+        xb = x[lo:lo + _BLOCK]
+        hi = lo + xb.shape[0]
+        ph = phi(xb)
+        prefix = np.cumsum(np.concatenate(([below], ph)))  # prefix[k]: phi's sum below rank lo + k
+        below = float(prefix[-1])
+        open_top = hi < n and x[hi] == xb[-1]
+        if open_top:
+            end = int(np.searchsorted(x, xb[-1], "right"))
+            if end != run_end:
+                run_end, run_sum = end, _phi_sum(x, phi, hi, end, below)
+            prefix[-1] = run_sum
+        sums, ends = _at_run_ends(prefix, xb)
+        cnt = lo + ends  # includes self and all ties
+        if open_top:
+            cnt[ends == xb.shape[0]] = run_end
+        total += float(np.dot(_weight_at_ranks(w, lo, hi, n, conv), ph - sums / cnt))
+    return total / n
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ Three routes are provided:
 
 Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
 ``_rank_sums`` computes any number of them, and the identities' step-ECDF
-sums, in one walk over the sorted sample in blocks of ``_BLOCK`` ranks,
-forming each power of x, u and 1-u and each b_r/a_s product once per
-block: no length-n array is made and nothing outlives the call.  ``_fused``
-records the terms a computation reads and serves them from one walk.
+sums, in one walk over the sorted sample in blocks of ``_BLOCK`` ranks
+(``empirical._BLOCK``), forming each power of x, u and 1-u and each
+b_r/a_s product once per block: no length-n array is made and nothing
+outlives the call.  ``_fused`` records the terms a computation reads and
+serves them from one walk.  The package's other sample estimators walk
+the same blocks, so no sample estimator makes a length-n array.
 """
 
 import math
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .empirical import Sample, _check_convention, _position
+from .empirical import _BLOCK, Sample, _check_convention, _position
 from .errors import (
     BadParameterError,
     NonFiniteError,
@@ -124,12 +126,6 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
 
 # ---------------------------------------------------------------------------
 # the sample kernel
-
-#: ranks per block of the kernel walk.  A float64 temporary of this length
-#: (64 KiB) stays in cache, where a length-n one is fresh memory each time;
-#: and OpenBLAS runs np.dot on one thread up to 10,000 elements, so the sums
-#: do not depend on the BLAS thread count (checked in tests/test_kernel.py)
-_BLOCK = 1 << 13
 
 
 def _rank_sums(values: np.ndarray, conv: str, terms, gaps=()):

@@ -262,3 +262,33 @@ def exact_order_weighted_mean(values, order: int, reverse: bool) -> float:
         k = n - i if reverse else i - 1
         total += comb(k, order) * Fraction(float(x))
     return float(total / (n * comb(n - 1, order)))
+
+
+def run_ends(x: np.ndarray) -> np.ndarray:
+    """For sorted x, the count of values <= x_i at each i: searchsorted(x, x, "right")."""
+    ends = np.append(np.flatnonzero(np.diff(x)) + 1, x.shape[0])
+    return ends if ends.shape[0] == x.shape[0] else np.repeat(ends, np.diff(ends, prepend=0))
+
+
+def full_ge(x, w, phi, conv) -> float:
+    """The residual entropy from length-n arrays: suffix sums of phi gathered at run ends."""
+    n = x.shape[0]
+    wv = w.at_probability(full_positions(n, conv))
+    ph = phi(x)
+    right = run_ends(x)  # for each i, the first rank whose value exceeds x_(i)
+    cnt = n - right
+    suffix = np.concatenate([np.cumsum(ph[::-1])[::-1], [0.0]])
+    avg_above = np.divide(suffix[right], cnt, out=np.zeros(n), where=cnt > 0)
+    term = np.where(cnt > 0, avg_above - ph, 0.0)
+    return float(np.mean(wv * term))
+
+
+def full_gce(x, w, phi, conv) -> float:
+    """The cumulative entropy from length-n arrays: prefix sums of phi gathered at run ends."""
+    n = x.shape[0]
+    wv = w.at_probability(full_positions(n, conv))
+    ph = phi(x)
+    cnt = run_ends(x)  # includes self and all ties
+    prefix = np.concatenate([[0.0], np.cumsum(ph)])
+    term = ph - prefix[cnt] / cnt
+    return float(np.mean(wv * term))

@@ -22,7 +22,7 @@ from gmdinfo import (
     verify_all,
 )
 from gmdinfo import empirical
-from gmdinfo.empirical import _run_ends
+from oracles import run_ends
 
 
 class TestMakeSample:
@@ -96,12 +96,13 @@ def _sorted_floats(elements, **kw):
 
 
 class TestRunEnds:
-    """_run_ends(x) replaces np.searchsorted(x, x, side="right") on sorted data."""
+    """oracles.run_ends(x), where the full-array ge/gce references gather their
+    sums, is np.searchsorted(x, x, side="right") on sorted data."""
 
     @staticmethod
     def check(x):
         want = np.searchsorted(x, x, side="right")
-        got = _run_ends(x)
+        got = run_ends(x)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 

@@ -1,11 +1,13 @@
-"""The blocked rank-sum kernel behind every sample PWM estimator.
+"""The blocked walks behind every sample estimator.
 
-``pwm._rank_sums`` walks the sorted sample in blocks of ``pwm._BLOCK``
-ranks.  These tests check it against the full-array estimators kept in
-``oracles.py`` (and against exact binomial weights in rational
-arithmetic) at sizes around the block edges, check that every PWM-form
-measure and every fused identity side costs one walk, and that no
-length-n temporary is made on those paths.
+``pwm._rank_sums``, the generalized entropies and the truncation point of
+I5/I6 walk the sorted sample in blocks of ``_BLOCK`` ranks.  These tests
+check them against the full-array estimators kept in ``oracles.py`` (and
+against exact binomial weights in rational arithmetic, brute-force loops
+and the exhaustive truncation rule) at sizes and tie layouts around the
+block edges, check that every PWM-form measure and every fused identity
+side costs one walk, and that no sample measure or identity side makes a
+length-n temporary.
 """
 
 import os
@@ -24,15 +26,25 @@ from gmdinfo import (
     REGISTRY,
     BadParameterError,
     MeasureSpec,
+    PhiSelector,
     TooFewObservationsError,
+    WeightSelector,
+    generalized_cumulative_entropy,
+    generalized_residual_entropy,
     make_sample,
     measure_sample,
+    plotting_positions,
 )
-from gmdinfo import pwm
-from gmdinfo.identities import _plugin_cov
+from gmdinfo import identities, measures, pwm
+from gmdinfo.identities import _pick_t, _plugin_cov
 from gmdinfo.pwm import _BLOCK, _fused, _rank_sums
 from oracles import (
+    brute_gce,
+    brute_ge,
+    brute_pick_t,
     exact_order_weighted_mean,
+    full_gce,
+    full_ge,
     full_plugin_cov,
     full_positions,
     full_pwm_plugin,
@@ -132,6 +144,95 @@ def test_the_zero_moment_is_one_exactly():
 
 
 # ---------------------------------------------------------------------------
+# the generalized entropies and the truncation point, at the block edges
+
+LAYOUTS = ("continuous", "straddling", "long-run", "all-equal", "all-zero")
+WEIGHTS = (WeightSelector("const", c=2.5), WeightSelector("cdf-power", j=1.5),
+           WeightSelector("sf-power", j=2.0))
+PHI = PhiSelector(2.0, 1.5)
+NEEDS = ((2, 0), (0, 2), (0, 0), (1, 1))
+
+
+def layout(n: int, kind: str, block: int = B) -> np.ndarray:
+    """Sorted data of size n whose tie runs sit as kind says against edges of the given block."""
+    x = np.sort(np.random.default_rng(n).exponential(1.0, n))
+    if kind == "straddling":  # a run of 7 across every block edge
+        for edge in range(block, n, block):
+            x[max(edge - 3, 0):edge + 4] = x[max(edge - 3, 0)]
+    elif kind == "long-run":  # one run over more than two blocks, from mid-block
+        x[block // 2:block // 2 + 2 * block + 3] = x[block // 2]
+    elif kind == "all-equal":
+        x[:] = 1.7
+    elif kind == "all-zero":
+        x[:] = 0.0
+    return x
+
+
+def data_units(x: np.ndarray) -> float:
+    """1e-12 in phi's units on x: the mean of phi (0 on all-zero data, where equality is asked)."""
+    return 1e-12 * float(np.mean(PHI(x)))
+
+
+@pytest.mark.parametrize("kind", LAYOUTS)
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3, 5 * B + 11])
+def test_generalized_entropies_match_full_arrays_at_block_edges(n, kind):
+    x = layout(n, kind)
+    sample = make_sample(x)
+    for conv in ECDF_CONVENTIONS:
+        for w in WEIGHTS:
+            got = generalized_residual_entropy(sample, w, PHI, conv)
+            assert abs(got - full_ge(x, w, PHI, conv)) <= data_units(x), (conv, w)
+            got = generalized_cumulative_entropy(sample, w, PHI, conv)
+            assert abs(got - full_gce(x, w, PHI, conv)) <= data_units(x), (conv, w)
+
+
+@pytest.mark.parametrize("kind", LAYOUTS)
+@pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3, 5 * B + 11])
+def test_truncation_point_matches_the_exhaustive_rule_at_block_edges(n, kind):
+    x = layout(n, kind)
+    sample = make_sample(x)
+    for need_above, need_below in NEEDS:
+        assert _pick_t(sample, need_above, need_below) == brute_pick_t(x, need_above, need_below)
+
+
+@pytest.mark.parametrize("kind", LAYOUTS)
+@pytest.mark.parametrize("n", [3, 4, 5, 11, 23])
+def test_small_blocks_match_brute_force_loops(n, kind, monkeypatch):
+    """With blocks of 4 ranks, every layout crosses edges at sizes the per-rank loops can afford."""
+    monkeypatch.setattr(measures, "_BLOCK", 4)
+    monkeypatch.setattr(identities, "_BLOCK", 4)
+    x = layout(n, kind, block=4)
+    sample = make_sample(x)
+    for conv in ECDF_CONVENTIONS:
+        u = plotting_positions(n, conv)
+        for w in WEIGHTS:
+            got = generalized_residual_entropy(sample, w, PHI, conv)
+            assert abs(got - brute_ge(x, u, w.at_probability, PHI)) <= data_units(x), (conv, w)
+            got = generalized_cumulative_entropy(sample, w, PHI, conv)
+            assert abs(got - brute_gce(x, u, w.at_probability, PHI)) <= data_units(x), (conv, w)
+    for need_above, need_below in NEEDS + ((n // 2, n // 2), (n, 0), (0, n)):
+        assert _pick_t(sample, need_above, need_below) == brute_pick_t(x, need_above, need_below)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "straddling", "long-run"])
+def test_generalized_entropies_are_one_walk(kind, monkeypatch):
+    """ge evaluates phi once per rank; gce also reads ahead once over the part of a
+    tie run that lies past a block edge, to find the sum at the run's end."""
+    x = layout(3 * B + 5, kind)
+    sample, seen = make_sample(x), []
+    monkeypatch.setattr(PhiSelector, "__call__", lambda self, v: seen.append(v.shape[0]) or v)
+    generalized_residual_entropy(sample, WEIGHTS[0], PHI)
+    assert sum(seen) == x.shape[0]
+    seen.clear()
+    generalized_cumulative_entropy(sample, WEIGHTS[0], PHI)
+    first_edge = {}  # per run that crosses an edge, its end: the first edge it crosses
+    for edge in range(B, x.shape[0], B):
+        if x[edge] == x[edge - 1]:
+            first_edge.setdefault(int(np.searchsorted(x, x[edge], "right")), edge)
+    assert sum(seen) == x.shape[0] + sum(end - edge for end, edge in first_edge.items())
+
+
+# ---------------------------------------------------------------------------
 # one walk per measure and per identity side, and no length-n temporary
 
 _PARAMS = {"s_gini": {"v": 2.5}, "crt": {"alpha": 2.5}, "wcrt": {"alpha": 2.5},
@@ -141,7 +242,11 @@ _PARAMS = {"s_gini": {"v": 2.5}, "crt": {"alpha": 2.5}, "wcrt": {"alpha": 2.5},
            "gain_premium": {"k": 3}, "pwm": {"p": 2, "r": 1.5, "s": 0.5}}
 PWM_FORM_IDS = sorted(mid for mid, entry in MEASURE_IDS.items() if entry.pwm is not None)
 FUSED_SIDES = ("I2", "I3", "I9", "I10", "I11", "I12", "I14")
-SIDES = {ident.id: ident.sample_sides for ident in REGISTRY}
+SIDES = {ident.id: ident.sample_sides for ident in REGISTRY if ident.sample_sides is not None}
+#: the parameters of the sample measures without a PWM form; t is near the median of exp(1)
+_OTHER_PARAMS = {"gmd_left": {"t": 0.7}, "gmd_right": {"t": 0.7}, "j_dyn": {"t": 0.7},
+                 "h_dyn": {"t": 0.7}, "ge": {"w": WEIGHTS[1], "phi": PHI},
+                 "gce": {"w": WEIGHTS[2], "phi": PHI}}
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +296,19 @@ def test_pwm_form_measures_make_no_length_n_temporary(mid, million):
     assert _traced_peak(lambda: measure_sample(million, spec)) <= 2 * 2**20
 
 
+@pytest.mark.parametrize("mid", sorted(set(MEASURE_IDS) - set(PWM_FORM_IDS)))
+def test_other_sample_measures_make_no_length_n_temporary(mid, million):
+    spec = MeasureSpec(mid, **_OTHER_PARAMS[mid])
+    assert _traced_peak(lambda: measure_sample(million, spec)) <= 2 * 2**20
+
+
 @pytest.mark.parametrize("iid", FUSED_SIDES)
 def test_fused_identity_sides_make_no_length_n_temporary(iid, million):
+    assert _traced_peak(lambda: SIDES[iid](million, "hazen")) <= 2 * 2**20
+
+
+@pytest.mark.parametrize("iid", sorted(set(SIDES) - set(FUSED_SIDES)))
+def test_other_identity_sides_make_no_length_n_temporary(iid, million):
     assert _traced_peak(lambda: SIDES[iid](million, "hazen")) <= 2 * 2**20
 
 
