@@ -4,7 +4,9 @@ Each identity evaluates its two sides through independent code paths:
 at population level one side integrates in the x-domain (touching only
 the model's distribution/survival functions) while the other works in
 the quantile domain (touching only Q), so a bug in either surface cannot
-cancel.  No quadrature runs inside an integrand: the conditional means
+cancel.  A measure on a population side is computed by measure_population
+on one route, so a failure names the measure, its parameters, the model
+and the route.  No quadrature runs inside an integrand: the conditional means
 inside ge/gce and inside I13's transform averages are integrated out by
 hand (Fubini).  At sample level the two sides use different estimator
 constructions (order-statistic weights vs step-ECDF integrals vs
@@ -57,19 +59,8 @@ from .measures import (
     pairwise_min_mean,
 )
 from .models import ParametricModel
-from .population import (
-    _xquad,
-    gce_population,
-    ge_population,
-    gmd_left_population,
-    gmd_right_population,
-    h_dyn_population,
-    j_dyn_population,
-    mean_past_life,
-    mean_residual_life,
-    measure_population,
-)
-from .pwm import PwmIndex, _fused, pwm_population
+from .population import _xquad, measure_population
+from .pwm import _fused
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
 
 __all__ = [
@@ -132,6 +123,14 @@ def _mq(model, cfg, **kw) -> float:
 
 def _mx(model, cfg, **kw) -> float:
     return measure_population(model, MeasureSpec(**kw), cfg, route="direct")
+
+
+def _route_pairs(*specs):
+    """Population sides (direct route, quantile route) of each spec, in order."""
+    def sides(model, cfg):
+        return [(measure_population(model, spec, cfg, route="direct"),
+                 measure_population(model, spec, cfg, route="quantile")) for spec in specs]
+    return sides
 
 
 def _worst(pairs):
@@ -202,14 +201,12 @@ def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
 
 _W_SF1 = WeightSelector("sf-power", j=1.0)
 _W_CDF1 = WeightSelector("cdf-power", j=1.0)
+_PHI_2X = PhiSelector(c=2.0, v=1.0)
+_I7_PHIS = (_PHI_2X, PhiSelector(c=2.0, v=2.0))
 
 
 # ---------------------------------------------------------------------------
 # identity sides
-
-
-def _i1_pop(model, cfg):
-    return [(_mx(model, cfg, id="gmd"), _mq(model, cfg, id="gmd"))]
 
 
 def _i1_sample(s, conv):
@@ -217,9 +214,8 @@ def _i1_sample(s, conv):
 
 
 def _i2_pop(model, cfg):
-    lhs = _mx(model, cfg, id="gmd")
-    cov = pwm_population(model, PwmIndex(1, 1, 0), cfg) - 0.5 * model.mean()
-    return [(lhs, 4.0 * cov)]
+    cov = _mq(model, cfg, id="pwm", p=1, r=1.0) - 0.5 * model.mean()
+    return [(_mx(model, cfg, id="gmd"), 4.0 * cov)]
 
 
 def _i2_sample(s, conv):
@@ -244,13 +240,12 @@ def _i4_sample(s, conv):
     return [(2.0 * crj(s) - 2.0 * cj(s), gmd(s))]
 
 
-def _i5_pop(model, cfg):
-    pairs = []
-    for t in _t_points(model):
-        lhs = gmd_left_population(model, t, cfg, route="quantile")
-        rhs = mean_residual_life(model, t, cfg) + 2.0 * j_dyn_population(model, t, cfg)
-        pairs.append((lhs, rhs))
-    return pairs
+def _truncated_pairs(mid: str):
+    """I5/I6: mid's defining quantile form against its mean-life decomposition at each t point."""
+    def sides(model, cfg):
+        return [(_mq(model, cfg, id=mid, t=t), _mx(model, cfg, id=mid, t=t))
+                for t in _t_points(model)]
+    return sides
 
 
 def _i5_sample(s, conv):
@@ -258,15 +253,6 @@ def _i5_sample(s, conv):
     if t is None:
         return []
     return [(gmd_left(s, t), conditional_mean_above(s, t) + 2.0 * j_dyn(s, t))]
-
-
-def _i6_pop(model, cfg):
-    pairs = []
-    for t in _t_points(model):
-        lhs = gmd_right_population(model, t, cfg, route="quantile")
-        rhs = 2.0 * h_dyn_population(model, t, cfg) + mean_past_life(model, t, cfg)
-        pairs.append((lhs, rhs))
-    return pairs
 
 
 def _i6_sample(s, conv):
@@ -285,51 +271,28 @@ def _range_moment_direct(model, v: float, cfg) -> float:
 
 
 def _i7_pop(model, cfg):
-    pairs = []
-    for v in (1.0, 2.0):
-        lhs = ge_population(model, _W_SF1, PhiSelector(c=2.0, v=v), cfg)
-        rhs = _range_moment_direct(model, v, cfg)
-        pairs.append((lhs, rhs))
-    return pairs
+    return [(_mq(model, cfg, id="ge", w=_W_SF1, phi=phi),
+             _range_moment_direct(model, phi.v, cfg)) for phi in _I7_PHIS]
 
 
 def _i7_sample(s, conv):
-    pairs = []
-    for v in (1.0, 2.0):
-        lhs = generalized_residual_entropy(s, _W_SF1, PhiSelector(c=2.0, v=v), conv)
-        rhs = _sorted_gmd(s.values, v)
-        pairs.append((lhs, rhs))
-    return pairs
+    return [(generalized_residual_entropy(s, _W_SF1, phi, conv), _sorted_gmd(s.values, phi.v))
+            for phi in _I7_PHIS]
 
 
 def _i8_pop(model, cfg):
-    lhs = gce_population(model, _W_CDF1, PhiSelector(c=2.0, v=1.0), cfg)
-    return [(lhs, _mx(model, cfg, id="gmd"))]
+    return [(_mq(model, cfg, id="gce", w=_W_CDF1, phi=_PHI_2X), _mx(model, cfg, id="gmd"))]
 
 
 def _i8_sample(s, conv):
-    lhs = generalized_cumulative_entropy(s, _W_CDF1, PhiSelector(c=2.0, v=1.0), conv)
+    lhs = generalized_cumulative_entropy(s, _W_CDF1, _PHI_2X, conv)
     return [(lhs, _sorted_gmd(s.values))]
-
-
-def _i9_pop(model, cfg):
-    return [(_mx(model, cfg, id=mid), _mq(model, cfg, id=mid))
-            for mid in ("crj", "cj", "crjw", "wce")]
 
 
 def _i9_sample(s, conv):
     crj_value = crj(s)  # one kernel walk: cj is defined as crj - gmd/2
     return [(-0.5 * pairwise_min_mean(s.values), crj_value),
             (-0.5 * pairwise_max_mean(s.values), crj_value - 0.5 * gmd(s))]
-
-
-def _i10_pop(model, cfg):
-    pairs = []
-    for alpha in (2.0, 3.0, 2.5):
-        for mid in ("crt", "ct", "wcrt", "wct"):
-            pairs.append((_mx(model, cfg, id=mid, alpha=alpha),
-                          _mq(model, cfg, id=mid, alpha=alpha)))
-    return pairs
 
 
 def _i10_sample(s, conv):
@@ -340,15 +303,6 @@ def _i10_sample(s, conv):
         [a - 1 for a in alphas])
 
 
-def _i11_pop(model, cfg):
-    pairs = []
-    for alpha, beta in ((1.0, 2.0), (2.0, 3.0), (1.5, 2.5)):
-        for mid in ("sr", "sp", "srw", "spw"):
-            pairs.append((_mx(model, cfg, id=mid, alpha=alpha, beta=beta),
-                          _mq(model, cfg, id=mid, alpha=alpha, beta=beta)))
-    return pairs
-
-
 def _i11_sample(s, conv):
     orders = ((1.0, 2.0), (2.0, 3.0))
     return _family_pairs(
@@ -357,14 +311,6 @@ def _i11_sample(s, conv):
         [g for a, b in orders for g in (
             lambda F, a=a, b=b: (1 - F) ** a - (1 - F) ** b, lambda F, a=a, b=b: F**a - F**b)],
         [b - a for a, b in orders])
-
-
-def _i12_pop(model, cfg):
-    pairs = []
-    for v in (2.0, 3.0, 2.5):
-        pairs.append((_mx(model, cfg, id="s_gini", v=v),
-                      _mq(model, cfg, id="s_gini", v=v)))
-    return pairs
 
 
 def _i12_sample(s, conv):
@@ -417,24 +363,24 @@ def _i14_pop(model, cfg):
     pairs = []
     for k in (2, 3):
         lhs = _premia_direct(model, k, cfg)
-        rhs = k * (pwm_population(model, PwmIndex(1, k - 1.0, 0), cfg)
-                   - pwm_population(model, PwmIndex(1, 0, k - 1.0), cfg))
+        rhs = k * (_mq(model, cfg, id="pwm", p=1, r=k - 1.0)
+                   - _mq(model, cfg, id="pwm", p=1, s=k - 1.0))
         pairs.append((lhs, rhs))
     return pairs
 
 
 def _i14_sample(s, conv):
-    def pair(T, k, e):  # risk_premium(k) is mean - k a_e, gain_premium(k) k b_e - mean
-        mean = T((1, 0.0, 0.0, True))
-        return ((mean - k * T((1, 0.0, e, True))) + (k * T((1, e, 0.0, True)) - mean),
-                k * (_plugin_cov(T, e, 0.0) - _plugin_cov(T, 0.0, e)))
+    def pair(T, k):
+        risk, gain = (_pwm_form(T, s.n, MeasureSpec(mid, k=k))[0]
+                      for mid in ("risk_premium", "gain_premium"))
+        return risk + gain, k * (_plugin_cov(T, k - 1.0, 0.0) - _plugin_cov(T, 0.0, k - 1.0))
 
-    return _fused(s.values, conv, lambda T: [pair(T, k, k - 1.0) for k in (2, 3) if k <= s.n])[0]
+    return _fused(s.values, conv, lambda T: [pair(T, k) for k in (2, 3) if k <= s.n])[0]
 
 
 REGISTRY = (
     Identity("I1", "gmd = 2*M{1,1,0} - 2*M{1,0,1}", "both", "exact-sample",
-             _i1_pop, _i1_sample),
+             _route_pairs(MeasureSpec("gmd")), _i1_sample),
     Identity("I2", "gmd = 4*Cov(X, F(X))", "both", "asymptotic",
              _i2_pop, _i2_sample),
     Identity("I3", "gmd = 2*crt(alpha=2)", "both", "exact-sample",
@@ -442,21 +388,28 @@ REGISTRY = (
     Identity("I4", "2*crj - 2*cj = gmd", "both", "exact-by-construction",
              _i4_pop, _i4_sample),
     Identity("I5", "gmd_left(t) = m(t) + 2*j_dyn(t)", "both", "exact-sample",
-             _i5_pop, _i5_sample),
+             _truncated_pairs("gmd_left"), _i5_sample),
     Identity("I6", "gmd_right(t) = 2*h_dyn(t) + r(t)", "both", "exact-sample",
-             _i6_pop, _i6_sample),
+             _truncated_pairs("gmd_right"), _i6_sample),
     Identity("I7", "ge(Fbar, 2x^v) = E(max2^v) - E(min2^v), v in {1,2}", "both",
              "asymptotic", _i7_pop, _i7_sample),
     Identity("I8", "gce(F, 2x) = E(max2) - E(min2)", "both", "asymptotic",
              _i8_pop, _i8_sample),
     Identity("I9", "extropy family PWM forms (crj, cj, crjw, wce)", "both",
-             "exact-sample", _i9_pop, _i9_sample),
+             "exact-sample", _route_pairs(*map(MeasureSpec, ("crj", "cj", "crjw", "wce"))),
+             _i9_sample),
     Identity("I10", "Tsallis family PWM forms (crt, ct, wcrt, wct)", "both",
-             "asymptotic", _i10_pop, _i10_sample),
+             "asymptotic", _route_pairs(*(MeasureSpec(mid, alpha=a) for a in (2.0, 3.0, 2.5)
+                                          for mid in ("crt", "ct", "wcrt", "wct"))),
+             _i10_sample),
     Identity("I11", "two-parameter family PWM forms (sr, sp, srw, spw)", "both",
-             "asymptotic", _i11_pop, _i11_sample),
+             "asymptotic", _route_pairs(*(MeasureSpec(mid, alpha=a, beta=b)
+                                          for a, b in ((1.0, 2.0), (2.0, 3.0), (1.5, 2.5))
+                                          for mid in ("sr", "sp", "srw", "spw"))),
+             _i11_sample),
     Identity("I12", "s_gini(v) = (1/v)*M{1,0,0} - M{1,0,v-1}", "both",
-             "asymptotic", _i12_pop, _i12_sample),
+             "asymptotic", _route_pairs(*(MeasureSpec("s_gini", v=v) for v in (2.0, 3.0, 2.5))),
+             _i12_sample),
     Identity("I13", "min/max-transform averages of the truncated gmd gaps",
              "population", "population-only", _i13_pop, None),
     Identity("I14", "gain(k) + risk(k) = k*Cov(X,F^{k-1}) - k*Cov(X,Fbar^{k-1})",
@@ -476,14 +429,29 @@ def _default_tolerance(identity: Identity, level: str, n: int = 0) -> float:
     return max(ASYMPTOTIC_SAMPLE_TOL, _ASYMPTOTIC_SLOPE / n if n else 0.0)
 
 
+def _model_scale(model: ParametricModel) -> float:
+    """The model's mean, the unit of its gate's floor; NonFiniteError when it is not finite."""
+    try:
+        mean = float(model.mean())
+    except OverflowError:
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise NonFiniteError(f"the mean of {model.describe()} is not finite")
+    return mean
+
+
 def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
            conv: str = "hazen", tolerance: Optional[float] = None) -> IdentityReport:
     """Evaluate both sides of one identity on a model or sample.
 
-    Raises NotApplicableError when the identity has no form at the
-    source's level (or the sample is too degenerate to truncate), and
-    NonFiniteError, naming the identity, when any side is NaN or infinite;
-    a NoConvergenceError also names the identity.
+    The report passes when |lhs - rhs| <= max(tol * max(|lhs|, |rhs|), floor):
+    a relative gate with a floor in the source's units.  A model's floor is
+    tol times its mean; a sample's is EXACT_SAMPLE_TOL times its largest
+    value, a rounding floor that leaves the asymptotic gates relative.
+    Raises NotApplicableError when the identity has no form at the source's
+    level (or the sample is too degenerate to truncate), and NonFiniteError,
+    naming the identity, when any side or the model's mean is NaN or
+    infinite; a NoConvergenceError also names the identity.
     """
     if isinstance(source, Sample):
         if identity.sample_sides is None or identity.level == "population":
@@ -500,6 +468,7 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
             f"source must be a Sample or ParametricModel, got {type(source).__name__}"
         )
     try:
+        scale = float(source.values[-1]) if level == "sample" else _model_scale(source)
         pairs = [tuple(map(float, pair)) for pair in sides(*args)]
         bad = [pair for pair in pairs if not all(map(math.isfinite, pair))]
         if bad:
@@ -514,7 +483,8 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     abs_res = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))
     rel_res = abs_res / denom if denom > 0 else 0.0
-    passed = abs_res <= max(tol, tol * denom)
+    floor = (EXACT_SAMPLE_TOL if level == "sample" else tol) * scale
+    passed = abs_res <= max(tol * denom, floor)
     return IdentityReport(
         identity=identity.id,
         description=identity.description,

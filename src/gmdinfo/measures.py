@@ -422,12 +422,12 @@ def gmd(sample: Sample) -> float:
 
 
 def gmd_via_pwm(sample: Sample) -> float:
-    """GMD through the moment form 2 M_{1,1,0} - 2 M_{1,0,1}.
+    """GMD through its PWM form 2 M_{1,1,0} - 2 M_{1,0,1}, read as 2 b_1 - 2 a_1.
 
     Equals :func:`gmd` exactly (not just asymptotically) because b_1 and
     a_1 reweigh the same order statistics.
     """
-    return 2.0 * pwm_unbiased_beta(sample, 1) - 2.0 * pwm_unbiased_alpha(sample, 1)
+    return _sample_values(sample, [MeasureSpec("gmd")], "hazen")[0][0][0]
 
 
 def pairwise_min_mean(values: np.ndarray) -> float:

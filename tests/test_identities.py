@@ -2,6 +2,9 @@
 machine-precision checks for the exact sample identities, and residual
 shrinkage for the asymptotic ones."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from gmdinfo import (
     BadParameterError,
     Exponential,
     Identity,
+    NoConvergenceError,
     NonFiniteError,
     NotApplicableError,
     Pareto,
@@ -61,6 +65,13 @@ class TestRegistry:
         assert no_sample == ["I13"]
         assert BY_ID["I13"].level == "population"
 
+    def test_readme_identity_table_lists_the_registry(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Identities\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines()
+                if re.match(r"\| I\d+ \|", line)]
+        assert rows == [identity.id for identity in REGISTRY]
+
 
 class TestPopulationLevel:
     @pytest.mark.parametrize("model", EXTRA_MODELS, ids=lambda m: m.describe())
@@ -84,6 +95,51 @@ class TestPopulationLevel:
     def test_residuals_are_tiny_not_just_under_gate(self):
         for report in verify_all(Exponential(1.0)):
             assert report.abs_residual < 1e-6, report.identity
+
+
+class TestFailuresNameTheMeasure:
+    """A population side's failure names the identity, the measure, its parameters,
+    the model and the route, ahead of the quadrature's own message."""
+
+    def test_truncated_gmd_side(self):
+        with pytest.raises(NoConvergenceError, match=r"^I5: gmd_left\(t=[0-9.]+\) on "
+                           r"exponential\(mean=100000\), direct route: quadrature on "):
+            verify(BY_ID["I5"], Exponential(1e5))
+
+    def test_generalized_entropy_side(self):
+        with pytest.raises(NoConvergenceError, match=r"^I7: ge\(w=Fbar\^1, phi=2\*x\^2\) on "
+                           r"weibull\(shape=0.3, scale=1\), quantile route: "):
+            verify(BY_ID["I7"], Weibull(0.3, 1.0))
+
+
+class TestRelativeGate:
+    """The gate is max(tol * max(|lhs|, |rhs|), floor), with the floor in the source's
+    units: tol times a model's mean, or EXACT_SAMPLE_TOL times a sample's largest value."""
+
+    def test_tiny_scale_no_longer_passes_on_an_absolute_floor(self):
+        report = verify(BY_ID["I1"], Exponential(1e-9))
+        assert report.abs_residual < POPULATION_TOL  # under the old absolute floor of tol
+        assert not report.passed
+
+    def test_large_scale_flat_sample_passes_at_rounding(self):
+        # residuals of a few 1e-12 here went over the old absolute floor of 1e-12
+        flat = make_sample([12345.678] * 10)
+        for identity_id in ("I1", "I3"):
+            assert verify(BY_ID[identity_id], flat).passed, identity_id
+
+    def test_asymptotic_sample_gate_stays_relative_on_a_heavy_tail(self):
+        # rounded Pareto(1.2) draws with half zeros: the tie gap in I8 is above
+        # tol * max(|lhs|, |rhs|) but far below tol * max(x), which is no floor here
+        sample = make_sample(np.repeat([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0, 12.0],
+                                       [46, 21, 19, 7, 3, 1, 1, 1, 1]))
+        report = verify(BY_ID["I8"], sample)
+        denom = max(abs(report.lhs), abs(report.rhs))
+        assert report.tolerance * denom < report.abs_residual < report.tolerance * sample.values[-1]
+        assert not report.passed
+
+    def test_model_mean_that_overflows_is_named(self):
+        with pytest.raises(NonFiniteError, match=r"^I1: the mean of weibull\(shape=0.005, "):
+            verify(BY_ID["I1"], Weibull(0.005, 1.0))
 
 
 class TestTransformIdentity:

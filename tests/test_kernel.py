@@ -31,6 +31,7 @@ from gmdinfo import (
     WeightSelector,
     generalized_cumulative_entropy,
     generalized_residual_entropy,
+    gmd_via_pwm,
     make_sample,
     measure_sample,
     plotting_positions,
@@ -278,6 +279,11 @@ def test_a_pwm_form_is_one_walk(mid, walks):
 def test_a_fused_identity_side_is_one_walk(iid, walks):
     sample = make_sample(np.random.default_rng(3).exponential(1.0, 3 * B))
     SIDES[iid](sample, "hazen")
+    assert len(walks) == 1
+
+
+def test_gmd_via_pwm_is_one_walk(walks):
+    gmd_via_pwm(make_sample(np.random.default_rng(3).exponential(1.0, 3 * B)))
     assert len(walks) == 1
 
 
