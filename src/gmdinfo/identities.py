@@ -61,7 +61,7 @@ from .measures import (
 from .models import ParametricModel
 from .population import _xquad, measure_population
 from .pwm import _fused
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u
 
 __all__ = [
     "Identity",
@@ -265,7 +265,7 @@ def _i6_sample(s, conv):
 def _range_moment_direct(model, v: float, cfg) -> float:
     """E(max(X1,X2)^v) - E(min(X1,X2)^v) purely from F and the survival."""
     def g(x):
-        return v * x ** (v - 1.0) * (1.0 - model.cdf(x) ** 2 - model.sf(x) ** 2)
+        return 2.0 * v * x ** (v - 1.0) * model.cdf(x) * model.sf(x)
 
     return _xquad(model, g, 0.0, model.support[1], cfg)
 
@@ -330,9 +330,9 @@ def _i13_x_sides(model, cfg):
     -1/2 E[m_Z(Z)] for Z = min(X1, X2) is int S^2 log S dx = -CRE(Z)/2;
     1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2.
     """
-    lo, hi = model.support
-    lhs_min = quad_x(lambda x: _sq_log(model.sf(x)), 0.0, hi, cfg, breakpoints=(lo,))
-    lhs_max = -quad_x(lambda x: _sq_log(model.cdf(x)), 0.0, hi, cfg, breakpoints=(lo,))
+    hi = model.support[1]
+    lhs_min = _xquad(model, lambda x: _sq_log(model.sf(x)), 0.0, hi, cfg)
+    lhs_max = -_xquad(model, lambda x: _sq_log(model.cdf(x)), 0.0, hi, cfg)
     return lhs_min, lhs_max
 
 

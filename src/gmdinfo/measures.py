@@ -302,11 +302,11 @@ MEASURE_IDS = {
                        pwm=lambda M, v: M(1, 0, 0) / v - M(1, 0, v - 1.0),
                        x=lambda X, v: X(lambda x: X.S(x) - X.S(x) ** v, sf=min(v, 1.0)) / v),
     "crj": _CRJ,
-    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x: 1.0 - X.F(x) ** 2),
+    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x: X.S(x) * (1.0 + X.F(x))),
                    sample=lambda s, conv: (cj(s), "identity(crj - gmd/2)")),
     "ce": _CRJ,
     "crjw": _Measure(pwm=lambda M: -0.5 * M(2, 1, 0),
-                     x=lambda X: -0.5 * X(lambda x: x * (1.0 - X.F(x) ** 2))),
+                     x=lambda X: -0.5 * X(lambda x: x * X.S(x) * (1.0 + X.F(x)))),
     "wce": _Measure(pwm=lambda M: -0.5 * M(2, 0, 1), x=lambda X: -0.5 * X(lambda x: x * X.S(x) ** 2)),
     "j_dyn": _Measure(**_T, sample=lambda s, conv, t: (j_dyn(s, t), _TRUNC)),
     "h_dyn": _Measure(**_T, sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),

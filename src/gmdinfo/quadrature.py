@@ -11,15 +11,15 @@ Two public entry points take scalar integrands:
 
 The library's own integrands are array-valued and go through
 ``quad_u``/``quad_x``, the same two entry points without the scalar
-mapping.  Both run one core, QUADPACK's own algorithm (Piessens et al.
-1983, routines QAGS and QAGI): adaptive Gauss-Kronrod quadrature, G10K21
-on finite intervals, with bisection of the interval of largest error and
-Wynn's epsilon algorithm extrapolating the sums when the error gathers at
-an endpoint, which recovers algebraic endpoint singularities such as the
-Pareto quantile blow-up at u = 1.  An interval [a, inf) is mapped onto
-(0, 1] by x = a + (1 - t)/t and integrated with G7K15.  Each bisection
-evaluates the integrand once, as one array call on the nodes of both
-halves.
+mapping.  Both run one core, QUADPACK's QAGS (Piessens et al. 1983):
+adaptive G10K21 Gauss-Kronrod quadrature, with bisection of the interval
+of largest error and Wynn's epsilon algorithm extrapolating the sums when
+the error gathers at an endpoint, which recovers algebraic endpoint
+singularities such as the Pareto quantile blow-up at u = 1.  An interval
+[a, inf) is mapped onto (0, 1] by x = a + c (1 - t)/t with c = max(a, 1),
+so a piece that starts far out is integrated in its own units; QUADPACK's
+QAGI has c = 1 and the 15-point rule G7K15.  Each bisection evaluates the
+integrand once, as one array call on the nodes of both halves.
 
 Each integral runs once, with ``tol`` as both QUADPACK's absolute and
 relative request.  Its value is returned on success, or when QUADPACK
@@ -79,48 +79,30 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
-# the core: QUADPACK's dqagse/dqagie, with its dqk21/dqk15i, dqpsrt and dqelg
+# the core: QUADPACK's dqagse, with its dqk21, dqpsrt and dqelg
 
 
 _FINFO = np.finfo(float)
 _EPMACH, _UFLOW, _OFLOW = float(_FINFO.eps), float(_FINFO.tiny), float(_FINFO.max)
 
 
-def _rule(xk, wk, wg, gauss_first: bool):
-    """A Gauss-Kronrod pair on [-1, 1], given by its nodes in [0, 1), outermost first.
-
-    The Gauss nodes are every other Kronrod node from the second on.
-    Returns every node once, the Kronrod and Gauss weights by node of
-    ``xk`` (Gauss 0 off its nodes), and the order in which QUADPACK sums
-    the node pairs: the Gauss pairs first in dqk21, all in turn in dqk15i.
-    """
-    gauss = [0.0] * len(xk)
-    gauss[1::2] = wg
-    m = len(xk) - 1
-    order = [*range(1, m, 2), *range(0, m, 2)] if gauss_first else [*range(m)]
-    return np.concatenate([-np.array(xk[:-1]), xk[::-1]]), wk, gauss, order
-
-
-_G10K21 = _rule(
-    [0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-     0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-     0.2943928627014602, 0.14887433898163122, 0.0],
-    [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
-     0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
-     0.14277593857706009, 0.14773910490133849, 0.1494455540029169],
-    [0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635,
-     0.29552422471475287], gauss_first=True)
-_G7K15 = _rule(
-    [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
-     0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0],
-    [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
-     0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
-    [0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694],
-    gauss_first=False)
+# G10K21 on [-1, 1]: the Kronrod nodes in [0, 1), outermost first, their
+# weights, and the Gauss weight of each (0 off the Gauss nodes, which are
+# every other Kronrod node from the second on)
+_XK = [0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+       0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+       0.2943928627014602, 0.14887433898163122, 0.0]
+_WK = [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+       0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+       0.14277593857706009, 0.14773910490133849, 0.1494455540029169]
+_WG = [0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+       0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0]
+_NODES = np.concatenate([-np.array(_XK[:-1]), _XK[::-1]])  # every node once, in order
+_ORDER = [*range(1, 10, 2), *range(0, 10, 2)]  # dqk21 sums the Gauss pairs first
 
 
-def _kronrod(f, rule, lefts, rights) -> list:
-    """The rule on each interval, in one call of f: [(result, abserr, resabs, resasc), ...].
+def _kronrod(f, lefts, rights) -> list:
+    """G10K21 on each interval, in one call of f: [(result, abserr, resabs, resasc), ...].
 
     The nodes go to f as one array, in order along each interval and the
     intervals in the order given.  The sums run in QUADPACK's order, so
@@ -128,17 +110,16 @@ def _kronrod(f, rule, lefts, rights) -> list:
     difference, scaled by resasc (the integral of |f - mean|) and floored
     at 50 eps times resabs (the integral of |f|).
     """
-    x, wk, wg, order = rule
-    n, m = x.size, x.size // 2
+    wk, wg, n, m = _WK, _WG, _NODES.size, _NODES.size // 2
     halves = [0.5 * (b - a) for a, b in zip(lefts, rights)]
     ch = np.array([[0.5 * (a + b) for a, b in zip(lefts, rights)], halves])
-    fv = f((ch[0][:, None] + ch[1][:, None] * x).ravel()).tolist()
+    fv = f((ch[0][:, None] + ch[1][:, None] * _NODES).ravel()).tolist()
     out = []
     for row, h in zip((fv[j:j + n] for j in range(0, len(fv), n)), halves):
         fc = row[m]
         resk, resg = wk[m] * fc, wg[m] * fc
         resabs = abs(resk)
-        for i in order:  # node i is -xk[i], node n-1-i is +xk[i]
+        for i in _ORDER:  # node i is -_XK[i], node n-1-i is +_XK[i]
             f1, f2 = row[i], row[n - 1 - i]
             resk += wk[i] * (f1 + f2)
             resg += wg[i] * (f1 + f2)
@@ -248,16 +229,15 @@ def _qelg(n: int, epstab, res3la, nres: int):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int, rule=_G10K21):
+def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     """QUADPACK's QAGS on [a, b]: (result, abserr, neval, ier).
 
-    With G7K15 on the integrand mapped from [a, inf) onto (0, 1], this is
-    QUADPACK's QAGI.  ier is 0 on success, else QUADPACK's code:
+    ier is 0 on success, else QUADPACK's code:
     1 subdivision limit, 2 roundoff, 3 bad integrand behaviour,
     4 extrapolation roundoff, 5 probably divergent.
     """
-    size = rule[0].size
-    [(result, abserr, defabs, resasc)] = _kronrod(f, rule, [a], [b])
+    size = _NODES.size
+    [(result, abserr, defabs, resasc)] = _kronrod(f, [a], [b])
     errbnd = max(epsabs, epsrel * abs(result))
     ier = 2 if errbnd < abserr <= 100.0 * _EPMACH * defabs else 0
     if ier or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
@@ -276,7 +256,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int, rule=
         a2 = b1 = 0.5 * (a1 + b2)
         erlast, width = errmax, abs(b1 - a1)
         (area1, error1, _, defab1), (area2, error2, _, defab2) = _kronrod(
-            f, rule, [a1, a2], [b1, b2])
+            f, [a1, a2], [b1, b2])
         area12, erro12 = area1 + area2, error1 + error2
         errsum = errsum + erro12 - errmax
         area = area + area12 - rlist[maxerr]
@@ -390,12 +370,13 @@ _MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> float:
     """Integral of the array-valued f over [a, b], b finite or inf."""
-    if b == math.inf:  # QAGI: x = a + (1 - t)/t on (0, 1]
-        g, lo, hi, rule = (lambda t: f(a + (1.0 - t) / t) / t / t), 0.0, 1.0, _G7K15
+    if b == math.inf:  # x = a + c (1 - t)/t on (0, 1], in units of c
+        c = max(a, 1.0)
+        g, lo, hi = (lambda t: f(a + c * (1.0 - t) / t) * c / t / t), 0.0, 1.0
     else:
-        g, lo, hi, rule = f, a, b, _G10K21
+        g, lo, hi = f, a, b
     tol = cfg.tol
-    value, abserr, neval, ier = _qags(g, lo, hi, tol, tol, _MAX_SUBDIVISIONS, rule)
+    value, abserr, neval, ier = _qags(g, lo, hi, tol, tol, _MAX_SUBDIVISIONS)
     if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(tol, tol * abs(value)):
         return value
     reason = _MESSAGES[ier].format(limit=_MAX_SUBDIVISIONS)

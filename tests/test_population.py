@@ -4,6 +4,7 @@ quadrature routes, existence guards, and the quadrature engine itself."""
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -163,6 +164,43 @@ class TestTruncatedAndDynamic:
             h_dyn_population(EXP1, 0.0)
         with pytest.raises(EmptyTailError):
             gmd_right_population(PAR31, 1.0)  # F(1) = 0 at the support edge
+
+
+FAR_LEVELS = [1.0 - 1e-5, 1.0 - 1e-9]
+
+
+class TestFarTails:
+    """m(t) and J_t where the tail [t, inf) holds 1e-5 to 1e-9 of the mass, at any scale."""
+
+    #: model, m(t) and J_t in closed form
+    CLOSED = [
+        (Pareto(4.0, 2.0), lambda t: t / 3.0, lambda t: -t / 14.0),
+        (Pareto(2.2), lambda t: t / 1.2, lambda t: -t / 6.8),
+        (Exponential(1.0), lambda t: 1.0, lambda t: -0.25),
+        (Exponential(1e5), lambda t: 1e5, lambda t: -2.5e4),
+    ]
+
+    @pytest.mark.parametrize("level", FAR_LEVELS)
+    @pytest.mark.parametrize("model, m, j", CLOSED, ids=[c[0].describe() for c in CLOSED])
+    def test_closed_forms(self, model, m, j, level):
+        t = model.quantile(level)
+        assert mean_residual_life(model, t) == pytest.approx(m(t), rel=1e-9, abs=0.0)
+        assert j_dyn_population(model, t) == pytest.approx(j(t), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("level", FAR_LEVELS)
+    def test_weibull_dynamic_extropy(self, level):
+        # int_t^inf exp(-2 x^k) dx = Gamma(1/k, 2 t^k) / (k 2^(1/k))
+        model = Weibull(0.7)
+        t = model.quantile(level)
+        with mpmath.workdps(30):
+            k, z = mpmath.mpf(0.7), 2 * mpmath.mpf(t) ** mpmath.mpf(0.7)
+            want = -mpmath.gammainc(1 / k, z) / (k * 2 ** (1 / k)) / (2 * mpmath.exp(-z))
+        assert j_dyn_population(model, t) == pytest.approx(float(want), rel=1e-8, abs=0.0)
+
+    def test_crjw_on_a_heavy_tail(self):
+        # -1/4 E[max^2] = -121/24 for Pareto(2.2); 1 - F^2 would cancel where the tail has mass
+        assert measure_population(Pareto(2.2), MeasureSpec("crjw"), route="direct") == (
+            pytest.approx(-121.0 / 24.0, rel=1e-12, abs=0.0))
 
 
 class TestGeneralizedEntropies:

@@ -34,6 +34,7 @@ from gmdinfo.measures import _exprel
 from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, quad_u, quad_x
 
 PARETO22 = Pareto(2.2)
+BELOW_EPS = QuadratureConfig(tol=1e-17)  # no integral is certified this tightly in doubles
 
 #: (name, scalar integrand, a, b, breakpoints)
 BATTERY = [
@@ -65,9 +66,20 @@ def scipy_integral(f, a, b, cfg, breakpoints=()):
     return total
 
 
+#: exact values of the infinite cases that converge
+EXACT = {"exp": 1.0, "cauchy": math.pi / 2.0, "step": 2.0}
+
+
 @pytest.mark.parametrize("tol", [None, 1e-13], ids=["default", "1e-13"])
 @pytest.mark.parametrize("name, f, a, b, breakpoints", BATTERY, ids=[c[0] for c in BATTERY])
 def test_core_matches_quadpack(name, f, a, b, breakpoints, tol):
+    """The core against scipy's QUADPACK at rel 1e-12, and where it fails, failing too.
+
+    On finite pieces both run QAGS with G10K21.  On [a, inf) scipy runs
+    QAGI, G7K15 on x = a + (1 - t)/t, while the core runs G10K21 on
+    x = a + max(a, 1)(1 - t)/t, so those cases compare two maps of one
+    integral, and are also checked against their exact values.
+    """
     cfg = QuadratureConfig() if tol is None else QuadratureConfig(tol=tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -76,11 +88,24 @@ def test_core_matches_quadpack(name, f, a, b, breakpoints, tol):
         run = lambda: integrate_u(f, cfg)
     else:
         run = lambda: integrate_x(f, a, b, cfg, breakpoints=breakpoints)
-    if want is None:  # QUADPACK fails too (the pareto tail's 1 - F^2 cancels at 1e-13)
+    if want is None:  # QUADPACK fails too (the pareto tail's 1 - F^2 cancels)
         with pytest.raises(NoConvergenceError):
             run()
     else:
-        assert run() == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = run()
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        if b == math.inf:
+            assert got == pytest.approx(EXACT[name], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-300, 1e-8, 1e-3, 1.0, 1e3, 1e8])
+def test_infinite_pieces_at_every_start(a):
+    """[a, inf) is mapped in units of max(a, 1), so a start far from 1 loses nothing."""
+    cases = [(lambda x: math.exp(-x), math.exp(-a)),
+             (lambda x: 1.0 / (1.0 + x * x), math.atan2(1.0, a)),
+             (lambda x: 1.0 / ((1.0 + x) * (1.0 + x)), 1.0 / (1.0 + a))]
+    for f, want in cases:
+        assert integrate_x(f, a, math.inf) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 #: (array integrand, the same in scalar arithmetic, a, b, breakpoints), built from
@@ -135,22 +160,22 @@ class TestNoConvergenceContext:
             integrate_u(lambda u: math.sin(1.0 / u**2))
 
     def test_measure_population_names_measure_parameters_and_model(self):
-        # the x-domain map of [t, inf) has unit scale, far from this model's
-        # (ROADMAP item 3); its failure must say what was being computed
-        model = Exponential(1e5)
+        # no integral can be certified to a request below double precision;
+        # the failure must say what was being computed
         with pytest.raises(NoConvergenceError) as info:
-            measure_population(model, MeasureSpec("crt", alpha=2.0), route="direct")
+            measure_population(Exponential(1.0), MeasureSpec("crt", alpha=2.0), BELOW_EPS,
+                               route="direct")
         text = str(info.value)
-        assert text.startswith("crt(alpha=2.0) on exponential(mean=100000), direct route: ")
+        assert text.startswith("crt(alpha=2.0) on exponential(mean=1), direct route: ")
         assert "did not converge" in text
 
     def test_loosened_values_are_not_returned(self):
-        # QUADPACK's estimate of 2.2e-5 is far above the request; a retry at
-        # looser tolerances would return -5.041676..., 1.9e-6 off -121/24
+        # QUADPACK's estimate of 2.3e-15 is far above the request of 1e-17;
+        # a retry at looser tolerances would return a value
         with pytest.raises(NoConvergenceError) as info:
-            measure_population(PARETO22, MeasureSpec("crjw"), route="direct")
+            measure_population(Exponential(1.0), MeasureSpec("crjw"), BELOW_EPS, route="direct")
         text = str(info.value)
-        assert text.startswith("crjw() on pareto(shape=2.2, scale=1), direct route: ")
+        assert text.startswith("crjw() on exponential(mean=1), direct route: ")
         assert "did not converge" in text
 
     def test_each_piece_runs_once(self, monkeypatch):
@@ -172,7 +197,7 @@ class TestNoConvergenceContext:
 
     def test_verify_names_the_identity(self):
         with pytest.raises(NoConvergenceError, match=r"^I1: gmd\(\) on exponential"):
-            verify(REGISTRY[0], Exponential(1e5))
+            verify(REGISTRY[0], Exponential(1.0), cfg=BELOW_EPS)
 
 
 CLI_COMMANDS = {
