@@ -213,15 +213,15 @@ def cmd_compute(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     source = _build_source(args, parser)
     cfg = _quad_config(args)
-    reports, nonfinite = _verify_each(source, cfg, conv=args.conv)
+    reports, failed = _verify_each(source, cfg, conv=args.conv)
     if args.level:
         reports = [rep for rep in reports if rep.level == args.level]
     _emit([dataclasses.asdict(rep) for rep in reports], _VERIFY_FIELDS, args.format)
     npass = sum(1 for rep in reports if rep.passed)
     print(f"passed {npass}/{len(reports)}")
-    for exc in nonfinite:
+    for exc in failed:
         print(f"gmdinfo: error: {exc}", file=sys.stderr)
-    if nonfinite:
+    if failed:
         return 3
     return 0 if npass == len(reports) else 1
 

@@ -59,7 +59,7 @@ from .measures import (
     pairwise_min_mean,
 )
 from .models import ParametricModel
-from .population import _xquad, measure_population
+from .population import _measure_population, _xquad, measure_population
 from .pwm import _fused
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u
 
@@ -126,10 +126,16 @@ def _mx(model, cfg, **kw) -> float:
 
 
 def _route_pairs(*specs):
-    """Population sides (direct route, quantile route) of each spec, in order."""
+    """Population sides (direct route, quantile route) of each spec, in order.
+
+    The quantile sides of one call share their PWM values, so each distinct
+    moment is integrated once per call.
+    """
     def sides(model, cfg):
+        moments = {}
         return [(measure_population(model, spec, cfg, route="direct"),
-                 measure_population(model, spec, cfg, route="quantile")) for spec in specs]
+                 _measure_population(model, spec, cfg, "quantile", moments))
+                for spec in specs]
     return sides
 
 
@@ -500,17 +506,18 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     )
 
 
-def _verify_each(source, cfg: QuadratureConfig, conv: str):
-    """verify over the registry: (the finite reports, a NonFiniteError per other identity)."""
-    reports, nonfinite = [], []
+def _verify_each(source, cfg: QuadratureConfig, conv: str,
+                 skip=(NonFiniteError, NoConvergenceError)):
+    """verify over the registry: (the reports, an error per identity that raised one of skip)."""
+    reports, failed = [], []
     for identity in REGISTRY:
         try:
             reports.append(verify(identity, source, cfg, conv))
         except NotApplicableError:
             continue
-        except NonFiniteError as exc:
-            nonfinite.append(exc)
-    return reports, nonfinite
+        except skip as exc:
+            failed.append(exc)
+    return reports, failed
 
 
 def verify_all(source, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -518,6 +525,6 @@ def verify_all(source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """Run every identity applicable to the source, in registry order.
 
     An identity with a non-finite side is left out; :func:`verify` on it
-    raises NonFiniteError naming it.
+    raises NonFiniteError naming it.  The first NoConvergenceError is raised.
     """
-    return _verify_each(source, cfg, conv)[0]
+    return _verify_each(source, cfg, conv, skip=NonFiniteError)[0]

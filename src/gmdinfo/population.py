@@ -228,6 +228,25 @@ def measure_population(model, spec: MeasureSpec,
     :class:`NonFiniteError` raised for a NaN or infinite value name the
     measure, its parameters, the model and the route.
     """
+    return _measure_population(model, spec, cfg, route, {})
+
+
+def _moment(model, cfg, moments: dict, p, r, s) -> float:
+    """M_{p,r,s} from ``moments`` (PwmIndex -> value), integrated and kept there if new."""
+    idx = PwmIndex(p, r, s)
+    if idx not in moments:
+        moments[idx] = pwm_population(model, idx, cfg)
+    return moments[idx]
+
+
+def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: str,
+                        moments: dict) -> float:
+    """:func:`measure_population`, reusing the PWM values in ``moments``.
+
+    ``moments`` maps each PwmIndex integrated so far to its value and gains
+    every new one.  The caller keeps it for one model and cfg, and only for
+    one call, so the PWM forms of several measures integrate a shared moment once.
+    """
     if route not in ("auto", "quantile", "direct"):
         raise BadParameterError(f"unknown route {route!r}")
     if route == "auto":
@@ -239,7 +258,7 @@ def measure_population(model, spec: MeasureSpec,
         if named is not None:
             value = named(model, *args, cfg)
         elif route == "quantile" and entry.pwm is not None:
-            value = entry.pwm(lambda p, r, s: pwm_population(model, PwmIndex(p, r, s), cfg), *args)
+            value = entry.pwm(partial(_moment, model, cfg, moments), *args)
         elif route == "direct" and entry.x is not None:
             value = entry.x(_XDomain(model, cfg), *args)
         else:

@@ -81,9 +81,15 @@ def pwm_population(model: "ParametricModel", idx: PwmIndex,
         )
     p, r, s = int(idx.p), float(idx.r), float(idx.s)
 
-    def f(u):
-        q = model.quantile(u) ** p if p else 1.0
-        return q * u**r * (1.0 - u) ** s
+    def f(u):  # Q^p u^r (1-u)^s, forming only the factors whose exponent is not 0
+        v = model.quantile(u) if p else np.ones_like(u)
+        if p > 1:
+            v = v**p
+        if r:
+            v = v * u**r
+        if s:
+            v = v * (1.0 - u) ** s
+        return v
 
     return quad_u(f, cfg)
 

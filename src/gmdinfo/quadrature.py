@@ -19,7 +19,9 @@ singularities such as the Pareto quantile blow-up at u = 1.  An interval
 [a, inf) is mapped onto (0, 1] by x = a + c (1 - t)/t with c = max(a, 1),
 so a piece that starts far out is integrated in its own units; QUADPACK's
 QAGI has c = 1 and the 15-point rule G7K15.  Each bisection evaluates the
-integrand once, as one array call on the nodes of both halves.
+integrand once, as one array call on the nodes of both halves, and the
+rule's four sums are written out in dqk21's order, so they round as
+QUADPACK's do.
 
 Each integral runs once, with ``tol`` as both QUADPACK's absolute and
 relative request.  Its value is returned on success, or when QUADPACK
@@ -98,36 +100,49 @@ _WK = [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503
 _WG = [0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
        0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0]
 _NODES = np.concatenate([-np.array(_XK[:-1]), _XK[::-1]])  # every node once, in order
-_ORDER = [*range(1, 10, 2), *range(0, 10, 2)]  # dqk21 sums the Gauss pairs first
 
 
 def _kronrod(f, lefts, rights) -> list:
     """G10K21 on each interval, in one call of f: [(result, abserr, resabs, resasc), ...].
 
     The nodes go to f as one array, in order along each interval and the
-    intervals in the order given.  The sums run in QUADPACK's order, so
-    they round as its do.  QUADPACK's error estimate: the Kronrod-Gauss
-    difference, scaled by resasc (the integral of |f - mean|) and floored
-    at 50 eps times resabs (the integral of |f|).
+    intervals in the order given.  The four sums are written out in
+    dqk21's order (the centre, the Gauss pairs, then the other pairs, each
+    sum left to right), so they round as QUADPACK's do.  resg leaves out
+    the terms whose Gauss weight is 0: that changes at most the sign of a
+    zero under abs, and where one of those values is not finite, resasc is
+    NaN and sets abserr either way.  QUADPACK's error estimate: the
+    Kronrod-Gauss difference, scaled by resasc (the integral of |f - mean|)
+    and floored at 50 eps times resabs (the integral of |f|).
     """
-    wk, wg, n, m = _WK, _WG, _NODES.size, _NODES.size // 2
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, kc = _WK
+    g1, g3, g5, g7, g9 = _WG[1:10:2]
+    n = _NODES.size
     halves = [0.5 * (b - a) for a, b in zip(lefts, rights)]
     ch = np.array([[0.5 * (a + b) for a, b in zip(lefts, rights)], halves])
     fv = f((ch[0][:, None] + ch[1][:, None] * _NODES).ravel()).tolist()
     out = []
-    for row, h in zip((fv[j:j + n] for j in range(0, len(fv), n)), halves):
-        fc = row[m]
-        resk, resg = wk[m] * fc, wg[m] * fc
-        resabs = abs(resk)
-        for i in _ORDER:  # node i is -_XK[i], node n-1-i is +_XK[i]
-            f1, f2 = row[i], row[n - 1 - i]
-            resk += wk[i] * (f1 + f2)
-            resg += wg[i] * (f1 + f2)
-            resabs += wk[i] * (abs(f1) + abs(f2))
-        reskh = resk * 0.5
-        resasc = wk[m] * abs(fc - reskh)
-        for i in range(m):
-            resasc += wk[i] * (abs(row[i] - reskh) + abs(row[n - 1 - i] - reskh))
+    for j, h in zip(range(0, len(fv), n), halves):
+        # l<i> is f at -_XK[i], r<i> at +_XK[i], fc at the centre
+        (l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, fc,
+         r9, r8, r7, r6, r5, r4, r3, r2, r1, r0) = fv[j:j + n]
+        s0, s1, s2, s3, s4 = l0 + r0, l1 + r1, l2 + r2, l3 + r3, l4 + r4
+        s5, s6, s7, s8, s9 = l5 + r5, l6 + r6, l7 + r7, l8 + r8, l9 + r9
+        resk = (kc * fc + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9
+                + k0 * s0 + k2 * s2 + k4 * s4 + k6 * s6 + k8 * s8)
+        resg = g1 * s1 + g3 * s3 + g5 * s5 + g7 * s7 + g9 * s9
+        resabs = (kc * abs(fc) + k1 * (abs(l1) + abs(r1)) + k3 * (abs(l3) + abs(r3))
+                  + k5 * (abs(l5) + abs(r5)) + k7 * (abs(l7) + abs(r7))
+                  + k9 * (abs(l9) + abs(r9)) + k0 * (abs(l0) + abs(r0))
+                  + k2 * (abs(l2) + abs(r2)) + k4 * (abs(l4) + abs(r4))
+                  + k6 * (abs(l6) + abs(r6)) + k8 * (abs(l8) + abs(r8)))
+        mean = resk * 0.5
+        resasc = (kc * abs(fc - mean)
+                  + k0 * (abs(l0 - mean) + abs(r0 - mean)) + k1 * (abs(l1 - mean) + abs(r1 - mean))
+                  + k2 * (abs(l2 - mean) + abs(r2 - mean)) + k3 * (abs(l3 - mean) + abs(r3 - mean))
+                  + k4 * (abs(l4 - mean) + abs(r4 - mean)) + k5 * (abs(l5 - mean) + abs(r5 - mean))
+                  + k6 * (abs(l6 - mean) + abs(r6 - mean)) + k7 * (abs(l7 - mean) + abs(r7 - mean))
+                  + k8 * (abs(l8 - mean) + abs(r8 - mean)) + k9 * (abs(l9 - mean) + abs(r9 - mean)))
         resabs, resasc, abserr = resabs * abs(h), resasc * abs(h), abs((resk - resg) * h)
         if resasc != 0.0 and abserr != 0.0:
             abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)

@@ -16,6 +16,7 @@ from gmdinfo import (
     BadParameterError,
     Exponential,
     Identity,
+    MeasureSpec,
     NoConvergenceError,
     NonFiniteError,
     NotApplicableError,
@@ -25,9 +26,11 @@ from gmdinfo import (
     Uniform,
     Weibull,
     make_sample,
+    measure_population,
     verify,
     verify_all,
 )
+from gmdinfo import pwm
 from gmdinfo.identities import (
     _i13_u_sides,
     _i13_x_sides,
@@ -35,6 +38,7 @@ from gmdinfo.identities import (
     _pick_t,
     _premia_direct,
     _range_moment_direct,
+    _route_pairs,
 )
 from gmdinfo.population import j_dyn_population, mean_residual_life
 from oracles import brute_pick_t
@@ -120,6 +124,73 @@ class TestFailuresNameTheMeasure:
         with pytest.raises(NoConvergenceError, match=r"^I7: ge\(w=Fbar\^1, phi=2\*x\^2\) on "
                            r"weibull\(shape=0.3, scale=1\), quantile route: "):
             verify(BY_ID["I7"], Weibull(0.3, 1.0))
+
+
+#: the specs of each identity whose population sides come from _route_pairs
+ROUTE_PAIR_SPECS = {
+    "I1": [MeasureSpec("gmd")],
+    "I9": [MeasureSpec(mid) for mid in ("crj", "cj", "crjw", "wce")],
+    "I10": [MeasureSpec(mid, alpha=a) for a in (2.0, 3.0, 2.5)
+            for mid in ("crt", "ct", "wcrt", "wct")],
+    "I11": [MeasureSpec(mid, alpha=a, beta=b) for a, b in ((1.0, 2.0), (2.0, 3.0), (1.5, 2.5))
+            for mid in ("sr", "sp", "srw", "spw")],
+    "I12": [MeasureSpec("s_gini", v=v) for v in (2.0, 3.0, 2.5)],
+}
+
+
+def _per_spec_sides(model, specs):
+    return [(measure_population(model, spec, route="direct"),
+             measure_population(model, spec, route="quantile")) for spec in specs]
+
+
+class TestSharedMoments:
+    """The quantile sides of one identity integrate each distinct PWM once per call,
+    and return exactly what measure_population returns spec by spec."""
+
+    @pytest.fixture
+    def pwm_integrals(self, monkeypatch):
+        calls, quad_u = [], pwm.quad_u
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return quad_u(*args, **kwargs)
+
+        monkeypatch.setattr(pwm, "quad_u", counting)
+        return calls
+
+    @pytest.mark.parametrize("iid, distinct, per_spec", [("I10", 14, 24), ("I11", 18, 24),
+                                                         ("I12", 4, 6)])
+    def test_each_distinct_moment_is_integrated_once(self, pwm_integrals, iid, distinct,
+                                                     per_spec):
+        model = Exponential(1.0)
+        assert verify(BY_ID[iid], model).passed
+        assert len(pwm_integrals) == distinct
+        pwm_integrals.clear()
+        for spec in ROUTE_PAIR_SPECS[iid]:
+            measure_population(model, spec, route="quantile")
+        assert len(pwm_integrals) == per_spec
+
+    @pytest.mark.parametrize("iid", ROUTE_PAIR_SPECS)
+    @pytest.mark.parametrize("model", [Uniform(0.5, 2.0), Weibull(0.7, 2.0), Pareto(4.0, 2.0)],
+                             ids=lambda m: m.describe())
+    def test_sides_equal_measure_population_per_spec(self, iid, model):
+        want = _per_spec_sides(model, ROUTE_PAIR_SPECS[iid])
+        assert _route_pairs(*ROUTE_PAIR_SPECS[iid])(model, DEFAULT_CONFIG) == want
+        assert BY_ID[iid].population_sides(model, DEFAULT_CONFIG) == want
+
+    @pytest.mark.parametrize("iid, model", [("I10", Pareto(2.2)), ("I11", Pareto(2.2)),
+                                            ("I10", Weibull(0.3))],
+                             ids=["I10-pareto2.2", "I11-pareto2.2", "I10-weibull0.3"])
+    def test_error_names_the_first_spec_that_fails(self, iid, model):
+        with pytest.raises(NoConvergenceError) as per_spec:
+            _per_spec_sides(model, ROUTE_PAIR_SPECS[iid])
+        with pytest.raises(NoConvergenceError) as shared:
+            verify(BY_ID[iid], model)
+        assert str(shared.value) == f"{iid}: {per_spec.value}"
+
+    def test_verify_all_raises_the_first_non_convergence(self):
+        with pytest.raises(NoConvergenceError, match=r"^I10: wct\(alpha=2.0\) on pareto"):
+            verify_all(Pareto(2.2))
 
 
 class TestRelativeGate:

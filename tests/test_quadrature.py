@@ -108,6 +108,80 @@ def test_infinite_pieces_at_every_start(a):
         assert integrate_x(f, a, math.inf) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def _kronrod_loop(f, lefts, rights) -> list:
+    """dqk21's sums as a loop over the node pairs: the oracle for the written-out _kronrod."""
+    wk, wg, nodes = quadrature._WK, quadrature._WG, quadrature._NODES
+    eps, uflow = quadrature._EPMACH, quadrature._UFLOW
+    n, m = nodes.size, nodes.size // 2
+    order = [*range(1, 10, 2), *range(0, 10, 2)]  # dqk21 sums the Gauss pairs first
+    halves = [0.5 * (b - a) for a, b in zip(lefts, rights)]
+    ch = np.array([[0.5 * (a + b) for a, b in zip(lefts, rights)], halves])
+    fv = f((ch[0][:, None] + ch[1][:, None] * nodes).ravel()).tolist()
+    out = []
+    for row, h in zip((fv[j:j + n] for j in range(0, len(fv), n)), halves):
+        fc = row[m]
+        resk, resg = wk[m] * fc, wg[m] * fc
+        resabs = abs(resk)
+        for i in order:  # node i is -_XK[i], node n-1-i is +_XK[i]
+            f1, f2 = row[i], row[n - 1 - i]
+            resk += wk[i] * (f1 + f2)
+            resg += wg[i] * (f1 + f2)
+            resabs += wk[i] * (abs(f1) + abs(f2))
+        reskh = resk * 0.5
+        resasc = wk[m] * abs(fc - reskh)
+        for i in range(m):
+            resasc += wk[i] * (abs(row[i] - reskh) + abs(row[n - 1 - i] - reskh))
+        resabs, resasc, abserr = resabs * abs(h), resasc * abs(h), abs((resk - resg) * h)
+        if resasc != 0.0 and abserr != 0.0:
+            abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+        if resabs > uflow / (50.0 * eps):
+            abserr = max(50.0 * eps * resabs, abserr)
+        out.append((resk * h, abserr, resabs, resasc))
+    return out
+
+
+def _kronrod_battery():
+    """(f, lefts, rights): seeded node values on one or two intervals, with sign changes,
+    exact zeros of both signs, constant and odd rows, and smooth and singular functions."""
+    rng = np.random.default_rng(2024)
+    smooth = [lambda x: np.exp(-x) * np.cos(7.0 * x), lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-9),
+              lambda x: np.sign(x - 0.3) * x * x]
+    cases = []
+    for k in range(120):
+        count = 1 + k % 2
+        lefts = sorted(rng.uniform(-5.0, 5.0, count).tolist())
+        rights = [a + w for a, w in zip(lefts, (10.0 ** rng.uniform(-9, 1, count)).tolist())]
+        size = 21 * count
+        kind = k // 2 % 6
+        if kind == 0:  # sign changes over many magnitudes
+            v = rng.standard_normal(size) * 10.0 ** rng.uniform(-30, 30, size)
+        elif kind == 1:  # exact zeros of both signs among values of both signs
+            v = rng.standard_normal(size)
+            v[rng.random(size) < 0.4] = 0.0
+            v[rng.random(size) < 0.2] = -0.0
+        elif kind == 2:  # a constant row, so resasc is 0, or all zeros
+            v = np.full(size, float(rng.choice([0.0, -0.0, 1.0, -3.5, 1e-300])))
+        elif kind == 3:  # odd about each centre: resk sums exact cancellations
+            v = np.concatenate([np.concatenate([r, [0.0], -r[::-1]])
+                                for r in rng.standard_normal((count, 10))])
+        elif kind == 4:  # one sign
+            v = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-5, 5)
+        else:  # wide enough that the Kronrod-Gauss difference sets abserr
+            rights = [a + w for a, w in zip(lefts, rng.uniform(0.5, 4.0, count).tolist())]
+            cases.append((smooth[k % 3], lefts, rights))
+            continue
+        cases.append((lambda x, v=v: v, lefts, rights))
+    return cases
+
+
+def test_written_out_sums_equal_the_loop():
+    """_kronrod returns exactly what the loop over dqk21's order returns, zeros' signs too."""
+    for k, (f, lefts, rights) in enumerate(_kronrod_battery()):
+        got, want = quadrature._kronrod(f, lefts, rights), _kronrod_loop(f, lefts, rights)
+        assert got == want, k
+        assert repr(got) == repr(want), k
+
+
 #: (array integrand, the same in scalar arithmetic, a, b, breakpoints), built from
 #: exactly rounded operations only: numpy's vector pow and log may differ from
 #: the scalar ones in the last bit, which would hide what is compared here

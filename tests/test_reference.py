@@ -3,13 +3,11 @@
 Agreement between the two routes cannot tell which side is wrong, or
 catch a defect they share; these references can.  Every measure with a
 PWM form is checked on both routes at 1e-9 relative, on the stock models
-and on pareto(2.2).  The only cases skipped are the seed defects the
-benchmark already lists in bench/known_failures.json.
+and on pareto(2.2).  The cases that still raise are listed here and must
+raise; none is skipped.
 """
 
-import json
 import math
-from pathlib import Path
 
 import mpmath
 import pytest
@@ -18,6 +16,7 @@ from gmdinfo import (
     MEASURE_IDS,
     Exponential,
     MeasureSpec,
+    NoConvergenceError,
     Pareto,
     PwmIndex,
     Uniform,
@@ -29,7 +28,7 @@ from reference import measure_reference, pwm_reference
 
 REL = 1e-9
 
-#: tags as the benchmark names them, so its known-failure keys apply
+#: tags as the benchmark names them
 MODELS = {"uniform": Uniform(0.0, 1.0), "exp1": Exponential(1.0),
           "weibull1.5": Weibull(1.5), "weibull0.7": Weibull(0.7),
           "pareto4_2": Pareto(4.0, 2.0), "pareto2.2": Pareto(2.2)}
@@ -42,8 +41,9 @@ PARAMS = {"gmd": {}, "s_gini": {"v": 2.0}, "crj": {}, "cj": {}, "ce": {}, "crjw"
           "spw": {"alpha": 2.0, "beta": 3.0}, "risk_premium": {"k": 3},
           "gain_premium": {"k": 3}, "pwm": {"p": 1}}
 
-_KNOWN = Path(__file__).resolve().parent.parent / "bench" / "known_failures.json"
-KNOWN_FAILURES = set(json.loads(_KNOWN.read_text(encoding="utf-8"))["workloads"]["pop-measures"])
+#: x-domain integrals of F - F^a and F^a - F^b that cancel in the Pareto tail, past
+#: what QUADPACK certifies: they raise instead of returning a value
+RAISES = {"wct.direct@pareto2.2", "spw.direct@pareto2.2"}
 
 CASES = [(mid, route, tag) for tag in MODELS for mid in PARAMS
          for route in ("quantile", "direct")
@@ -79,8 +79,10 @@ def test_pwm_population(tag):
 
 @pytest.mark.parametrize("mid, route, tag", CASES, ids=[f"{m}.{r}@{t}" for m, r, t in CASES])
 def test_measure_against_reference(mid, route, tag):
-    if f"{mid}.{route}@{tag}" in KNOWN_FAILURES:
-        pytest.skip("a seed defect listed in bench/known_failures.json")
     model, spec = MODELS[tag], MeasureSpec(mid, **PARAMS[mid])
+    if f"{mid}.{route}@{tag}" in RAISES:
+        with pytest.raises(NoConvergenceError, match=f"^{mid}\\(.*, {route} route: "):
+            measure_population(model, spec, route=route)
+        return
     got = measure_population(model, spec, route=route)
     assert got == pytest.approx(float(measure_reference(model, spec)), rel=REL, abs=0.0)
