@@ -61,7 +61,7 @@ from .measures import (
 from .models import ParametricModel
 from .population import _measure_population, _xquad, measure_population
 from .pwm import _fused
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q
 
 __all__ = [
     "Identity",
@@ -349,9 +349,8 @@ def _i13_u_sides(model, cfg):
     of r - gmd_right at t = Q(p) reduce to int (1-u)(1 + 2 log(1-u)) Q(u) du
     and int u (1 + 2 log u) Q(u) du.
     """
-    Q = model.quantile
-    rhs_min = quad_u(lambda u: (1.0 - u) * (1.0 + 2.0 * np.log1p(-u)) * Q(u), cfg)
-    rhs_max = quad_u(lambda u: u * (1.0 + 2.0 * np.log(u)) * Q(u), cfg)
+    rhs_min = quad_q(model, lambda u, v, q: v * (1.0 + 2.0 * np.log(v)) * q, cfg, vpow=1.0)
+    rhs_max = quad_q(model, lambda u, v, q: u * (1.0 + 2.0 * np.log(u)) * q, cfg)
     return rhs_min, rhs_max
 
 

@@ -106,11 +106,23 @@ __all__ = [
 # weight / phi selectors for the generalized entropies
 
 
-def _power_over_complement(j: float, x):
-    """int_0^x p^j/(1-p) dp = x^(j+1)/(j+1) * 2F1(1, j+1; j+2; x)."""
+#: 1 - 2^-40: _power_over_complement's 2F1 is not evaluated beyond this
+_HYP_CAP = 1.0 - 2.0**-40
+
+
+def _power_over_complement(j: float, x, y):
+    """int_0^x p^j/(1-p) dp = x^(j+1)/(j+1) * 2F1(1, j+1; j+2; x), given y = 1 - x.
+
+    The log singularity at x = 1 is taken as -log(y), from y itself: the
+    integral is -log(y) - R(x), where R(x) = int_0^x (1 - p^j)/(1-p) dp is
+    smooth, with slope j at x = 1, so an x rounded to 1 costs nothing.
+    Past _HYP_CAP, R is extended linearly from there.
+    """
     from scipy.special import hyp2f1  # only ge with F^j and gce with Fbar^j get here
 
-    return x ** (j + 1.0) / (j + 1.0) * hyp2f1(1.0, j + 1.0, j + 2.0, x)
+    xc = np.minimum(x, _HYP_CAP)
+    below = xc ** (j + 1.0) / (j + 1.0) * hyp2f1(1.0, j + 1.0, j + 2.0, xc)
+    return below + np.log1p(-xc) - np.log(y) - j * (x - xc)
 
 
 def _exprel(z):
@@ -139,29 +151,30 @@ class WeightSelector:
         if self.kind != "const" and self.j < 0:
             raise BadParameterError("weight exponent must be >= 0")
 
-    def at_probability(self, p):
-        """Evaluate the weight where F(x) = p (works on arrays)."""
+    def at_probability(self, p, v=None):
+        """Evaluate the weight where F(x) = p (works on arrays); v = 1 - p if given."""
+        p = np.asarray(p, dtype=float)
         if self.kind == "const":
-            return self.c * np.ones_like(np.asarray(p, dtype=float))
+            return self.c * np.ones_like(p)
         if self.kind == "cdf-power":
-            return np.asarray(p, dtype=float) ** self.j
-        return (1.0 - np.asarray(p, dtype=float)) ** self.j
+            return p**self.j
+        return (1.0 - p if v is None else v) ** self.j
 
-    def cumulative_up(self, q):
-        """W_up(q) = int_0^q w(p)/(1-p) dp (works on arrays)."""
+    def cumulative_up(self, q, v=None):
+        """W_up(q) = int_0^q w(p)/(1-p) dp (works on arrays); v = 1 - q if given."""
         q = np.asarray(q, dtype=float)
         if self.kind == "cdf-power":
-            return _power_over_complement(self.j, q)
-        log_sf = np.log1p(-q)
+            return _power_over_complement(self.j, q, 1.0 - q if v is None else v)
+        log_sf = np.log1p(-q) if v is None else np.log(v)
         if self.kind == "const":
             return -self.c * log_sf
         return -log_sf * _exprel(self.j * log_sf)  # (1 - (1-q)^j)/j
 
-    def cumulative_down(self, q):
-        """W_down(q) = int_q^1 w(p)/p dp (works on arrays)."""
+    def cumulative_down(self, q, v=None):
+        """W_down(q) = int_q^1 w(p)/p dp (works on arrays); v = 1 - q if given."""
         q = np.asarray(q, dtype=float)
         if self.kind == "sf-power":
-            return _power_over_complement(self.j, 1.0 - q)
+            return _power_over_complement(self.j, 1.0 - q if v is None else v, q)
         log_q = np.log(q)
         if self.kind == "const":
             return -self.c * log_q

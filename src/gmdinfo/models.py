@@ -2,10 +2,11 @@
 
 Four non-negative families are provided: uniform, exponential, Weibull,
 and Pareto.  Each exposes exactly what the population-side machinery
-needs — ``cdf``/``sf``/``quantile``/``mean``/``median``, the support,
-and the tail index governing which moments exist — plus
-inverse-transform sampling for Monte Carlo work.  The distribution
-methods accept scalars or arrays.
+needs — ``cdf``/``sf``/``quantile``/``isf``/``mean``/``median``, the
+``unit`` its quantile integrals are measured in, the support, and the
+tail index governing which moments exist — plus inverse-transform
+sampling for Monte Carlo work.  The distribution methods accept scalars
+or arrays.
 """
 
 import math
@@ -60,6 +61,14 @@ class ParametricModel:
         """Inverse CDF; u may touch 0 or 1 only where Q stays finite."""
         raise NotImplementedError
 
+    def isf(self, v):
+        """Complementary quantile Q(1 - v), from v itself, so no digit of a small v is lost."""
+        raise NotImplementedError
+
+    def unit(self) -> float:
+        """A positive closed-form scale (mean, scale parameter or upper end), the unit of Q."""
+        raise NotImplementedError
+
     def mean(self) -> float:
         raise NotImplementedError
 
@@ -70,7 +79,7 @@ class ParametricModel:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: "np.random.Generator") -> np.ndarray:
         """n inverse-transform draws using the supplied generator."""
         return np.asarray(self.quantile(rng.random(n)), dtype=float)
 
@@ -103,6 +112,12 @@ class Uniform(ParametricModel):
     def quantile(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
 
+    def isf(self, v):
+        return self.b - (self.b - self.a) * np.asarray(v, dtype=float)
+
+    def unit(self) -> float:
+        return self.b
+
     def mean(self) -> float:
         return 0.5 * (self.a + self.b)
 
@@ -129,6 +144,12 @@ class Exponential(ParametricModel):
 
     def quantile(self, u):
         return -self.mu * np.log1p(-np.asarray(u, dtype=float))
+
+    def isf(self, v):
+        return -self.mu * np.log(np.asarray(v, dtype=float))
+
+    def unit(self) -> float:
+        return self.mu
 
     def mean(self) -> float:
         return self.mu
@@ -158,6 +179,12 @@ class Weibull(ParametricModel):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return self.lam * (-np.log1p(-u)) ** (1.0 / self.kappa)
+
+    def isf(self, v):
+        return self.lam * (-np.log(np.asarray(v, dtype=float))) ** (1.0 / self.kappa)
+
+    def unit(self) -> float:
+        return self.lam
 
     def mean(self) -> float:
         return self.lam * math.gamma(1.0 + 1.0 / self.kappa)
@@ -198,6 +225,12 @@ class Pareto(ParametricModel):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return self.sigma * (1.0 - u) ** (-1.0 / self.a)
+
+    def isf(self, v):
+        return self.sigma * np.asarray(v, dtype=float) ** (-1.0 / self.a)
+
+    def unit(self) -> float:
+        return self.sigma
 
     def mean(self) -> float:
         return self.a * self.sigma / (self.a - 1.0)

@@ -31,7 +31,7 @@ from .errors import (BadParameterError, EmptyTailError, NoConvergenceError, NonF
                      UnsupportedSpecError)
 from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector
 from .pwm import PwmIndex, pwm_population
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u, quad_x
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q, quad_x
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ParametricModel
@@ -135,12 +135,11 @@ def gmd_left_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     st = float(model.sf(t))
     if st <= 0.0:
         raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
-    ft = 1.0 - st
 
-    def f(u):
-        return (st - 2.0 * (1.0 - u)) * model.quantile(u)
+    def f(u, v, q):
+        return (st - 2.0 * v) * q
 
-    return quad_u(f, cfg, lo=ft, hi=1.0) / st**2
+    return quad_q(model, f, cfg, lo=1.0 - st) / st**2
 
 
 def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -156,10 +155,10 @@ def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     if ft <= 0.0:
         raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
 
-    def f(u):
-        return (2.0 * u - ft) * model.quantile(u)
+    def f(u, v, q):
+        return (2.0 * u - ft) * q
 
-    return quad_u(f, cfg, lo=0.0, hi=ft) / ft**2
+    return quad_q(model, f, cfg, hi=ft) / ft**2
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +182,10 @@ def ge_population(model, w: WeightSelector, phi: PhiSelector,
     """
     _check_phi_moment(model, phi)
 
-    def f(q):
-        return phi(model.quantile(q)) * (w.cumulative_up(q) - w.at_probability(q))
+    def f(u, v, q):
+        return phi(q) * (w.cumulative_up(u, v) - w.at_probability(u, v))
 
-    return quad_u(f, cfg)
+    return quad_q(model, f, cfg, degree=phi.v)
 
 
 def gce_population(model, w: WeightSelector, phi: PhiSelector,
@@ -198,10 +197,10 @@ def gce_population(model, w: WeightSelector, phi: PhiSelector,
     """
     _check_phi_moment(model, phi)
 
-    def f(q):
-        return phi(model.quantile(q)) * (w.at_probability(q) - w.cumulative_down(q))
+    def f(u, v, q):
+        return phi(q) * (w.at_probability(u, v) - w.cumulative_down(u, v))
 
-    return quad_u(f, cfg)
+    return quad_q(model, f, cfg, degree=phi.v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Three routes are provided:
 
 * ``pwm_population`` — quadrature of the quantile form
-  ``int_0^1 Q(u)^p u^r (1-u)^s du`` for a parametric model;
+  ``int_0^1 Q(u)^p u^r (1-u)^s du`` for a parametric model, in the
+  model's units and graded toward u = 1 by its tail index (``quad_q``);
 * ``pwm_plugin`` — the plug-in sample estimator that replaces F with
   plotting positions (valid for any real r, s >= 0, but biased);
 * ``pwm_unbiased_beta`` / ``pwm_unbiased_alpha`` — the exact unbiased
@@ -33,7 +34,7 @@ from .errors import (
     TooFewObservationsError,
     UnsupportedSpecError,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_u
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q
 
 if TYPE_CHECKING:  # pragma: no cover
     from .models import ParametricModel
@@ -81,17 +82,17 @@ def pwm_population(model: "ParametricModel", idx: PwmIndex,
         )
     p, r, s = int(idx.p), float(idx.r), float(idx.s)
 
-    def f(u):  # Q^p u^r (1-u)^s, forming only the factors whose exponent is not 0
-        v = model.quantile(u) if p else np.ones_like(u)
+    def f(u, v, q):  # q^p u^r v^s, forming only the factors whose exponent is not 0
+        y = q if p else np.ones_like(u)
         if p > 1:
-            v = v**p
+            y = y**p
         if r:
-            v = v * u**r
+            y = y * u**r
         if s:
-            v = v * (1.0 - u) ** s
-        return v
+            y = y * v**s
+        return y
 
-    return quad_u(f, cfg)
+    return quad_q(model, f, cfg, degree=p, vpow=s)
 
 
 def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:

@@ -11,7 +11,10 @@ Two public entry points take scalar integrands:
 
 The library's own integrands are array-valued and go through
 ``quad_u``/``quad_x``, the same two entry points without the scalar
-mapping.  Both run one core, QUADPACK's QAGS (Piessens et al. 1983):
+mapping.  Its quantile integrals go through ``quad_q``, which integrates
+in the model's units and maps each half of (0, 1) so that the integrand
+is bounded at its end, taking Q(1 - v) from the model's ``isf(v)`` near
+u = 1.  All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
 adaptive G10K21 Gauss-Kronrod quadrature, with bisection of the interval
 of largest error and Wynn's epsilon algorithm extrapolating the sums when
 the error gathers at an endpoint, which recovers algebraic endpoint
@@ -383,8 +386,11 @@ _U_CLIP = 1e-12  # integrands on (0,1) are never called closer than this to 0 or
 _MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
-def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> float:
-    """Integral of the array-valued f over [a, b], b finite or inf."""
+def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "") -> float:
+    """Integral of the array-valued f over [a, b], b finite or inf.
+
+    A failure names the interval as ``where``, or as [a, b] if that is empty.
+    """
     if b == math.inf:  # x = a + c (1 - t)/t on (0, 1], in units of c
         c = max(a, 1.0)
         g, lo, hi = (lambda t: f(a + c * (1.0 - t) / t) * c / t / t), 0.0, 1.0
@@ -396,14 +402,17 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig) -> float:
         return value
     reason = _MESSAGES[ier].format(limit=_MAX_SUBDIVISIONS)
     raise NoConvergenceError(
-        f"quadrature on [{a}, {b}] did not converge: {reason} "
+        f"quadrature on {where or f'[{a}, {b}]'} did not converge: {reason} "
         f"(error estimate {abserr:.3g} after {neval} evaluations)"
     )
 
 
 def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
-           lo: float = 0.0, hi: float = 1.0) -> float:
-    """:func:`integrate_u` for an array-valued ``f`` (one call per node array)."""
+           lo: float = 0.0, hi: float = 1.0, where: str = "") -> float:
+    """:func:`integrate_u` for an array-valued ``f`` (one call per node array).
+
+    ``where`` names the interval in a failure, as in :func:`_quad`.
+    """
     eps = _U_CLIP
     # |f| at the clamp at or beyond 1/eps means a local power singularity
     # u^-c with c >= 1, i.e. a divergent integral; integrable singularities
@@ -422,7 +431,7 @@ def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
         clip_hit = clip_hit or bool((np.abs(v[outside]) >= divergence_level).any())
         return v
 
-    value = _quad(g, lo, hi, cfg)
+    value = _quad(g, lo, hi, cfg, where)
     if clip_hit:
         warnings.warn(
             "integrand clamped near an endpoint of (0,1) where it is large; "
@@ -431,6 +440,57 @@ def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
             stacklevel=2,
         )
     return value
+
+
+_GRADE = 3.0  # u = h w^3 on the half that touches 0
+# The exponent of v = span w^mu is at most 16, so the clamp's w = 1e-12
+# maps to v >= 1e-192 and never underflows to Q(1) = inf.
+_MAX_TAIL_GRADE = 16.0
+
+
+def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0,
+           hi: float = 1.0, degree: float = 1.0, vpow: float = 0.0) -> float:
+    """unit^degree * int_lo^hi f(u, v, q) du, with v = 1 - u and q = Q(u)/unit.
+
+    ``model`` gives Q through ``quantile`` and ``isf``, and ``unit``; f is
+    array-valued and homogeneous of ``degree`` in Q, so its integral is
+    taken in the model's own units and the request ``tol`` means the same
+    at every scale.  Near u = 1, f behaves like v^vpow q^degree, and the
+    caller has checked that this is integrable against the model's
+    ``tail_index``.  The range is split at u = 1/2.  The half that touches
+    0 runs in w with u = h w^3; the half that touches 1 runs in w with
+    v = span w^mu and takes Q from ``isf(v)``, so neither u nor v is formed
+    by subtracting a number close to it from 1.  Where v^vpow q^degree is
+    unbounded, mu = 3/(1 + vpow - degree/tail_index), capped at 16, makes
+    the integrand vanish like w^2 at w = 0 for a power tail; where it is
+    bounded, mu = 3.
+    """
+    unit = float(model.unit())
+    total = 0.0
+    if lo < 0.5:
+        h, m = min(hi, 0.5), _GRADE
+
+        def lower(w):
+            wm1 = w ** (m - 1.0)
+            u = h * (wm1 * w)
+            return f(u, 1.0 - u, model.quantile(u) / unit) * (h * m * wm1)
+
+        total += quad_u(lower, cfg, (lo / h) ** (1.0 / m), 1.0, f"[{lo}, {h}]")
+    if hi > 0.5:
+        mid = max(lo, 0.5)
+        span = 1.0 - mid
+        mu = min(_GRADE / min(1.0 + vpow - degree / model.tail_index, 1.0), _MAX_TAIL_GRADE)
+
+        def upper(w):
+            wm1 = w ** (mu - 1.0)
+            v = span * (wm1 * w)
+            return f(1.0 - v, v, model.isf(v) / unit) * (span * mu * wm1)
+
+        total += quad_u(upper, cfg, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, f"[{mid}, {hi}]")
+    try:
+        return total * unit**degree
+    except OverflowError:  # the value overflows; NaN or inf says so, as x**2 would in numpy
+        return total * math.inf
 
 
 def quad_x(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG,

@@ -21,16 +21,20 @@ from gmdinfo import (
     NonFiniteError,
     NotApplicableError,
     Pareto,
+    PhiSelector,
+    PwmIndex,
     QuadratureConfig,
     REGISTRY,
     Uniform,
     Weibull,
     make_sample,
     measure_population,
+    parse_weight,
+    pwm_population,
     verify,
     verify_all,
 )
-from gmdinfo import pwm
+from gmdinfo import population
 from gmdinfo.identities import (
     _i13_u_sides,
     _i13_x_sides,
@@ -40,10 +44,18 @@ from gmdinfo.identities import (
     _range_moment_direct,
     _route_pairs,
 )
-from gmdinfo.population import j_dyn_population, mean_residual_life
+from gmdinfo.population import (
+    gce_population,
+    ge_population,
+    gmd_left_population,
+    gmd_right_population,
+    j_dyn_population,
+    mean_residual_life,
+)
 from oracles import brute_pick_t
 
 BY_ID = {identity.id: identity for identity in REGISTRY}
+BELOW_EPS = QuadratureConfig(tol=1e-17)  # no integral is certified this tightly in doubles
 
 # models beyond the ones the population acceptance sweep already covers
 EXTRA_MODELS = [Uniform(0.5, 2.0), Weibull(1.5, 1.0), Pareto(4.0, 2.0),
@@ -118,12 +130,12 @@ class TestFailuresNameTheMeasure:
         # a request below double precision fails on every model; I5's quantile side runs first
         with pytest.raises(NoConvergenceError, match=r"^I5: gmd_left\(t=[0-9.]+\) on "
                            r"exponential\(mean=1\), quantile route: quadrature on "):
-            verify(BY_ID["I5"], Exponential(1.0), cfg=QuadratureConfig(tol=1e-17))
+            verify(BY_ID["I5"], Exponential(1.0), cfg=BELOW_EPS)
 
     def test_generalized_entropy_side(self):
-        with pytest.raises(NoConvergenceError, match=r"^I7: ge\(w=Fbar\^1, phi=2\*x\^2\) on "
-                           r"weibull\(shape=0.3, scale=1\), quantile route: "):
-            verify(BY_ID["I7"], Weibull(0.3, 1.0))
+        with pytest.raises(NoConvergenceError, match=r"^I7: ge\(w=Fbar\^1, phi=2\*x\^1\) on "
+                           r"weibull\(shape=0.3, scale=1\), quantile route: quadrature on "):
+            verify(BY_ID["I7"], Weibull(0.3, 1.0), cfg=BELOW_EPS)
 
 
 #: the specs of each identity whose population sides come from _route_pairs
@@ -138,9 +150,9 @@ ROUTE_PAIR_SPECS = {
 }
 
 
-def _per_spec_sides(model, specs):
-    return [(measure_population(model, spec, route="direct"),
-             measure_population(model, spec, route="quantile")) for spec in specs]
+def _per_spec_sides(model, specs, cfg=DEFAULT_CONFIG):
+    return [(measure_population(model, spec, cfg, route="direct"),
+             measure_population(model, spec, cfg, route="quantile")) for spec in specs]
 
 
 class TestSharedMoments:
@@ -149,13 +161,13 @@ class TestSharedMoments:
 
     @pytest.fixture
     def pwm_integrals(self, monkeypatch):
-        calls, quad_u = [], pwm.quad_u
+        calls, pwm_population = [], population.pwm_population
 
         def counting(*args, **kwargs):
-            calls.append(args[0])
-            return quad_u(*args, **kwargs)
+            calls.append(args[1])
+            return pwm_population(*args, **kwargs)
 
-        monkeypatch.setattr(pwm, "quad_u", counting)
+        monkeypatch.setattr(population, "pwm_population", counting)
         return calls
 
     @pytest.mark.parametrize("iid, distinct, per_spec", [("I10", 14, 24), ("I11", 18, 24),
@@ -178,14 +190,15 @@ class TestSharedMoments:
         assert _route_pairs(*ROUTE_PAIR_SPECS[iid])(model, DEFAULT_CONFIG) == want
         assert BY_ID[iid].population_sides(model, DEFAULT_CONFIG) == want
 
-    @pytest.mark.parametrize("iid, model", [("I10", Pareto(2.2)), ("I11", Pareto(2.2)),
-                                            ("I10", Weibull(0.3))],
+    @pytest.mark.parametrize("iid, model, cfg", [("I10", Pareto(2.2), DEFAULT_CONFIG),
+                                                 ("I11", Pareto(2.2), DEFAULT_CONFIG),
+                                                 ("I10", Weibull(0.3), BELOW_EPS)],
                              ids=["I10-pareto2.2", "I11-pareto2.2", "I10-weibull0.3"])
-    def test_error_names_the_first_spec_that_fails(self, iid, model):
+    def test_error_names_the_first_spec_that_fails(self, iid, model, cfg):
         with pytest.raises(NoConvergenceError) as per_spec:
-            _per_spec_sides(model, ROUTE_PAIR_SPECS[iid])
+            _per_spec_sides(model, ROUTE_PAIR_SPECS[iid], cfg)
         with pytest.raises(NoConvergenceError) as shared:
-            verify(BY_ID[iid], model)
+            verify(BY_ID[iid], model, cfg=cfg)
         assert str(shared.value) == f"{iid}: {per_spec.value}"
 
     def test_verify_all_raises_the_first_non_convergence(self):
@@ -265,24 +278,13 @@ class TestTransformIdentity:
         assert verify(BY_ID["I13"], model).passed
 
     def test_sides_touch_disjoint_model_surfaces(self):
-        class NoQuantile(Weibull):
-            def quantile(self, u):
-                raise AssertionError("x-domain side called the quantile")
-
-        class NoDistribution(Weibull):
-            def cdf(self, x):
-                raise AssertionError("quantile side called the cdf")
-
-            def sf(self, x):
-                raise AssertionError("quantile side called the sf")
-
         plain = Weibull(1.5, 1.0)
         assert _i13_x_sides(NoQuantile(1.5, 1.0), DEFAULT_CONFIG) == \
             _i13_x_sides(plain, DEFAULT_CONFIG)
         assert _i13_u_sides(NoDistribution(1.5, 1.0), DEFAULT_CONFIG) == \
             _i13_u_sides(plain, DEFAULT_CONFIG)
 
-    @pytest.mark.parametrize("identity_id", ["I8", "I13"])
+    @pytest.mark.parametrize("identity_id", ["I7", "I8", "I10", "I11", "I13"])
     def test_steep_weibull_passes(self, identity_id):
         assert verify(BY_ID[identity_id], Weibull(0.3, 1.0)).passed
 
@@ -386,6 +388,50 @@ class TestNonFiniteSides:
 class NoQuantile(Weibull):
     def quantile(self, u):
         raise AssertionError("x-domain side called the quantile")
+
+    def isf(self, v):
+        raise AssertionError("x-domain side called the complementary quantile")
+
+
+class NoDistribution(Weibull):
+    def cdf(self, x):
+        raise AssertionError("quantile side called the cdf")
+
+    def sf(self, x):
+        raise AssertionError("quantile side called the sf")
+
+
+class LevelOnly(NoDistribution):
+    """F and S at one point only: the truncation level of gmd_left and gmd_right."""
+
+    def cdf(self, x):
+        return Weibull.cdf(self, x) if np.ndim(x) == 0 else super().cdf(x)
+
+    def sf(self, x):
+        return Weibull.sf(self, x) if np.ndim(x) == 0 else super().sf(x)
+
+
+class TestQuantileSidesNeverCallFOrS:
+    """The quantile routes read Q through quantile and isf, and never F or S,
+    except F(t) or S(t) as the level at which gmd_left and gmd_right truncate."""
+
+    def test_pwm_population(self):
+        model, plain = NoDistribution(0.7, 2.0), Weibull(0.7, 2.0)
+        for idx in (PwmIndex(1), PwmIndex(2, 1.0, 0.5), PwmIndex(1, 0.0, -0.5)):
+            assert pwm_population(model, idx) == pwm_population(plain, idx)
+
+    @pytest.mark.parametrize("weight", ["const:2", "F^1.5", "Fbar^2.5"])
+    def test_generalized_entropies(self, weight):
+        model, plain = NoDistribution(0.7, 2.0), Weibull(0.7, 2.0)
+        w, phi = parse_weight(weight), PhiSelector(2.0, 1.5)
+        assert ge_population(model, w, phi) == ge_population(plain, w, phi)
+        assert gce_population(model, w, phi) == gce_population(plain, w, phi)
+
+    def test_truncated_gmds(self):
+        model, plain = LevelOnly(0.7, 2.0), Weibull(0.7, 2.0)
+        for t in (0.1, plain.median(), 5.0):
+            assert gmd_left_population(model, t) == gmd_left_population(plain, t)
+            assert gmd_right_population(model, t) == gmd_right_population(plain, t)
 
 
 class TestXDomainSidesNeverCallQ:

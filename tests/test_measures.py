@@ -6,6 +6,7 @@ import re
 from math import comb
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -283,6 +284,18 @@ class TestSelectors:
         grid = np.array([0.1, 0.5, 0.9])
         assert np.array_equal(w.cumulative_up(grid), [float(w.cumulative_up(q)) for q in grid])
         assert np.array_equal(w.cumulative_down(grid), [float(w.cumulative_down(q)) for q in grid])
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5])
+    def test_cumulative_weights_keep_the_digits_of_an_exact_complement(self, j):
+        # the quantile route passes v = 1 - q exactly; q itself rounds to 1 below 1e-16
+        with mpmath.workdps(30):
+            for v in (0.3, 1e-6, 1e-17, 1e-150):
+                # int_0^{1-v} p^j/(1-p) dp, with 1 - p = e^s
+                want = mpmath.quad(lambda s: (1 - mpmath.exp(s)) ** j, [mpmath.log(v), -1, 0])
+                up = WeightSelector("cdf-power", j=j).cumulative_up(1.0 - v, v)
+                down = WeightSelector("sf-power", j=j).cumulative_down(v, 1.0 - v)
+                assert float(up) == pytest.approx(float(want), rel=1e-12), v
+                assert float(down) == pytest.approx(float(want), rel=1e-12), v
 
     def test_describe_round_trip(self):
         for text in ("const:2", "F^1", "Fbar^2"):

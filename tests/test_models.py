@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,6 +64,38 @@ class TestInverseConsistency:
         assert np.all(a >= lo) and np.all(a <= hi)
 
 
+def _mp_quantile(model, v):
+    """Q(1 - v) from each family's quantile formula, with 1 - v exact for v >= 1e-300.
+
+    The power laws keep the model's double exponents 1/kappa and -1/a:
+    at v = 1e-300, the rounding of -1/a alone moves a Pareto quantile by
+    up to 2e-14, and that is not what these tests are about.
+    """
+    with mpmath.workdps(350):
+        u = 1 - mpmath.mpf(v)
+        if isinstance(model, Uniform):
+            return model.a + (mpmath.mpf(model.b) - model.a) * u
+        if isinstance(model, Exponential):
+            return -model.mu * mpmath.log(1 - u)
+        if isinstance(model, Weibull):
+            return model.lam * (-mpmath.log(1 - u)) ** (1.0 / model.kappa)
+        return model.sigma * (1 - u) ** (-1.0 / model.a)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
+class TestComplementaryQuantile:
+    """isf(v) is Q(1 - v) computed from v, so small v keep all their digits."""
+
+    def test_matches_the_quantile_at_high_precision(self, model):
+        for v in (0.5, 1e-3, 1e-9, 1e-300):
+            want = float(_mp_quantile(model, v))
+            assert float(model.isf(v)) == pytest.approx(want, rel=1e-14, abs=0.0), v
+
+    def test_matches_the_quantile_where_one_minus_v_is_exact(self, model):
+        v = 2.0 ** -np.arange(1.0, 31.0)
+        np.testing.assert_array_max_ulp(model.isf(v), model.quantile(1.0 - v), maxulp=2)
+
+
 class TestClosedFormMoments:
     def test_means(self):
         assert Uniform(0.0, 1.0).mean() == pytest.approx(0.5)
@@ -78,6 +111,12 @@ class TestClosedFormMoments:
         scaled = Weibull(1.7, 2.5)
         for p in (0.1, 0.5, 0.9):
             assert scaled.quantile(p) == pytest.approx(2.5 * base.quantile(p))
+
+    def test_units(self):
+        assert Uniform(0.5, 2.0).unit() == 2.0
+        assert Exponential(0.25).unit() == 0.25
+        assert Weibull(2.0, 3.0).unit() == 3.0
+        assert Pareto(2.5, 2.0).unit() == 2.0
 
     def test_pareto_tail_index(self):
         assert Pareto(3.0, 1.0).tail_index == 3.0

@@ -285,6 +285,8 @@ CLI_COMMANDS = {
 }
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
+import numpy
+numpy_random = {m for m in sys.modules if m.startswith("numpy.random")}
 import gmdinfo.cli
 argv = json.loads(sys.argv[1])
 if argv:
@@ -292,14 +294,24 @@ if argv:
         code = gmdinfo.cli.main(argv)
     assert code == 0, code
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("numpy.random") and m not in numpy_random)))
 """
 
 
 @pytest.mark.parametrize("command", [None, *CLI_COMMANDS])
 def test_cli_never_imports_scipy(command, tmp_path):
+    """No CLI command loads scipy, and none but mc loads numpy.random.
+
+    numpy.random comes with ``import numpy`` on numpy 1.x and on first use
+    on numpy 2; only what the program adds to that is counted.
+    """
     csv = tmp_path / "x.csv"
     csv.write_text("x\n" + "\n".join(str(0.1 * i * i) for i in range(1, 200)) + "\n")
     argv = [arg.format(csv=csv) for arg in CLI_COMMANDS.get(command, [])]
     res = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
                          capture_output=True, text=True, check=True)
-    assert json.loads(res.stdout) == []
+    scipy_modules, numpy_random = map(json.loads, res.stdout.splitlines())
+    assert scipy_modules == []
+    if command != "mc":
+        assert numpy_random == []

@@ -3,8 +3,9 @@
 Agreement between the two routes cannot tell which side is wrong, or
 catch a defect they share; these references can.  Every measure with a
 PWM form is checked on both routes at 1e-9 relative, on the stock models
-and on pareto(2.2).  The cases that still raise are listed here and must
-raise; none is skipped.
+and on pareto(2.2).  The moments themselves are checked at 1e-11 on those
+models and on edge models of scale and tail.  The cases that still raise
+are listed here and must raise; none is skipped.
 """
 
 import math
@@ -20,6 +21,7 @@ from gmdinfo import (
     Pareto,
     PwmIndex,
     Uniform,
+    UnsupportedSpecError,
     Weibull,
     measure_population,
     pwm_population,
@@ -27,11 +29,18 @@ from gmdinfo import (
 from reference import measure_reference, pwm_reference
 
 REL = 1e-9
+#: the quantile route integrates each moment in the model's units, graded to its tail
+PWM_REL = 1e-11
 
 #: tags as the benchmark names them
 MODELS = {"uniform": Uniform(0.0, 1.0), "exp1": Exponential(1.0),
           "weibull1.5": Weibull(1.5), "weibull0.7": Weibull(0.7),
           "pareto4_2": Pareto(4.0, 2.0), "pareto2.2": Pareto(2.2)}
+
+#: steep and heavy tails, and scales far from 1
+EDGE_MODELS = {"weibull0.3": Weibull(0.3), "pareto2.05": Pareto(2.05),
+               "exp1e-6": Exponential(1e-6), "exp1e6": Exponential(1e6),
+               "weibull1.5_1e-4": Weibull(1.5, 1e-4), "pareto3_1e5": Pareto(3.0, 1e5)}
 
 #: the benchmark's parameters for every measure with a PWM form
 PARAMS = {"gmd": {}, "s_gini": {"v": 2.0}, "crj": {}, "cj": {}, "ce": {}, "crjw": {},
@@ -64,9 +73,9 @@ def test_reference_closed_forms_agree_with_known_values():
     assert float(pwm_reference(Pareto(2.2, 3.0), 1, 0, 0)) == pytest.approx(5.5, rel=1e-15)
 
 
-@pytest.mark.parametrize("tag", MODELS)
+@pytest.mark.parametrize("tag", [*MODELS, *EDGE_MODELS])
 def test_pwm_population(tag):
-    model = MODELS[tag]
+    model = {**MODELS, **EDGE_MODELS}[tag]
     for p in (1, 2):
         for r in (0.0, 1.0, 2.0):
             for s in (0.0, 0.5, 1.0, 2.5):
@@ -74,7 +83,16 @@ def test_pwm_population(tag):
                     continue  # the moment does not exist
                 want = float(pwm_reference(model, p, r, s))
                 got = pwm_population(model, PwmIndex(p, r, s))
-                assert got == pytest.approx(want, rel=REL, abs=0.0), (p, r, s)
+                assert got == pytest.approx(want, rel=PWM_REL, abs=0.0), (p, r, s)
+
+
+def test_pwm_population_where_the_tail_exponent_is_zero():
+    # p = xi: Q^3 (1-u) ~ (1-u)^0 at u = 1, and without s the moment does not exist
+    model = Pareto(3.0, 2.0)
+    got = pwm_population(model, PwmIndex(3, 1.0, 1.0))
+    assert got == pytest.approx(float(pwm_reference(model, 3, 1.0, 1.0)), rel=PWM_REL, abs=0.0)
+    with pytest.raises(UnsupportedSpecError, match=r"^M_\{3,0.0,0.0\} does not exist"):
+        pwm_population(model, PwmIndex(3))
 
 
 @pytest.mark.parametrize("mid, route, tag", CASES, ids=[f"{m}.{r}@{t}" for m, r, t in CASES])
@@ -86,3 +104,27 @@ def test_measure_against_reference(mid, route, tag):
         return
     got = measure_population(model, spec, route=route)
     assert got == pytest.approx(float(measure_reference(model, spec)), rel=REL, abs=0.0)
+
+
+#: models with a scale parameter, and the factory of each scaled by c
+SCALED = {"uniform": lambda c: Uniform(0.0, c), "exp": lambda c: Exponential(c),
+          "weibull0.7": lambda c: Weibull(0.7, c), "pareto4": lambda c: Pareto(4.0, c)}
+
+
+def _degree(spec) -> int:
+    """The power of X in every moment of a measure's PWM form: M(cX) = c^p M(X)."""
+    entry, powers = MEASURE_IDS[spec.id], set()
+    entry.pwm(lambda p, r, s: powers.add(p) or 1.0, *entry.args(spec))
+    (p,) = powers
+    return p
+
+
+@pytest.mark.parametrize("tag", SCALED)
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+def test_quantile_route_is_scale_equivariant(tag, c):
+    base, scaled = SCALED[tag](1.0), SCALED[tag](c)
+    for mid, params in PARAMS.items():
+        spec = MeasureSpec(mid, **params)
+        want = c ** _degree(spec) * measure_population(base, spec, route="quantile")
+        got = measure_population(scaled, spec, route="quantile")
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), mid
