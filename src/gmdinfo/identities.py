@@ -41,6 +41,7 @@ from .measures import (
     MeasureSpec,
     PhiSelector,
     WeightSelector,
+    _power_difference,
     _pwm_form,
     _sample_values,
     _sorted_gmd,
@@ -59,7 +60,7 @@ from .measures import (
     pairwise_min_mean,
 )
 from .models import ParametricModel
-from .population import _measure_population, _xquad, measure_population
+from .population import _XDomain, _measure_population, measure_population
 from .pwm import _fused
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q
 
@@ -270,10 +271,7 @@ def _i6_sample(s, conv):
 
 def _range_moment_direct(model, v: float, cfg) -> float:
     """E(max(X1,X2)^v) - E(min(X1,X2)^v) purely from F and the survival."""
-    def g(x):
-        return 2.0 * v * x ** (v - 1.0) * model.cdf(x) * model.sf(x)
-
-    return _xquad(model, g, 0.0, model.support[1], cfg)
+    return _XDomain(model, cfg)(lambda x, F, S: 2.0 * v * x ** (v - 1.0) * F * S, degree=v - 1.0)
 
 
 def _i7_pop(model, cfg):
@@ -336,10 +334,8 @@ def _i13_x_sides(model, cfg):
     -1/2 E[m_Z(Z)] for Z = min(X1, X2) is int S^2 log S dx = -CRE(Z)/2;
     1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2.
     """
-    hi = model.support[1]
-    lhs_min = _xquad(model, lambda x: _sq_log(model.sf(x)), 0.0, hi, cfg)
-    lhs_max = -_xquad(model, lambda x: _sq_log(model.cdf(x)), 0.0, hi, cfg)
-    return lhs_min, lhs_max
+    X = _XDomain(model, cfg)
+    return X(lambda x, F, S: _sq_log(S)), -X(lambda x, F, S: _sq_log(F))
 
 
 def _i13_u_sides(model, cfg):
@@ -360,8 +356,7 @@ def _i13_pop(model, cfg):
 
 def _premia_direct(model, k: int, cfg) -> float:
     """E(max of k) - E(min of k) = int (1 - F^k) - S^k dx, from F and the survival alone."""
-    return _xquad(model, lambda x: (1.0 - model.cdf(x) ** k) - model.sf(x) ** k,
-                  0.0, model.support[1], cfg)
+    return _XDomain(model, cfg)(lambda x, F, S: _power_difference(F, S, 0.0, k) - S**k)
 
 
 def _i14_pop(model, cfg):

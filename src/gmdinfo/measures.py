@@ -132,6 +132,19 @@ def _exprel(z):
     return np.where(small, 1.0, np.expm1(z) / np.where(small, 1.0, z))
 
 
+def _power_difference(P, Q, a: float, b: float):
+    """P^a - P^b from P and Q = 1 - P, without cancellation where P is near 1 (works on arrays).
+
+    +-P^low (1 - P^(high - low)), the bracket as -expm1((high - low) log P)
+    with log P = -log1p(Q/P), as 1/P = 1 + Q/P: accurate for every P, and
+    exactly 0^a - 0^b at P = 0.
+    """
+    low, high = sorted((a, b))
+    with np.errstate(divide="ignore", over="ignore"):  # Q/0 = inf: log 0 = -inf
+        d = P**low * -np.expm1((low - high) * np.log1p(Q / P))
+    return d if a < b else -d
+
+
 @dataclass(frozen=True)
 class WeightSelector:
     """Weight w(.) restricted to the forms the identity registry needs.
@@ -252,10 +265,10 @@ class _Measure:
     ``pwm(M, *args)`` writes the measure as a combination of PWMs
     M(p, r, s): the quantile route passes the population moment, the
     sample route an estimator.  ``x(X, *args)`` is the defining integral
-    over (0, sup) on an x-domain evaluator (F, S, the mean and the
-    survival-power guard).  ``sample(sample, conv, *args)`` returns
-    (value, route) where the estimator is not the PWM form.  ``args`` are
-    the parameter values, required then optional, in declared order.
+    over (0, sup), of g(x, F, S) of a declared degree in x, on the x-domain
+    evaluator.  ``sample(sample, conv, *args)`` returns (value, route)
+    where the estimator is not the PWM form.  ``args`` are the parameter
+    values, required then optional, in declared order.
     """
 
     params: Tuple[str, ...] = ()
@@ -302,58 +315,62 @@ _A = dict(params=("alpha",), check=_check_order("alpha"))
 _AB = dict(params=("alpha", "beta"), check=_check_pair)
 _K = dict(params=("k",), check=_check_k)
 _TRUNC = "truncated-u-statistic"
-_CRJ = _Measure(pwm=lambda M: -M(1, 0, 1), x=lambda X: -0.5 * X(lambda x: X.S(x) ** 2))
+_CRJ = _Measure(pwm=lambda M: -M(1, 0, 1), x=lambda X: -0.5 * X(lambda x, F, S: S**2))
 
 #: measure id -> its definition (see :class:`_Measure`)
 MEASURE_IDS = {
     "gmd": _Measure(pwm=lambda M: 2.0 * M(1, 1, 0) - 2.0 * M(1, 0, 1),
-                    x=lambda X: 2.0 * X(lambda x: X.F(x) * X.S(x)),
+                    x=lambda X: 2.0 * X(lambda x, F, S: F * S),
                     sample=lambda s, conv: (gmd(s), "sorted-u-statistic")),
     "gmd_left": _Measure(**_T, sample=lambda s, conv, t: (gmd_left(s, t), _TRUNC)),
     "gmd_right": _Measure(**_T, sample=lambda s, conv, t: (gmd_right(s, t), _TRUNC)),
     "s_gini": _Measure(("v",), check=_check_order("v"),
                        pwm=lambda M, v: M(1, 0, 0) / v - M(1, 0, v - 1.0),
-                       x=lambda X, v: X(lambda x: X.S(x) - X.S(x) ** v, sf=min(v, 1.0)) / v),
+                       x=lambda X, v: X(lambda x, F, S: S - S**v, sf=min(v, 1.0)) / v),
     "crj": _CRJ,
-    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x: X.S(x) * (1.0 + X.F(x))),
+    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x, F, S: S * (1.0 + F)),
                    sample=lambda s, conv: (cj(s), "identity(crj - gmd/2)")),
     "ce": _CRJ,
     "crjw": _Measure(pwm=lambda M: -0.5 * M(2, 1, 0),
-                     x=lambda X: -0.5 * X(lambda x: x * X.S(x) * (1.0 + X.F(x)))),
-    "wce": _Measure(pwm=lambda M: -0.5 * M(2, 0, 1), x=lambda X: -0.5 * X(lambda x: x * X.S(x) ** 2)),
+                     x=lambda X: -0.5 * X(lambda x, F, S: x * S * (1.0 + F), degree=1)),
+    "wce": _Measure(pwm=lambda M: -0.5 * M(2, 0, 1),
+                    x=lambda X: -0.5 * X(lambda x, F, S: x * S**2, degree=1)),
     "j_dyn": _Measure(**_T, sample=lambda s, conv, t: (j_dyn(s, t), _TRUNC)),
     "h_dyn": _Measure(**_T, sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
     "crt": _Measure(**_A, pwm=lambda M, a: (M(1, 0, 0) - a * M(1, 0, a - 1.0)) / (a - 1.0),
-                    x=lambda X, a: X(lambda x: X.S(x) - X.S(x) ** a, sf=min(a, 1.0)) / (a - 1.0)),
+                    x=lambda X, a: X(lambda x, F, S: S - S**a, sf=min(a, 1.0)) / (a - 1.0)),
     "wcrt": _Measure(**_A, pwm=lambda M, a: (M(2, 0, 0) - a * M(2, 0, a - 1.0)) / (2.0 * (a - 1.0)),
-                     x=lambda X, a: X(lambda x: x * (X.S(x) - X.S(x) ** a), sf=min(a, 1.0), xpow=1)
+                     x=lambda X, a: X(lambda x, F, S: x * (S - S**a), sf=min(a, 1.0), degree=1)
                      / (a - 1.0)),
     "ct": _Measure(**_A, pwm=lambda M, a: (a * M(1, a - 1.0, 0) - M(1, 0, 0)) / (a - 1.0),
-                   x=lambda X, a: X(lambda x: X.F(x) - X.F(x) ** a) / (a - 1.0)),
+                   x=lambda X, a: X(lambda x, F, S: _power_difference(F, S, 1.0, a)) / (a - 1.0)),
     "wct": _Measure(**_A, pwm=lambda M, a: (a * M(2, a - 1.0, 0) - M(2, 0, 0)) / (2.0 * (a - 1.0)),
-                    x=lambda X, a: X(lambda x: x * (X.F(x) - X.F(x) ** a)) / (a - 1.0)),
+                    x=lambda X, a: X(lambda x, F, S: x * _power_difference(F, S, 1.0, a), degree=1)
+                    / (a - 1.0)),
     "sr": _Measure(**_AB,
                    pwm=lambda M, a, b: (a * M(1, 0, a - 1.0) - b * M(1, 0, b - 1.0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x: X.S(x) ** a - X.S(x) ** b, sf=min(a, b)) / (b - a)),
+                   x=lambda X, a, b: X(lambda x, F, S: S**a - S**b, sf=min(a, b)) / (b - a)),
     "sp": _Measure(**_AB,
                    pwm=lambda M, a, b: (b * M(1, b - 1.0, 0) - a * M(1, a - 1.0, 0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x: X.F(x) ** a - X.F(x) ** b) / (b - a)),
+                   x=lambda X, a, b: X(lambda x, F, S: _power_difference(F, S, a, b)) / (b - a)),
     "srw": _Measure(**_AB,
                     pwm=lambda M, a, b: (a * M(2, 0, a - 1.0) - b * M(2, 0, b - 1.0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x: x * (X.S(x) ** a - X.S(x) ** b), sf=min(a, b), xpow=1)
+                    x=lambda X, a, b: X(lambda x, F, S: x * (S**a - S**b), sf=min(a, b), degree=1)
                     / (b - a)),
     "spw": _Measure(**_AB,
                     pwm=lambda M, a, b: (b * M(2, b - 1.0, 0) - a * M(2, a - 1.0, 0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x: x * (X.F(x) ** a - X.F(x) ** b)) / (b - a)),
+                    x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b), degree=1)
+                    / (b - a)),
     "ge": _Measure(("w", "phi"), sample=lambda s, conv, w, phi: (
         generalized_residual_entropy(s, w, phi, conv), "ecdf-double-mean")),
     "gce": _Measure(("w", "phi"), sample=lambda s, conv, w, phi: (
         generalized_cumulative_entropy(s, w, phi, conv), "ecdf-double-mean")),
     "risk_premium": _Measure(**_K, pwm=lambda M, k: M(1, 0, 0) - k * M(1, 0, k - 1.0),
-                             x=lambda X, k: X.mean() - X(lambda x: X.S(x) ** k),
+                             x=lambda X, k: X.mean() - X(lambda x, F, S: S**k),
                              sample=lambda s, conv, k: (risk_premium(s, k), "order-statistic-weights")),
     "gain_premium": _Measure(**_K, pwm=lambda M, k: k * M(1, k - 1.0, 0) - M(1, 0, 0),
-                             x=lambda X, k: X(lambda x: 1.0 - X.F(x) ** k) - X.mean(),
+                             x=lambda X, k: X(lambda x, F, S: _power_difference(F, S, 0.0, k))
+                             - X.mean(),
                              sample=lambda s, conv, k: (gain_premium(s, k), "order-statistic-weights")),
     "pwm": _Measure(("p",), ("r", "s"), check=lambda p, r, s: PwmIndex(p, r or 0.0, s or 0.0),
                     pwm=lambda M, p, r, s: M(p, r or 0.0, s or 0.0)),

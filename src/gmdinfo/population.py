@@ -20,21 +20,19 @@ verification can compare genuinely independent evaluations:
 
 Both routes read the measure's entry in :data:`~gmdinfo.measures.MEASURE_IDS`:
 the quantile route evaluates its PWM form with :func:`pwm_population`, the
-direct route its x-domain integral.
+direct route its x-domain integral with :class:`_XDomain`, which runs every
+x-domain integral of the package in the model's own units, as ``quad_q``
+does on the quantile side.
 """
 
 import math
 from functools import partial
-from typing import TYPE_CHECKING
 
 from .errors import (BadParameterError, EmptyTailError, NoConvergenceError, NonFiniteError,
                      UnsupportedSpecError)
 from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector
 from .pwm import PwmIndex, pwm_population
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q, quad_x
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .models import ParametricModel
+from .quadrature import _GRADE, DEFAULT_CONFIG, QuadratureConfig, _graded, _quad, quad_q
 
 __all__ = [
     "measure_population",
@@ -49,36 +47,49 @@ __all__ = [
 ]
 
 
-def _xquad(model, g, a, b, cfg) -> float:
-    """x-domain integral of g with splits at the support kink and the closed-form median."""
-    return quad_x(g, a, b, cfg, breakpoints=(model.support[0], model.median()))
-
-
-def _check_sf_power(model, gamma: float, xpow: int = 0) -> None:
-    """Refuse int x^xpow * sf(x)^gamma dx when the Pareto tail makes it infinite."""
-    tail = getattr(model, "tail_index", math.inf)
-    if math.isfinite(tail) and gamma * tail <= xpow + 1:
-        raise UnsupportedSpecError(
-            f"integral of x^{xpow} * sf^{gamma:g} diverges for {model.describe()}"
-        )
-
-
 class _XDomain:
-    """The evaluator a measure's ``x`` form integrates with.
+    """The x-domain evaluator: it reads the model's F and S, and never Q.
 
-    Carries the model's F, S and closed-form mean.  Calling it integrates
-    g over (0, sup); given ``sf``, it first refuses when the Pareto tail
-    makes int x^xpow * S^sf dx infinite.
+    ``X(g, lo, hi, degree, sf)`` integrates g(x, F, S), of ``degree`` in x,
+    over [lo, hi], hi the support's end by default, split at the support's
+    start and the closed-form median; each piece is taken in units of
+    unit^(degree + 1), a piece from 0 in w with x = b w^3.  Given ``sf``, it
+    refuses when the tail makes int x^degree * S^sf dx infinite.
+    ``above(t)`` and ``below(t)`` are S(t) and F(t), refusing an empty side.
     """
 
     def __init__(self, model, cfg: QuadratureConfig):
-        self.model, self.cfg, self.mean = model, cfg, model.mean
-        self.F, self.S = model.cdf, model.sf
+        self.model, self.cfg, self.mean, self.unit = model, cfg, model.mean, float(model.unit())
 
-    def __call__(self, g, sf=None, xpow: int = 0) -> float:
-        if sf is not None:
-            _check_sf_power(self.model, sf, xpow)
-        return _xquad(self.model, g, 0.0, self.model.support[1], self.cfg)
+    def above(self, t: float) -> float:
+        st = float(self.model.sf(t))
+        if st <= 0.0:
+            raise EmptyTailError(f"no survival mass above t={t} for {self.model.describe()}")
+        return st
+
+    def below(self, t: float) -> float:
+        ft = float(self.model.cdf(t))
+        if ft <= 0.0:
+            raise EmptyTailError(f"no mass at or below t={t} for {self.model.describe()}")
+        return ft
+
+    def __call__(self, g, lo: float = 0.0, hi=None, degree: float = 0, sf=None) -> float:
+        model = self.model
+        if sf is not None and sf * model.tail_index <= degree + 1:
+            raise UnsupportedSpecError(
+                f"integral of x^{degree:g} * sf^{sf:g} diverges for {model.describe()}")
+        lo, hi = float(lo), model.support[1] if hi is None else float(hi)
+        cuts = sorted(p for p in {model.support[0], model.median()} if lo < p < hi)
+
+        def h(x):
+            return g(x, model.cdf(x), model.sf(x))
+
+        total = 0.0
+        for a, b in zip([lo, *cuts], [*cuts, hi]):
+            from_zero = a == 0.0 and b < math.inf  # then in w, x = b w^3, as quad_q's lower half
+            f, ends = (_graded(h, b, _GRADE), (0.0, 1.0)) if from_zero else (h, (a, b))
+            total += _quad(f, *ends, self.cfg, f"[{a}, {b}]", self.unit, degree)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -87,36 +98,30 @@ class _XDomain:
 
 def mean_residual_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """m(t) = E(X - t | X > t) = int_t^inf sf dx / sf(t)."""
-    st = float(model.sf(t))
-    if st <= 0.0:
-        raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
-    return _xquad(model, model.sf, t, model.support[1], cfg) / st
+    X = _XDomain(model, cfg)
+    st = X.above(t)
+    return X(lambda x, F, S: S, lo=t) / st
 
 
 def mean_past_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """r(t) = E(t - X | X <= t) = int_0^t F dx / F(t)."""
-    ft = float(model.cdf(t))
-    if ft <= 0.0:
-        raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
-    return _xquad(model, model.cdf, 0.0, t, cfg) / ft
+    X = _XDomain(model, cfg)
+    ft = X.below(t)
+    return X(lambda x, F, S: F, hi=t) / ft
 
 
 def j_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Dynamic survival extropy J_t = -(1/(2 sf(t)^2)) int_t^inf sf^2 dx."""
-    st = float(model.sf(t))
-    if st <= 0.0:
-        raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
-    val = _xquad(model, lambda x: model.sf(x) ** 2, t, model.support[1], cfg)
-    return -0.5 * val / st**2
+    X = _XDomain(model, cfg)
+    st = X.above(t)
+    return -0.5 * X(lambda x, F, S: S**2, lo=t) / st**2
 
 
 def h_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Dynamic cumulative extropy H_t = -(1/(2 F(t)^2)) int_0^t F^2 dx."""
-    ft = float(model.cdf(t))
-    if ft <= 0.0:
-        raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
-    val = _xquad(model, lambda x: model.cdf(x) ** 2, 0.0, t, cfg)
-    return -0.5 * val / ft**2
+    X = _XDomain(model, cfg)
+    ft = X.below(t)
+    return -0.5 * X(lambda x, F, S: F**2, hi=t) / ft**2
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +137,7 @@ def gmd_left_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     """
     if route == "direct":
         return mean_residual_life(model, t, cfg) + 2.0 * j_dyn_population(model, t, cfg)
-    st = float(model.sf(t))
-    if st <= 0.0:
-        raise EmptyTailError(f"no survival mass above t={t} for {model.describe()}")
+    st = _XDomain(model, cfg).above(t)
 
     def f(u, v, q):
         return (st - 2.0 * v) * q
@@ -151,9 +154,7 @@ def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
     """
     if route == "direct":
         return 2.0 * h_dyn_population(model, t, cfg) + mean_past_life(model, t, cfg)
-    ft = float(model.cdf(t))
-    if ft <= 0.0:
-        raise EmptyTailError(f"no mass at or below t={t} for {model.describe()}")
+    ft = _XDomain(model, cfg).below(t)
 
     def f(u, v, q):
         return (2.0 * u - ft) * q
@@ -166,8 +167,7 @@ def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 
 
 def _check_phi_moment(model, phi: PhiSelector) -> None:
-    tail = getattr(model, "tail_index", math.inf)
-    if math.isfinite(tail) and phi.v >= tail:
+    if phi.v >= model.tail_index:
         raise UnsupportedSpecError(
             f"E[X^{phi.v:g}] does not exist for {model.describe()}"
         )

@@ -74,9 +74,8 @@ class PwmIndex:
 def pwm_population(model: "ParametricModel", idx: PwmIndex,
                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """M_{p,r,s} for a parametric model via quantile-domain quadrature."""
-    tail = getattr(model, "tail_index", math.inf)
     # Q(u)^p (1-u)^s ~ (1-u)^{s - p/tail} near u=1: integrable iff p < tail*(s+1).
-    if math.isfinite(tail) and idx.p >= tail * (idx.s + 1.0):
+    if idx.p >= model.tail_index * (idx.s + 1.0):
         raise UnsupportedSpecError(
             f"M_{{{idx.p},{idx.r},{idx.s}}} does not exist for {model.describe()}"
         )

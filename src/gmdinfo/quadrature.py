@@ -1,42 +1,31 @@
 """Adaptive quadrature engine, numpy only.
 
-Two public entry points take scalar integrands:
+Two public entry points take scalar integrands: ``integrate_u`` over the
+unit probability interval, and ``integrate_x`` over (a segment of) the
+support.  The library's own integrands are array-valued and are taken in
+the model's units: its quantile integrals by ``quad_q``, which grades each
+half of (0, 1) so that the integrand is bounded at its end and takes
+Q(1 - v) from the model's ``isf(v)`` near u = 1, and its x-domain
+integrals by ``population._XDomain``, piece by piece through ``_quad``.
+All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
+adaptive G10K21 Gauss-Kronrod quadrature, bisecting the interval of
+largest error, with Wynn's epsilon algorithm extrapolating the sums when
+the error gathers at an endpoint.  [a, inf) is mapped onto (0, 1] by
+x = a + c (1 - t)/t with c = max(a, unit); QUADPACK's QAGI has c = 1 and
+the rule G7K15.  Each bisection evaluates the integrand once, as one
+array call on the nodes of both halves, and the rule's four sums are
+written out in dqk21's order, so they round as QUADPACK's do.
 
-``integrate_u``
-    integrals over the unit probability interval, used for every
-    quantile-domain representation ``int_0^1 Q(u)^p u^r (1-u)^s du``;
-``integrate_x``
-    integrals over (a segment of) the support, used for the defining
-    survival/distribution-function forms ``int g(F(x), x) dx``.
-
-The library's own integrands are array-valued and go through
-``quad_u``/``quad_x``, the same two entry points without the scalar
-mapping.  Its quantile integrals go through ``quad_q``, which integrates
-in the model's units and maps each half of (0, 1) so that the integrand
-is bounded at its end, taking Q(1 - v) from the model's ``isf(v)`` near
-u = 1.  All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
-adaptive G10K21 Gauss-Kronrod quadrature, with bisection of the interval
-of largest error and Wynn's epsilon algorithm extrapolating the sums when
-the error gathers at an endpoint, which recovers algebraic endpoint
-singularities such as the Pareto quantile blow-up at u = 1.  An interval
-[a, inf) is mapped onto (0, 1] by x = a + c (1 - t)/t with c = max(a, 1),
-so a piece that starts far out is integrated in its own units; QUADPACK's
-QAGI has c = 1 and the 15-point rule G7K15.  Each bisection evaluates the
-integrand once, as one array call on the nodes of both halves, and the
-rule's four sums are written out in dqk21's order, so they round as
-QUADPACK's do.
-
-Each integral runs once, with ``tol`` as both QUADPACK's absolute and
-relative request.  Its value is returned on success, or when QUADPACK
-reports trouble (as at requests near double precision) but its error
-estimate is within 100x of the request; otherwise
-:class:`NoConvergenceError` gives that run's estimate and evaluation count.
+Each integral runs once, with ``tol`` as QUADPACK's relative request and
+tol times the value's unit as its absolute one (1 for the public entry
+points).  Its value is returned on success, or when QUADPACK reports
+trouble (as at requests near double precision) but its error estimate is
+within 100x of the request; otherwise :class:`NoConvergenceError` gives
+that run's estimate, in the value's units, and its evaluation count.
 
 Endpoints of (0,1) are never evaluated by the Kronrod nodes; a clamp at
-1e-12 additionally keeps the integrand's argument away from 0 and 1 as a
-safety net, and a warning is emitted if that clamp is ever hit where the
-integrand is large (the one situation where the clamp could bias the
-result).
+1e-12 keeps the integrand's argument away from 0 and 1 as a safety net,
+with a warning if it is ever hit where the integrand is large.
 """
 
 import math
@@ -66,9 +55,10 @@ class QuadratureConfig:
     Parameters
     ----------
     tol : float
-        QUADPACK's epsabs and epsrel both: each integral's error estimate
-        must be at most max(tol, tol * |value|), or 100 times that if
-        QUADPACK reports trouble.  Finite and positive.
+        QUADPACK's epsrel, and its epsabs in the value's units U (1 for
+        integrate_u/integrate_x): each error estimate must be at most
+        max(tol * U, tol * |value|), or 100 times that if QUADPACK reports
+        trouble.  Finite and positive.
     """
 
     tol: float = 1e-10
@@ -386,32 +376,40 @@ _U_CLIP = 1e-12  # integrands on (0,1) are never called closer than this to 0 or
 _MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
-def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "") -> float:
-    """Integral of the array-valued f over [a, b], b finite or inf.
+def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "", unit: float = 1.0,
+          degree: float = 0.0, scale: float = 1.0) -> float:
+    """Integral of the array-valued f over [a, b], b finite or inf, in units of unit^(degree + 1).
 
-    A failure names the interval as ``where``, or as [a, b] if that is empty.
+    QUADPACK's absolute request is tol times those units, and [a, inf) is
+    mapped in units of max(a, unit).  A failure names the interval as
+    ``where``, or as [a, b] if that is empty, and quotes the error
+    estimate times ``scale``, the value's units per unit of the integral.
     """
     if b == math.inf:  # x = a + c (1 - t)/t on (0, 1], in units of c
-        c = max(a, 1.0)
+        c = max(a, unit)
         g, lo, hi = (lambda t: f(a + c * (1.0 - t) / t) * c / t / t), 0.0, 1.0
     else:
         g, lo, hi = f, a, b
     tol = cfg.tol
-    value, abserr, neval, ier = _qags(g, lo, hi, tol, tol, _MAX_SUBDIVISIONS)
-    if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(tol, tol * abs(value)):
+    try:
+        epsabs = tol * unit ** (degree + 1.0)
+    except OverflowError:  # so is the value; the caller's finiteness check says so
+        epsabs = math.inf
+    value, abserr, neval, ier = _qags(g, lo, hi, epsabs, tol, _MAX_SUBDIVISIONS)
+    if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(epsabs, tol * abs(value)):
         return value
     reason = _MESSAGES[ier].format(limit=_MAX_SUBDIVISIONS)
     raise NoConvergenceError(
         f"quadrature on {where or f'[{a}, {b}]'} did not converge: {reason} "
-        f"(error estimate {abserr:.3g} after {neval} evaluations)"
+        f"(error estimate {abserr * scale:.3g} after {neval} evaluations)"
     )
 
 
-def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
-           lo: float = 0.0, hi: float = 1.0, where: str = "") -> float:
+def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0, hi: float = 1.0,
+           where: str = "", scale: float = 1.0) -> float:
     """:func:`integrate_u` for an array-valued ``f`` (one call per node array).
 
-    ``where`` names the interval in a failure, as in :func:`_quad`.
+    ``where`` and ``scale`` go to a failure's message, as in :func:`_quad`.
     """
     eps = _U_CLIP
     # |f| at the clamp at or beyond 1/eps means a local power singularity
@@ -431,7 +429,7 @@ def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
         clip_hit = clip_hit or bool((np.abs(v[outside]) >= divergence_level).any())
         return v
 
-    value = _quad(g, lo, hi, cfg, where)
+    value = _quad(g, lo, hi, cfg, where, scale=scale)
     if clip_hit:
         warnings.warn(
             "integrand clamped near an endpoint of (0,1) where it is large; "
@@ -442,10 +440,18 @@ def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
     return value
 
 
-_GRADE = 3.0  # u = h w^3 on the half that touches 0
+_GRADE = 3.0  # u = h w^3 on the half that touches 0, x = b w^3 on an x piece from 0
 # The exponent of v = span w^mu is at most 16, so the clamp's w = 1e-12
 # maps to v >= 1e-192 and never underflows to Q(1) = inf.
 _MAX_TAIL_GRADE = 16.0
+
+
+def _graded(f, h: float, m: float):
+    """The integrand in w on (0, 1] of int_0^h f(x) dx, with x = h w^m."""
+    def g(w):
+        wm1 = w ** (m - 1.0)
+        return f(h * (wm1 * w)) * (h * m * wm1)
+    return g
 
 
 def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0,
@@ -466,44 +472,22 @@ def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0,
     bounded, mu = 3.
     """
     unit = float(model.unit())
+    try:
+        scale = unit**degree
+    except OverflowError:  # the value overflows; NaN or inf says so, as x**2 would in numpy
+        scale = math.inf
     total = 0.0
     if lo < 0.5:
-        h, m = min(hi, 0.5), _GRADE
-
-        def lower(w):
-            wm1 = w ** (m - 1.0)
-            u = h * (wm1 * w)
-            return f(u, 1.0 - u, model.quantile(u) / unit) * (h * m * wm1)
-
-        total += quad_u(lower, cfg, (lo / h) ** (1.0 / m), 1.0, f"[{lo}, {h}]")
+        h = min(hi, 0.5)
+        lower = _graded(lambda u: f(u, 1.0 - u, model.quantile(u) / unit), h, _GRADE)
+        total += quad_u(lower, cfg, (lo / h) ** (1.0 / _GRADE), 1.0, f"[{lo}, {h}]", scale)
     if hi > 0.5:
         mid = max(lo, 0.5)
         span = 1.0 - mid
         mu = min(_GRADE / min(1.0 + vpow - degree / model.tail_index, 1.0), _MAX_TAIL_GRADE)
-
-        def upper(w):
-            wm1 = w ** (mu - 1.0)
-            v = span * (wm1 * w)
-            return f(1.0 - v, v, model.isf(v) / unit) * (span * mu * wm1)
-
-        total += quad_u(upper, cfg, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, f"[{mid}, {hi}]")
-    try:
-        return total * unit**degree
-    except OverflowError:  # the value overflows; NaN or inf says so, as x**2 would in numpy
-        return total * math.inf
-
-
-def quad_x(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-           breakpoints=()) -> float:
-    """:func:`integrate_x` for an array-valued ``f`` (one call per node array)."""
-    if not np.isfinite(a):
-        raise BadParameterError("lower integration limit must be finite")
-    pts = [p for p in sorted(set(float(p) for p in breakpoints)) if a < p < b]
-    edges = [a] + pts + [b]
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        total += _quad(f, left, right, cfg)
-    return total
+        upper = _graded(lambda v: f(1.0 - v, v, model.isf(v) / unit), span, mu)
+        total += quad_u(upper, cfg, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, f"[{mid}, {hi}]", scale)
+    return total * scale
 
 
 def _elementwise(f):
@@ -534,4 +518,8 @@ def integrate_x(f, a: float, b: float,
     functions are identically 1); the interval is split there so each
     piece is integrated as a smooth whole.
     """
-    return quad_x(_elementwise(f), a, b, cfg, breakpoints)
+    if not np.isfinite(a):
+        raise BadParameterError("lower integration limit must be finite")
+    pts = [p for p in sorted(set(float(p) for p in breakpoints)) if a < p < b]
+    edges, g = [a] + pts + [b], _elementwise(f)
+    return sum(_quad(g, left, right, cfg) for left, right in zip(edges[:-1], edges[1:]))

@@ -242,6 +242,30 @@ class TestGeneralizedEntropies:
             assert generalized_cumulative_entropy(sample, w, phi) >= 0.0
 
 
+class TestPowerDifference:
+    """P^a - P^b from P and Q = 1 - P, as the x-domain forms of ct, wct, sp, spw and
+    gain_premium form their F-power differences."""
+
+    ORDERS = [(1.0, 2.5), (1.0, 0.5), (3.0, 2.0), (0.0, 3.0), (1.0, 1.01)]
+
+    @pytest.mark.parametrize("a, b", ORDERS)
+    def test_against_mpmath_whichever_side_is_small(self, a, b):
+        with mpmath.workdps(700):  # 1 - 1e-300 held exactly
+            for level in (1e-300, 1e-100, 2.0**-41, 1e-6, 0.3):
+                t = mpmath.mpf(level)
+                for p, q in ((t, 1 - t), (1 - t, t)):
+                    got = measures_module._power_difference(
+                        np.array([float(p)]), np.array([float(q)]), a, b)[0]
+                    want = float(p**a - p**b)
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0), (level, p < q)
+
+    def test_ends_are_exact_and_warning_free(self):
+        zero, one = np.array([0.0]), np.array([1.0])
+        for a, b in self.ORDERS:
+            assert measures_module._power_difference(zero, one, a, b)[0] == 0.0**a - 0.0**b
+            assert measures_module._power_difference(one, zero, a, b)[0] == 0.0
+
+
 class TestSelectors:
     def test_parse_weight_forms(self):
         assert parse_weight("0.5") == WeightSelector("const", c=0.5)

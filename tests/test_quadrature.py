@@ -8,6 +8,7 @@ library itself imports neither.
 
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -31,7 +32,7 @@ from gmdinfo import (
 )
 from gmdinfo import quadrature
 from gmdinfo.measures import _exprel
-from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, quad_u, quad_x
+from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, _quad, quad_u
 
 PARETO22 = Pareto(2.2)
 BELOW_EPS = QuadratureConfig(tol=1e-17)  # no integral is certified this tightly in doubles
@@ -199,11 +200,14 @@ ROUTES = [
 
 @pytest.mark.parametrize("f_array, f_scalar, a, b, breakpoints", ROUTES)
 def test_array_and_scalar_routes_are_identical(f_array, f_scalar, a, b, breakpoints):
-    """integrate_u/integrate_x map a scalar f over the same nodes quad_u/quad_x pass whole."""
+    """integrate_u/integrate_x map a scalar f over the same nodes quad_u/_quad pass whole."""
     if b == 1.0:
         assert quad_u(f_array, lo=a, hi=b) == integrate_u(f_scalar, lo=a, hi=b)
-    assert (quad_x(f_array, a, b, breakpoints=breakpoints)
-            == integrate_x(f_scalar, a, b, breakpoints=breakpoints))
+    edges = [a, *breakpoints, b]
+    pieces = 0.0
+    for left, right in zip(edges[:-1], edges[1:]):
+        pieces += _quad(f_array, left, right, QuadratureConfig())
+    assert pieces == integrate_x(f_scalar, a, b, breakpoints=breakpoints)
 
 
 def test_exprel_is_faithful_and_matches_scipy():
@@ -268,6 +272,25 @@ class TestNoConvergenceContext:
         with pytest.raises(NoConvergenceError):
             integrate_x(f, 0.0, 2.0, breakpoints=(1.0,))
         assert calls == [(0.0, 1.0), (1.0, 2.0)]
+
+    @pytest.mark.parametrize("route", ["quantile", "direct"])
+    def test_error_estimate_is_in_the_values_units(self, route):
+        """gmd is of degree 1, so the estimate quoted for a model 1e6 times as wide is 1e6 times
+        as large; the direct route names its piece in x."""
+        def failure(model):
+            with pytest.raises(NoConvergenceError) as info:
+                measure_population(model, MeasureSpec("gmd"), BELOW_EPS, route=route)
+            text = str(info.value)
+            return text, float(re.search(r"\(error estimate (\S+) after", text).group(1))
+
+        small, wide = Exponential(1.0), Exponential(1e6)
+        (_, one), (text, million) = failure(small), failure(wide)
+        assert million == pytest.approx(1e6 * one, rel=1e-2)
+        assert million > 1e-12  # about 8e-9 on the quantile route; 8e-15 in its own units
+        if route == "direct":
+            assert f"direct route: quadrature on [0.0, {wide.median()}] did not converge" in text
+        else:
+            assert "quantile route: quadrature on [0.5, 1.0] did not converge" in text
 
     def test_verify_names_the_identity(self):
         with pytest.raises(NoConvergenceError, match=r"^I1: gmd\(\) on exponential"):
