@@ -60,9 +60,9 @@ from .measures import (
     pairwise_min_mean,
 )
 from .models import ParametricModel
-from .population import _XDomain, _measure_population, measure_population
+from .population import _QDomain, _XDomain, _measure_population, measure_population
 from .pwm import _fused
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
     "Identity",
@@ -323,19 +323,17 @@ def _i12_sample(s, conv):
         for v in (2.0, 3.0)])[0]
 
 
-def _sq_log(f):
-    """f^2 log f, taking 0 log 0 = 0 (works on arrays)."""
-    return f * f * np.log(np.where(f > 0.0, f, 1.0))
-
-
 def _i13_x_sides(model, cfg):
     """I13's x-domain sides, from F and the survival function alone.
 
     -1/2 E[m_Z(Z)] for Z = min(X1, X2) is int S^2 log S dx = -CRE(Z)/2;
-    1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2.
+    1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2, taken
+    as int F^2 log1p(S/F) dx so that it does not cancel where F is near 1.
+    0 log 0 and 0 log1p(S/0) are 0.
     """
     X = _XDomain(model, cfg)
-    return X(lambda x, F, S: _sq_log(S)), -X(lambda x, F, S: _sq_log(F))
+    return (X(lambda x, F, S: S * S * np.log(np.where(S > 0.0, S, 1.0))),
+            X(lambda x, F, S: F * F * np.log1p(S / np.where(F > 0.0, F, 1.0))))
 
 
 def _i13_u_sides(model, cfg):
@@ -345,9 +343,9 @@ def _i13_u_sides(model, cfg):
     of r - gmd_right at t = Q(p) reduce to int (1-u)(1 + 2 log(1-u)) Q(u) du
     and int u (1 + 2 log u) Q(u) du.
     """
-    rhs_min = quad_q(model, lambda u, v, q: v * (1.0 + 2.0 * np.log(v)) * q, cfg, vpow=1.0)
-    rhs_max = quad_q(model, lambda u, v, q: u * (1.0 + 2.0 * np.log(u)) * q, cfg)
-    return rhs_min, rhs_max
+    Q = _QDomain(model, cfg, {})
+    return (Q(lambda u, v, q: v * (1.0 + 2.0 * np.log(v)) * q, vpow=1.0),
+            Q(lambda u, v, q: u * (1.0 + 2.0 * np.log(u)) * q))
 
 
 def _i13_pop(model, cfg):

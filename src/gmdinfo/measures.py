@@ -27,8 +27,10 @@ pwm                 raw probability weighted moment M_{p,r,s}    p, r, s
 ==================  ============================================  ==========
 
 Each measure is one entry of :data:`MEASURE_IDS`: its parameters, their
-check, its PWM form (one expression over an ``M(p, r, s)`` evaluator), its
-x-domain integral and, where the data need one, a dedicated sample route.
+check, its PWM form (one expression over an ``M(p, r, s)`` evaluator) or
+else its quantile integral, its x-domain integral and, where the data need
+one, a dedicated sample route.  The truncated forms divide by S(t) or F(t)
+inside their integrands, so each is taken in the value's own units.
 The quantile route, the x-domain route and the sample estimators all read
 that entry, so adding a measure means adding one entry.
 
@@ -264,8 +266,10 @@ class _Measure:
 
     ``pwm(M, *args)`` writes the measure as a combination of PWMs
     M(p, r, s): the quantile route passes the population moment, the
-    sample route an estimator.  ``x(X, *args)`` is the defining integral
-    over (0, sup), of g(x, F, S) of a declared degree in x, on the x-domain
+    sample route an estimator.  ``q(Q, *args)`` is the quantile integral,
+    of f(u, v, q) of a declared degree in q, on the quantile evaluator, of
+    a measure without a PWM form.  ``x(X, *args)`` is the defining
+    integral, of g(x, F, S) of a declared degree in x, on the x-domain
     evaluator.  ``sample(sample, conv, *args)`` returns (value, route)
     where the estimator is not the PWM form.  ``args`` are the parameter
     values, required then optional, in declared order.
@@ -275,6 +279,7 @@ class _Measure:
     optional: Tuple[str, ...] = ()
     check: Optional[Callable] = None
     pwm: Optional[Callable] = None
+    q: Optional[Callable] = None
     x: Optional[Callable] = None
     sample: Optional[Callable] = None
 
@@ -309,6 +314,42 @@ def _check_pair(alpha, beta):
         raise BadParameterError("beta must differ from alpha")
 
 
+def _residual(X, t, power):
+    """int_t^sup (S/S(t))^power dx on the x-domain evaluator X: m(t) at power 1, -2 J_t at 2."""
+    st = X.above(t)
+    return X(lambda x, F, S: (S / st) ** power, lo=t)
+
+
+def _past(X, t, power):
+    """int_0^t (F/F(t))^power dx on the x-domain evaluator X: r(t) at power 1, -2 H_t at 2."""
+    ft = X.below(t)
+    return X(lambda x, F, S: (F / ft) ** power, hi=t)
+
+
+def _left_q(Q, t):
+    """(1/S(t)^2) int_{F(t)}^1 (S(t) - 2(1-u)) Q(u) du, from v = S(t), over S(t) inside."""
+    st = Q.above(t)
+    return Q(lambda u, v, q: (1.0 - 2.0 * v / st) * q / st, top=st)
+
+
+def _right_q(Q, t):
+    """(1/F(t)^2) int_0^{F(t)} (2u - F(t)) Q(u) du, over F(t) inside."""
+    ft = Q.below(t)
+    return Q(lambda u, v, q: (2.0 * u / ft - 1.0) * q / ft, hi=ft)
+
+
+def _ge_q(Q, w, phi):
+    """int_0^1 phi(Q(u)) (W_up(u) - w(u)) du, W_up(u) = int_0^u w(p)/(1-p) dp (Fubini)."""
+    return Q(lambda u, v, q: phi(q) * (w.cumulative_up(u, v) - w.at_probability(u, v)),
+             degree=phi.v)
+
+
+def _gce_q(Q, w, phi):
+    """int_0^1 phi(Q(u)) (w(u) - W_down(u)) du, W_down(u) = int_u^1 w(p)/p dp (Fubini)."""
+    return Q(lambda u, v, q: phi(q) * (w.at_probability(u, v) - w.cumulative_down(u, v)),
+             degree=phi.v)
+
+
 # parameters and check shared by a family of measures
 _T = dict(params=("t",), check=_check_t)
 _A = dict(params=("alpha",), check=_check_order("alpha"))
@@ -322,8 +363,10 @@ MEASURE_IDS = {
     "gmd": _Measure(pwm=lambda M: 2.0 * M(1, 1, 0) - 2.0 * M(1, 0, 1),
                     x=lambda X: 2.0 * X(lambda x, F, S: F * S),
                     sample=lambda s, conv: (gmd(s), "sorted-u-statistic")),
-    "gmd_left": _Measure(**_T, sample=lambda s, conv, t: (gmd_left(s, t), _TRUNC)),
-    "gmd_right": _Measure(**_T, sample=lambda s, conv, t: (gmd_right(s, t), _TRUNC)),
+    "gmd_left": _Measure(**_T, q=_left_q, x=lambda X, t: _residual(X, t, 1) - _residual(X, t, 2),
+                         sample=lambda s, conv, t: (gmd_left(s, t), _TRUNC)),
+    "gmd_right": _Measure(**_T, q=_right_q, x=lambda X, t: _past(X, t, 1) - _past(X, t, 2),
+                          sample=lambda s, conv, t: (gmd_right(s, t), _TRUNC)),
     "s_gini": _Measure(("v",), check=_check_order("v"),
                        pwm=lambda M, v: M(1, 0, 0) / v - M(1, 0, v - 1.0),
                        x=lambda X, v: X(lambda x, F, S: S - S**v, sf=min(v, 1.0)) / v),
@@ -335,8 +378,10 @@ MEASURE_IDS = {
                      x=lambda X: -0.5 * X(lambda x, F, S: x * S * (1.0 + F), degree=1)),
     "wce": _Measure(pwm=lambda M: -0.5 * M(2, 0, 1),
                     x=lambda X: -0.5 * X(lambda x, F, S: x * S**2, degree=1)),
-    "j_dyn": _Measure(**_T, sample=lambda s, conv, t: (j_dyn(s, t), _TRUNC)),
-    "h_dyn": _Measure(**_T, sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
+    "j_dyn": _Measure(**_T, x=lambda X, t: -0.5 * _residual(X, t, 2),
+                      sample=lambda s, conv, t: (j_dyn(s, t), _TRUNC)),
+    "h_dyn": _Measure(**_T, x=lambda X, t: -0.5 * _past(X, t, 2),
+                      sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
     "crt": _Measure(**_A, pwm=lambda M, a: (M(1, 0, 0) - a * M(1, 0, a - 1.0)) / (a - 1.0),
                     x=lambda X, a: X(lambda x, F, S: S - S**a, sf=min(a, 1.0)) / (a - 1.0)),
     "wcrt": _Measure(**_A, pwm=lambda M, a: (M(2, 0, 0) - a * M(2, 0, a - 1.0)) / (2.0 * (a - 1.0)),
@@ -361,9 +406,9 @@ MEASURE_IDS = {
                     pwm=lambda M, a, b: (b * M(2, b - 1.0, 0) - a * M(2, a - 1.0, 0)) / (2.0 * (b - a)),
                     x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b), degree=1)
                     / (b - a)),
-    "ge": _Measure(("w", "phi"), sample=lambda s, conv, w, phi: (
+    "ge": _Measure(("w", "phi"), q=_ge_q, sample=lambda s, conv, w, phi: (
         generalized_residual_entropy(s, w, phi, conv), "ecdf-double-mean")),
-    "gce": _Measure(("w", "phi"), sample=lambda s, conv, w, phi: (
+    "gce": _Measure(("w", "phi"), q=_gce_q, sample=lambda s, conv, w, phi: (
         generalized_cumulative_entropy(s, w, phi, conv), "ecdf-double-mean")),
     "risk_premium": _Measure(**_K, pwm=lambda M, k: M(1, 0, 0) - k * M(1, 0, k - 1.0),
                              x=lambda X, k: X.mean() - X(lambda x, F, S: S**k),

@@ -14,23 +14,24 @@ verification can compare genuinely independent evaluations:
     needs it): each measure's defining integral, and the mean-life
     decompositions for the truncated GMDs.
 ``route="auto"``
-    the preferred route per measure: quantile wherever a PWM form
-    exists (no infinite domain, no tail truncation), x-domain for the
-    truncated/dynamic measures whose definitions live there.
+    the preferred route per measure: x-domain for a measure with an
+    x-domain integral and no PWM form (the truncated GMDs and the dynamic
+    extropies, whose definitions live there), quantile otherwise.
 
 Both routes read the measure's entry in :data:`~gmdinfo.measures.MEASURE_IDS`:
-the quantile route evaluates its PWM form with :func:`pwm_population`, the
-direct route its x-domain integral with :class:`_XDomain`, which runs every
-x-domain integral of the package in the model's own units, as ``quad_q``
-does on the quantile side.
+the quantile route evaluates its PWM form, or else its quantile integral, on
+a :class:`_QDomain`, and the direct route its x-domain integral on an
+:class:`_XDomain`.  Each evaluator runs its integrals in the model's own
+units, and a truncated form divides by S(t) or F(t) inside its integrand,
+so its request is relative to its value at any depth of the tail.
 """
 
 import math
-from functools import partial
+import sys
 
 from .errors import (BadParameterError, EmptyTailError, NoConvergenceError, NonFiniteError,
                      UnsupportedSpecError)
-from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector
+from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector, _past, _residual
 from .pwm import PwmIndex, pwm_population
 from .quadrature import _GRADE, DEFAULT_CONFIG, QuadratureConfig, _graded, _quad, quad_q
 
@@ -47,6 +48,15 @@ __all__ = [
 ]
 
 
+def _level(value, what: str, model) -> float:
+    """value, S(t) or F(t), refused as ``what`` when it is 0 or below the smallest normal double."""
+    value = float(value)
+    if not value >= sys.float_info.min:  # then 1/value overflows, or has lost its digits
+        raise EmptyTailError(f"no {what} for {model.describe()}" + (
+            f": {value:.3g} is below the smallest normal double" if value > 0.0 else ""))
+    return value
+
+
 class _XDomain:
     """The x-domain evaluator: it reads the model's F and S, and never Q.
 
@@ -55,23 +65,18 @@ class _XDomain:
     start and the closed-form median; each piece is taken in units of
     unit^(degree + 1), a piece from 0 in w with x = b w^3.  Given ``sf``, it
     refuses when the tail makes int x^degree * S^sf dx infinite.
-    ``above(t)`` and ``below(t)`` are S(t) and F(t), refusing an empty side.
+    ``above(t)`` and ``below(t)`` are S(t) and F(t), refusing an empty side
+    or one below the smallest normal double.
     """
 
     def __init__(self, model, cfg: QuadratureConfig):
         self.model, self.cfg, self.mean, self.unit = model, cfg, model.mean, float(model.unit())
 
     def above(self, t: float) -> float:
-        st = float(self.model.sf(t))
-        if st <= 0.0:
-            raise EmptyTailError(f"no survival mass above t={t} for {self.model.describe()}")
-        return st
+        return _level(self.model.sf(t), f"survival mass above t={t}", self.model)
 
     def below(self, t: float) -> float:
-        ft = float(self.model.cdf(t))
-        if ft <= 0.0:
-            raise EmptyTailError(f"no mass at or below t={t} for {self.model.describe()}")
-        return ft
+        return _level(self.model.cdf(t), f"mass at or below t={t}", self.model)
 
     def __call__(self, g, lo: float = 0.0, hi=None, degree: float = 0, sf=None) -> float:
         model = self.model
@@ -92,129 +97,86 @@ class _XDomain:
         return total
 
 
+class _QDomain:
+    """The quantile evaluator: it reads the model's Q, and never F or S but at a level.
+
+    ``Q(f, top, hi, degree, vpow)`` integrates f(u, v, q) over v = 1 - u in
+    [1 - hi, top] with :func:`quad_q`, refusing when E[X^degree] does not
+    exist.  ``M(p, r, s)`` is the PWM M_{p,r,s}, integrated once per
+    ``moments`` dict (PwmIndex -> value), which gains every new one.
+    ``above(t)`` and ``below(t)`` are :class:`_XDomain`'s: S(t) and F(t),
+    the levels at which the truncated forms start or end.
+    """
+
+    above, below = _XDomain.above, _XDomain.below
+
+    def __init__(self, model, cfg: QuadratureConfig, moments: dict):
+        self.model, self.cfg, self.moments = model, cfg, moments
+
+    def __call__(self, f, top: float = 1.0, hi: float = 1.0, degree: float = 1.0,
+                 vpow: float = 0.0) -> float:
+        if degree >= self.model.tail_index:
+            raise UnsupportedSpecError(
+                f"E[X^{degree:g}] does not exist for {self.model.describe()}")
+        return quad_q(self.model, f, self.cfg, top, hi, degree, vpow)
+
+    def M(self, p, r, s) -> float:
+        idx = PwmIndex(p, r, s)
+        if idx not in self.moments:
+            self.moments[idx] = pwm_population(self.model, idx, self.cfg)
+        return self.moments[idx]
+
+
 # ---------------------------------------------------------------------------
-# mean residual / past life and the dynamic extropies (x-domain definitions)
+# the mean lives, and the public functions of the measures without a PWM form
 
 
 def mean_residual_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """m(t) = E(X - t | X > t) = int_t^inf sf dx / sf(t)."""
-    X = _XDomain(model, cfg)
-    st = X.above(t)
-    return X(lambda x, F, S: S, lo=t) / st
+    """m(t) = E(X - t | X > t) = int_t^inf sf/sf(t) dx."""
+    return _residual(_XDomain(model, cfg), t, 1)
 
 
 def mean_past_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """r(t) = E(t - X | X <= t) = int_0^t F dx / F(t)."""
-    X = _XDomain(model, cfg)
-    ft = X.below(t)
-    return X(lambda x, F, S: F, hi=t) / ft
+    """r(t) = E(t - X | X <= t) = int_0^t F/F(t) dx."""
+    return _past(_XDomain(model, cfg), t, 1)
 
 
 def j_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Dynamic survival extropy J_t = -(1/(2 sf(t)^2)) int_t^inf sf^2 dx."""
-    X = _XDomain(model, cfg)
-    st = X.above(t)
-    return -0.5 * X(lambda x, F, S: S**2, lo=t) / st**2
+    """Dynamic survival extropy J_t = -(1/2) int_t^inf (sf/sf(t))^2 dx."""
+    return measure_population(model, MeasureSpec("j_dyn", t=t), cfg)
 
 
 def h_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Dynamic cumulative extropy H_t = -(1/(2 F(t)^2)) int_0^t F^2 dx."""
-    X = _XDomain(model, cfg)
-    ft = X.below(t)
-    return -0.5 * X(lambda x, F, S: F**2, hi=t) / ft**2
-
-
-# ---------------------------------------------------------------------------
-# truncated GMDs: defining quantile form and mean-life decomposition
+    """Dynamic cumulative extropy H_t = -(1/2) int_0^t (F/F(t))^2 dx."""
+    return measure_population(model, MeasureSpec("h_dyn", t=t), cfg)
 
 
 def gmd_left_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                         route: str = "quantile") -> float:
-    """Left-truncated GMD: E(X|X>t) - E(min(X1,X2) | min > t).
-
-    quantile route: (1/sf(t)^2) int_{F(t)}^1 (sf(t) - 2(1-u)) Q(u) du;
-    direct route: the decomposition m(t) + 2 J_t.
-    """
-    if route == "direct":
-        return mean_residual_life(model, t, cfg) + 2.0 * j_dyn_population(model, t, cfg)
-    st = _XDomain(model, cfg).above(t)
-
-    def f(u, v, q):
-        return (st - 2.0 * v) * q
-
-    return quad_q(model, f, cfg, lo=1.0 - st) / st**2
+    """Left-truncated GMD E(X|X>t) - E(min(X1,X2) | min > t); "direct" takes m(t) + 2 J_t."""
+    return measure_population(model, MeasureSpec("gmd_left", t=t), cfg, route)
 
 
 def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                          route: str = "quantile") -> float:
-    """Right-truncated GMD: E(max(X1,X2) | max <= t) - E(X | X <= t).
-
-    quantile route: (1/F(t)^2) int_0^{F(t)} (2u - F(t)) Q(u) du;
-    direct route: the sign-corrected decomposition 2 H_t + r(t).
-    """
-    if route == "direct":
-        return 2.0 * h_dyn_population(model, t, cfg) + mean_past_life(model, t, cfg)
-    ft = _XDomain(model, cfg).below(t)
-
-    def f(u, v, q):
-        return (2.0 * u - ft) * q
-
-    return quad_q(model, f, cfg, hi=ft) / ft**2
-
-
-# ---------------------------------------------------------------------------
-# generalized entropies (single quantile-domain integrals after Fubini)
-
-
-def _check_phi_moment(model, phi: PhiSelector) -> None:
-    if phi.v >= model.tail_index:
-        raise UnsupportedSpecError(
-            f"E[X^{phi.v:g}] does not exist for {model.describe()}"
-        )
+    """Right-truncated GMD E(max(X1,X2) | max <= t) - E(X | X <= t); "direct" takes 2 H_t + r(t)."""
+    return measure_population(model, MeasureSpec("gmd_right", t=t), cfg, route)
 
 
 def ge_population(model, w: WeightSelector, phi: PhiSelector,
                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """GE = int_0^1 w(p) * (E[phi(X) | X > Q(p)] - phi(Q(p))) dp.
-
-    Swapping the order of integration in the conditional mean gives
-    int_0^1 phi(Q(q)) * (W_up(q) - w(q)) dq, W_up(q) = int_0^q w(p)/(1-p) dp.
-    """
-    _check_phi_moment(model, phi)
-
-    def f(u, v, q):
-        return phi(q) * (w.cumulative_up(u, v) - w.at_probability(u, v))
-
-    return quad_q(model, f, cfg, degree=phi.v)
+    """GE = int_0^1 w(p) * (E[phi(X) | X > Q(p)] - phi(Q(p))) dp, on the quantile route."""
+    return measure_population(model, MeasureSpec("ge", w=w, phi=phi), cfg)
 
 
 def gce_population(model, w: WeightSelector, phi: PhiSelector,
                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """GCE = int_0^1 w(p) * (phi(Q(p)) - E[phi(X) | X <= Q(p)]) dp.
-
-    Swapping the order of integration in the conditional mean gives
-    int_0^1 phi(Q(q)) * (w(q) - W_down(q)) dq, W_down(q) = int_q^1 w(p)/p dp.
-    """
-    _check_phi_moment(model, phi)
-
-    def f(u, v, q):
-        return phi(q) * (w.at_probability(u, v) - w.cumulative_down(u, v))
-
-    return quad_q(model, f, cfg, degree=phi.v)
+    """GCE = int_0^1 w(p) * (phi(Q(p)) - E[phi(X) | X <= Q(p)]) dp, on the quantile route."""
+    return measure_population(model, MeasureSpec("gce", w=w, phi=phi), cfg)
 
 
 # ---------------------------------------------------------------------------
 # dispatcher
-
-
-#: the measures without a PWM form or without a single x-domain integral
-#: keep their named functions, per route; "auto" prefers the x-domain for
-#: the measures in _DIRECT, whose definitions live there
-_QUANTILE = {"gmd_left": gmd_left_population, "gmd_right": gmd_right_population,
-             "ge": ge_population, "gce": gce_population}
-_DIRECT = {"gmd_left": partial(gmd_left_population, route="direct"),
-           "gmd_right": partial(gmd_right_population, route="direct"),
-           "j_dyn": j_dyn_population, "h_dyn": h_dyn_population}
 
 
 def measure_population(model, spec: MeasureSpec,
@@ -230,14 +192,6 @@ def measure_population(model, spec: MeasureSpec,
     return _measure_population(model, spec, cfg, route, {})
 
 
-def _moment(model, cfg, moments: dict, p, r, s) -> float:
-    """M_{p,r,s} from ``moments`` (PwmIndex -> value), integrated and kept there if new."""
-    idx = PwmIndex(p, r, s)
-    if idx not in moments:
-        moments[idx] = pwm_population(model, idx, cfg)
-    return moments[idx]
-
-
 def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: str,
                         moments: dict) -> float:
     """:func:`measure_population`, reusing the PWM values in ``moments``.
@@ -248,16 +202,15 @@ def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: 
     """
     if route not in ("auto", "quantile", "direct"):
         raise BadParameterError(f"unknown route {route!r}")
-    if route == "auto":
-        route = "direct" if spec.id in _DIRECT else "quantile"
     entry = MEASURE_IDS[spec.id]
+    if route == "auto":
+        route = "direct" if entry.x is not None and entry.pwm is None else "quantile"
     args = entry.args(spec)
-    named = (_QUANTILE if route == "quantile" else _DIRECT).get(spec.id)
     try:
-        if named is not None:
-            value = named(model, *args, cfg)
-        elif route == "quantile" and entry.pwm is not None:
-            value = entry.pwm(partial(_moment, model, cfg, moments), *args)
+        if route == "quantile" and entry.pwm is not None:
+            value = entry.pwm(_QDomain(model, cfg, moments).M, *args)
+        elif route == "quantile" and entry.q is not None:
+            value = entry.q(_QDomain(model, cfg, moments), *args)
         elif route == "direct" and entry.x is not None:
             value = entry.x(_XDomain(model, cfg), *args)
         else:

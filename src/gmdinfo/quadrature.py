@@ -454,22 +454,23 @@ def _graded(f, h: float, m: float):
     return g
 
 
-def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0,
+def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, top: float = 1.0,
            hi: float = 1.0, degree: float = 1.0, vpow: float = 0.0) -> float:
-    """unit^degree * int_lo^hi f(u, v, q) du, with v = 1 - u and q = Q(u)/unit.
+    """unit^degree * int_{1-top}^hi f(u, v, q) du, with v = 1 - u and q = Q(u)/unit.
 
     ``model`` gives Q through ``quantile`` and ``isf``, and ``unit``; f is
     array-valued and homogeneous of ``degree`` in Q, so its integral is
     taken in the model's own units and the request ``tol`` means the same
-    at every scale.  Near u = 1, f behaves like v^vpow q^degree, and the
-    caller has checked that this is integrable against the model's
+    at every scale.  The range starts at v = ``top``, so a left-truncated
+    tail starts there exactly.  Near u = 1, f behaves like v^vpow q^degree,
+    and the caller has checked that this is integrable against the model's
     ``tail_index``.  The range is split at u = 1/2.  The half that touches
     0 runs in w with u = h w^3; the half that touches 1 runs in w with
-    v = span w^mu and takes Q from ``isf(v)``, so neither u nor v is formed
-    by subtracting a number close to it from 1.  Where v^vpow q^degree is
-    unbounded, mu = 3/(1 + vpow - degree/tail_index), capped at 16, makes
-    the integrand vanish like w^2 at w = 0 for a power tail; where it is
-    bounded, mu = 3.
+    v = span w^mu, span = min(top, 1/2), and takes Q from ``isf(v)``, so
+    neither u nor v is formed by subtracting a number close to it from 1.
+    Where v^vpow q^degree is unbounded, mu = 3/(1 + vpow - degree/tail_index),
+    capped at 16, makes the integrand vanish like w^2 at w = 0 for a power
+    tail; where it is bounded, mu = 3.
     """
     unit = float(model.unit())
     try:
@@ -477,16 +478,16 @@ def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0,
     except OverflowError:  # the value overflows; NaN or inf says so, as x**2 would in numpy
         scale = math.inf
     total = 0.0
-    if lo < 0.5:
-        h = min(hi, 0.5)
+    if top > 0.5:
+        lo, h = 1.0 - top, min(hi, 0.5)
         lower = _graded(lambda u: f(u, 1.0 - u, model.quantile(u) / unit), h, _GRADE)
         total += quad_u(lower, cfg, (lo / h) ** (1.0 / _GRADE), 1.0, f"[{lo}, {h}]", scale)
     if hi > 0.5:
-        mid = max(lo, 0.5)
-        span = 1.0 - mid
+        span = min(top, 0.5)
         mu = min(_GRADE / min(1.0 + vpow - degree / model.tail_index, 1.0), _MAX_TAIL_GRADE)
         upper = _graded(lambda v: f(1.0 - v, v, model.isf(v) / unit), span, mu)
-        total += quad_u(upper, cfg, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, f"[{mid}, {hi}]", scale)
+        total += quad_u(upper, cfg, ((1.0 - hi) / span) ** (1.0 / mu), 1.0,
+                        f"[{1.0 - span}, {hi}]", scale)
     return total * scale
 
 

@@ -204,6 +204,20 @@ class TestPopulationErrors:
             "gmdinfo: error: measure 'pwm': pwm(p=3) on pareto(shape=2.5, scale=1), quantile "
             "route: M_{3,0.0,0.0} does not exist for pareto(shape=2.5, scale=1)")
 
+    def test_dynamic_extropy_deep_in_the_tail(self):
+        # S(400) = 1.9e-174: S(t)^2 underflows, the integrand over S(t) does not
+        res = run("compute", "--dist", "exp", "--mean", "1", "--measure", "j_dyn", "--t", "400")
+        assert res.returncode == 0
+        (rec,) = json_lines(res.stdout)
+        assert rec["value"] == pytest.approx(-0.25, rel=1e-12)
+        # S(740) = 4.2e-322 is below the smallest normal double
+        res = run("compute", "--dist", "exp", "--mean", "1", "--measure", "j_dyn", "--t", "740")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.strip() == (
+            "gmdinfo: error: measure 'j_dyn': no survival mass above t=740.0 for "
+            "exponential(mean=1): 4.2e-322 is below the smallest normal double")
+
     def test_non_finite_population_value_exits_3(self):
         res = run("compute", "--dist", "exponential", "--mean", "1e200", "--measure", "gmd",
                   "--measure", "wcrt", "--alpha", "2")

@@ -285,6 +285,13 @@ class TestTransformIdentity:
         assert _i13_u_sides(NoDistribution(1.5, 1.0), DEFAULT_CONFIG) == \
             _i13_u_sides(plain, DEFAULT_CONFIG)
 
+    @pytest.mark.parametrize("shape", [2.2, 2.01])
+    def test_heavy_tail_max_transform_does_not_cancel(self, shape):
+        # -F^2 log F is taken as F^2 log1p(S/F), so a request near double precision converges
+        report = verify(BY_ID["I13"], Pareto(shape, 1.0), QuadratureConfig(tol=1e-14),
+                        tolerance=1e-14)
+        assert report.passed, report.rel_residual
+
     @pytest.mark.parametrize("identity_id", ["I7", "I8", "I10", "I11", "I13"])
     def test_steep_weibull_passes(self, identity_id):
         assert verify(BY_ID[identity_id], Weibull(0.3, 1.0)).passed

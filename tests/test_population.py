@@ -203,6 +203,104 @@ class TestFarTails:
             pytest.approx(-121.0 / 24.0, rel=1e-12, abs=0.0))
 
 
+def truncated_truth(model, t):
+    """gmd_left, j_dyn, gmd_right and h_dyn at t, at 60 digits: closed forms, and
+    Weibull's from the incomplete gamma function."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(t)
+        if isinstance(model, Exponential):
+            mu = mpmath.mpf(model.mu)
+            s, f = mpmath.exp(-t / mu), -mpmath.expm1(-t / mu)
+            m, j = mu, -mu / 4
+            int_f, int_f2 = t - mu * f, t - mu * f * (3 - s) / 2
+        elif isinstance(model, Pareto):
+            a, sigma = mpmath.mpf(model.a), mpmath.mpf(model.sigma)
+            y = sigma / t
+            f = 1 - y**a
+            m, j = t / (a - 1), -t / (2 * (2 * a - 1))
+            int_f = (t - sigma) - sigma * (1 - y ** (a - 1)) / (a - 1)
+            int_f2 = int_f - sigma * (1 - y ** (a - 1)) / (a - 1) + sigma * (
+                1 - y ** (2 * a - 1)) / (2 * a - 1)
+        else:  # int_t^inf exp(-c (x/lam)^k) dx = lam Gamma(1/k, c z) / (k c^(1/k)), z = (t/lam)^k
+            k, lam = mpmath.mpf(model.kappa), mpmath.mpf(model.lam)
+            z = (t / lam) ** k
+            s, f = mpmath.exp(-z), -mpmath.expm1(-z)
+
+            def part(c, head=False):  # over [0, t] if head, else over [t, inf)
+                ends = (0, c * z) if head else (c * z,)
+                return lam * mpmath.gammainc(1 / k, *ends) / (k * c ** (1 / k))
+
+            m, j = part(1) / s, -part(2) / (2 * s * s)
+            int_f = t - part(1, head=True)
+            int_f2 = t - 2 * part(1, head=True) + part(2, head=True)
+        r, h = int_f / f, -int_f2 / (2 * f * f)
+        return {"gmd_left": float(m + 2 * j), "j_dyn": float(j),
+                "gmd_right": float(r + 2 * h), "h_dyn": float(h)}
+
+
+TAIL_MODELS = [Exponential(1.0), Exponential(1e-6), Weibull(1.5), Weibull(0.7), Pareto(2.2),
+               Pareto(4.0, 2.0)]
+
+
+def _head_case(model, k):
+    if isinstance(model, Pareto) and k > 2:
+        return pytest.param(model, k, marks=pytest.mark.xfail(
+            reason="Pareto.cdf and Pareto.quantile lose digits near the scale, about eps/F(t)"))
+    return pytest.param(model, k)
+
+
+class TestTruncatedFarTails:
+    """The truncated measures at S(t) or F(t) = 1e-1 ... 1e-15, on both routes, to 1e-12.
+
+    Each truncated form divides by S(t) or F(t) inside its integrand, so
+    its request is relative to its value however deep the tail.
+    """
+
+    @staticmethod
+    def check(model, t, mids):
+        want = truncated_truth(model, t)
+        for mid in mids:
+            for route in ("quantile", "direct"):
+                if route == "quantile" and mid in ("j_dyn", "h_dyn"):
+                    continue
+                got = measure_population(model, MeasureSpec(mid, t=t), route=route)
+                assert got == pytest.approx(want[mid], rel=1e-12, abs=0.0), (mid, route)
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    @pytest.mark.parametrize("model", TAIL_MODELS, ids=lambda m: m.describe())
+    def test_tail(self, model, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(model, float(model.isf(10.0**-k)), ("gmd_left", "j_dyn"))
+
+    @pytest.mark.parametrize("model, k", [_head_case(model, k) for model in TAIL_MODELS
+                                          for k in range(1, 16)],
+                             ids=[f"{m.describe()}-{k}" for m in TAIL_MODELS for k in range(1, 16)])
+    def test_head(self, model, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(model, float(model.quantile(10.0**-k)), ("gmd_right", "h_dyn"))
+
+    def test_gmd_right_at_a_tiny_t(self):
+        # gmd_right = t/6 + O(t^2) on exponential(1); F(t)^2 would underflow
+        t = 1e-160
+        for route in ("quantile", "direct"):
+            assert gmd_right_population(EXP1, t, route=route) == pytest.approx(t / 6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("mid", ["gmd_left", "j_dyn"])
+    def test_survival_below_the_smallest_normal_double(self, mid):
+        spec = MeasureSpec(mid, t=740.0)  # S(t) = 4.2e-322
+        for route in ("auto", "quantile", "direct") if mid == "gmd_left" else ("auto",):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EmptyTailError, match="below the smallest normal double"):
+                    measure_population(EXP1, spec, route=route)
+
+    def test_head_below_the_smallest_normal_double(self):
+        with pytest.raises(EmptyTailError, match="below the smallest normal double"):
+            h_dyn_population(EXP1, 1e-310)
+
+
 class TestGeneralizedEntropies:
     W1 = WeightSelector("const")
     PHI_X = PhiSelector()
@@ -353,6 +451,16 @@ class TestNonFiniteValues:
         assert str(info.value).startswith(f"{mid}(")
         assert str(info.value).endswith(
             f" on exponential(mean=1e+200), quantile route: the value is not finite: {shown}")
+
+    @pytest.mark.parametrize("function, mid", [(ge_population, "ge"), (gce_population, "gce")])
+    def test_generalized_entropies_raise_as_the_dispatcher_does(self, function, mid):
+        w, phi = parse_weight("Fbar"), parse_phi("2*x^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteError) as info:
+                function(Exponential(1e200), w, phi)
+        assert str(info.value).startswith(
+            f"{mid}(w=Fbar^1, phi=2*x^2) on exponential(mean=1e+200), quantile route: ")
 
     def test_first_moments_stay_finite(self):
         assert measure_population(Exponential(1e200), MeasureSpec("gmd")) == pytest.approx(
