@@ -449,8 +449,15 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     Raises NotApplicableError when the identity has no form at the source's
     level (or the sample is too degenerate to truncate), and NonFiniteError,
     naming the identity, when any side or the model's mean is NaN or
-    infinite; a NoConvergenceError also names the identity.
+    infinite; a NoConvergenceError also names the identity.  A given
+    ``tolerance`` must be finite (NonFiniteError) and non-negative
+    (BadParameterError).
     """
+    if tolerance is not None:
+        if not math.isfinite(tolerance):
+            raise NonFiniteError(f"identity tolerance must be finite, got {tolerance}")
+        if tolerance < 0:
+            raise BadParameterError(f"identity tolerance must be non-negative, got {tolerance}")
     if isinstance(source, Sample):
         if identity.sample_sides is None or identity.level == "population":
             raise NotApplicableError(f"{identity.id} has no sample-level form")

@@ -222,26 +222,32 @@ class PhiSelector:
         return f"{self.c:g}*x^{self.v:g}"
 
 
-_PHI_RE = re.compile(r"^\s*([0-9.eE+-]+)?\s*\*?\s*x\s*(?:\^\s*([0-9.eE+-]+))?\s*$")
+_NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"  # what float() reads of [0-9.eE+-]
+_PHI_RE = re.compile(rf"^\s*({_NUMBER})?\s*\*?\s*x\s*(?:\^\s*({_NUMBER}))?\s*$")
 
 
 def parse_weight(text: str) -> WeightSelector:
     """Parse 'const:c', a bare number, 'F^j', or 'Fbar^j'."""
     t = text.strip()
     low = t.lower()
+    kind, number = None, t  # None: a bare number
     if low.startswith("const:"):
-        return WeightSelector("const", c=float(t.split(":", 1)[1]))
-    for token, kind in (("fbar", "sf-power"), ("f", "cdf-power")):
+        kind, number = "const", t.split(":", 1)[1]
+    for token, power in (("fbar", "sf-power"), ("f", "cdf-power")):
         if low == token:
-            return WeightSelector(kind, j=1.0)
+            return WeightSelector(power, j=1.0)
         if low.startswith(token + "^"):
-            return WeightSelector(kind, j=float(t[len(token) + 1:]))
+            kind, number = power, t[len(token) + 1:]
+            break
     try:
-        return WeightSelector("const", c=float(t))
+        value = float(number)
+        if kind is None:  # a bare number that is not a valid weight is not parsed either
+            return WeightSelector("const", c=value)
     except ValueError:
         raise BadParameterError(
             f"cannot parse weight {text!r}; use a number, 'const:c', 'F^j', or 'Fbar^j'"
         ) from None
+    return WeightSelector(kind, c=value) if kind == "const" else WeightSelector(kind, j=value)
 
 
 def parse_phi(text: str) -> PhiSelector:

@@ -1,10 +1,9 @@
-"""Probability weighted moments M_{p,r,s} = E[X^p F(X)^r (1-F(X))^s].
+"""Probability weighted moments M_{p,r,s} = E[X^p F(X)^r (1-F(X))^s]: index and sample routes.
 
-Three routes are provided:
+A model's M_{p,r,s} is ``population.pwm_population``, the quantile form
+``int_0^1 Q(u)^p u^r (1-u)^s du`` on the quantile evaluator.  Two sample
+routes are provided here:
 
-* ``pwm_population`` — quadrature of the quantile form
-  ``int_0^1 Q(u)^p u^r (1-u)^s du`` for a parametric model, in the
-  model's units and graded toward u = 1 by its tail index (``quad_q``);
 * ``pwm_plugin`` — the plug-in sample estimator that replaces F with
   plotting positions (valid for any real r, s >= 0, but biased);
 * ``pwm_unbiased_beta`` / ``pwm_unbiased_alpha`` — the exact unbiased
@@ -23,25 +22,14 @@ the same blocks, so no sample estimator makes a length-n array.
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .empirical import _BLOCK, Sample, _check_convention, _position
-from .errors import (
-    BadParameterError,
-    NonFiniteError,
-    TooFewObservationsError,
-    UnsupportedSpecError,
-)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_q
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .models import ParametricModel
+from .errors import BadParameterError, NonFiniteError, TooFewObservationsError
 
 __all__ = [
     "PwmIndex",
-    "pwm_population",
     "pwm_plugin",
     "pwm_unbiased_beta",
     "pwm_unbiased_alpha",
@@ -69,29 +57,6 @@ class PwmIndex:
                 raise NonFiniteError(f"{name} must be finite")
             if val <= -1:
                 raise BadParameterError(f"{name} must exceed -1, got {val}")
-
-
-def pwm_population(model: "ParametricModel", idx: PwmIndex,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """M_{p,r,s} for a parametric model via quantile-domain quadrature."""
-    # Q(u)^p (1-u)^s ~ (1-u)^{s - p/tail} near u=1: integrable iff p < tail*(s+1).
-    if idx.p >= model.tail_index * (idx.s + 1.0):
-        raise UnsupportedSpecError(
-            f"M_{{{idx.p},{idx.r},{idx.s}}} does not exist for {model.describe()}"
-        )
-    p, r, s = int(idx.p), float(idx.r), float(idx.s)
-
-    def f(u, v, q):  # q^p u^r v^s, forming only the factors whose exponent is not 0
-        y = q if p else np.ones_like(u)
-        if p > 1:
-            y = y**p
-        if r:
-            y = y * u**r
-        if s:
-            y = y * v**s
-        return y
-
-    return quad_q(model, f, cfg, degree=p, vpow=s)
 
 
 def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:

@@ -3,10 +3,9 @@
 Two public entry points take scalar integrands: ``integrate_u`` over the
 unit probability interval, and ``integrate_x`` over (a segment of) the
 support.  The library's own integrands are array-valued and are taken in
-the model's units: its quantile integrals by ``quad_q``, which grades each
-half of (0, 1) so that the integrand is bounded at its end and takes
-Q(1 - v) from the model's ``isf(v)`` near u = 1, and its x-domain
-integrals by ``population._XDomain``, piece by piece through ``_quad``.
+the model's units by the evaluators in ``population``: its quantile
+integrals by ``_QDomain`` and its x-domain integrals by ``_XDomain``, each
+half or piece through ``_quad``, graded toward an end by ``_graded``.
 All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
 adaptive G10K21 Gauss-Kronrod quadrature, bisecting the interval of
 largest error, with Wynn's epsilon algorithm extrapolating the sums when
@@ -23,9 +22,10 @@ trouble (as at requests near double precision) but its error estimate is
 within 100x of the request; otherwise :class:`NoConvergenceError` gives
 that run's estimate, in the value's units, and its evaluation count.
 
-Endpoints of (0,1) are never evaluated by the Kronrod nodes; a clamp at
-1e-12 keeps the integrand's argument away from 0 and 1 as a safety net,
-with a warning if it is ever hit where the integrand is large.
+The Kronrod nodes never fall on an endpoint of an interval.  For the scalar
+integrands of ``integrate_u`` alone, a clamp at 1e-12 keeps the argument
+away from 0 and 1 as a safety net, with a warning if it is ever hit where
+the integrand is large; the library's graded integrands need none.
 """
 
 import math
@@ -372,7 +372,7 @@ _MESSAGES = {
 # table: the request is below what floating point permits), its value is
 # still its best estimate; accept it within this factor of the request.
 _ROUNDOFF_SLACK = 100.0
-_U_CLIP = 1e-12  # integrands on (0,1) are never called closer than this to 0 or 1
+_U_CLIP = 1e-12  # integrate_u never calls its f closer than this to 0 or 1
 _MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
@@ -405,90 +405,12 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "", unit: f
     )
 
 
-def quad_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG, lo: float = 0.0, hi: float = 1.0,
-           where: str = "", scale: float = 1.0) -> float:
-    """:func:`integrate_u` for an array-valued ``f`` (one call per node array).
-
-    ``where`` and ``scale`` go to a failure's message, as in :func:`_quad`.
-    """
-    eps = _U_CLIP
-    # |f| at the clamp at or beyond 1/eps means a local power singularity
-    # u^-c with c >= 1, i.e. a divergent integral; integrable singularities
-    # (c < 1) stay strictly below this and extrapolation recovers them.
-    divergence_level = 1.0 / eps
-    clip_hit = False
-
-    def g(u):
-        nonlocal clip_hit
-        # _kronrod lists the nodes in order across adjacent intervals, so
-        # the first and last are the extremes
-        if eps <= u[0] <= 1.0 - eps and eps <= u[-1] <= 1.0 - eps:
-            return f(u)
-        outside = (u < eps) | (u > 1.0 - eps)
-        v = f(np.clip(u, eps, 1.0 - eps))
-        clip_hit = clip_hit or bool((np.abs(v[outside]) >= divergence_level).any())
-        return v
-
-    value = _quad(g, lo, hi, cfg, where, scale=scale)
-    if clip_hit:
-        warnings.warn(
-            "integrand clamped near an endpoint of (0,1) where it is large; "
-            "the result may be missing tail mass beyond the clamp",
-            ClippedTailWarning,
-            stacklevel=2,
-        )
-    return value
-
-
-_GRADE = 3.0  # u = h w^3 on the half that touches 0, x = b w^3 on an x piece from 0
-# The exponent of v = span w^mu is at most 16, so the clamp's w = 1e-12
-# maps to v >= 1e-192 and never underflows to Q(1) = inf.
-_MAX_TAIL_GRADE = 16.0
-
-
 def _graded(f, h: float, m: float):
     """The integrand in w on (0, 1] of int_0^h f(x) dx, with x = h w^m."""
     def g(w):
         wm1 = w ** (m - 1.0)
         return f(h * (wm1 * w)) * (h * m * wm1)
     return g
-
-
-def quad_q(model, f, cfg: QuadratureConfig = DEFAULT_CONFIG, top: float = 1.0,
-           hi: float = 1.0, degree: float = 1.0, vpow: float = 0.0) -> float:
-    """unit^degree * int_{1-top}^hi f(u, v, q) du, with v = 1 - u and q = Q(u)/unit.
-
-    ``model`` gives Q through ``quantile`` and ``isf``, and ``unit``; f is
-    array-valued and homogeneous of ``degree`` in Q, so its integral is
-    taken in the model's own units and the request ``tol`` means the same
-    at every scale.  The range starts at v = ``top``, so a left-truncated
-    tail starts there exactly.  Near u = 1, f behaves like v^vpow q^degree,
-    and the caller has checked that this is integrable against the model's
-    ``tail_index``.  The range is split at u = 1/2.  The half that touches
-    0 runs in w with u = h w^3; the half that touches 1 runs in w with
-    v = span w^mu, span = min(top, 1/2), and takes Q from ``isf(v)``, so
-    neither u nor v is formed by subtracting a number close to it from 1.
-    Where v^vpow q^degree is unbounded, mu = 3/(1 + vpow - degree/tail_index),
-    capped at 16, makes the integrand vanish like w^2 at w = 0 for a power
-    tail; where it is bounded, mu = 3.
-    """
-    unit = float(model.unit())
-    try:
-        scale = unit**degree
-    except OverflowError:  # the value overflows; NaN or inf says so, as x**2 would in numpy
-        scale = math.inf
-    total = 0.0
-    if top > 0.5:
-        lo, h = 1.0 - top, min(hi, 0.5)
-        lower = _graded(lambda u: f(u, 1.0 - u, model.quantile(u) / unit), h, _GRADE)
-        total += quad_u(lower, cfg, (lo / h) ** (1.0 / _GRADE), 1.0, f"[{lo}, {h}]", scale)
-    if hi > 0.5:
-        span = min(top, 0.5)
-        mu = min(_GRADE / min(1.0 + vpow - degree / model.tail_index, 1.0), _MAX_TAIL_GRADE)
-        upper = _graded(lambda v: f(1.0 - v, v, model.isf(v) / unit), span, mu)
-        total += quad_u(upper, cfg, ((1.0 - hi) / span) ** (1.0 / mu), 1.0,
-                        f"[{1.0 - span}, {hi}]", scale)
-    return total * scale
 
 
 def _elementwise(f):
@@ -506,7 +428,28 @@ def integrate_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
     true endpoint-singular integral; if the clamp itself is ever active
     where ``|f|`` is large, a :class:`ClippedTailWarning` is emitted.
     """
-    return quad_u(_elementwise(f), cfg, lo, hi)
+    eps, g = _U_CLIP, _elementwise(f)
+    # |f| at the clamp at or beyond 1/eps means a local power singularity
+    # u^-c with c >= 1, i.e. a divergent integral; integrable singularities
+    # (c < 1) stay strictly below this and extrapolation recovers them.
+    clip_hit = False
+
+    def clamped(u):
+        nonlocal clip_hit
+        v = g(np.clip(u, eps, 1.0 - eps))
+        outside = (u < eps) | (u > 1.0 - eps)
+        clip_hit = clip_hit or bool((np.abs(v[outside]) >= 1.0 / eps).any())
+        return v
+
+    value = _quad(clamped, lo, hi, cfg)
+    if clip_hit:
+        warnings.warn(
+            "integrand clamped near an endpoint of (0,1) where it is large; "
+            "the result may be missing tail mass beyond the clamp",
+            ClippedTailWarning,
+            stacklevel=2,
+        )
+    return value
 
 
 def integrate_x(f, a: float, b: float,

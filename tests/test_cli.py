@@ -78,6 +78,19 @@ class TestCompute:
         assert rec["value"] == pytest.approx(1.0 / 3.0, abs=1e-8)
         assert rec["parameters"] == {"w": "F^1", "phi": "2*x^1"}
 
+    @pytest.mark.parametrize("flag, what, text", [("--w", "weight", "F^x"),
+                                                  ("--w", "weight", "const:"),
+                                                  ("--phi", "phi", "1e*x"),
+                                                  ("--phi", "phi", "x^1e")])
+    def test_malformed_selector_number_exits_3(self, flag, what, text):
+        selectors = {"--w": "F", "--phi": "x", flag: text}
+        res = run("compute", "--dist", "uniform", "--measure", "gce",
+                  "--w", selectors["--w"], "--phi", selectors["--phi"])
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert f"cannot parse {what} {text!r}" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unknown_measure_exits_3(self, data123):
         res = run("compute", "--input", data123, "--measure", "entropy")
         assert res.returncode == 3

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmdinfo import (
     ASYMPTOTIC_SAMPLE_TOL,
@@ -100,6 +102,26 @@ class TestPopulationLevel:
         failed = [r.identity for r in reports if not r.passed]
         assert failed == [], f"residuals: {[(r.identity, r.abs_residual) for r in reports if not r.passed]}"
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_all_identities_pass_across_the_parameter_space(self, data):
+        """Every family, its scale log-uniform in [1e-6, 1e6], at the default tolerance."""
+        family = data.draw(st.sampled_from(["uniform", "exponential", "weibull", "pareto"]))
+        c = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+        if family == "uniform":
+            a = c * data.draw(st.floats(0.0, 2.0))
+            model = Uniform(a, a + c * data.draw(st.floats(0.01, 3.0)))
+        elif family == "exponential":
+            model = Exponential(c)
+        elif family == "weibull":
+            model = Weibull(data.draw(st.floats(0.3, 5.0)), c)
+        else:
+            model = Pareto(data.draw(st.floats(2.01, 6.0)), c)
+        reports = verify_all(model)
+        assert len(reports) == 14
+        failed = [(r.identity, r.rel_residual) for r in reports if not r.passed]
+        assert failed == [], model.describe()
+
     @pytest.mark.parametrize("shape", [2.05, 2.2, 2.5])
     def test_heavy_tails(self, shape):
         # I10 and I11 integrate F - F^a and F^a - F^b, formed without cancelling in the tail
@@ -161,13 +183,14 @@ class TestSharedMoments:
 
     @pytest.fixture
     def pwm_integrals(self, monkeypatch):
-        calls, pwm_population = [], population.pwm_population
+        """The quantile integrals run: the measures of I10-I12 have PWM forms only."""
+        calls, integrate = [], population._QDomain.__call__
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return pwm_population(*args, **kwargs)
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs["name"])
+            return integrate(self, *args, **kwargs)
 
-        monkeypatch.setattr(population, "pwm_population", counting)
+        monkeypatch.setattr(population._QDomain, "__call__", counting)
         return calls
 
     @pytest.mark.parametrize("iid, distinct, per_spec", [("I10", 14, 24), ("I11", 18, 24),
@@ -549,3 +572,13 @@ class TestToleranceOverride:
         report = verify(BY_ID["I1"], Exponential(1.0), tolerance=0.5)
         assert report.tolerance == 0.5
         assert report.passed
+
+    @pytest.mark.parametrize("bad, error", [(float("inf"), NonFiniteError),
+                                            (float("nan"), NonFiniteError),
+                                            (-1e-8, BadParameterError)])
+    def test_a_tolerance_that_cannot_gate_is_refused(self, bad, error):
+        with pytest.raises(error, match="identity tolerance"):
+            verify(REGISTRY[0], Exponential(1.0), tolerance=bad)
+
+    def test_a_zero_tolerance_gates_exactly(self):
+        assert verify(BY_ID["I1"], Uniform(0.0, 1.0), tolerance=0.0).tolerance == 0.0

@@ -288,6 +288,20 @@ class TestSelectors:
         with pytest.raises(BadParameterError, match="cannot parse phi"):
             parse_phi("sin(x)")
 
+    @pytest.mark.parametrize("text", ["F^x", "Fbar^", "Fbar^1e", "const:", "const:abc"])
+    def test_parse_weight_rejects_a_malformed_number(self, text):
+        with pytest.raises(BadParameterError, match="cannot parse weight"):
+            parse_weight(text)
+
+    @pytest.mark.parametrize("text", ["1e*x", "x^1e", "..*x", "+*x", "2e x"])
+    def test_parse_phi_rejects_a_malformed_number(self, text):
+        with pytest.raises(BadParameterError, match="cannot parse phi"):
+            parse_phi(text)
+
+    def test_parse_phi_reads_every_float_form(self):
+        assert parse_phi("1.e1 * x ^ .5") == PhiSelector(10.0, 0.5)
+        assert parse_phi("-1E-3x^+2") == PhiSelector(-1e-3, 2.0)
+
     def test_selector_guards(self):
         with pytest.raises(BadParameterError):
             WeightSelector("triangular")

@@ -32,7 +32,7 @@ from gmdinfo import (
 )
 from gmdinfo import quadrature
 from gmdinfo.measures import _exprel
-from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, _quad, quad_u
+from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, _quad
 
 PARETO22 = Pareto(2.2)
 BELOW_EPS = QuadratureConfig(tol=1e-17)  # no integral is certified this tightly in doubles
@@ -200,9 +200,9 @@ ROUTES = [
 
 @pytest.mark.parametrize("f_array, f_scalar, a, b, breakpoints", ROUTES)
 def test_array_and_scalar_routes_are_identical(f_array, f_scalar, a, b, breakpoints):
-    """integrate_u/integrate_x map a scalar f over the same nodes quad_u/_quad pass whole."""
+    """integrate_u/integrate_x map a scalar f over the same nodes _quad passes whole."""
     if b == 1.0:
-        assert quad_u(f_array, lo=a, hi=b) == integrate_u(f_scalar, lo=a, hi=b)
+        assert _quad(f_array, a, b, QuadratureConfig()) == integrate_u(f_scalar, lo=a, hi=b)
     edges = [a, *breakpoints, b]
     pieces = 0.0
     for left, right in zip(edges[:-1], edges[1:]):
