@@ -10,15 +10,12 @@ and the route.  No quadrature runs inside an integrand: the conditional means
 inside ge/gce and inside I13's transform averages are integrated out by
 hand (Fubini).  At sample level the two sides use different estimator
 constructions (order-statistic weights vs step-ECDF integrals vs
-double-loop means).  One documented exception: I4's sample side is exact
-by construction because cj is *defined* through that identity.
+double-loop means).
 
 Exactness classes:
 
 * ``exact-sample`` — the sample sides are algebraically equal; verified
   at 1e-12.
-* ``exact-by-construction`` — equal because one measure is defined via
-  the identity (I4 only).
 * ``asymptotic`` — the sample sides converge to the same limit; a
   single-sample report uses a loose gate of max(5e-2, 4/n) relative,
   sized so that the O(1/n) gap between plug-in and U-statistic routes
@@ -45,8 +42,6 @@ from .measures import (
     _pwm_form,
     _sample_values,
     _sorted_gmd,
-    cj,
-    crj,
     crt,
     generalized_cumulative_entropy,
     generalized_residual_entropy,
@@ -210,6 +205,7 @@ _W_SF1 = WeightSelector("sf-power", j=1.0)
 _W_CDF1 = WeightSelector("cdf-power", j=1.0)
 _PHI_2X = PhiSelector(c=2.0, v=1.0)
 _I7_PHIS = (_PHI_2X, PhiSelector(c=2.0, v=2.0))
+_EXTROPIES = (MeasureSpec("crj"), MeasureSpec("cj"))  # -a_1 and -b_1, from one kernel walk
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +240,8 @@ def _i4_pop(model, cfg):
 
 
 def _i4_sample(s, conv):
-    return [(2.0 * crj(s) - 2.0 * cj(s), gmd(s))]
+    (crj_value, _), (cj_value, _) = _sample_values(s, _EXTROPIES, conv)[0]
+    return [(2.0 * crj_value - 2.0 * cj_value, gmd(s))]
 
 
 def _truncated_pairs(mid: str):
@@ -294,9 +291,9 @@ def _i8_sample(s, conv):
 
 
 def _i9_sample(s, conv):
-    crj_value = crj(s)  # one kernel walk: cj is defined as crj - gmd/2
+    (crj_value, _), (cj_value, _) = _sample_values(s, _EXTROPIES, conv)[0]
     return [(-0.5 * pairwise_min_mean(s.values), crj_value),
-            (-0.5 * pairwise_max_mean(s.values), crj_value - 0.5 * gmd(s))]
+            (-0.5 * pairwise_max_mean(s.values), cj_value)]
 
 
 def _i10_sample(s, conv):
@@ -383,7 +380,7 @@ REGISTRY = (
              _i2_pop, _i2_sample),
     Identity("I3", "gmd = 2*crt(alpha=2)", "both", "exact-sample",
              _i3_pop, _i3_sample),
-    Identity("I4", "2*crj - 2*cj = gmd", "both", "exact-by-construction",
+    Identity("I4", "2*crj - 2*cj = gmd", "both", "exact-sample",
              _i4_pop, _i4_sample),
     Identity("I5", "gmd_left(t) = m(t) + 2*j_dyn(t)", "both", "exact-sample",
              _truncated_pairs("gmd_left"), _i5_sample),
@@ -422,7 +419,7 @@ REGISTRY = (
 def _default_tolerance(identity: Identity, level: str, n: int = 0) -> float:
     if level == "population":
         return POPULATION_TOL
-    if identity.exactness in ("exact-sample", "exact-by-construction"):
+    if identity.exactness == "exact-sample":
         return EXACT_SAMPLE_TOL
     return max(ASYMPTOTIC_SAMPLE_TOL, _ASYMPTOTIC_SLOPE / n if n else 0.0)
 

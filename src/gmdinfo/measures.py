@@ -115,16 +115,17 @@ _HYP_CAP = 1.0 - 2.0**-40
 def _power_over_complement(j: float, x, y):
     """int_0^x p^j/(1-p) dp = x^(j+1)/(j+1) * 2F1(1, j+1; j+2; x), given y = 1 - x.
 
-    The log singularity at x = 1 is taken as -log(y), from y itself: the
-    integral is -log(y) - R(x), where R(x) = int_0^x (1 - p^j)/(1-p) dp is
-    smooth, with slope j at x = 1, so an x rounded to 1 costs nothing.
-    Past _HYP_CAP, R is extended linearly from there.
+    Where y >= 1e-2 that product is the value.  Nearer x = 1 the log
+    singularity is taken as -log(y), from y itself: the integral is
+    -log(y) - R(x), where R(x) = int_0^x (1 - p^j)/(1-p) dp is smooth, with
+    slope j at x = 1, so an x rounded to 1 costs nothing.  Past _HYP_CAP, R
+    is extended linearly from there.
     """
     from scipy.special import hyp2f1  # only ge with F^j and gce with Fbar^j get here
 
     xc = np.minimum(x, _HYP_CAP)
     below = xc ** (j + 1.0) / (j + 1.0) * hyp2f1(1.0, j + 1.0, j + 2.0, xc)
-    return below + np.log1p(-xc) - np.log(y) - j * (x - xc)
+    return np.where(y >= 1e-2, below, below + np.log1p(-xc) - np.log(y) - j * (x - xc))[()]
 
 
 def _exprel(z):
@@ -230,9 +231,9 @@ def parse_weight(text: str) -> WeightSelector:
     """Parse 'const:c', a bare number, 'F^j', or 'Fbar^j'."""
     t = text.strip()
     low = t.lower()
-    kind, number = None, t  # None: a bare number
+    kind, number = None, t  # None: a constant
     if low.startswith("const:"):
-        kind, number = "const", t.split(":", 1)[1]
+        number = t.split(":", 1)[1]
     for token, power in (("fbar", "sf-power"), ("f", "cdf-power")):
         if low == token:
             return WeightSelector(power, j=1.0)
@@ -241,13 +242,11 @@ def parse_weight(text: str) -> WeightSelector:
             break
     try:
         value = float(number)
-        if kind is None:  # a bare number that is not a valid weight is not parsed either
-            return WeightSelector("const", c=value)
     except ValueError:
         raise BadParameterError(
             f"cannot parse weight {text!r}; use a number, 'const:c', 'F^j', or 'Fbar^j'"
         ) from None
-    return WeightSelector(kind, c=value) if kind == "const" else WeightSelector(kind, j=value)
+    return WeightSelector(kind, j=value) if kind else WeightSelector("const", c=value)
 
 
 def parse_phi(text: str) -> PhiSelector:
@@ -375,10 +374,9 @@ MEASURE_IDS = {
                           sample=lambda s, conv, t: (gmd_right(s, t), _TRUNC)),
     "s_gini": _Measure(("v",), check=_check_order("v"),
                        pwm=lambda M, v: M(1, 0, 0) / v - M(1, 0, v - 1.0),
-                       x=lambda X, v: X(lambda x, F, S: S - S**v, sf=min(v, 1.0)) / v),
+                       x=lambda X, v: X(lambda x, F, S: S - S**v) / v),
     "crj": _CRJ,
-    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x, F, S: S * (1.0 + F)),
-                   sample=lambda s, conv: (cj(s), "identity(crj - gmd/2)")),
+    "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x, F, S: S * (1.0 + F))),
     "ce": _CRJ,
     "crjw": _Measure(pwm=lambda M: -0.5 * M(2, 1, 0),
                      x=lambda X: -0.5 * X(lambda x, F, S: x * S * (1.0 + F), degree=1)),
@@ -389,10 +387,9 @@ MEASURE_IDS = {
     "h_dyn": _Measure(**_T, x=lambda X, t: -0.5 * _past(X, t, 2),
                       sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
     "crt": _Measure(**_A, pwm=lambda M, a: (M(1, 0, 0) - a * M(1, 0, a - 1.0)) / (a - 1.0),
-                    x=lambda X, a: X(lambda x, F, S: S - S**a, sf=min(a, 1.0)) / (a - 1.0)),
+                    x=lambda X, a: X(lambda x, F, S: S - S**a) / (a - 1.0)),
     "wcrt": _Measure(**_A, pwm=lambda M, a: (M(2, 0, 0) - a * M(2, 0, a - 1.0)) / (2.0 * (a - 1.0)),
-                     x=lambda X, a: X(lambda x, F, S: x * (S - S**a), sf=min(a, 1.0), degree=1)
-                     / (a - 1.0)),
+                     x=lambda X, a: X(lambda x, F, S: x * (S - S**a), degree=1) / (a - 1.0)),
     "ct": _Measure(**_A, pwm=lambda M, a: (a * M(1, a - 1.0, 0) - M(1, 0, 0)) / (a - 1.0),
                    x=lambda X, a: X(lambda x, F, S: _power_difference(F, S, 1.0, a)) / (a - 1.0)),
     "wct": _Measure(**_A, pwm=lambda M, a: (a * M(2, a - 1.0, 0) - M(2, 0, 0)) / (2.0 * (a - 1.0)),
@@ -400,14 +397,13 @@ MEASURE_IDS = {
                     / (a - 1.0)),
     "sr": _Measure(**_AB,
                    pwm=lambda M, a, b: (a * M(1, 0, a - 1.0) - b * M(1, 0, b - 1.0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x, F, S: S**a - S**b, sf=min(a, b)) / (b - a)),
+                   x=lambda X, a, b: X(lambda x, F, S: S**a - S**b) / (b - a)),
     "sp": _Measure(**_AB,
                    pwm=lambda M, a, b: (b * M(1, b - 1.0, 0) - a * M(1, a - 1.0, 0)) / (b - a),
                    x=lambda X, a, b: X(lambda x, F, S: _power_difference(F, S, a, b)) / (b - a)),
     "srw": _Measure(**_AB,
                     pwm=lambda M, a, b: (a * M(2, 0, a - 1.0) - b * M(2, 0, b - 1.0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x, F, S: x * (S**a - S**b), sf=min(a, b), degree=1)
-                    / (b - a)),
+                    x=lambda X, a, b: X(lambda x, F, S: x * (S**a - S**b), degree=1) / (b - a)),
     "spw": _Measure(**_AB,
                     pwm=lambda M, a, b: (b * M(2, b - 1.0, 0) - a * M(2, a - 1.0, 0)) / (2.0 * (b - a)),
                     x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b), degree=1)
@@ -630,13 +626,8 @@ def ce(sample: Sample) -> float:
 
 
 def cj(sample: Sample) -> float:
-    """Cumulative extropy, defined through the decomposition cj = crj - gmd/2.
-
-    The defining integral -1/2 int (1 - F^2) dx is not sample-computable
-    over an unbounded domain, while the decomposition is exact (it equals
-    -b_1, minus half the pairwise-max mean).
-    """
-    return crj(sample) - 0.5 * gmd(sample)
+    """Cumulative extropy: -b_1 (minus half the pairwise-max mean)."""
+    return _lookup("cj", sample)[0]
 
 
 def crjw(sample: Sample, conv: str = "hazen") -> float:

@@ -21,9 +21,11 @@ verification can compare genuinely independent evaluations:
 Both routes read the measure's entry in :data:`~gmdinfo.measures.MEASURE_IDS`:
 the quantile route evaluates its PWM form, or else its quantile integral, on
 a :class:`_QDomain`, and the direct route its x-domain integral on an
-:class:`_XDomain`.  Each evaluator runs its integrals in the model's own
-units, and a truncated form divides by S(t) or F(t) inside its integrand,
-so its request is relative to its value at any depth of the tail.  The
+:class:`_XDomain`.  Before either runs, each moment of the PWM form is
+checked to exist, so both routes refuse the same measures with one text.
+Each evaluator runs its integrals in the model's own units, and a
+truncated form divides by S(t) or F(t) inside its integrand, so its
+request is relative to its value at any depth of the tail.  The
 population PWMs live here too: :func:`pwm_population` is a lookup through
 :meth:`_QDomain.M`, and the quantile evaluator owns each quantile integral
 whole, from the check that it exists to its graded halves.
@@ -62,6 +64,15 @@ _GRADE = 3.0  # u = h w^3 on the quantile half that touches 0, x = b w^3 on an x
 _MAX_TAIL_GRADE = 16.0
 
 
+def _margin(model, degree: float, vpow: float, pwm=()) -> float:
+    """The margin 1 + vpow - degree/tail_index: at or below 0, E[X^degree] or M_pwm is refused."""
+    margin = 1.0 + vpow - degree / model.tail_index
+    if not margin > 0.0:
+        name = "M_{%s,%s,%s}" % pwm if pwm else f"E[X^{degree:g}]"
+        raise UnsupportedSpecError(f"{name} does not exist for {model.describe()}")
+    return margin
+
+
 def _level(value, what: str, model) -> float:
     """value, S(t) or F(t), refused as ``what`` when it is 0 or below the smallest normal double."""
     value = float(value)
@@ -74,11 +85,10 @@ def _level(value, what: str, model) -> float:
 class _XDomain:
     """The x-domain evaluator: it reads the model's F and S, and never Q.
 
-    ``X(g, lo, hi, degree, sf)`` integrates g(x, F, S), of ``degree`` in x,
+    ``X(g, lo, hi, degree)`` integrates g(x, F, S), of ``degree`` in x,
     over [lo, hi], hi the support's end by default, split at the support's
     start and the closed-form median; each piece is taken in units of
-    unit^(degree + 1), a piece from 0 in w with x = b w^3.  Given ``sf``, it
-    refuses when the tail makes int x^degree * S^sf dx infinite.
+    unit^(degree + 1), a piece from 0 in w with x = b w^3.
     ``above(t)`` and ``below(t)`` are S(t) and F(t), refusing an empty side
     or one below the smallest normal double.
     """
@@ -92,11 +102,8 @@ class _XDomain:
     def below(self, t: float) -> float:
         return _level(self.model.cdf(t), f"mass at or below t={t}", self.model)
 
-    def __call__(self, g, lo: float = 0.0, hi=None, degree: float = 0, sf=None) -> float:
+    def __call__(self, g, lo: float = 0.0, hi=None, degree: float = 0) -> float:
         model = self.model
-        if sf is not None and sf * model.tail_index <= degree + 1:
-            raise UnsupportedSpecError(
-                f"integral of x^{degree:g} * sf^{sf:g} diverges for {model.describe()}")
         lo, hi = float(lo), model.support[1] if hi is None else float(hi)
         cuts = sorted(p for p in {model.support[0], model.median()} if lo < p < hi)
 
@@ -118,15 +125,16 @@ class _QDomain:
     v = 1 - u in [1 - hi, top], with q = Q(u)/unit: f is array-valued and
     homogeneous of ``degree`` in Q, so its integral is taken in the
     model's own units.  Near u = 1, f behaves like v^vpow q^degree, which
-    for a power tail is v^(margin - 1), margin = 1 + vpow - degree/tail_index:
-    a margin at or below 0 refuses the integral as ``name``, E[X^degree] by
-    default.  The range is split at u = 1/2.  The half that touches 0 runs
-    in w with u = h w^3; the half that touches 1 runs in w with
-    v = span w^mu, span = min(top, 1/2), and takes Q from ``isf(v)``, so
-    neither u nor v is formed by subtracting a number close to it from 1.
+    for a power tail is v^(margin - 1), :func:`_margin`: the integral
+    exists exactly when margin > 0, and is refused as E[X^degree] otherwise.
+    The range is split at u = 1/2.  The half that touches 0 runs in w with
+    u = h w^3; the half that touches 1 runs in w with v = span w^mu,
+    span = min(top, 1/2), and takes Q from ``isf(v)``, so neither u nor v
+    is formed by subtracting a number close to it from 1.
     mu = 3/min(margin, 1), capped at 16, makes the integrand vanish like
     w^2 at w = 0.  ``M(p, r, s)`` is the PWM M_{p,r,s}, integrated once
-    per ``moments`` dict (PwmIndex -> value), which gains every new one.
+    per ``moments`` dict (PwmIndex -> value), which gains every new one;
+    ``exists(p, r, s)`` integrates nothing, and refuses as M would.
     ``above(t)`` and ``below(t)`` are :class:`_XDomain`'s: S(t) and F(t),
     the levels at which the truncated forms start or end.
     """
@@ -137,12 +145,9 @@ class _QDomain:
         self.model, self.cfg, self.moments = model, cfg, moments
 
     def __call__(self, f, top: float = 1.0, hi: float = 1.0, degree: float = 1.0,
-                 vpow: float = 0.0, name: str = "") -> float:
+                 vpow: float = 0.0) -> float:
         model, cfg = self.model, self.cfg
-        margin = 1.0 + vpow - degree / model.tail_index
-        if not margin > 0.0:
-            raise UnsupportedSpecError(
-                f"{name or f'E[X^{degree:g}]'} does not exist for {model.describe()}")
+        margin = _margin(model, degree, vpow)
         unit = float(model.unit())
         try:
             scale = unit**degree
@@ -161,9 +166,14 @@ class _QDomain:
                            f"[{1.0 - span}, {hi}]", scale=scale)
         return total * scale
 
+    def exists(self, p, r, s) -> float:
+        _margin(self.model, p, s, (p, r, s))
+        return 0.0
+
     def M(self, p, r, s) -> float:
         idx = PwmIndex(p, r, s)
         if idx not in self.moments:
+            self.exists(p, r, s)
             p, r, s = int(idx.p), float(idx.r), float(idx.s)
 
             def f(u, v, q):  # q^p u^r v^s, forming only the factors whose exponent is not 0
@@ -176,8 +186,7 @@ class _QDomain:
                     y = y * v**s
                 return y
 
-            self.moments[idx] = self(f, degree=p, vpow=s,
-                                     name=f"M_{{{idx.p},{idx.r},{idx.s}}}")
+            self.moments[idx] = self(f, degree=p, vpow=s)
         return self.moments[idx]
 
 
@@ -264,12 +273,14 @@ def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: 
     entry = MEASURE_IDS[spec.id]
     if route == "auto":
         route = "direct" if entry.x is not None and entry.pwm is None else "quantile"
-    args = entry.args(spec)
+    args, Q = entry.args(spec), _QDomain(model, cfg, moments)
     try:
+        if entry.pwm is not None:  # both routes refuse a PWM form with a moment that does not exist
+            entry.pwm(Q.exists, *args)
         if route == "quantile" and entry.pwm is not None:
-            value = entry.pwm(_QDomain(model, cfg, moments).M, *args)
+            value = entry.pwm(Q.M, *args)
         elif route == "quantile" and entry.q is not None:
-            value = entry.q(_QDomain(model, cfg, moments), *args)
+            value = entry.q(Q, *args)
         elif route == "direct" and entry.x is not None:
             value = entry.x(_XDomain(model, cfg), *args)
         else:

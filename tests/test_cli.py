@@ -91,6 +91,14 @@ class TestCompute:
         assert f"cannot parse {what} {text!r}" in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("text", ["nan", "-inf", "const:inf", "F^nan"])
+    def test_a_weight_that_is_not_finite_exits_3(self, text):
+        res = run("compute", "--dist", "uniform", "--measure", "gce", f"--w={text}", "--phi", "x")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "weight parameters must be finite" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_unknown_measure_exits_3(self, data123):
         res = run("compute", "--input", data123, "--measure", "entropy")
         assert res.returncode == 3

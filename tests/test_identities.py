@@ -64,8 +64,7 @@ EXTRA_MODELS = [Uniform(0.5, 2.0), Weibull(1.5, 1.0), Pareto(4.0, 2.0),
                 Exponential(1e5), Exponential(1e6), Exponential(1e-9), Exponential(1e-6),
                 Weibull(1.5, 1e-4), Weibull(5.0, 1e-6), Pareto(3.0, 1e-5)]
 
-EXACT_IDS = [i.id for i in REGISTRY
-             if i.exactness in ("exact-sample", "exact-by-construction")]
+EXACT_IDS = [i.id for i in REGISTRY if i.exactness == "exact-sample"]
 ASYMPTOTIC_IDS = [i.id for i in REGISTRY if i.exactness == "asymptotic"]
 
 
@@ -77,9 +76,9 @@ class TestRegistry:
         for identity in REGISTRY:
             assert identity.description
             assert identity.level in ("population", "sample", "both")
-            assert identity.exactness in (
-                "exact-sample", "exact-by-construction", "asymptotic",
-                "population-only")
+            assert identity.exactness in ("exact-sample", "asymptotic", "population-only")
+        # I4 included: crj = -a_1 and cj = -b_1 are both unbiased PWM estimators
+        assert EXACT_IDS == ["I1", "I3", "I4", "I5", "I6", "I9"]
 
     def test_only_the_transform_identity_lacks_a_sample_form(self):
         no_sample = [i.id for i in REGISTRY if i.sample_sides is None]
@@ -187,7 +186,7 @@ class TestSharedMoments:
         calls, integrate = [], population._QDomain.__call__
 
         def counting(self, *args, **kwargs):
-            calls.append(kwargs["name"])
+            calls.append(kwargs)
             return integrate(self, *args, **kwargs)
 
         monkeypatch.setattr(population._QDomain, "__call__", counting)

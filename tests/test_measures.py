@@ -45,6 +45,7 @@ from gmdinfo import (
     parse_phi,
     parse_weight,
     plotting_positions,
+    pwm_unbiased_beta,
     risk_premium,
     s_gini,
     sp,
@@ -144,6 +145,11 @@ class TestExactRelations:
     def test_extropies_are_half_pairwise_means(self, sample):
         assert crj(sample) == pytest.approx(-0.5 * pairwise_min_mean(sample.values), abs=1e-12)
         assert cj(sample) == pytest.approx(-0.5 * pairwise_max_mean(sample.values), abs=1e-12)
+
+    @pytest.mark.parametrize("sample", list(random_samples(20, seed=7, allow_ties=True)))
+    def test_cj_is_its_pwm_form(self, sample):
+        assert measure_sample(sample, MeasureSpec("cj")) == (-pwm_unbiased_beta(sample, 1),
+                                                             "unbiased-pwm")
 
     @pytest.mark.parametrize("sample", list(random_samples(20, seed=11)))
     def test_gmd_fractions(self, sample):
@@ -293,6 +299,11 @@ class TestSelectors:
         with pytest.raises(BadParameterError, match="cannot parse weight"):
             parse_weight(text)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " NaN ", "const:nan", "F^nan"])
+    def test_parse_weight_refuses_a_number_that_is_not_finite(self, text):
+        with pytest.raises(NonFiniteError, match="weight parameters must be finite"):
+            parse_weight(text)
+
     @pytest.mark.parametrize("text", ["1e*x", "x^1e", "..*x", "+*x", "2e x"])
     def test_parse_phi_rejects_a_malformed_number(self, text):
         with pytest.raises(BadParameterError, match="cannot parse phi"):
@@ -334,6 +345,19 @@ class TestSelectors:
                 down = WeightSelector("sf-power", j=j).cumulative_down(v, 1.0 - v)
                 assert float(up) == pytest.approx(float(want), rel=1e-12), v
                 assert float(down) == pytest.approx(float(want), rel=1e-12), v
+
+    @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 3.0, 7.3, 30.0])
+    def test_power_weights_keep_their_digits_where_they_are_small(self, j):
+        # F^j's W_up(q) and Fbar^j's W_down(q) are int_0^x p^j/(1-p) dp at x = q and x = 1 - q
+        def want(x):
+            return x ** (j + 1) / (j + 1) * mpmath.hyp2f1(1, j + 1, j + 2, x)
+
+        with mpmath.workdps(50):
+            for q in (1e-3, 0.1, 0.3, 0.5, 0.7):
+                up = WeightSelector("cdf-power", j=j).cumulative_up(q)
+                down = WeightSelector("sf-power", j=j).cumulative_down(q)
+                assert float(up) == pytest.approx(float(want(mpmath.mpf(q))), rel=1e-13), q
+                assert float(down) == pytest.approx(float(want(1 - mpmath.mpf(q))), rel=1e-13), q
 
     def test_describe_round_trip(self):
         for text in ("const:2", "F^1", "Fbar^2"):
@@ -393,7 +417,7 @@ class TestMeasureSpec:
 class TestDispatcher:
     def test_route_tokens(self):
         assert measure_sample(S123, MeasureSpec("gmd")) == (pytest.approx(4.0 / 3.0), "sorted-u-statistic")
-        assert measure_sample(S123, MeasureSpec("cj"))[1] == "identity(crj - gmd/2)"
+        assert measure_sample(S123, MeasureSpec("cj"))[1] == "unbiased-pwm"
         assert measure_sample(S123, MeasureSpec("crj"))[1] == "unbiased-pwm"
         assert measure_sample(S123, MeasureSpec("crjw"))[1] == "plugin-pwm"
         assert measure_sample(S123, MeasureSpec("gmd_left", t=1.5))[1] == "truncated-u-statistic"

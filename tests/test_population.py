@@ -49,6 +49,14 @@ PAR31 = Pareto(3.0, 1.0)
 TOL = 1e-8
 
 
+class HeavyPareto(Pareto):
+    """A Pareto of any tail index above 1, below the shape floor of 2 that Pareto keeps."""
+
+    def __init__(self, shape, scale=1.0):
+        super().__init__(3.0, scale)
+        self.a = self.tail_index = float(shape)
+
+
 def pop(model, mid, **params):
     return measure_population(model, MeasureSpec(mid, **params))
 
@@ -242,10 +250,16 @@ TAIL_MODELS = [Exponential(1.0), Exponential(1e-6), Weibull(1.5), Weibull(0.7), 
                Pareto(4.0, 2.0)]
 
 
+#: Pareto shape -> the first k whose head case misses 1e-12
+_HEAD_FAILS_FROM = {2.2: 4, 4.0: 3}
+
+
 def _head_case(model, k):
-    if isinstance(model, Pareto) and k > 2:
+    if isinstance(model, Pareto) and k >= _HEAD_FAILS_FROM[model.a]:
+        # Pareto(2.2) at k = 4 misses by 1 % (1.008e-12): the last digits of another numpy may pass
         return pytest.param(model, k, marks=pytest.mark.xfail(
-            reason="Pareto.cdf and Pareto.quantile lose digits near the scale, about eps/F(t)"))
+            reason="Pareto.cdf and Pareto.quantile lose digits near the scale, about eps/F(t)",
+            strict=(model.a, k) != (2.2, 4)))
     return pytest.param(model, k)
 
 
@@ -415,10 +429,36 @@ class TestExistenceGuards:
 
     def test_direct_route_survival_power_guard(self):
         heavy = Pareto(2.1, 1.0)
-        with pytest.raises(UnsupportedSpecError, match="diverges"):
+        with pytest.raises(UnsupportedSpecError, match=r"M_\{1,0,-0.6\} does not exist"):
             measure_population(heavy, MeasureSpec("s_gini", v=0.4), route="direct")
-        with pytest.raises(UnsupportedSpecError, match="diverges"):
+        with pytest.raises(UnsupportedSpecError, match=r"M_\{1,0,-0.7\} does not exist"):
             measure_population(heavy, MeasureSpec("sr", alpha=0.3, beta=2.0), route="direct")
+
+    @pytest.mark.parametrize("tail", [1.2, 1.5, 1.9, 2.0, 2.01])
+    @pytest.mark.parametrize("mid", sorted(mid for mid, entry in MEASURE_IDS.items()
+                                           if entry.pwm is not None and entry.x is not None))
+    def test_both_routes_refuse_exactly_the_moments_that_do_not_exist(self, mid, tail):
+        """M_{p,r,s} exists exactly when 1 + s - p/tail > 0; the direct route refuses with it.
+
+        Where a moment does not exist, x-domain quadrature of the divergent integral
+        can return a finite number (2.25 for crjw at tail 1.5, where -M_{2,1,0}/2 is -inf).
+        """
+        model = HeavyPareto(tail)
+        orders = (0.3, 0.5, 0.8, 1.5, 2.0, 3.0)
+        params = {"s_gini": [{"v": v} for v in orders],
+                  "risk_premium": [{"k": 2}, {"k": 3}], "gain_premium": [{"k": 2}, {"k": 3}]}
+        params.update({m: [{"alpha": a} for a in orders] for m in ("crt", "wcrt", "ct", "wct")})
+        params.update({m: [{"alpha": a, "beta": b} for a in orders for b in orders if a != b]
+                       for m in ("sr", "sp", "srw", "spw")})
+        for kw in params.get(mid, [{}]):
+            spec, texts = MeasureSpec(mid, **kw), []
+            for route in ("quantile", "direct"):
+                try:
+                    measure_population(model, spec, route=route)
+                    texts.append(None)
+                except UnsupportedSpecError as exc:
+                    texts.append(str(exc).split(" route: ", 1)[1])
+            assert texts[0] == texts[1], (kw, texts)
 
     def test_unsupported_spec_names_measure_parameters_model_and_route(self):
         with pytest.raises(UnsupportedSpecError) as info:
@@ -428,7 +468,7 @@ class TestExistenceGuards:
         with pytest.raises(UnsupportedSpecError) as info:
             measure_population(Pareto(2.1, 1.0), MeasureSpec("s_gini", v=0.4), route="direct")
         assert str(info.value) == ("s_gini(v=0.4) on pareto(shape=2.1, scale=1), direct route: "
-                                   "integral of x^0 * sf^0.4 diverges for pareto(shape=2.1, scale=1)")
+                                   "M_{1,0,-0.6} does not exist for pareto(shape=2.1, scale=1)")
         with pytest.raises(UnsupportedSpecError) as info:
             measure_population(U01, MeasureSpec("ge", w=WeightSelector("const"),
                                                 phi=PhiSelector()), route="direct")
