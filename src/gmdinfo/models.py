@@ -3,8 +3,9 @@
 Four non-negative families are provided: uniform, exponential, Weibull,
 and Pareto.  Each exposes exactly what the population-side machinery
 needs — ``cdf``/``sf``/``quantile``/``isf``/``mean``/``median``, the
-``unit`` its quantile integrals are measured in, the support, and the
-tail index governing which moments exist — plus inverse-transform
+``unit`` its quantile integrals are measured in, the support, the
+tail index governing which moments exist and whether the tail is at
+least exponential — plus inverse-transform
 sampling for Monte Carlo work.  The distribution methods accept scalars
 or arrays.
 """
@@ -45,10 +46,14 @@ class ParametricModel:
     tail_index : float
         sup{q : E[X^q] < inf}; ``inf`` for light tails.  Lets callers
         refuse moment integrals that do not exist.
+    exponential_tail : bool
+        Whether sf(x) falls at least as fast as exp(-x/unit) far out, so
+        an x-domain tail can be mapped by the log of the survival.
     """
 
     support = (0.0, math.inf)
     tail_index = math.inf
+    exponential_tail = False
 
     def cdf(self, x):
         raise NotImplementedError
@@ -131,6 +136,8 @@ class Uniform(ParametricModel):
 class Exponential(ParametricModel):
     """Exponential with mean mu (rate 1/mu)."""
 
+    exponential_tail = True
+
     def __init__(self, mean: float = 1.0):
         self.mu = _check_positive("exponential mean", mean)
 
@@ -167,6 +174,7 @@ class Weibull(ParametricModel):
     def __init__(self, shape: float, scale: float = 1.0):
         self.kappa = _check_positive("weibull shape", shape)
         self.lam = _check_positive("weibull scale", scale)
+        self.exponential_tail = self.kappa >= 1.0
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -25,7 +25,10 @@ a :class:`_QDomain`, and the direct route its x-domain integral on an
 checked to exist, so both routes refuse the same measures with one text.
 Each evaluator runs its integrals in the model's own units, and a
 truncated form divides by S(t) or F(t) inside its integrand, so its
-request is relative to its value at any depth of the tail.  The
+request is relative to its value at any depth of the tail.  Both grade an
+infinite end by one margin 1 + s - p/tail_index: the quantile evaluator
+its half that touches u = 1, the x-domain evaluator its piece [a, inf),
+with the least margin of the measure's PWM form.  The
 population PWMs live here too: :func:`pwm_population` is a lookup through
 :meth:`_QDomain.M`, and the quantile evaluator owns each quantile integral
 whole, from the check that it exists to its graded halves.
@@ -58,9 +61,10 @@ __all__ = [
 
 _GRADE = 3.0  # u = h w^3 on the quantile half that touches 0, x = b w^3 on an x piece from 0
 # The exponent of v = span w^mu is at most 16, so v stays a normal double,
-# short of Q(1) = inf, at every node above w = 1e-19.  The graded integrand
-# vanishes at w = 0; over 17 models from Weibull(0.3) to Pareto(2.01), at
-# scales 1e-6 to 1e6, QAGS's smallest node is near w = 1e-8.
+# short of Q(1) = inf, at every node above w = 1e-19, and so does an x-domain
+# tail's x = a w^-m.  The graded integrand vanishes at w = 0; over 17 models
+# from Weibull(0.3) to Pareto(2.01), at scales 1e-6 to 1e6, QAGS's smallest
+# node is near w = 1e-8.
 _MAX_TAIL_GRADE = 16.0
 
 
@@ -88,13 +92,23 @@ class _XDomain:
     ``X(g, lo, hi, degree)`` integrates g(x, F, S), of ``degree`` in x,
     over [lo, hi], hi the support's end by default, split at the support's
     start and the closed-form median; each piece is taken in units of
-    unit^(degree + 1), a piece from 0 in w with x = b w^3.
+    unit^(degree + 1).  A node calls cdf below the median and sf above it,
+    and takes the other as its complement, which is at least 1/2.  A piece
+    from 0 runs in w with x = b w^3.  A piece [a, inf) runs in w, graded by
+    ``margin`` (:func:`_margin`): the least of the measure's PWM form, or
+    else 1 - (degree + 1)/tail_index, as every other integrand holds S at
+    least once.  A power tail takes x = a w^-m, m = 3/(tail_index
+    min(margin, 1)) capped at 16, as :class:`_QDomain`'s upper half; a tail
+    at least as light as exp(-x/unit) takes x = a + c (-log w), with
+    c = 3 unit/min(margin, 1); either integrand vanishes like w^2 at w = 0.
+    Any other tail (Weibull of shape below 1) keeps ``_quad``'s map.
     ``above(t)`` and ``below(t)`` are S(t) and F(t), refusing an empty side
     or one below the smallest normal double.
     """
 
-    def __init__(self, model, cfg: QuadratureConfig):
+    def __init__(self, model, cfg: QuadratureConfig, margin=None):
         self.model, self.cfg, self.mean, self.unit = model, cfg, model.mean, float(model.unit())
+        self.margin = margin
 
     def above(self, t: float) -> float:
         return _level(self.model.sf(t), f"survival mass above t={t}", self.model)
@@ -102,19 +116,45 @@ class _XDomain:
     def below(self, t: float) -> float:
         return _level(self.model.cdf(t), f"mass at or below t={t}", self.model)
 
+    def _tail(self, h, a: float, degree: float):
+        """h on [a, inf) as an integrand in w on (0, 1], or None where ``_quad`` maps it."""
+        model, xi = self.model, self.model.tail_index
+        margin = 1.0 - (degree + 1.0) / xi if self.margin is None else self.margin
+        if math.isfinite(xi) and margin > 0.0:
+            m = min(_GRADE / (xi * min(margin, 1.0)), _MAX_TAIL_GRADE)
+
+            def power(w):  # dx = -m x/w dw
+                x = a * w**-m
+                return h(x) * (m * x / w)
+            return power
+        if model.exponential_tail:
+            c = _GRADE / min(margin, 1.0) * self.unit
+            return lambda w: h(a - c * np.log(w)) * (c / w)
+        return None
+
     def __call__(self, g, lo: float = 0.0, hi=None, degree: float = 0) -> float:
         model = self.model
         lo, hi = float(lo), model.support[1] if hi is None else float(hi)
-        cuts = sorted(p for p in {model.support[0], model.median()} if lo < p < hi)
+        median = model.median()
+        cuts = sorted(p for p in {model.support[0], median} if lo < p < hi)
 
-        def h(x):
-            return g(x, model.cdf(x), model.sf(x))
+        def below(x):
+            F = model.cdf(x)
+            return g(x, F, 1.0 - F)
+
+        def above(x):
+            S = model.sf(x)
+            return g(x, 1.0 - S, S)
 
         total = 0.0
         for a, b in zip([lo, *cuts], [*cuts, hi]):
-            from_zero = a == 0.0 and b < math.inf  # then in w, x = b w^3, as _QDomain's lower half
-            f, ends = (_graded(h, b, _GRADE), (0.0, 1.0)) if from_zero else (h, (a, b))
-            total += _quad(f, *ends, self.cfg, f"[{a}, {b}]", self.unit, degree)
+            h = above if a >= median else below
+            if b == math.inf:  # in w, graded by the margin, or else in _quad's map
+                f = self._tail(h, a, degree)
+            else:  # in w, x = b w^3, as _QDomain's lower half
+                f = _graded(h, b, _GRADE) if a == 0.0 else None
+            ends = (a, b) if f is None else (0.0, 1.0)
+            total += _quad(f or h, *ends, self.cfg, f"[{a}, {b}]", self.unit, degree)
         return total
 
 
@@ -125,16 +165,16 @@ class _QDomain:
     v = 1 - u in [1 - hi, top], with q = Q(u)/unit: f is array-valued and
     homogeneous of ``degree`` in Q, so its integral is taken in the
     model's own units.  Near u = 1, f behaves like v^vpow q^degree, which
-    for a power tail is v^(margin - 1), :func:`_margin`: the integral
-    exists exactly when margin > 0, and is refused as E[X^degree] otherwise.
+    for a power tail is v^(margin - 1), :func:`_margin`: a range that
+    reaches u = 1 exists exactly when margin > 0, and is refused as
+    E[X^degree] otherwise; a head, hi < 1, is finite and takes margin 1.
     The range is split at u = 1/2.  The half that touches 0 runs in w with
     u = h w^3; the half that touches 1 runs in w with v = span w^mu,
     span = min(top, 1/2), and takes Q from ``isf(v)``, so neither u nor v
     is formed by subtracting a number close to it from 1.
     mu = 3/min(margin, 1), capped at 16, makes the integrand vanish like
     w^2 at w = 0.  ``M(p, r, s)`` is the PWM M_{p,r,s}, integrated once
-    per ``moments`` dict (PwmIndex -> value), which gains every new one;
-    ``exists(p, r, s)`` integrates nothing, and refuses as M would.
+    per ``moments`` dict (PwmIndex -> value), which gains every new one.
     ``above(t)`` and ``below(t)`` are :class:`_XDomain`'s: S(t) and F(t),
     the levels at which the truncated forms start or end.
     """
@@ -147,7 +187,7 @@ class _QDomain:
     def __call__(self, f, top: float = 1.0, hi: float = 1.0, degree: float = 1.0,
                  vpow: float = 0.0) -> float:
         model, cfg = self.model, self.cfg
-        margin = _margin(model, degree, vpow)
+        margin = _margin(model, degree, vpow) if hi >= 1.0 else 1.0  # a head ends short of Q(1)
         unit = float(model.unit())
         try:
             scale = unit**degree
@@ -166,14 +206,10 @@ class _QDomain:
                            f"[{1.0 - span}, {hi}]", scale=scale)
         return total * scale
 
-    def exists(self, p, r, s) -> float:
-        _margin(self.model, p, s, (p, r, s))
-        return 0.0
-
     def M(self, p, r, s) -> float:
         idx = PwmIndex(p, r, s)
         if idx not in self.moments:
-            self.exists(p, r, s)
+            _margin(self.model, p, s, (p, r, s))
             p, r, s = int(idx.p), float(idx.r), float(idx.s)
 
             def f(u, v, q):  # q^p u^r v^s, forming only the factors whose exponent is not 0
@@ -273,16 +309,16 @@ def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: 
     entry = MEASURE_IDS[spec.id]
     if route == "auto":
         route = "direct" if entry.x is not None and entry.pwm is None else "quantile"
-    args, Q = entry.args(spec), _QDomain(model, cfg, moments)
+    args, Q, margins = entry.args(spec), _QDomain(model, cfg, moments), []
     try:
         if entry.pwm is not None:  # both routes refuse a PWM form with a moment that does not exist
-            entry.pwm(Q.exists, *args)
+            entry.pwm(lambda p, r, s: margins.append(_margin(model, p, s, (p, r, s))) or 0.0, *args)
         if route == "quantile" and entry.pwm is not None:
             value = entry.pwm(Q.M, *args)
         elif route == "quantile" and entry.q is not None:
             value = entry.q(Q, *args)
-        elif route == "direct" and entry.x is not None:
-            value = entry.x(_XDomain(model, cfg), *args)
+        elif route == "direct" and entry.x is not None:  # the form's least margin grades its tail
+            value = entry.x(_XDomain(model, cfg, min(margins, default=None)), *args)
         else:
             domain = "quantile-domain" if route == "quantile" else "x-domain"
             raise UnsupportedSpecError(f"no {domain} route for measure {spec.id!r}")

@@ -5,13 +5,16 @@ unit probability interval, and ``integrate_x`` over (a segment of) the
 support.  The library's own integrands are array-valued and are taken in
 the model's units by the evaluators in ``population``: its quantile
 integrals by ``_QDomain`` and its x-domain integrals by ``_XDomain``, each
-half or piece through ``_quad``, graded toward an end by ``_graded``.
+half or piece through ``_quad``, graded toward an end by ``_graded`` or,
+on an x-domain tail, by the tail's own map.
 All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
 adaptive G10K21 Gauss-Kronrod quadrature, bisecting the interval of
 largest error, with Wynn's epsilon algorithm extrapolating the sums when
-the error gathers at an endpoint.  [a, inf) is mapped onto (0, 1] by
-x = a + c (1 - t)/t with c = max(a, unit); QUADPACK's QAGI has c = 1 and
-the rule G7K15.  Each bisection evaluates the integrand once, as one
+the error gathers at an endpoint.  ``_quad`` maps [a, inf) onto (0, 1] by
+x = a + c (1 - t)/t with c = max(a, unit), as QUADPACK's QAGI does with
+c = 1 and the rule G7K15; that map serves only ``integrate_x`` and the
+x-domain tails that ``_XDomain`` does not grade (Weibull of shape below
+1).  Each bisection evaluates the integrand once, as one
 array call on the nodes of both halves, and the rule's four sums are
 written out in dqk21's order, so they round as QUADPACK's do.
 
@@ -381,7 +384,8 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "", unit: f
     """Integral of the array-valued f over [a, b], b finite or inf, in units of unit^(degree + 1).
 
     QUADPACK's absolute request is tol times those units, and [a, inf) is
-    mapped in units of max(a, unit).  A failure names the interval as
+    mapped in units of max(a, unit): ``integrate_x`` and the x-domain tails
+    without a graded map (Weibull of shape below 1) come here.  A failure names the interval as
     ``where``, or as [a, b] if that is empty, and quotes the error
     estimate times ``scale``, the value's units per unit of the integral.
     """

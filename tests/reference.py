@@ -14,7 +14,8 @@ library's or anyone's) is involved:
   M = lam^p Gamma(1+p/kappa) sum_j C(r,j) (-1)^j / (s+1+j)^(1+p/kappa).
 
 A measure's reference value is its PWM form (the ``pwm`` entry of
-``MEASURE_IDS``) evaluated on these moments.
+``MEASURE_IDS``) evaluated on these moments, and its degree, the p of
+M(cX) = c^p M(X), is read from the same form.
 """
 
 import mpmath
@@ -52,3 +53,20 @@ def measure_reference(model, spec) -> mpmath.mpf:
     entry = MEASURE_IDS[spec.id]
     with mpmath.workdps(DIGITS):
         return entry.pwm(lambda p, r, s: pwm_reference(model, p, r, s), *entry.args(spec))
+
+
+#: the benchmark's parameters for every measure with a PWM form
+PARAMS = {"gmd": {}, "s_gini": {"v": 2.0}, "crj": {}, "cj": {}, "ce": {}, "crjw": {},
+          "wce": {}, "crt": {"alpha": 2.0}, "wcrt": {"alpha": 2.0}, "ct": {"alpha": 2.0},
+          "wct": {"alpha": 2.0}, "sr": {"alpha": 2.0, "beta": 3.0},
+          "sp": {"alpha": 2.0, "beta": 3.0}, "srw": {"alpha": 2.0, "beta": 3.0},
+          "spw": {"alpha": 2.0, "beta": 3.0}, "risk_premium": {"k": 3},
+          "gain_premium": {"k": 3}, "pwm": {"p": 1}}
+
+
+def degree(spec) -> int:
+    """The power of X in every moment of a measure's PWM form: M(cX) = c^p M(X)."""
+    entry, powers = MEASURE_IDS[spec.id], set()
+    entry.pwm(lambda p, r, s: powers.add(p) or 1.0, *entry.args(spec))
+    (p,) = powers
+    return p

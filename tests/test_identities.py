@@ -18,6 +18,7 @@ from gmdinfo import (
     BadParameterError,
     Exponential,
     Identity,
+    MEASURE_IDS,
     MeasureSpec,
     NoConvergenceError,
     NonFiniteError,
@@ -55,6 +56,7 @@ from gmdinfo.population import (
     mean_residual_life,
 )
 from oracles import brute_pick_t
+from reference import PARAMS, degree
 
 BY_ID = {identity.id: identity for identity in REGISTRY}
 BELOW_EPS = QuadratureConfig(tol=1e-17)  # no integral is certified this tightly in doubles
@@ -120,6 +122,29 @@ class TestPopulationLevel:
         assert len(reports) == 14
         failed = [(r.identity, r.rel_residual) for r in reports if not r.passed]
         assert failed == [], model.describe()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_measures_are_scale_equivariant_across_the_parameter_space(self, data):
+        """M(cX) = c^p M(X) at 1e-12 on both routes, c log-uniform in [1e-6, 1e6]."""
+        family = data.draw(st.sampled_from(["uniform", "exponential", "weibull", "pareto"]))
+        c = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+        if family == "uniform":
+            a, width = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.01, 3.0))
+            base, scaled = Uniform(a, a + width), Uniform(c * a, c * (a + width))
+        elif family == "exponential":
+            base, scaled = Exponential(1.0), Exponential(c)
+        else:
+            make = Weibull if family == "weibull" else Pareto
+            shape = data.draw(st.floats(0.3, 5.0) if family == "weibull" else st.floats(2.01, 6.0))
+            base, scaled = make(shape), make(shape, c)
+        for mid, params in PARAMS.items():
+            spec = MeasureSpec(mid, **params)
+            for route in ("quantile", "direct") if MEASURE_IDS[mid].x else ("quantile",):
+                want = c ** degree(spec) * measure_population(base, spec, route=route)
+                got = measure_population(scaled, spec, route=route)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (mid, route,
+                                                                         scaled.describe())
 
     @pytest.mark.parametrize("shape", [2.05, 2.2, 2.5])
     def test_heavy_tails(self, shape):

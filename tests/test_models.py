@@ -124,6 +124,14 @@ class TestClosedFormMoments:
         assert math.isinf(Exponential(1.0).tail_index)
         assert math.isinf(Weibull(0.5, 1.0).tail_index)
 
+    def test_exponential_tail(self):
+        """sf(x) <= exp(-x/unit) far out exactly where the model says its tail is exponential."""
+        for model in (Exponential(2.0), Weibull(1.0, 3.0), Weibull(1.5, 3.0), Weibull(0.7, 3.0),
+                      Pareto(3.0, 2.0)):
+            x = model.unit() * np.array([10.0, 30.0, 100.0])
+            light = bool(np.all(model.sf(x) <= np.exp(-x / model.unit())))
+            assert model.exponential_tail is light, model.describe()
+
     def test_supports(self):
         assert Uniform(0.5, 2.0).support == (0.5, 2.0)
         assert Exponential(1.0).support == (0.0, math.inf)

@@ -40,6 +40,7 @@ from gmdinfo import (
     parse_phi,
     parse_weight,
 )
+from gmdinfo import quadrature
 from oracles import nested_gce, nested_ge
 
 U01 = Uniform(0.0, 1.0)
@@ -50,7 +51,7 @@ TOL = 1e-8
 
 
 class HeavyPareto(Pareto):
-    """A Pareto of any tail index above 1, below the shape floor of 2 that Pareto keeps."""
+    """A Pareto of any tail index, below the shape floor of 2 that Pareto keeps."""
 
     def __init__(self, shape, scale=1.0):
         super().__init__(3.0, scale)
@@ -460,6 +461,15 @@ class TestExistenceGuards:
                     texts.append(str(exc).split(" route: ", 1)[1])
             assert texts[0] == texts[1], (kw, texts)
 
+    @pytest.mark.parametrize("tail, want", [(0.8, 0.1606), (1.0, 0.1589)])
+    def test_a_head_exists_where_the_mean_does_not(self, tail, want):
+        """gmd_right(t) integrates Q over [0, F(t)] alone, which no tail index can make infinite."""
+        model = HeavyPareto(tail)
+        direct = gmd_right_population(model, 2.0, route="direct")
+        assert direct == pytest.approx(want, abs=5e-5)
+        assert gmd_right_population(model, 2.0, route="quantile") == pytest.approx(
+            direct, rel=1e-10, abs=0.0)
+
     def test_unsupported_spec_names_measure_parameters_model_and_route(self):
         with pytest.raises(UnsupportedSpecError) as info:
             pop(PAR31, "pwm", p=3)
@@ -474,6 +484,42 @@ class TestExistenceGuards:
                                                 phi=PhiSelector()), route="direct")
         assert str(info.value) == ("ge(w=const:1, phi=1*x^1) on uniform(a=0, b=1), direct route: "
                                    "no x-domain route for measure 'ge'")
+
+
+class TestGradedXTails:
+    """The x side's piece [a, inf) runs in w on (0, 1], mapped by the tail's kind and graded
+    by the integrand's margin; Weibull of shape below 1 keeps _quad's map."""
+
+    @pytest.fixture
+    def intervals(self, monkeypatch):
+        """The G10K21 intervals of each _qags run, in order: the last is the piece [a, inf)."""
+        runs, qags = [], quadrature._qags
+
+        def counting(f, a, b, *args):
+            result = qags(f, a, b, *args)
+            runs.append(result[2] // 21)
+            return result
+
+        monkeypatch.setattr(quadrature, "_qags", counting)
+        return runs
+
+    #: model, measure, the tail piece's intervals (7, 9, 5, 5, 15 and 7 in x = a + c (1 - t)/t)
+    CASES = [(Exponential(1.0), "crj", 1), (Exponential(1.0), "gmd", 1),
+             (Weibull(1.5), "crj", 3), (Pareto(2.2), "crj", 1), (Pareto(2.2), "crjw", 3),
+             (Weibull(0.7), "crj", 7)]
+
+    @pytest.mark.parametrize("model, mid, want", CASES,
+                             ids=[f"{mid}@{m.describe()}" for m, mid, _ in CASES])
+    def test_tail_piece_intervals(self, intervals, model, mid, want):
+        measure_population(model, MeasureSpec(mid), route="direct")
+        assert intervals[-1] == want
+
+    @pytest.mark.parametrize("model", [Exponential(1.0), Weibull(1.5), Pareto(2.2)],
+                             ids=lambda m: m.describe())
+    def test_mean_residual_life_in_one_interval(self, intervals, model):
+        """S/S(t) on [t, inf) is exactly w^3 in the graded map of a Pareto or an exponential."""
+        mean_residual_life(model, 3.0 * model.median())
+        assert intervals == [1]
 
 
 class TestNonFiniteValues:

@@ -24,7 +24,7 @@ from gmdinfo import (
     measure_population,
     pwm_population,
 )
-from reference import measure_reference, pwm_reference
+from reference import PARAMS, degree, measure_reference, pwm_reference
 
 REL = 1e-9
 #: the quantile route integrates each moment in the model's units, graded to its tail
@@ -39,14 +39,6 @@ MODELS = {"uniform": Uniform(0.0, 1.0), "exp1": Exponential(1.0),
 EDGE_MODELS = {"weibull0.3": Weibull(0.3), "pareto2.05": Pareto(2.05),
                "exp1e-6": Exponential(1e-6), "exp1e6": Exponential(1e6),
                "weibull1.5_1e-4": Weibull(1.5, 1e-4), "pareto3_1e5": Pareto(3.0, 1e5)}
-
-#: the benchmark's parameters for every measure with a PWM form
-PARAMS = {"gmd": {}, "s_gini": {"v": 2.0}, "crj": {}, "cj": {}, "ce": {}, "crjw": {},
-          "wce": {}, "crt": {"alpha": 2.0}, "wcrt": {"alpha": 2.0}, "ct": {"alpha": 2.0},
-          "wct": {"alpha": 2.0}, "sr": {"alpha": 2.0, "beta": 3.0},
-          "sp": {"alpha": 2.0, "beta": 3.0}, "srw": {"alpha": 2.0, "beta": 3.0},
-          "spw": {"alpha": 2.0, "beta": 3.0}, "risk_premium": {"k": 3},
-          "gain_premium": {"k": 3}, "pwm": {"p": 1}}
 
 ROUTES = ("quantile", "direct")
 CASES = [(mid, route, tag) for tag in MODELS for mid in PARAMS for route in ROUTES
@@ -127,21 +119,13 @@ SCALED = {"uniform": lambda c: Uniform(0.0, c), "exp": lambda c: Exponential(c),
           "weibull0.7": lambda c: Weibull(0.7, c), "pareto4": lambda c: Pareto(4.0, c)}
 
 
-def _degree(spec) -> int:
-    """The power of X in every moment of a measure's PWM form: M(cX) = c^p M(X)."""
-    entry, powers = MEASURE_IDS[spec.id], set()
-    entry.pwm(lambda p, r, s: powers.add(p) or 1.0, *entry.args(spec))
-    (p,) = powers
-    return p
-
-
 def _check_scale_equivariance(tag, c, route):
     base, scaled = SCALED[tag](1.0), SCALED[tag](c)
     for mid, params in PARAMS.items():
         spec = MeasureSpec(mid, **params)
         if route == "direct" and MEASURE_IDS[mid].x is None:
             continue
-        want = c ** _degree(spec) * measure_population(base, spec, route=route)
+        want = c ** degree(spec) * measure_population(base, spec, route=route)
         got = measure_population(scaled, spec, route=route)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), mid
 
