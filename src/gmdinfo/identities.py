@@ -135,9 +135,13 @@ def _route_pairs(*specs):
     return sides
 
 
-def _worst(pairs):
-    """The (lhs, rhs) pair with the largest absolute residual."""
-    return max(pairs, key=lambda pair: abs(pair[0] - pair[1]))
+def _worst(pairs, tol: float, floor: float):
+    """The (lhs, rhs) pair worst against its own gate, max(tol max(|lhs|, |rhs|), floor)."""
+    def over(pair):  # the residual in units of the gate, then the residual itself
+        res = abs(pair[0] - pair[1])
+        gate = max(tol * max(abs(pair[0]), abs(pair[1])), floor)
+        return (res / gate if gate > 0.0 else math.inf if res else 0.0), res
+    return max(pairs, key=over)
 
 
 def _t_points(model):
@@ -442,7 +446,8 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     The report passes when |lhs - rhs| <= max(tol * max(|lhs|, |rhs|), floor):
     a relative gate with a floor in the source's units.  A model's floor is
     tol times its mean; a sample's is EXACT_SAMPLE_TOL times its largest
-    value, a rounding floor that leaves the asymptotic gates relative.
+    value, a rounding floor that leaves the asymptotic gates relative.  Of
+    several pairs, the report gives the one that is worst against its gate.
     Raises NotApplicableError when the identity has no form at the source's
     level (or the sample is too degenerate to truncate), and NonFiniteError,
     naming the identity, when any side or the model's mean is NaN or
@@ -479,13 +484,13 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
         raise type(exc)(f"{identity.id}: {exc}") from exc
     if not pairs:
         raise NotApplicableError(f"{identity.id}: sample admits no usable truncation point")
-    lhs, rhs = _worst(pairs)
     n = source.n if level == "sample" else 0
     tol = float(tolerance) if tolerance is not None else _default_tolerance(identity, level, n)
+    floor = (EXACT_SAMPLE_TOL if level == "sample" else tol) * scale
+    lhs, rhs = _worst(pairs, tol, floor)
     abs_res = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs))
     rel_res = abs_res / denom if denom > 0 else 0.0
-    floor = (EXACT_SAMPLE_TOL if level == "sample" else tol) * scale
     passed = abs_res <= max(tol * denom, floor)
     return IdentityReport(
         identity=identity.id,

@@ -4,8 +4,8 @@ Four non-negative families are provided: uniform, exponential, Weibull,
 and Pareto.  Each exposes exactly what the population-side machinery
 needs — ``cdf``/``sf``/``quantile``/``isf``/``mean``/``median``, the
 ``unit`` its quantile integrals are measured in, the support, the
-tail index governing which moments exist and whether the tail is at
-least exponential — plus inverse-transform
+tail index governing which moments exist and the closed-form hazard of
+a light tail — plus inverse-transform
 sampling for Monte Carlo work.  The distribution methods accept scalars
 or arrays.
 """
@@ -46,14 +46,15 @@ class ParametricModel:
     tail_index : float
         sup{q : E[X^q] < inf}; ``inf`` for light tails.  Lets callers
         refuse moment integrals that do not exist.
-    exponential_tail : bool
-        Whether sf(x) falls at least as fast as exp(-x/unit) far out, so
-        an x-domain tail can be mapped by the log of the survival.
+    hazard : (float, float) or None
+        (lam, kappa) with -log sf(x) = (x/lam)^kappa for x >= 0, so a
+        light tail can be mapped in the hazard variable (x/lam)^kappa;
+        None where the cumulative hazard has no such form.
     """
 
     support = (0.0, math.inf)
     tail_index = math.inf
-    exponential_tail = False
+    hazard = None
 
     def cdf(self, x):
         raise NotImplementedError
@@ -136,10 +137,9 @@ class Uniform(ParametricModel):
 class Exponential(ParametricModel):
     """Exponential with mean mu (rate 1/mu)."""
 
-    exponential_tail = True
-
     def __init__(self, mean: float = 1.0):
         self.mu = _check_positive("exponential mean", mean)
+        self.hazard = (self.mu, 1.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -174,7 +174,7 @@ class Weibull(ParametricModel):
     def __init__(self, shape: float, scale: float = 1.0):
         self.kappa = _check_positive("weibull shape", shape)
         self.lam = _check_positive("weibull scale", scale)
-        self.exponential_tail = self.kappa >= 1.0
+        self.hazard = (self.lam, self.kappa)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -26,9 +26,10 @@ checked to exist, so both routes refuse the same measures with one text.
 Each evaluator runs its integrals in the model's own units, and a
 truncated form divides by S(t) or F(t) inside its integrand, so its
 request is relative to its value at any depth of the tail.  Both grade an
-infinite end by one margin 1 + s - p/tail_index: the quantile evaluator
-its half that touches u = 1, the x-domain evaluator its piece [a, inf),
-with the least margin of the measure's PWM form.  The
+infinite end alike, the quantile evaluator its half that touches u = 1 and
+the x-domain evaluator its piece [a, inf): a power tail by one margin
+1 + s - p/tail_index, on the x side the least of the measure's PWM form,
+and a light tail in its hazard variable, S = S(a) w^6 on both.  The
 population PWMs live here too: :func:`pwm_population` is a lookup through
 :meth:`_QDomain.M`, and the quantile evaluator owns each quantile integral
 whole, from the check that it exists to its graded halves.
@@ -66,6 +67,9 @@ _GRADE = 3.0  # u = h w^3 on the quantile half that touches 0, x = b w^3 on an x
 # from Weibull(0.3) to Pareto(2.01), at scales 1e-6 to 1e6, QAGS's smallest
 # node is near w = 1e-8.
 _MAX_TAIL_GRADE = 16.0
+# A light tail, -log S = y = (x/lam)^kappa, is graded in y on both routes, so
+# S = S(a) w^6, and Q's factor y^(1/kappa) is weighted by w^5 at w = 0.
+_LIGHT_GRADE = 6.0
 
 
 def _margin(model, degree: float, vpow: float, pwm=()) -> float:
@@ -94,14 +98,16 @@ class _XDomain:
     start and the closed-form median; each piece is taken in units of
     unit^(degree + 1).  A node calls cdf below the median and sf above it,
     and takes the other as its complement, which is at least 1/2.  A piece
-    from 0 runs in w with x = b w^3.  A piece [a, inf) runs in w, graded by
-    ``margin`` (:func:`_margin`): the least of the measure's PWM form, or
-    else 1 - (degree + 1)/tail_index, as every other integrand holds S at
-    least once.  A power tail takes x = a w^-m, m = 3/(tail_index
-    min(margin, 1)) capped at 16, as :class:`_QDomain`'s upper half; a tail
-    at least as light as exp(-x/unit) takes x = a + c (-log w), with
-    c = 3 unit/min(margin, 1); either integrand vanishes like w^2 at w = 0.
-    Any other tail (Weibull of shape below 1) keeps ``_quad``'s map.
+    from 0 runs in w with x = b w^3.  A piece [a, inf) runs in w.  A power
+    tail is graded by ``margin`` (:func:`_margin`): the least of the
+    measure's PWM form, or else 1 - (degree + 1)/tail_index, as every other
+    integrand holds S at least once.  It takes x = a w^-m, m = 3/(tail_index
+    min(margin, 1)) capped at 16, as :class:`_QDomain`'s upper half, and its
+    integrand vanishes like w^2 at w = 0.  A light tail with the model's
+    ``hazard`` (lam, kappa) takes x = lam (y_a + 6 (-log w))^(1/kappa),
+    y_a = (a/lam)^kappa, so S = exp(-y_a) w^6 exactly, as v = span w^6 on
+    the quantile side.  Only a power tail whose margin is at or below 0,
+    which no shipped model reaches, keeps ``_quad``'s map.
     ``above(t)`` and ``below(t)`` are S(t) and F(t), refusing an empty side
     or one below the smallest normal double.
     """
@@ -127,9 +133,15 @@ class _XDomain:
                 x = a * w**-m
                 return h(x) * (m * x / w)
             return power
-        if model.exponential_tail:
-            c = _GRADE / min(margin, 1.0) * self.unit
-            return lambda w: h(a - c * np.log(w)) * (c / w)
+        if model.hazard is not None:
+            lam, kappa = model.hazard
+            ya = (a / lam) ** kappa
+
+            def light(w):  # y = (x/lam)^kappa = ya - 6 log w, dx = -6 x/(kappa y w) dw
+                y = ya - _LIGHT_GRADE * np.log(w)
+                x = lam * y ** (1.0 / kappa)
+                return h(x) * (_LIGHT_GRADE / kappa * x / (y * w))
+            return light
         return None
 
     def __call__(self, g, lo: float = 0.0, hi=None, degree: float = 0) -> float:
@@ -173,8 +185,11 @@ class _QDomain:
     span = min(top, 1/2), and takes Q from ``isf(v)``, so neither u nor v
     is formed by subtracting a number close to it from 1.
     mu = 3/min(margin, 1), capped at 16, makes the integrand vanish like
-    w^2 at w = 0.  ``M(p, r, s)`` is the PWM M_{p,r,s}, integrated once
-    per ``moments`` dict (PwmIndex -> value), which gains every new one.
+    w^2 at w = 0; a light tail with a ``hazard`` takes mu = 6, which grades
+    Q(1 - v) = lam (-log v)^(1/kappa) in its hazard variable
+    -log v = -log span - 6 log w, as :class:`_XDomain`'s tail.
+    ``M(p, r, s)`` is the PWM M_{p,r,s}, integrated once per ``moments``
+    dict (PwmIndex -> value), which gains every new one.
     ``above(t)`` and ``below(t)`` are :class:`_XDomain`'s: S(t) and F(t),
     the levels at which the truncated forms start or end.
     """
@@ -200,7 +215,8 @@ class _QDomain:
             total += _quad(lower, (lo / h) ** (1.0 / _GRADE), 1.0, cfg, f"[{lo}, {h}]",
                            scale=scale)
         if hi > 0.5:
-            span, mu = min(top, 0.5), min(_GRADE / min(margin, 1.0), _MAX_TAIL_GRADE)
+            span, mu = min(top, 0.5), (_LIGHT_GRADE if model.hazard is not None else
+                                       min(_GRADE / min(margin, 1.0), _MAX_TAIL_GRADE))
             upper = _graded(lambda v: f(1.0 - v, v, model.isf(v) / unit), span, mu)
             total += _quad(upper, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, cfg,
                            f"[{1.0 - span}, {hi}]", scale=scale)

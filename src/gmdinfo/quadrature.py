@@ -12,11 +12,11 @@ adaptive G10K21 Gauss-Kronrod quadrature, bisecting the interval of
 largest error, with Wynn's epsilon algorithm extrapolating the sums when
 the error gathers at an endpoint.  ``_quad`` maps [a, inf) onto (0, 1] by
 x = a + c (1 - t)/t with c = max(a, unit), as QUADPACK's QAGI does with
-c = 1 and the rule G7K15; that map serves only ``integrate_x`` and the
-x-domain tails that ``_XDomain`` does not grade (Weibull of shape below
-1).  Each bisection evaluates the integrand once, as one
-array call on the nodes of both halves, and the rule's four sums are
-written out in dqk21's order, so they round as QUADPACK's do.
+c = 1 and the rule G7K15; that map serves only ``integrate_x`` and a
+power tail of margin at or below 0, which ``_XDomain`` does not grade and
+no shipped model reaches.  Each bisection evaluates the integrand once,
+as one array call on the nodes of both halves, and the rule's four sums
+are written out in dqk21's order, so they round as QUADPACK's do.
 
 Each integral runs once, with ``tol`` as QUADPACK's relative request and
 tol times the value's unit as its absolute one (1 for the public entry
@@ -384,10 +384,11 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "", unit: f
     """Integral of the array-valued f over [a, b], b finite or inf, in units of unit^(degree + 1).
 
     QUADPACK's absolute request is tol times those units, and [a, inf) is
-    mapped in units of max(a, unit): ``integrate_x`` and the x-domain tails
-    without a graded map (Weibull of shape below 1) come here.  A failure names the interval as
-    ``where``, or as [a, b] if that is empty, and quotes the error
-    estimate times ``scale``, the value's units per unit of the integral.
+    mapped in units of max(a, unit): ``integrate_x`` comes here, and no
+    shipped model's x-domain tail does, as ``_XDomain`` grades each of them.
+    A failure names the interval as ``where``, or as [a, b] if that is
+    empty, and quotes the error estimate times ``scale``, the value's units
+    per unit of the integral.
     """
     if b == math.inf:  # x = a + c (1 - t)/t on (0, 1], in units of c
         c = max(a, unit)

@@ -279,6 +279,19 @@ class TestRelativeGate:
         assert report.tolerance * denom < report.abs_residual < report.tolerance * sample.values[-1]
         assert not report.passed
 
+    @pytest.mark.parametrize("identity_id", ["I5", "I7", "I9", "I10", "I11", "I14"])
+    def test_reported_pair_is_the_worst_against_its_own_gate(self, identity_id):
+        """Of several pairs, in different units, the report gives the largest residual/gate."""
+        model, identity = Weibull(0.3, 1.0), BY_ID[identity_id]
+        report = verify(identity, model)
+        tol, floor = report.tolerance, report.tolerance * model.mean()
+
+        def over(lhs, rhs):
+            return abs(lhs - rhs) / max(tol * max(abs(lhs), abs(rhs)), floor)
+        pairs = identity.population_sides(model, DEFAULT_CONFIG)
+        assert len(pairs) > 1
+        assert over(report.lhs, report.rhs) == max(over(*map(float, pair)) for pair in pairs)
+
     def test_model_mean_that_overflows_is_named(self):
         with pytest.raises(NonFiniteError, match=r"^I1: the mean of weibull\(shape=0.005, "):
             verify(BY_ID["I1"], Weibull(0.005, 1.0))
@@ -496,15 +509,17 @@ class TestXDomainSidesNeverCallQ:
         for model in (Uniform(0.5, 2.0), Exponential(3.0), Weibull(0.7, 2.0), Pareto(2.2, 3.0)):
             assert model.median() == float(model.quantile(0.5))
 
-    def test_measures_and_mean_lives(self):
-        model, plain = NoQuantile(1.5, 1.0), Weibull(1.5, 1.0)
+    @pytest.mark.parametrize("shape", [0.7, 1.5])
+    def test_measures_and_mean_lives(self, shape):
+        model, plain = NoQuantile(shape, 1.0), Weibull(shape, 1.0)
         assert _mx(model, DEFAULT_CONFIG, id="gmd") == _mx(plain, DEFAULT_CONFIG, id="gmd")
         t = plain.median()
         assert j_dyn_population(model, t) == j_dyn_population(plain, t)
         assert mean_residual_life(model, t) == mean_residual_life(plain, t)
 
-    def test_identity_sides(self):
-        model, plain = NoQuantile(1.5, 1.0), Weibull(1.5, 1.0)
+    @pytest.mark.parametrize("shape", [0.7, 1.5])
+    def test_identity_sides(self, shape):
+        model, plain = NoQuantile(shape, 1.0), Weibull(shape, 1.0)
         for v in (1.0, 2.0):  # I7
             assert (_range_moment_direct(model, v, DEFAULT_CONFIG)
                     == _range_moment_direct(plain, v, DEFAULT_CONFIG))

@@ -124,13 +124,19 @@ class TestClosedFormMoments:
         assert math.isinf(Exponential(1.0).tail_index)
         assert math.isinf(Weibull(0.5, 1.0).tail_index)
 
-    def test_exponential_tail(self):
-        """sf(x) <= exp(-x/unit) far out exactly where the model says its tail is exponential."""
-        for model in (Exponential(2.0), Weibull(1.0, 3.0), Weibull(1.5, 3.0), Weibull(0.7, 3.0),
-                      Pareto(3.0, 2.0)):
-            x = model.unit() * np.array([10.0, 30.0, 100.0])
-            light = bool(np.all(model.sf(x) <= np.exp(-x / model.unit())))
-            assert model.exponential_tail is light, model.describe()
+    @pytest.mark.parametrize("model", [Exponential(2.0), Exponential(1e-6), Weibull(0.3, 1.0),
+                                       Weibull(0.7, 3.0), Weibull(1.5, 1e5), Weibull(5.0, 0.2)],
+                             ids=lambda m: m.describe())
+    def test_hazard(self, model):
+        """-log sf(x) is (x/lam)^kappa, the hazard variable a light tail is mapped in."""
+        lam, kappa = model.hazard
+        y = np.array([1.0, 3.0, 10.0, 100.0])
+        x = lam * y ** (1.0 / kappa)
+        assert np.allclose(-np.log(model.sf(x)), (x / lam) ** kappa, rtol=1e-15, atol=0.0)
+
+    def test_no_hazard(self):
+        assert Uniform(0.5, 2.0).hazard is None
+        assert Pareto(3.0, 2.0).hazard is None
 
     def test_supports(self):
         assert Uniform(0.5, 2.0).support == (0.5, 2.0)

@@ -19,6 +19,7 @@ from gmdinfo import (
     NonFiniteError,
     Pareto,
     PhiSelector,
+    PwmIndex,
     QuadratureConfig,
     Uniform,
     UnsupportedSpecError,
@@ -39,6 +40,7 @@ from gmdinfo import (
     measure_sample,
     parse_phi,
     parse_weight,
+    pwm_population,
 )
 from gmdinfo import quadrature
 from oracles import nested_gce, nested_ge
@@ -486,27 +488,29 @@ class TestExistenceGuards:
                                    "no x-domain route for measure 'ge'")
 
 
+@pytest.fixture
+def intervals(monkeypatch):
+    """The G10K21 intervals of each _qags run, in order: the last is the half or piece at inf."""
+    runs, qags = [], quadrature._qags
+
+    def counting(f, a, b, *args):
+        result = qags(f, a, b, *args)
+        runs.append(result[2] // 21)
+        return result
+
+    monkeypatch.setattr(quadrature, "_qags", counting)
+    return runs
+
+
 class TestGradedXTails:
-    """The x side's piece [a, inf) runs in w on (0, 1], mapped by the tail's kind and graded
-    by the integrand's margin; Weibull of shape below 1 keeps _quad's map."""
+    """The x side's piece [a, inf) runs in w on (0, 1], mapped by the tail's kind: a power
+    tail graded by the integrand's margin, a light one in its hazard variable, S = S(a) w^6."""
 
-    @pytest.fixture
-    def intervals(self, monkeypatch):
-        """The G10K21 intervals of each _qags run, in order: the last is the piece [a, inf)."""
-        runs, qags = [], quadrature._qags
-
-        def counting(f, a, b, *args):
-            result = qags(f, a, b, *args)
-            runs.append(result[2] // 21)
-            return result
-
-        monkeypatch.setattr(quadrature, "_qags", counting)
-        return runs
-
-    #: model, measure, the tail piece's intervals (7, 9, 5, 5, 15 and 7 in x = a + c (1 - t)/t)
+    #: model, measure, the tail piece's intervals
     CASES = [(Exponential(1.0), "crj", 1), (Exponential(1.0), "gmd", 1),
-             (Weibull(1.5), "crj", 3), (Pareto(2.2), "crj", 1), (Pareto(2.2), "crjw", 3),
-             (Weibull(0.7), "crj", 7)]
+             (Weibull(1.5), "crj", 5), (Pareto(2.2), "crj", 1), (Pareto(2.2), "crjw", 3),
+             (Weibull(0.7), "crj", 3), (Weibull(0.3), "crj", 3), (Weibull(2.0), "crj", 5),
+             (Weibull(5.0), "crj", 5)]
 
     @pytest.mark.parametrize("model, mid, want", CASES,
                              ids=[f"{mid}@{m.describe()}" for m, mid, _ in CASES])
@@ -517,9 +521,24 @@ class TestGradedXTails:
     @pytest.mark.parametrize("model", [Exponential(1.0), Weibull(1.5), Pareto(2.2)],
                              ids=lambda m: m.describe())
     def test_mean_residual_life_in_one_interval(self, intervals, model):
-        """S/S(t) on [t, inf) is exactly w^3 in the graded map of a Pareto or an exponential."""
+        """S/S(t) on [t, inf) is a power of w in the graded map of a Pareto or a light tail."""
         mean_residual_life(model, 3.0 * model.median())
         assert intervals == [1]
+
+
+class TestGradedQuantileTails:
+    """The quantile half that touches u = 1 runs in w with v = span w^mu: mu = 6 on a light
+    tail, so Q(1 - v) = lam (-log span - 6 log w)^(1/kappa) is its hazard map."""
+
+    #: model, p, the upper half's intervals of M_{p,0,0}
+    CASES = [(Exponential(1.0), 1, 1), (Weibull(0.7), 1, 3),
+             (Exponential(1.0), 2, 3), (Weibull(0.7), 2, 3)]
+
+    @pytest.mark.parametrize("model, p, want", CASES,
+                             ids=[f"M{p}@{m.describe()}" for m, p, _ in CASES])
+    def test_upper_half_intervals(self, intervals, model, p, want):
+        pwm_population(model, PwmIndex(p))
+        assert intervals[-1] == want
 
 
 class TestNonFiniteValues:

@@ -35,8 +35,9 @@ MODELS = {"uniform": Uniform(0.0, 1.0), "exp1": Exponential(1.0),
           "weibull1.5": Weibull(1.5), "weibull0.7": Weibull(0.7),
           "pareto4_2": Pareto(4.0, 2.0), "pareto2.2": Pareto(2.2)}
 
-#: steep and heavy tails, and scales far from 1
-EDGE_MODELS = {"weibull0.3": Weibull(0.3), "pareto2.05": Pareto(2.05),
+#: steep and heavy tails, light tails on either side of the exponential, and scales far from 1
+EDGE_MODELS = {"weibull0.3": Weibull(0.3), "weibull0.5": Weibull(0.5), "weibull2": Weibull(2.0),
+               "weibull5": Weibull(5.0), "pareto2.05": Pareto(2.05),
                "exp1e-6": Exponential(1e-6), "exp1e6": Exponential(1e6),
                "weibull1.5_1e-4": Weibull(1.5, 1e-4), "pareto3_1e5": Pareto(3.0, 1e5)}
 
@@ -116,7 +117,8 @@ def test_reversed_orders(mid, params, tag):
 
 #: models with a scale parameter, and the factory of each scaled by c
 SCALED = {"uniform": lambda c: Uniform(0.0, c), "exp": lambda c: Exponential(c),
-          "weibull0.7": lambda c: Weibull(0.7, c), "pareto4": lambda c: Pareto(4.0, c)}
+          "weibull0.3": lambda c: Weibull(0.3, c), "weibull0.7": lambda c: Weibull(0.7, c),
+          "weibull2": lambda c: Weibull(2.0, c), "pareto4": lambda c: Pareto(4.0, c)}
 
 
 def _check_scale_equivariance(tag, c, route):
