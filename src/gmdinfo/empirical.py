@@ -63,7 +63,7 @@ class Sample:
 
     @cached_property
     def _digest(self) -> str:  # hashed once per sample; a string, not an array, is kept
-        h = hashlib.sha1(self.values.tobytes()).hexdigest()[:8]
+        h = hashlib.sha1(np.ascontiguousarray(self.values)).hexdigest()[:8]  # no copy
         return f"sample(n={self.n}, sha1={h})"
 
 
@@ -101,12 +101,19 @@ def _check_convention(conv: str) -> None:
 
 
 def _position(i, n: int, conv: str):
-    """u_i for a float rank i (scalar or array) of n."""
+    """u_i for a float rank i of n."""
     if conv == "hazen":
         return (i - 0.5) / n
     if conv == "naive":
         return i / n
     return i / (n + 1)
+
+
+def _block_positions(lo: int, hi: int, n: int, conv: str) -> np.ndarray:
+    """u_i for the ranks lo+1..hi of n, from one arange: hazen's i - 0.5 is exact in it."""
+    if conv == "hazen":
+        return np.arange(lo + 0.5, hi + 0.5) / n
+    return np.arange(lo + 1.0, hi + 1.0) / (n if conv == "naive" else n + 1.0)
 
 
 def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
@@ -116,7 +123,7 @@ def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
     Tied observations keep distinct consecutive positions.
     """
     _check_convention(conv)
-    return _position(np.arange(1, n + 1, dtype=float), n, conv)
+    return _block_positions(0, n, n, conv)
 
 
 def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:

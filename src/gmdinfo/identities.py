@@ -153,9 +153,21 @@ def _plugin_cov(T, r: float, s: float) -> float:
     return T((1, r, s, False)) - T((1, 0.0, 0.0, False)) * T((0, r, s, False))
 
 
+def _ecdf_gaps(orders):
+    """The levels' gaps (1-F)^k - (1-F)^l and F^k - F^l for each (k, l) of orders, k and l
+    in 1..3: one 1 - F, and every higher power as a product; each gap is made as it is read."""
+    def gaps(F):
+        G = 1.0 - F
+        G2, F2 = G * G, F * F
+        powers = (G, G2, G2 * G), (F, F2, F2 * F)
+        return (P[k - 1] - P[l - 1] for k, l in orders for P in powers)
+    return gaps
+
+
 def _family_pairs(s, conv, specs, gaps, scales):
     """I10/I11: per order, int g(F_hat) dx and int x g(F_hat) dx (naive step ECDF) of its
-    survival-side and distribution-side g, over its scale, against its four measures."""
+    survival-side and distribution-side g, over its scale, against its four measures; gaps
+    maps the levels F_hat to every order's two g, in order."""
     values, steps = _sample_values(s, specs, conv, gaps)
     pairs = []
     for k, scale in enumerate(scales):
@@ -304,7 +316,7 @@ def _i10_sample(s, conv):
     alphas = (2.0, 3.0)
     return _family_pairs(
         s, conv, [MeasureSpec(mid, alpha=a) for a in alphas for mid in ("crt", "ct", "wcrt", "wct")],
-        [g for a in alphas for g in (lambda F, a=a: (1 - F) - (1 - F) ** a, lambda F, a=a: F - F**a)],
+        _ecdf_gaps([(1, int(a)) for a in alphas]),
         [a - 1 for a in alphas])
 
 
@@ -313,8 +325,7 @@ def _i11_sample(s, conv):
     return _family_pairs(
         s, conv, [MeasureSpec(mid, alpha=a, beta=b) for a, b in orders
                   for mid in ("sr", "sp", "srw", "spw")],
-        [g for a, b in orders for g in (
-            lambda F, a=a, b=b: (1 - F) ** a - (1 - F) ** b, lambda F, a=a, b=b: F**a - F**b)],
+        _ecdf_gaps([(int(a), int(b)) for a, b in orders]),
         [b - a for a, b in orders])
 
 

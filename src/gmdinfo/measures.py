@@ -55,7 +55,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, _check_convention, _position, values_above, values_upto
+from .empirical import _BLOCK, Sample, _block_positions, _check_convention, values_above, values_upto
 from .errors import (
     BadParameterError,
     EmptyTailError,
@@ -172,9 +172,8 @@ class WeightSelector:
         p = np.asarray(p, dtype=float)
         if self.kind == "const":
             return self.c * np.ones_like(p)
-        if self.kind == "cdf-power":
-            return p**self.j
-        return (1.0 - p if v is None else v) ** self.j
+        base = p if self.kind == "cdf-power" else (1.0 - p if v is None else v)
+        return base if self.j == 1 else base**self.j
 
     def cumulative_up(self, q, v=None):
         """W_up(q) = int_0^q w(p)/(1-p) dp (works on arrays); v = 1 - q if given."""
@@ -217,7 +216,8 @@ class PhiSelector:
             raise BadParameterError("phi power must be positive")
 
     def __call__(self, x):
-        return self.c * np.asarray(x, dtype=float) ** self.v
+        x = np.asarray(x, dtype=float)
+        return self.c * (x if self.v == 1 else x**self.v)
 
     def describe(self) -> str:
         return f"{self.c:g}*x^{self.v:g}"
@@ -600,7 +600,7 @@ def _check_finite(spec: MeasureSpec, value: float) -> float:
     return value
 
 
-def _sample_values(sample: Sample, specs, conv: str, gaps=()):
+def _sample_values(sample: Sample, specs, conv: str, gaps=None):
     """(value, route) of each PWM-form spec, and the step sums of gaps, from one kernel walk."""
     return _fused(sample.values, conv, lambda T: [_pwm_form(T, sample.n, spec) for spec in specs],
                   gaps)
@@ -688,19 +688,17 @@ def spw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
 # generalized entropies
 
 
-def _at_run_ends(sums: np.ndarray, x: np.ndarray):
-    """sums[e_i] and e_i, where e_i counts the values <= x_i of a sorted block x."""
-    ends = np.flatnonzero(x[1:] != x[:-1]) + 1
-    if ends.shape[0] == x.shape[0] - 1:  # no ties: each run ends at the next rank
-        return sums[1:], np.arange(1, x.shape[0] + 1)
-    ends = np.append(ends, x.shape[0])
+def _at_run_ends(sums: np.ndarray, new: np.ndarray):
+    """sums[e_i] and e_i, where e_i counts the values <= x_i of a sorted block x with ties,
+    from new = x[1:] != x[:-1]."""
+    ends = np.append(np.flatnonzero(new) + 1, new.shape[0] + 1)
     ends = np.repeat(ends, np.diff(ends, prepend=0))
     return sums[ends], ends
 
 
 def _weight_at_ranks(w: WeightSelector, lo: int, hi: int, n: int, conv: str) -> np.ndarray:
     """w at the plotting positions of ranks lo+1..hi of n."""
-    return w.at_probability(_position(np.arange(lo + 1.0, hi + 1.0), float(n), conv))
+    return w.at_probability(_block_positions(lo, hi, n, conv))
 
 
 def generalized_residual_entropy(sample: Sample, w: WeightSelector,
@@ -711,7 +709,9 @@ def generalized_residual_entropy(sample: Sample, w: WeightSelector,
     evaluated through the chosen plotting positions when it references
     the distribution function.  The sample is walked from the top down in
     blocks of _BLOCK ranks, carrying phi's sum from the top, and the sum
-    from the end of the tie run that holds the lowest rank walked.
+    from the end of the tie run that holds the lowest rank walked.  In a
+    block without ties, whose top run does not go on into the block above,
+    each rank ends its own run: no run is searched for.
     """
     _check_convention(conv)
     x, n = sample.values, sample.n
@@ -725,13 +725,21 @@ def generalized_residual_entropy(sample: Sample, w: WeightSelector,
         suffix = np.cumsum(np.concatenate(([above], ph[::-1])))[::-1]
         above = float(suffix[0])
         open_top = hi < n and x[hi] == xb[-1]  # the top run goes on into the block above
-        if open_top:
-            suffix[-1] = run_sum
-        sums, ends = _at_run_ends(suffix, xb)
-        cnt = n - lo - ends
-        if open_top:
-            cnt[ends == xb.shape[0]] = n - run_end
-        term = np.where(cnt > 0, sums / np.maximum(cnt, 1) - ph, 0.0)
+        new = xb[1:] != xb[:-1]
+        if not open_top and new.all():
+            sums, cnt = suffix[1:], np.arange(n - lo - 1.0, n - hi - 1.0, -1.0)
+            if hi < n:
+                term = sums / cnt - ph
+            else:  # rank n has nothing above it
+                term = np.append(sums[:-1] / cnt[:-1] - ph[:-1], 0.0)
+        else:
+            if open_top:
+                suffix[-1] = run_sum
+            sums, ends = _at_run_ends(suffix, new)
+            cnt = n - lo - ends
+            if open_top:
+                cnt[ends == xb.shape[0]] = n - run_end
+            term = np.where(cnt > 0, sums / np.maximum(cnt, 1) - ph, 0.0)
         total += float(np.dot(_weight_at_ranks(w, lo, hi, n, conv), term))
         run_end, run_sum = n - int(cnt[0]), float(sums[0])
     return total / n
@@ -751,7 +759,8 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
 
     The sample is walked from the bottom up in blocks of _BLOCK ranks,
     carrying phi's sum from the bottom; a tie run that goes on past a block
-    is summed ahead to its end once.
+    is summed ahead to its end once.  A block without ties, whose top run
+    ends in it, takes each rank as its own run end.
     """
     _check_convention(conv)
     x, n = sample.values, sample.n
@@ -764,15 +773,19 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
         prefix = np.cumsum(np.concatenate(([below], ph)))  # prefix[k]: phi's sum below rank lo + k
         below = float(prefix[-1])
         open_top = hi < n and x[hi] == xb[-1]
-        if open_top:
-            end = int(np.searchsorted(x, xb[-1], "right"))
-            if end != run_end:
-                run_end, run_sum = end, _phi_sum(x, phi, hi, end, below)
-            prefix[-1] = run_sum
-        sums, ends = _at_run_ends(prefix, xb)
-        cnt = lo + ends  # includes self and all ties
-        if open_top:
-            cnt[ends == xb.shape[0]] = run_end
+        new = xb[1:] != xb[:-1]
+        if not open_top and new.all():
+            sums, cnt = prefix[1:], np.arange(lo + 1.0, hi + 1.0)
+        else:
+            if open_top:
+                end = int(np.searchsorted(x, xb[-1], "right"))
+                if end != run_end:
+                    run_end, run_sum = end, _phi_sum(x, phi, hi, end, below)
+                prefix[-1] = run_sum
+            sums, ends = _at_run_ends(prefix, new)
+            cnt = lo + ends  # includes self and all ties
+            if open_top:
+                cnt[ends == xb.shape[0]] = run_end
         total += float(np.dot(_weight_at_ranks(w, lo, hi, n, conv), ph - sums / cnt))
     return total / n
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, _check_convention, _position
+from .empirical import _BLOCK, Sample, _block_positions, _check_convention, _position
 from .errors import BadParameterError, NonFiniteError, TooFewObservationsError
 
 __all__ = [
@@ -99,15 +99,18 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
 # the sample kernel
 
 
-def _rank_sums(values: np.ndarray, conv: str, terms, gaps=()):
+def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
     """Every term's mean and every gap's step sums, from one blocked walk over sorted values.
 
     A term (p, r, s, exact) is (1/n) sum_i x_(i)^p w_i.  Not exact, w_i is
     the plug-in weight u_i^r (1-u_i)^s; exact (p = 1, integer orders, one
     of them 0), w_i is the unbiased b_r weight prod_{j=1..r} (i-j)/(n-j),
     or the a_s weight, the same product of ranks counted from the top.
-    Each g in gaps gives (sum_i dx_i g(i/n), sum_i 1/2 d(x^2)_i g(i/n))
-    over the n-1 steps dx_i = x_(i+1) - x_(i) of the naive step ECDF.
+    gaps, if given, maps a block's levels i/n to the values g(i/n) of every
+    gap g, in a fixed order, so that the gaps can share their powers of
+    i/n (an iterable, which may make each gap's values as it is read);
+    each g gives (sum_i dx_i g(i/n), sum_i 1/2 d(x^2)_i g(i/n)) over the
+    n-1 steps dx_i = x_(i+1) - x_(i) of the naive step ECDF.
     Returns (means, steps), in the order of terms and gaps.
     """
     n = values.shape[0]
@@ -128,7 +131,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=()):
             raise BadParameterError(
                 "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
             )
-    sums, steps = [0.0] * len(terms), [[0.0, 0.0] for _ in gaps]
+    sums, steps = [0.0] * len(terms), []
     for lo in range(0, n, _BLOCK):
         x = values[lo:lo + _BLOCK]
         hi = lo + x.shape[0]
@@ -141,7 +144,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=()):
                 if kind in ("x", "u", "1-u") and e != 1:
                     value = part((kind, 1)) ** e
                 elif kind == "u":
-                    value = _position(np.arange(lo + 1.0, hi + 1.0), float(n), conv)
+                    value = _block_positions(lo, hi, n, conv)
                 elif kind == "1-u":
                     value = 1.0 - part(("u", 1))
                 elif e == 0:
@@ -159,18 +162,19 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=()):
             for key in keys[1:-1]:
                 y = y * part(key)
             sums[k] += float(np.dot(y, part(keys[-1])) if len(keys) > 1 else y.sum())
-        if gaps:
+        if gaps is not None:
             j = 1 if lo == 0 else 0  # the first step lies between ranks 1 and 2
             xs = values[lo + j - 1:hi]  # one value of overlap with the block before
-            dx, half_dx2, levels = np.diff(xs), 0.5 * np.diff(xs * xs), part(("b", 0))[j:] / n
-            for step, g in zip(steps, gaps):
-                gv = g(levels)
-                step[0] += float(np.dot(dx, gv))
-                step[1] += float(np.dot(half_dx2, gv))
+            dx, half_dx2 = np.diff(xs), 0.5 * np.diff(xs * xs)
+            for k, gv in enumerate(gaps(part(("b", 0))[j:] / n)):
+                if k == len(steps):  # the first block
+                    steps.append([0.0, 0.0])
+                steps[k][0] += float(np.dot(dx, gv))
+                steps[k][1] += float(np.dot(half_dx2, gv))
     return [total / n for total in sums], [tuple(step) for step in steps]
 
 
-def _fused(values: np.ndarray, conv: str, compute, gaps=()):
+def _fused(values: np.ndarray, conv: str, compute, gaps=None):
     """compute(T), with every T(term) it reads taken from one _rank_sums walk; and the gap sums.
 
     compute runs twice: first each T(term) is recorded and reads 0.0, then,

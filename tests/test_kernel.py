@@ -35,6 +35,7 @@ from gmdinfo import (
     make_sample,
     measure_sample,
     plotting_positions,
+    verify_all,
 )
 from gmdinfo import identities, measures, pwm
 from gmdinfo.identities import _pick_t, _plugin_cov
@@ -122,7 +123,7 @@ _GAPS = [lambda F: (1 - F) - (1 - F) ** 2.0, lambda F: F - F**3.0,
 @given(gaps=st.lists(st.sampled_from(_GAPS), min_size=1, max_size=4), **sample_args)
 def test_gap_sums_match_full_array(n, ties, seed, gaps):
     x = data(n, ties, seed)
-    means, steps = _rank_sums(x, "hazen", [(1, 0.0, 0.0, True)], gaps)
+    means, steps = _rank_sums(x, "hazen", [(1, 0.0, 0.0, True)], lambda F: [g(F) for g in gaps])
     assert close(means[0], float(np.mean(x)))
     for got, want in zip(steps, full_step_integrals(x, gaps)):
         assert close(got[0], want[0]) and close(got[1], want[1])
@@ -213,6 +214,39 @@ def test_small_blocks_match_brute_force_loops(n, kind, monkeypatch):
             assert abs(got - brute_gce(x, u, w.at_probability, PHI)) <= data_units(x), (conv, w)
     for need_above, need_below in NEEDS + ((n // 2, n // 2), (n, 0), (0, n)):
         assert _pick_t(sample, need_above, need_below) == brute_pick_t(x, need_above, need_below)
+
+
+#: per layout of 8 or 9 values, the blocks of 4 ranks that hold a tie or whose top run goes
+#: on into the next block: only these search for tie runs
+SEARCHED_BLOCKS = {"no-ties": 0, "edge-pair": 1, "bottom-pair": 1, "all-equal": 2}
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCHED_BLOCKS))
+@pytest.mark.parametrize("n", [8, 9])
+def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
+    """A tie-free block takes each rank as its own run end; next to tied blocks, it hands on
+    (ge) or takes up (gce) the carry of a run across an edge as the run search would."""
+    monkeypatch.setattr(measures, "_BLOCK", 4)
+    searched, search = [], measures._at_run_ends
+    monkeypatch.setattr(measures, "_at_run_ends", lambda *a: searched.append(1) or search(*a))
+    x = np.sort(np.random.default_rng(n).exponential(1.0, n))
+    if kind == "edge-pair":  # ranks 4 and 5, across the first block edge
+        x[4] = x[3]
+    elif kind == "bottom-pair":  # ranks 1 and 2 only
+        x[1] = x[0]
+    elif kind == "all-equal":
+        x[:] = 1.7
+    sample = make_sample(x)
+    for conv in ECDF_CONVENTIONS:
+        u = plotting_positions(n, conv)
+        for w in WEIGHTS + (WeightSelector("cdf-power"), WeightSelector("sf-power")):
+            for phi in (PHI, PhiSelector(2.0)):
+                searched.clear()
+                got = generalized_residual_entropy(sample, w, phi, conv)
+                assert abs(got - brute_ge(x, u, w.at_probability, phi)) <= data_units(x), (conv, w)
+                got = generalized_cumulative_entropy(sample, w, phi, conv)
+                assert abs(got - brute_gce(x, u, w.at_probability, phi)) <= data_units(x), (conv, w)
+                assert len(searched) == 2 * SEARCHED_BLOCKS[kind]
 
 
 @pytest.mark.parametrize("kind", ["continuous", "straddling", "long-run"])
@@ -316,6 +350,12 @@ def test_fused_identity_sides_make_no_length_n_temporary(iid, million):
 @pytest.mark.parametrize("iid", sorted(set(SIDES) - set(FUSED_SIDES)))
 def test_other_identity_sides_make_no_length_n_temporary(iid, million):
     assert _traced_peak(lambda: SIDES[iid](million, "hazen")) <= 2 * 2**20
+
+
+def test_the_first_verify_of_a_fresh_sample_makes_no_length_n_temporary():
+    """The report label's content hash reads the values in place, not through a copy."""
+    fresh = make_sample(np.random.default_rng(8).exponential(1.0, 10**6))
+    assert _traced_peak(lambda: verify_all(fresh)) <= 2 * 2**20
 
 
 def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
