@@ -44,8 +44,8 @@ statistics are i<j U-statistics (no self-pairs), which is what makes
 the sample-level decompositions below exact rather than asymptotic.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
-pairwise means through ``_rank_dot``, and ge/gce through phi's sums
-carried from block to block.
+pairwise means through ``_rank_dot``, and ge/gce through phi's running
+sum, read per tie run at the run's boundary (``_runs``).
 """
 
 import math
@@ -688,12 +688,24 @@ def spw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
 # generalized entropies
 
 
-def _at_run_ends(sums: np.ndarray, new: np.ndarray):
-    """sums[e_i] and e_i, where e_i counts the values <= x_i of a sorted block x with ties,
-    from new = x[1:] != x[:-1]."""
-    ends = np.append(np.flatnonzero(new) + 1, new.shape[0] + 1)
-    ends = np.repeat(ends, np.diff(ends, prepend=0))
-    return sums[ends], ends
+def _runs(x: np.ndarray, lo: int, hi: int):
+    """None when each rank of the sorted block x[lo:hi] is its own tie run; else, per run
+    the block meets, where it first appears in the block and where it starts and ends over
+    all of x.  Only the runs across the block's two edges are searched for."""
+    xb = x[lo:hi]
+    new = xb[1:] != xb[:-1]
+    from_below = lo > 0 and x[lo - 1] == xb[0]
+    goes_on = hi < x.shape[0] and x[hi] == xb[-1]
+    if not (from_below or goes_on) and new.all():
+        return None
+    cut = np.concatenate(([0], np.flatnonzero(new) + 1))
+    start = lo + cut
+    end = np.append(start[1:], hi)
+    if from_below:
+        start[0] = np.searchsorted(x, xb[0], "left")
+    if goes_on:
+        end[-1] = np.searchsorted(x, xb[-1], "right")
+    return cut, start, end
 
 
 def _weight_at_ranks(w: WeightSelector, lo: int, hi: int, n: int, conv: str) -> np.ndarray:
@@ -705,52 +717,40 @@ def generalized_residual_entropy(sample: Sample, w: WeightSelector,
                                  phi: PhiSelector, conv: str = "hazen") -> float:
     """GE: (1/n) sum_i w(x_(i)) * mean over x_j > x_(i) of (phi(x_j) - phi(x_i)).
 
-    Ranks with an empty strict upper tail contribute 0.  The weight is
-    evaluated through the chosen plotting positions when it references
-    the distribution function.  The sample is walked from the top down in
-    blocks of _BLOCK ranks, carrying phi's sum from the top, and the sum
-    from the end of the tie run that holds the lowest rank walked.  In a
-    block without ties, whose top run does not go on into the block above,
-    each rank ends its own run: no run is searched for.
+    The top tie run has an empty strict upper tail and contributes 0, so
+    the walk starts below it, with phi's sum over it as (n - top) phi(x_(n)).
+    The weight is evaluated through the chosen plotting positions when it
+    references the distribution function.  The ranks below the top run are
+    walked from the top down in blocks of _BLOCK ranks, carrying phi's sum
+    from the top.  A block whose ranks are each their own run reads that
+    sum one rank up; in any other block each run is one term, its weights
+    summed, reading the sum at the run's end, or, when that end lies in a
+    block above, the sum carried from there: a block of single-rank runs
+    shares no run with its neighbours.
     """
     _check_convention(conv)
     x, n = sample.values, sample.n
-    total, above = 0.0, 0.0
-    run_end, run_sum = n, 0.0
-    for lo in reversed(range(0, n, _BLOCK)):
-        xb = x[lo:lo + _BLOCK]
-        hi = lo + xb.shape[0]
-        ph = phi(xb)
+    top = int(np.searchsorted(x, x[-1]))
+    above = (n - top) * float(phi(x[-1:])[0])
+    total, carry = 0.0, 0.0  # carry: phi's sum above the run at the bottom of a tied block
+    for lo in reversed(range(0, top, _BLOCK)):
+        hi = min(lo + _BLOCK, top)
+        ph = phi(x[lo:hi])
         # suffix[k]: phi's sum from rank lo + k up, added from the top down as one cumsum would
         suffix = np.cumsum(np.concatenate(([above], ph[::-1])))[::-1]
         above = float(suffix[0])
-        open_top = hi < n and x[hi] == xb[-1]  # the top run goes on into the block above
-        new = xb[1:] != xb[:-1]
-        if not open_top and new.all():
-            sums, cnt = suffix[1:], np.arange(n - lo - 1.0, n - hi - 1.0, -1.0)
-            if hi < n:
-                term = sums / cnt - ph
-            else:  # rank n has nothing above it
-                term = np.append(sums[:-1] / cnt[:-1] - ph[:-1], 0.0)
+        wb, runs = _weight_at_ranks(w, lo, hi, n, conv), _runs(x, lo, hi)
+        if runs is None:
+            term = suffix[1:] / np.arange(n - lo - 1.0, n - hi - 1.0, -1.0) - ph
         else:
-            if open_top:
-                suffix[-1] = run_sum
-            sums, ends = _at_run_ends(suffix, new)
-            cnt = n - lo - ends
-            if open_top:
-                cnt[ends == xb.shape[0]] = n - run_end
-            term = np.where(cnt > 0, sums / np.maximum(cnt, 1) - ph, 0.0)
-        total += float(np.dot(_weight_at_ranks(w, lo, hi, n, conv), term))
-        run_end, run_sum = n - int(cnt[0]), float(sums[0])
+            cut, _, end = runs
+            sums = suffix[np.minimum(end, hi) - lo]
+            if end[-1] > hi:
+                sums[-1] = carry
+            carry = float(sums[0])
+            wb, term = np.add.reduceat(wb, cut), sums / (n - end) - ph[cut]
+        total += float(np.dot(wb, term))
     return total / n
-
-
-def _phi_sum(x: np.ndarray, phi: PhiSelector, lo: int, hi: int, total: float) -> float:
-    """total plus phi over ranks lo..hi-1, added in rank order in blocks, as one cumsum would."""
-    for start in range(lo, hi, _BLOCK):
-        ph = phi(x[start:min(start + _BLOCK, hi)])
-        total = float(np.cumsum(np.concatenate(([total], ph)))[-1])
-    return total
 
 
 def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
@@ -758,35 +758,32 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
     """GCE: (1/n) sum_i w(x_(i)) * mean over x_j <= x_(i) of (phi(x_i) - phi(x_j)).
 
     The sample is walked from the bottom up in blocks of _BLOCK ranks,
-    carrying phi's sum from the bottom; a tie run that goes on past a block
-    is summed ahead to its end once.  A block without ties, whose top run
-    ends in it, takes each rank as its own run end.
+    carrying phi's sum from the bottom.  A block whose ranks are each their
+    own run reads that sum at each rank.  In any other block each run is one
+    term, its weights summed: with P phi's sum below the run's start s and e
+    its end, (s phi - P)/e, since the run's own differences are 0.  When s
+    lies in a block below, P is the sum carried from there.
     """
     _check_convention(conv)
     x, n = sample.values, sample.n
-    total, below = 0.0, 0.0
-    run_end, run_sum = 0, 0.0
+    total, below, carry = 0.0, 0.0, 0.0  # carry: phi's sum below the top run of a tied block
     for lo in range(0, n, _BLOCK):
         xb = x[lo:lo + _BLOCK]
         hi = lo + xb.shape[0]
         ph = phi(xb)
         prefix = np.cumsum(np.concatenate(([below], ph)))  # prefix[k]: phi's sum below rank lo + k
         below = float(prefix[-1])
-        open_top = hi < n and x[hi] == xb[-1]
-        new = xb[1:] != xb[:-1]
-        if not open_top and new.all():
-            sums, cnt = prefix[1:], np.arange(lo + 1.0, hi + 1.0)
+        wb, runs = _weight_at_ranks(w, lo, hi, n, conv), _runs(x, lo, hi)
+        if runs is None:
+            term = ph - prefix[1:] / np.arange(lo + 1.0, hi + 1.0)
         else:
-            if open_top:
-                end = int(np.searchsorted(x, xb[-1], "right"))
-                if end != run_end:
-                    run_end, run_sum = end, _phi_sum(x, phi, hi, end, below)
-                prefix[-1] = run_sum
-            sums, ends = _at_run_ends(prefix, new)
-            cnt = lo + ends  # includes self and all ties
-            if open_top:
-                cnt[ends == xb.shape[0]] = run_end
-        total += float(np.dot(_weight_at_ranks(w, lo, hi, n, conv), ph - sums / cnt))
+            cut, start, end = runs
+            sums = prefix[np.maximum(start, lo) - lo]
+            if start[0] < lo:
+                sums[0] = carry
+            carry = float(sums[-1])
+            wb, term = np.add.reduceat(wb, cut), (start * ph[cut] - sums) / end
+        total += float(np.dot(wb, term))
     return total / n
 
 

@@ -8,6 +8,8 @@ way.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -253,15 +255,12 @@ def full_step_integrals(values, gs) -> list:
 
 def exact_order_weighted_mean(values, order: int, reverse: bool) -> float:
     """b_r or a_s in exact rational arithmetic, through binomial weights."""
-    from fractions import Fraction
-    from math import comb
-
     n = len(values)
     total = Fraction(0)
     for i, x in enumerate(values, start=1):
         k = n - i if reverse else i - 1
-        total += comb(k, order) * Fraction(float(x))
-    return float(total / (n * comb(n - 1, order)))
+        total += math.comb(k, order) * Fraction(float(x))
+    return float(total / (n * math.comb(n - 1, order)))
 
 
 def run_ends(x: np.ndarray) -> np.ndarray:
@@ -292,3 +291,32 @@ def full_gce(x, w, phi, conv) -> float:
     prefix = np.concatenate([[0.0], np.cumsum(ph)])
     term = ph - prefix[cnt] / cnt
     return float(np.mean(wv * term))
+
+
+def _exact_runs(x, w, phi, conv):
+    """Per tie run of sorted x: its start and end, the sum of w(u) over it, phi on it, and
+    phi's sum below it, all as Fractions of the doubles w(u) and phi(x); and phi's total."""
+    n = x.shape[0]
+    wv = [Fraction(float(v)) for v in w.at_probability(full_positions(n, conv))]
+    ph = [Fraction(float(v)) for v in phi(x)]
+    runs, below, start = [], Fraction(0), 0
+    for end in np.append(np.flatnonzero(np.diff(x)) + 1, n).tolist():
+        runs.append((start, end, sum(wv[start:end]), ph[start], below))
+        below += (end - start) * ph[start]
+        start = end
+    return runs, below
+
+
+def exact_ge(x, w, phi, conv) -> float:
+    """The residual entropy run by run: each run's term in rational arithmetic, added by fsum."""
+    runs, total = _exact_runs(x, w, phi, conv)
+    n = x.shape[0]
+    return math.fsum(float(run_w * ((total - below - (end - start) * p) / (n - end) - p))
+                     for start, end, run_w, p, below in runs if end < n) / n
+
+
+def exact_gce(x, w, phi, conv) -> float:
+    """The cumulative entropy run by run: each run's term in rational arithmetic, added by fsum."""
+    runs, _ = _exact_runs(x, w, phi, conv)
+    return math.fsum(float(run_w * (p - (below + (end - start) * p) / end))
+                     for start, end, run_w, p, below in runs) / x.shape[0]

@@ -44,6 +44,8 @@ from oracles import (
     brute_gce,
     brute_ge,
     brute_pick_t,
+    exact_gce,
+    exact_ge,
     exact_order_weighted_mean,
     full_gce,
     full_ge,
@@ -163,6 +165,8 @@ def layout(n: int, kind: str, block: int = B) -> np.ndarray:
             x[max(edge - 3, 0):edge + 4] = x[max(edge - 3, 0)]
     elif kind == "long-run":  # one run over more than two blocks, from mid-block
         x[block // 2:block // 2 + 2 * block + 3] = x[block // 2]
+    elif kind == "top-run":  # the largest value fills more than two blocks
+        x[-(2 * block + 3):] = x[-1]
     elif kind == "all-equal":
         x[:] = 1.7
     elif kind == "all-zero":
@@ -186,6 +190,19 @@ def test_generalized_entropies_match_full_arrays_at_block_edges(n, kind):
             assert abs(got - full_ge(x, w, PHI, conv)) <= data_units(x), (conv, w)
             got = generalized_cumulative_entropy(sample, w, PHI, conv)
             assert abs(got - full_gce(x, w, PHI, conv)) <= data_units(x), (conv, w)
+
+
+@pytest.mark.parametrize("kind", ["long-run", "top-run"])
+def test_generalized_entropies_match_exact_sums_on_long_runs(kind):
+    """Each tie run reads phi's sum at its own boundary, so a run over several blocks, or one
+    that holds most of phi's mass, costs no accuracy against run-by-run sums in rationals."""
+    x = layout(2 * B + 8, kind)
+    sample = make_sample(x)
+    for w in WEIGHTS:
+        got = generalized_residual_entropy(sample, w, PHI)
+        assert abs(got - exact_ge(x, w, PHI, "hazen")) <= data_units(x), w
+        got = generalized_cumulative_entropy(sample, w, PHI)
+        assert abs(got - exact_gce(x, w, PHI, "hazen")) <= data_units(x), w
 
 
 @pytest.mark.parametrize("kind", LAYOUTS)
@@ -216,19 +233,28 @@ def test_small_blocks_match_brute_force_loops(n, kind, monkeypatch):
         assert _pick_t(sample, need_above, need_below) == brute_pick_t(x, need_above, need_below)
 
 
-#: per layout of 8 or 9 values, the blocks of 4 ranks that hold a tie or whose top run goes
-#: on into the next block: only these search for tie runs
-SEARCHED_BLOCKS = {"no-ties": 0, "edge-pair": 1, "bottom-pair": 1, "all-equal": 2}
+#: per n and layout, the blocks of 4 ranks in which (ge, gce) find tie runs: those that hold a
+#: tie or whose run at an edge goes on across it.  ge walks only the ranks below the top run,
+#: so no block of all-equal data.
+SEARCHED_BLOCKS = {(8, "no-ties"): (0, 0), (9, "no-ties"): (0, 0),
+                   (8, "edge-pair"): (2, 2), (9, "edge-pair"): (2, 2),
+                   (8, "bottom-pair"): (1, 1), (9, "bottom-pair"): (1, 1),
+                   (8, "all-equal"): (0, 2), (9, "all-equal"): (0, 3)}
 
 
-@pytest.mark.parametrize("kind", sorted(SEARCHED_BLOCKS))
-@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("n, kind", sorted(SEARCHED_BLOCKS))
 def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
-    """A tie-free block takes each rank as its own run end; next to tied blocks, it hands on
-    (ge) or takes up (gce) the carry of a run across an edge as the run search would."""
+    """A block whose ranks are each their own run shares no run with its neighbours; the
+    blocks with runs hand on (ge) or take up (gce) the sum at a run across an edge."""
     monkeypatch.setattr(measures, "_BLOCK", 4)
-    searched, search = [], measures._at_run_ends
-    monkeypatch.setattr(measures, "_at_run_ends", lambda *a: searched.append(1) or search(*a))
+    searched, search = [], measures._runs
+
+    def counted(*args):
+        runs = search(*args)
+        searched.append(runs is not None)
+        return runs
+
+    monkeypatch.setattr(measures, "_runs", counted)
     x = np.sort(np.random.default_rng(n).exponential(1.0, n))
     if kind == "edge-pair":  # ranks 4 and 5, across the first block edge
         x[4] = x[3]
@@ -244,27 +270,24 @@ def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
                 searched.clear()
                 got = generalized_residual_entropy(sample, w, phi, conv)
                 assert abs(got - brute_ge(x, u, w.at_probability, phi)) <= data_units(x), (conv, w)
+                ge_found = sum(searched)
+                searched.clear()
                 got = generalized_cumulative_entropy(sample, w, phi, conv)
                 assert abs(got - brute_gce(x, u, w.at_probability, phi)) <= data_units(x), (conv, w)
-                assert len(searched) == 2 * SEARCHED_BLOCKS[kind]
+                assert (ge_found, sum(searched)) == SEARCHED_BLOCKS[n, kind]
 
 
-@pytest.mark.parametrize("kind", ["continuous", "straddling", "long-run"])
+@pytest.mark.parametrize("kind", ["continuous", "straddling", "long-run", "top-run"])
 def test_generalized_entropies_are_one_walk(kind, monkeypatch):
-    """ge evaluates phi once per rank; gce also reads ahead once over the part of a
-    tie run that lies past a block edge, to find the sum at the run's end."""
+    """gce evaluates phi once per rank; ge once per rank below the top run, and once at x_(n)."""
     x = layout(3 * B + 5, kind)
     sample, seen = make_sample(x), []
     monkeypatch.setattr(PhiSelector, "__call__", lambda self, v: seen.append(v.shape[0]) or v)
     generalized_residual_entropy(sample, WEIGHTS[0], PHI)
-    assert sum(seen) == x.shape[0]
+    assert sum(seen) == np.searchsorted(x, x[-1]) + 1
     seen.clear()
     generalized_cumulative_entropy(sample, WEIGHTS[0], PHI)
-    first_edge = {}  # per run that crosses an edge, its end: the first edge it crosses
-    for edge in range(B, x.shape[0], B):
-        if x[edge] == x[edge - 1]:
-            first_edge.setdefault(int(np.searchsorted(x, x[edge], "right")), edge)
-    assert sum(seen) == x.shape[0] + sum(end - edge for end, edge in first_edge.items())
+    assert sum(seen) == x.shape[0]
 
 
 # ---------------------------------------------------------------------------
