@@ -24,20 +24,22 @@ import numpy as np
 
 from gmdinfo import (
     Exponential,
+    MeasureSpec,
     Uniform,
     gmd_left,
     gmd_right,
-    gmd_left_population,
-    gmd_right_population,
-    h_dyn_population,
-    j_dyn_population,
     make_sample,
     mean_past_life,
     mean_residual_life,
+    measure_population,
 )
 
 N = 20000
 SEED = 20260816
+
+
+def pop(model, mid: str, t: float, route: str = "auto") -> float:
+    return measure_population(model, MeasureSpec(mid, t=t), route=route)
 
 
 def profile(model, name: str, grid, sample) -> float:
@@ -47,10 +49,10 @@ def profile(model, name: str, grid, sample) -> float:
           f" {'left(n=2e4)':>12} {'right(n=2e4)':>13}")
     worst = 0.0
     for t in grid:
-        left = gmd_left_population(model, t)
-        right = gmd_right_population(model, t)
-        left_dec = mean_residual_life(model, t) + 2.0 * j_dyn_population(model, t)
-        right_dec = 2.0 * h_dyn_population(model, t) + mean_past_life(model, t)
+        left = pop(model, "gmd_left", t, route="quantile")
+        right = pop(model, "gmd_right", t, route="quantile")
+        left_dec = mean_residual_life(model, t) + 2.0 * pop(model, "j_dyn", t)
+        right_dec = 2.0 * pop(model, "h_dyn", t) + mean_past_life(model, t)
         r1 = abs(left_dec - left)
         r2 = abs(right_dec - right)
         worst = max(worst, r1, r2)

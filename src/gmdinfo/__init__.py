@@ -5,209 +5,26 @@ both the x- and quantile domains), order-statistic and probability-
 weighted-moment estimators for data samples, and a registry of the
 algebraic identities tying the measures together, each verified through
 two independent computational routes.
+
+Every measure is one entry of :data:`MEASURE_IDS`, evaluated by
+:func:`measure_sample` and :func:`measure_population`.  The package
+exports each module's own ``__all__``; a name is declared only there.
 """
 
-from .empirical import (
-    ECDF_CONVENTIONS,
-    Sample,
-    conditional_mean_above,
-    conditional_mean_below,
-    ecdf_at,
-    make_sample,
-    plotting_positions,
-)
-from .errors import (
-    BadParameterError,
-    DomainError,
-    EmptyTailError,
-    FewerThanTwoError,
-    InputFormatError,
-    NegativeValueError,
-    NoConvergenceError,
-    NonFiniteError,
-    NotApplicableError,
-    TooFewObservationsError,
-    UnsupportedSpecError,
-)
-from .identities import (
-    ASYMPTOTIC_SAMPLE_TOL,
-    EXACT_SAMPLE_TOL,
-    POPULATION_TOL,
-    REGISTRY,
-    Identity,
-    IdentityReport,
-    verify,
-    verify_all,
-)
-from .measures import (
-    MEASURE_IDS,
-    MeasureSpec,
-    PhiSelector,
-    WeightSelector,
-    ce,
-    cj,
-    crj,
-    crjw,
-    crt,
-    ct,
-    expected_max_of_k,
-    expected_min_of_k,
-    gain_premium,
-    generalized_cumulative_entropy,
-    generalized_residual_entropy,
-    gmd,
-    gmd_left,
-    gmd_right,
-    gmd_via_pwm,
-    h_dyn,
-    j_dyn,
-    measure_sample,
-    pairwise_max_mean,
-    pairwise_min_mean,
-    parse_phi,
-    parse_weight,
-    risk_premium,
-    s_gini,
-    sp,
-    spw,
-    sr,
-    srw,
-    wce,
-    wcrt,
-    wct,
-)
-from .models import (
-    MODEL_FAMILIES,
-    Exponential,
-    ParametricModel,
-    Pareto,
-    Uniform,
-    Weibull,
-    make_model,
-)
-from .population import (
-    gce_population,
-    ge_population,
-    gmd_left_population,
-    gmd_right_population,
-    h_dyn_population,
-    j_dyn_population,
-    mean_past_life,
-    mean_residual_life,
-    measure_population,
-    pwm_population,
-)
-from .pwm import (
-    PwmIndex,
-    pwm_plugin,
-    pwm_unbiased_alpha,
-    pwm_unbiased_beta,
-)
-from .quadrature import (
-    DEFAULT_CONFIG,
-    ClippedTailWarning,
-    QuadratureConfig,
-    integrate_u,
-    integrate_x,
-)
+from . import empirical, errors, identities, measures, models, population, pwm, quadrature
+from .empirical import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .population import *  # noqa: F401,F403
+from .pwm import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # empirical
-    "ECDF_CONVENTIONS",
-    "Sample",
-    "make_sample",
-    "ecdf_at",
-    "plotting_positions",
-    "conditional_mean_above",
-    "conditional_mean_below",
-    # errors
-    "DomainError",
-    "NegativeValueError",
-    "NonFiniteError",
-    "TooFewObservationsError",
-    "FewerThanTwoError",
-    "EmptyTailError",
-    "BadParameterError",
-    "UnsupportedSpecError",
-    "NotApplicableError",
-    "InputFormatError",
-    "NoConvergenceError",
-    # models
-    "ParametricModel",
-    "Uniform",
-    "Exponential",
-    "Weibull",
-    "Pareto",
-    "make_model",
-    "MODEL_FAMILIES",
-    # pwm
-    "PwmIndex",
-    "pwm_population",
-    "pwm_plugin",
-    "pwm_unbiased_beta",
-    "pwm_unbiased_alpha",
-    # measures (sample estimators)
-    "MeasureSpec",
-    "MEASURE_IDS",
-    "WeightSelector",
-    "PhiSelector",
-    "parse_weight",
-    "parse_phi",
-    "gmd",
-    "gmd_via_pwm",
-    "pairwise_min_mean",
-    "pairwise_max_mean",
-    "gmd_left",
-    "gmd_right",
-    "s_gini",
-    "crj",
-    "cj",
-    "ce",
-    "crjw",
-    "wce",
-    "j_dyn",
-    "h_dyn",
-    "crt",
-    "ct",
-    "wcrt",
-    "wct",
-    "sr",
-    "sp",
-    "srw",
-    "spw",
-    "generalized_residual_entropy",
-    "generalized_cumulative_entropy",
-    "expected_min_of_k",
-    "expected_max_of_k",
-    "risk_premium",
-    "gain_premium",
-    "measure_sample",
-    # population values
-    "measure_population",
-    "mean_residual_life",
-    "mean_past_life",
-    "j_dyn_population",
-    "h_dyn_population",
-    "gmd_left_population",
-    "gmd_right_population",
-    "ge_population",
-    "gce_population",
-    # identities
-    "Identity",
-    "IdentityReport",
-    "REGISTRY",
-    "verify",
-    "verify_all",
-    "POPULATION_TOL",
-    "EXACT_SAMPLE_TOL",
-    "ASYMPTOTIC_SAMPLE_TOL",
-    # quadrature
-    "QuadratureConfig",
-    "DEFAULT_CONFIG",
-    "integrate_u",
-    "integrate_x",
-    "ClippedTailWarning",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, empirical, models, pwm, measures, population, identities, quadrature)
+    for name in module.__all__
 ]

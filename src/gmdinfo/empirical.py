@@ -27,8 +27,6 @@ __all__ = [
     "ecdf_at",
     "conditional_mean_above",
     "conditional_mean_below",
-    "values_above",
-    "values_upto",
 ]
 
 #: ranks per block of every walk over a sorted sample.  A float64 temporary

@@ -4,6 +4,20 @@ Everything raised on bad data or bad parameters derives from
 :class:`DomainError`, so callers (and the CLI) can catch one class.
 """
 
+__all__ = [
+    "DomainError",
+    "NegativeValueError",
+    "NonFiniteError",
+    "TooFewObservationsError",
+    "FewerThanTwoError",
+    "EmptyTailError",
+    "BadParameterError",
+    "UnsupportedSpecError",
+    "NotApplicableError",
+    "InputFormatError",
+    "NoConvergenceError",
+]
+
 
 class DomainError(ValueError):
     """Input or parameter outside the domain a computation is defined on."""

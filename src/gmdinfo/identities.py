@@ -42,7 +42,6 @@ from .measures import (
     _pwm_form,
     _sample_values,
     _sorted_gmd,
-    crt,
     generalized_cumulative_entropy,
     generalized_residual_entropy,
     gmd,
@@ -222,6 +221,7 @@ _W_CDF1 = WeightSelector("cdf-power", j=1.0)
 _PHI_2X = PhiSelector(c=2.0, v=1.0)
 _I7_PHIS = (_PHI_2X, PhiSelector(c=2.0, v=2.0))
 _EXTROPIES = (MeasureSpec("crj"), MeasureSpec("cj"))  # -a_1 and -b_1, from one kernel walk
+_CRT2 = (MeasureSpec("crt", alpha=2.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def _i3_pop(model, cfg):
 
 
 def _i3_sample(s, conv):
-    return [(gmd(s), 2.0 * crt(s, 2.0, conv)[0])]
+    return [(gmd(s), 2.0 * _sample_values(s, _CRT2, conv)[0][0][0])]
 
 
 def _i4_pop(model, cfg):

@@ -78,22 +78,8 @@ __all__ = [
     "pairwise_max_mean",
     "gmd_left",
     "gmd_right",
-    "s_gini",
-    "crj",
-    "cj",
-    "ce",
-    "crjw",
-    "wce",
     "j_dyn",
     "h_dyn",
-    "crt",
-    "ct",
-    "wcrt",
-    "wct",
-    "sr",
-    "sp",
-    "srw",
-    "spw",
     "generalized_residual_entropy",
     "generalized_cumulative_entropy",
     "expected_min_of_k",
@@ -320,7 +306,12 @@ def _check_pair(alpha, beta):
 
 
 def _residual(X, t, power):
-    """int_t^sup (S/S(t))^power dx on the x-domain evaluator X: m(t) at power 1, -2 J_t at 2."""
+    """int_t^sup (S/S(t))^power dx on the x-domain evaluator X: m(t) at power 1, -2 J_t at 2.
+
+    It exists where power*tail_index > 1, and is refused as E[X^1] otherwise.
+    """
+    from .population import _margin  # population imports this module
+    _margin(X.model, 1.0, power - 1.0)
     st = X.above(t)
     return X(lambda x, F, S: (S / st) ** power, lo=t)
 
@@ -604,84 +595,6 @@ def _sample_values(sample: Sample, specs, conv: str, gaps=None):
     """(value, route) of each PWM-form spec, and the step sums of gaps, from one kernel walk."""
     return _fused(sample.values, conv, lambda T: [_pwm_form(T, sample.n, spec) for spec in specs],
                   gaps)
-
-
-def _lookup(mid: str, sample: Sample, conv: str = "hazen", **params):
-    return measure_sample(sample, MeasureSpec(mid, **params), conv)
-
-
-def s_gini(sample: Sample, v: float, conv: str = "hazen"):
-    """S-Gini index S_v = (1/v) E(X) - M_{1,0,v-1}; returns (value, route)."""
-    return _lookup("s_gini", sample, conv, v=v)
-
-
-def crj(sample: Sample) -> float:
-    """Cumulative residual extropy: -a_1 (minus half the pairwise-min mean)."""
-    return _lookup("crj", sample)[0]
-
-
-def ce(sample: Sample) -> float:
-    """Min-representation extropy -E[X(1-F(X))]; same number as :func:`crj`."""
-    return _lookup("ce", sample)[0]
-
-
-def cj(sample: Sample) -> float:
-    """Cumulative extropy: -b_1 (minus half the pairwise-max mean)."""
-    return _lookup("cj", sample)[0]
-
-
-def crjw(sample: Sample, conv: str = "hazen") -> float:
-    """Max-weighted extropy -1/2 M_{2,1,0} (plug-in)."""
-    return _lookup("crjw", sample, conv)[0]
-
-
-def wce(sample: Sample, conv: str = "hazen") -> float:
-    """Min-weighted extropy -1/2 M_{2,0,1} (plug-in)."""
-    return _lookup("wce", sample, conv)[0]
-
-
-def crt(sample: Sample, alpha: float, conv: str = "hazen"):
-    """Cumulative residual Tsallis entropy of order alpha; (value, route).
-
-    (1/(alpha-1)) [E(X) - alpha M_{1,0,alpha-1}]; at alpha=2 on the
-    unbiased route this is exactly gmd/2.
-    """
-    return _lookup("crt", sample, conv, alpha=alpha)
-
-
-def ct(sample: Sample, alpha: float, conv: str = "hazen"):
-    """Cumulative (past) Tsallis entropy: (alpha M_{1,alpha-1,0} - E(X))/(alpha-1)."""
-    return _lookup("ct", sample, conv, alpha=alpha)
-
-
-def wcrt(sample: Sample, alpha: float, conv: str = "hazen"):
-    """Weighted cumulative residual Tsallis entropy (second-moment form)."""
-    return _lookup("wcrt", sample, conv, alpha=alpha)
-
-
-def wct(sample: Sample, alpha: float, conv: str = "hazen"):
-    """Weighted cumulative (past) Tsallis entropy (second-moment form)."""
-    return _lookup("wct", sample, conv, alpha=alpha)
-
-
-def sr(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
-    """Survival two-parameter entropy (alpha M_{1,0,a-1} - beta M_{1,0,b-1})/(beta-alpha)."""
-    return _lookup("sr", sample, conv, alpha=alpha, beta=beta)
-
-
-def sp(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
-    """Past two-parameter entropy (beta M_{1,b-1,0} - alpha M_{1,a-1,0})/(beta-alpha)."""
-    return _lookup("sp", sample, conv, alpha=alpha, beta=beta)
-
-
-def srw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
-    """Weighted survival two-parameter entropy (second-moment form)."""
-    return _lookup("srw", sample, conv, alpha=alpha, beta=beta)
-
-
-def spw(sample: Sample, alpha: float, beta: float, conv: str = "hazen"):
-    """Weighted past two-parameter entropy (second-moment form)."""
-    return _lookup("spw", sample, conv, alpha=alpha, beta=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ __all__ = [
     "pwm_population",
     "mean_residual_life",
     "mean_past_life",
-    "j_dyn_population",
-    "h_dyn_population",
-    "gmd_left_population",
-    "gmd_right_population",
     "ge_population",
     "gce_population",
 ]
@@ -248,7 +244,7 @@ def pwm_population(model, idx: PwmIndex, cfg: QuadratureConfig = DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
-# the mean lives, and the public functions of the measures without a PWM form
+# the mean lives, and the generalized entropies by name
 
 
 def mean_residual_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -259,28 +255,6 @@ def mean_residual_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
 def mean_past_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """r(t) = E(t - X | X <= t) = int_0^t F/F(t) dx."""
     return _past(_XDomain(model, cfg), t, 1)
-
-
-def j_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Dynamic survival extropy J_t = -(1/2) int_t^inf (sf/sf(t))^2 dx."""
-    return measure_population(model, MeasureSpec("j_dyn", t=t), cfg)
-
-
-def h_dyn_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Dynamic cumulative extropy H_t = -(1/2) int_0^t (F/F(t))^2 dx."""
-    return measure_population(model, MeasureSpec("h_dyn", t=t), cfg)
-
-
-def gmd_left_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                        route: str = "quantile") -> float:
-    """Left-truncated GMD E(X|X>t) - E(min(X1,X2) | min > t); "direct" takes m(t) + 2 J_t."""
-    return measure_population(model, MeasureSpec("gmd_left", t=t), cfg, route)
-
-
-def gmd_right_population(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                         route: str = "quantile") -> float:
-    """Right-truncated GMD E(max(X1,X2) | max <= t) - E(X | X <= t); "direct" takes 2 H_t + r(t)."""
-    return measure_population(model, MeasureSpec("gmd_right", t=t), cfg, route)
 
 
 def ge_population(model, w: WeightSelector, phi: PhiSelector,

@@ -41,6 +41,7 @@ from .errors import BadParameterError, NoConvergenceError, NonFiniteError
 
 __all__ = [
     "QuadratureConfig",
+    "DEFAULT_CONFIG",
     "ClippedTailWarning",
     "integrate_u",
     "integrate_x",

@@ -19,20 +19,15 @@ from gmdinfo import (
     Pareto,
     Uniform,
     Weibull,
-    crt,
     gain_premium,
     gmd,
-    gmd_right_population,
     gmd_via_pwm,
-    h_dyn_population,
-    j_dyn_population,
     make_sample,
     mean_past_life,
     measure_population,
     measure_sample,
     pwm_unbiased_beta,
     risk_premium,
-    s_gini,
     verify_all,
 )
 from oracles import (
@@ -48,8 +43,12 @@ from oracles import (
 CLI = [sys.executable, "-m", "gmdinfo"]
 
 
-def pop(model, mid, **params):
-    return measure_population(model, MeasureSpec(mid, **params))
+def pop(model, mid, route="auto", **params):
+    return measure_population(model, MeasureSpec(mid, **params), route=route)
+
+
+def sample_value(sample, mid, **params):
+    return measure_sample(sample, MeasureSpec(mid, **params))[0]
 
 
 def test_c1_closed_form_population_values():
@@ -67,9 +66,9 @@ def test_c1_closed_form_population_values():
         (lambda: pop(Exponential(1.0), "s_gini", v=2.0), 0.25),
     ]
     for t in (0.0, 0.5, 2.0):
-        cases.append((lambda t=t: j_dyn_population(Exponential(1.0), t), -0.25))
+        cases.append((lambda t=t: pop(Exponential(1.0), "j_dyn", t=t), -0.25))
     for t in (0.25, 0.5, 0.9):
-        cases.append((lambda t=t: h_dyn_population(Uniform(0.0, 1.0), t), -t / 6.0))
+        cases.append((lambda t=t: pop(Uniform(0.0, 1.0), "h_dyn", t=t), -t / 6.0))
     for thunk, target in cases:
         start = time.perf_counter()
         value = thunk()
@@ -115,9 +114,9 @@ def test_c3_exact_sample_identities():
         tol = 1e-12 * max(1.0, abs(g))
         assert abs(gmd_via_pwm(sample) - g) <= tol
         assert abs(risk_premium(sample, 2) + gain_premium(sample, 2) - g) <= tol
-        value, route = crt(sample, 2.0)
+        crt2, route = measure_sample(sample, MeasureSpec("crt", alpha=2.0))
         assert route == "unbiased-pwm"
-        assert abs(value - 0.5 * g) <= tol
+        assert abs(crt2 - 0.5 * g) <= tol
         shuffled = x.copy()
         rng.shuffle(shuffled)
         assert gmd(make_sample(shuffled)) == g
@@ -177,10 +176,10 @@ def test_c5_consistency_protocol():
     model = Exponential(1.0)
     measures = {
         "gmd": (lambda s: gmd(s), 1.0),
-        "crj": (lambda s: measure_sample(s, MeasureSpec("crj"))[0], -0.25),
-        "ce": (lambda s: measure_sample(s, MeasureSpec("ce"))[0], -0.25),
-        "crt2": (lambda s: crt(s, 2.0)[0], 0.5),
-        "s_gini2": (lambda s: s_gini(s, 2.0)[0], 0.25),
+        "crj": (lambda s: sample_value(s, "crj"), -0.25),
+        "ce": (lambda s: sample_value(s, "ce"), -0.25),
+        "crt2": (lambda s: sample_value(s, "crt", alpha=2.0), 0.5),
+        "s_gini2": (lambda s: sample_value(s, "s_gini", v=2.0), 0.25),
     }
     reps, seed = 500, 42
     stats = {}  # (measure, n) -> (bias, rmse)
@@ -222,8 +221,8 @@ def test_c7_sign_correction_pin():
     """The decomposition of the head dispersion gap is +2*H_t + r(t);
     the sign-flipped form is pinned as NOT matching, permanently."""
     model, t = Uniform(0.0, 1.0), 0.5
-    lhs = gmd_right_population(model, t)
-    h = h_dyn_population(model, t)
+    lhs = pop(model, "gmd_right", t=t, route="quantile")
+    h = pop(model, "h_dyn", t=t)
     r = mean_past_life(model, t)
     assert lhs == pytest.approx(1.0 / 12.0, abs=1e-8)
     assert 2.0 * h + r == pytest.approx(1.0 / 12.0, abs=1e-8)

@@ -1,5 +1,6 @@
-"""Each demo runs to completion: the demos import the public per-measure
-functions and check their own numbers, exiting nonzero on a miss."""
+"""Each demo runs to completion: the demos reach the measures through
+measure_sample, measure_population and the named estimators of the
+public API, and check their own numbers, exiting nonzero on a miss."""
 
 import os
 import subprocess

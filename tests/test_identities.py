@@ -47,14 +47,7 @@ from gmdinfo.identities import (
     _range_moment_direct,
     _route_pairs,
 )
-from gmdinfo.population import (
-    gce_population,
-    ge_population,
-    gmd_left_population,
-    gmd_right_population,
-    j_dyn_population,
-    mean_residual_life,
-)
+from gmdinfo.population import gce_population, ge_population, mean_residual_life
 from oracles import brute_pick_t
 from reference import PARAMS, degree
 
@@ -498,8 +491,10 @@ class TestQuantileSidesNeverCallFOrS:
     def test_truncated_gmds(self):
         model, plain = LevelOnly(0.7, 2.0), Weibull(0.7, 2.0)
         for t in (0.1, plain.median(), 5.0):
-            assert gmd_left_population(model, t) == gmd_left_population(plain, t)
-            assert gmd_right_population(model, t) == gmd_right_population(plain, t)
+            for mid in ("gmd_left", "gmd_right"):
+                spec = MeasureSpec(mid, t=t)
+                assert (measure_population(model, spec, route="quantile")
+                        == measure_population(plain, spec, route="quantile"))
 
 
 class TestXDomainSidesNeverCallQ:
@@ -514,7 +509,8 @@ class TestXDomainSidesNeverCallQ:
         model, plain = NoQuantile(shape, 1.0), Weibull(shape, 1.0)
         assert _mx(model, DEFAULT_CONFIG, id="gmd") == _mx(plain, DEFAULT_CONFIG, id="gmd")
         t = plain.median()
-        assert j_dyn_population(model, t) == j_dyn_population(plain, t)
+        spec = MeasureSpec("j_dyn", t=t)
+        assert measure_population(model, spec) == measure_population(plain, spec)
         assert mean_residual_life(model, t) == mean_residual_life(plain, t)
 
     @pytest.mark.parametrize("shape", [0.7, 1.5])

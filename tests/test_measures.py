@@ -20,12 +20,6 @@ from gmdinfo import (
     PhiSelector,
     TooFewObservationsError,
     WeightSelector,
-    ce,
-    cj,
-    crj,
-    crjw,
-    crt,
-    ct,
     expected_max_of_k,
     expected_min_of_k,
     gain_premium,
@@ -47,14 +41,6 @@ from gmdinfo import (
     plotting_positions,
     pwm_unbiased_beta,
     risk_premium,
-    s_gini,
-    sp,
-    spw,
-    sr,
-    srw,
-    wce,
-    wcrt,
-    wct,
 )
 from gmdinfo import measures as measures_module
 from oracles import (
@@ -74,6 +60,10 @@ from oracles import (
 )
 
 S123 = make_sample([1.0, 2.0, 3.0])
+
+
+def value(sample, mid, **params):
+    return measure_sample(sample, MeasureSpec(mid, **params))[0]
 
 
 def random_samples(count, max_n=8, seed=20240817, allow_ties=False):
@@ -100,9 +90,9 @@ class TestFrozenValues:
         assert pairwise_max_mean(S123.values) == pytest.approx(8.0 / 3.0, abs=1e-15)
 
     def test_extropies(self):
-        assert crj(S123) == pytest.approx(-2.0 / 3.0, abs=1e-15)
-        assert ce(S123) == pytest.approx(-2.0 / 3.0, abs=1e-15)
-        assert cj(S123) == pytest.approx(-4.0 / 3.0, abs=1e-15)
+        assert value(S123, "crj") == pytest.approx(-2.0 / 3.0, abs=1e-15)
+        assert value(S123, "ce") == pytest.approx(-2.0 / 3.0, abs=1e-15)
+        assert value(S123, "cj") == pytest.approx(-4.0 / 3.0, abs=1e-15)
 
     def test_dynamic_extropies(self):
         assert j_dyn(S123, 0.0) == pytest.approx(-2.0 / 3.0, abs=1e-15)
@@ -123,13 +113,13 @@ class TestFrozenValues:
         assert expected_max_of_k(S123, 3) == pytest.approx(3.0, abs=1e-15)
 
     def test_inequality_and_tsallis(self):
-        val, route = s_gini(S123, 2.0)
+        val, route = measure_sample(S123, MeasureSpec("s_gini", v=2.0))
         assert val == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert route == "unbiased-pwm"
-        val, route = crt(S123, 2.0)
+        val, route = measure_sample(S123, MeasureSpec("crt", alpha=2.0))
         assert val == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert route == "unbiased-pwm"
-        val, route = ct(S123, 2.0)
+        val, route = measure_sample(S123, MeasureSpec("ct", alpha=2.0))
         assert val == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert route == "unbiased-pwm"
 
@@ -143,8 +133,10 @@ class TestExactRelations:
 
     @pytest.mark.parametrize("sample", list(random_samples(20, seed=7)))
     def test_extropies_are_half_pairwise_means(self, sample):
-        assert crj(sample) == pytest.approx(-0.5 * pairwise_min_mean(sample.values), abs=1e-12)
-        assert cj(sample) == pytest.approx(-0.5 * pairwise_max_mean(sample.values), abs=1e-12)
+        assert value(sample, "crj") == pytest.approx(-0.5 * pairwise_min_mean(sample.values),
+                                                     abs=1e-12)
+        assert value(sample, "cj") == pytest.approx(-0.5 * pairwise_max_mean(sample.values),
+                                                    abs=1e-12)
 
     @pytest.mark.parametrize("sample", list(random_samples(20, seed=7, allow_ties=True)))
     def test_cj_is_its_pwm_form(self, sample):
@@ -154,9 +146,9 @@ class TestExactRelations:
     @pytest.mark.parametrize("sample", list(random_samples(20, seed=11)))
     def test_gmd_fractions(self, sample):
         g = gmd(sample)
-        assert s_gini(sample, 2.0)[0] == pytest.approx(g / 4.0, abs=1e-12)
-        assert crt(sample, 2.0)[0] == pytest.approx(g / 2.0, abs=1e-12)
-        assert ct(sample, 2.0)[0] == pytest.approx(g / 2.0, abs=1e-12)
+        assert value(sample, "s_gini", v=2.0) == pytest.approx(g / 4.0, abs=1e-12)
+        assert value(sample, "crt", alpha=2.0) == pytest.approx(g / 2.0, abs=1e-12)
+        assert value(sample, "ct", alpha=2.0) == pytest.approx(g / 2.0, abs=1e-12)
         assert risk_premium(sample, 2) == pytest.approx(g / 2.0, abs=1e-12)
         assert gain_premium(sample, 2) == pytest.approx(g / 2.0, abs=1e-12)
 
@@ -173,7 +165,7 @@ class TestExactRelations:
         shuffled = x.copy()
         rng.shuffle(shuffled)
         assert gmd(make_sample(shuffled)) == gmd(make_sample(x))
-        assert crj(make_sample(shuffled)) == crj(make_sample(x))
+        assert value(make_sample(shuffled), "crj") == value(make_sample(x), "crj")
 
 
 class TestBruteForceOracles:
@@ -407,6 +399,12 @@ class TestMeasureSpec:
             MeasureSpec("gain_premium", k=float("inf"))
         with pytest.raises(NonFiniteError, match="p must be finite"):
             MeasureSpec("pwm", p=float("nan"))
+        with pytest.raises(NonFiniteError, match="alpha must be finite"):
+            MeasureSpec("crt", alpha=float("nan"))
+        with pytest.raises(NonFiniteError, match="beta must be finite"):
+            MeasureSpec("sr", alpha=2.0, beta=float("inf"))
+        with pytest.raises(BadParameterError, match="beta must differ from alpha"):
+            MeasureSpec("spw", alpha=2.0, beta=2.0)
 
     def test_params_dict_renders_selectors(self):
         spec = MeasureSpec("ge", w=parse_weight("Fbar"), phi=parse_phi("2*x"))
@@ -446,30 +444,17 @@ class TestDispatcher:
 
     def test_values_match_direct_calls(self):
         sample = make_sample(np.random.default_rng(5).gamma(2.0, 1.0, size=9))
+        top = float(sample.values[-1])
         pairs = [
-            (MeasureSpec("wcrt", alpha=2.5), wcrt(sample, 2.5)[0]),
-            (MeasureSpec("wct", alpha=2.5), wct(sample, 2.5)[0]),
-            (MeasureSpec("sr", alpha=1.0, beta=2.0), sr(sample, 1.0, 2.0)[0]),
-            (MeasureSpec("sp", alpha=1.0, beta=2.0), sp(sample, 1.0, 2.0)[0]),
-            (MeasureSpec("srw", alpha=1.0, beta=2.0), srw(sample, 1.0, 2.0)[0]),
-            (MeasureSpec("spw", alpha=1.0, beta=2.0), spw(sample, 1.0, 2.0)[0]),
-            (MeasureSpec("wce"), wce(sample)),
-            (MeasureSpec("crjw"), crjw(sample)),
-            (MeasureSpec("h_dyn", t=float(sample.values[-1])), h_dyn(sample, float(sample.values[-1]))),
+            (MeasureSpec("gmd_left", t=0.5), gmd_left(sample, 0.5)),
+            (MeasureSpec("gmd_right", t=top), gmd_right(sample, top)),
+            (MeasureSpec("h_dyn", t=top), h_dyn(sample, top)),
             (MeasureSpec("j_dyn", t=0.0), j_dyn(sample, 0.0)),
+            (MeasureSpec("risk_premium", k=3), risk_premium(sample, 3)),
+            (MeasureSpec("gain_premium", k=3), gain_premium(sample, 3)),
         ]
         for spec, want in pairs:
-            assert measure_sample(sample, spec)[0] == pytest.approx(want, abs=1e-15), spec.id
-
-    def test_lookups_validate_through_the_spec(self):
-        with pytest.raises(NonFiniteError, match="alpha must be finite"):
-            crt(S123, float("nan"))
-        with pytest.raises(NonFiniteError, match="beta must be finite"):
-            sr(S123, 2.0, float("inf"))
-        with pytest.raises(BadParameterError, match="v must differ from 1"):
-            s_gini(S123, 1.0)
-        with pytest.raises(BadParameterError, match="beta must differ from alpha"):
-            spw(S123, 2.0, 2.0)
+            assert measure_sample(sample, spec)[0] == want, spec.id
 
     @pytest.mark.parametrize("spec", [
         MeasureSpec("crjw"), MeasureSpec("wce"), MeasureSpec("wcrt", alpha=2.0),

@@ -27,12 +27,8 @@ from gmdinfo import (
     WeightSelector,
     gce_population,
     ge_population,
-    gmd_left_population,
-    gmd_right_population,
-    h_dyn_population,
     integrate_u,
     integrate_x,
-    j_dyn_population,
     make_sample,
     mean_past_life,
     mean_residual_life,
@@ -60,8 +56,8 @@ class HeavyPareto(Pareto):
         self.a = self.tail_index = float(shape)
 
 
-def pop(model, mid, **params):
-    return measure_population(model, MeasureSpec(mid, **params))
+def pop(model, mid, route="auto", **params):
+    return measure_population(model, MeasureSpec(mid, **params), route=route)
 
 
 class TestClosedFormsUniform:
@@ -141,40 +137,42 @@ class TestTruncatedAndDynamic:
             assert mean_residual_life(EXP1, t) == pytest.approx(1.0, abs=TOL)
 
     def test_dynamic_extropies(self):
-        assert j_dyn_population(U01, 0.3) == pytest.approx(-0.7 / 6.0, abs=TOL)
-        assert h_dyn_population(U01, 0.3) == pytest.approx(-0.05, abs=TOL)
+        assert pop(U01, "j_dyn", t=0.3) == pytest.approx(-0.7 / 6.0, abs=TOL)
+        assert pop(U01, "h_dyn", t=0.3) == pytest.approx(-0.05, abs=TOL)
         for t in (0.0, 0.7, 2.0):
-            assert j_dyn_population(EXP1, t) == pytest.approx(-0.25, abs=TOL)
+            assert pop(EXP1, "j_dyn", t=t) == pytest.approx(-0.25, abs=TOL)
 
     def test_truncated_gmd_uniform(self):
         # mean-to-min gap of the tail: (1-t)/6; max-to-mean gap of the head: t/6
-        assert gmd_left_population(U01, 0.25) == pytest.approx(0.75 / 6.0, abs=TOL)
-        assert gmd_right_population(U01, 0.5) == pytest.approx(1.0 / 12.0, abs=TOL)
+        left = pop(U01, "gmd_left", t=0.25, route="quantile")
+        right = pop(U01, "gmd_right", t=0.5, route="quantile")
+        assert left == pytest.approx(0.75 / 6.0, abs=TOL)
+        assert right == pytest.approx(1.0 / 12.0, abs=TOL)
 
     def test_truncated_gmd_exponential_is_memoryless(self):
         for t in (0.0, 0.7, 2.0):
-            assert gmd_left_population(EXP1, t) == pytest.approx(0.5, abs=TOL)
+            assert pop(EXP1, "gmd_left", t=t, route="quantile") == pytest.approx(0.5, abs=TOL)
 
     def test_quantile_and_direct_routes_agree(self):
         for model, t in ((U01, 0.4), (EXP1, 0.9), (PAR31, 1.7)):
-            q = gmd_left_population(model, t, route="quantile")
-            d = gmd_left_population(model, t, route="direct")
+            q = pop(model, "gmd_left", t=t, route="quantile")
+            d = pop(model, "gmd_left", t=t, route="direct")
             assert q == pytest.approx(d, abs=TOL)
-            q = gmd_right_population(model, t, route="quantile")
-            d = gmd_right_population(model, t, route="direct")
+            q = pop(model, "gmd_right", t=t, route="quantile")
+            d = pop(model, "gmd_right", t=t, route="direct")
             assert q == pytest.approx(d, abs=TOL)
 
     def test_empty_tail_guards(self):
         with pytest.raises(EmptyTailError):
             mean_residual_life(U01, 1.0)
         with pytest.raises(EmptyTailError):
-            gmd_left_population(U01, 1.5)
+            pop(U01, "gmd_left", t=1.5, route="quantile")
         with pytest.raises(EmptyTailError):
             mean_past_life(U01, 0.0)
         with pytest.raises(EmptyTailError):
-            h_dyn_population(EXP1, 0.0)
+            pop(EXP1, "h_dyn", t=0.0)
         with pytest.raises(EmptyTailError):
-            gmd_right_population(PAR31, 1.0)  # F(1) = 0 at the support edge
+            pop(PAR31, "gmd_right", t=1.0, route="quantile")  # F(1) = 0 at the support edge
 
 
 FAR_LEVELS = [1.0 - 1e-5, 1.0 - 1e-9]
@@ -196,7 +194,7 @@ class TestFarTails:
     def test_closed_forms(self, model, m, j, level):
         t = model.quantile(level)
         assert mean_residual_life(model, t) == pytest.approx(m(t), rel=1e-9, abs=0.0)
-        assert j_dyn_population(model, t) == pytest.approx(j(t), rel=1e-9, abs=0.0)
+        assert pop(model, "j_dyn", t=t) == pytest.approx(j(t), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("level", FAR_LEVELS)
     def test_weibull_dynamic_extropy(self, level):
@@ -206,7 +204,7 @@ class TestFarTails:
         with mpmath.workdps(30):
             k, z = mpmath.mpf(0.7), 2 * mpmath.mpf(t) ** mpmath.mpf(0.7)
             want = -mpmath.gammainc(1 / k, z) / (k * 2 ** (1 / k)) / (2 * mpmath.exp(-z))
-        assert j_dyn_population(model, t) == pytest.approx(float(want), rel=1e-8, abs=0.0)
+        assert pop(model, "j_dyn", t=t) == pytest.approx(float(want), rel=1e-8, abs=0.0)
 
     def test_crjw_on_a_heavy_tail(self):
         # -1/4 E[max^2] = -121/24 for Pareto(2.2); 1 - F^2 would cancel where the tail has mass
@@ -302,7 +300,7 @@ class TestTruncatedFarTails:
         # gmd_right = t/6 + O(t^2) on exponential(1); F(t)^2 would underflow
         t = 1e-160
         for route in ("quantile", "direct"):
-            assert gmd_right_population(EXP1, t, route=route) == pytest.approx(t / 6.0, rel=1e-15)
+            assert pop(EXP1, "gmd_right", t=t, route=route) == pytest.approx(t / 6.0, rel=1e-15)
 
     @pytest.mark.parametrize("mid", ["gmd_left", "j_dyn"])
     def test_survival_below_the_smallest_normal_double(self, mid):
@@ -315,7 +313,7 @@ class TestTruncatedFarTails:
 
     def test_head_below_the_smallest_normal_double(self):
         with pytest.raises(EmptyTailError, match="below the smallest normal double"):
-            h_dyn_population(EXP1, 1e-310)
+            pop(EXP1, "h_dyn", t=1e-310)
 
 
 class TestGeneralizedEntropies:
@@ -463,13 +461,37 @@ class TestExistenceGuards:
                     texts.append(str(exc).split(" route: ", 1)[1])
             assert texts[0] == texts[1], (kw, texts)
 
+    @pytest.mark.parametrize("tail", [0.8, 0.9, 1.0])
+    def test_a_tail_mean_is_refused_where_the_mean_does_not_exist(self, tail):
+        """m(t) and gmd_left(t) integrate S over [t, inf), which diverges at tail index <= 1.
+
+        Both routes refuse them with one text; x-domain quadrature of the divergent
+        integral returned -10 for m(2) at tail 0.8.  J_t integrates S^2, so it stays.
+        """
+        model = HeavyPareto(tail)
+        want = f"E[X^1] does not exist for {model.describe()}"
+        with pytest.raises(UnsupportedSpecError) as info:
+            mean_residual_life(model, 2.0)
+        assert str(info.value) == want
+        for route in ("quantile", "direct"):
+            with pytest.raises(UnsupportedSpecError) as info:
+                pop(model, "gmd_left", t=2.0, route=route)
+            assert str(info.value).split(" route: ", 1)[1] == want
+        assert pop(model, "j_dyn", t=2.0) == pytest.approx(-1.0 / (2.0 * tail - 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize("tail", [0.4, 0.5])
+    def test_dynamic_extropy_is_refused_where_its_integral_diverges(self, tail):
+        """J_t integrates S^2 over [t, inf), which diverges at tail index <= 1/2."""
+        with pytest.raises(UnsupportedSpecError, match=r"E\[X\^1\] does not exist"):
+            pop(HeavyPareto(tail), "j_dyn", t=2.0)
+
     @pytest.mark.parametrize("tail, want", [(0.8, 0.1606), (1.0, 0.1589)])
     def test_a_head_exists_where_the_mean_does_not(self, tail, want):
         """gmd_right(t) integrates Q over [0, F(t)] alone, which no tail index can make infinite."""
         model = HeavyPareto(tail)
-        direct = gmd_right_population(model, 2.0, route="direct")
+        direct = pop(model, "gmd_right", t=2.0, route="direct")
         assert direct == pytest.approx(want, abs=5e-5)
-        assert gmd_right_population(model, 2.0, route="quantile") == pytest.approx(
+        assert pop(model, "gmd_right", t=2.0, route="quantile") == pytest.approx(
             direct, rel=1e-10, abs=0.0)
 
     def test_unsupported_spec_names_measure_parameters_model_and_route(self):
