@@ -53,7 +53,7 @@ from .measures import (
     pairwise_max_mean,
     pairwise_min_mean,
 )
-from .models import ParametricModel
+from .models import ParametricModel, _margin
 from .population import _QDomain, _XDomain, _measure_population, measure_population
 from .pwm import _fused
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -112,12 +112,8 @@ class IdentityReport:
 # small shared helpers
 
 
-def _mq(model, cfg, **kw) -> float:
-    return measure_population(model, MeasureSpec(**kw), cfg, route="quantile")
-
-
-def _mx(model, cfg, **kw) -> float:
-    return measure_population(model, MeasureSpec(**kw), cfg, route="direct")
+def _m(model, cfg, spec: MeasureSpec, route: str = "quantile") -> float:
+    return measure_population(model, spec, cfg, route=route)
 
 
 def _route_pairs(*specs):
@@ -141,10 +137,6 @@ def _worst(pairs, tol: float, floor: float):
         gate = max(tol * max(abs(pair[0]), abs(pair[1])), floor)
         return (res / gate if gate > 0.0 else math.inf if res else 0.0), res
     return max(pairs, key=over)
-
-
-def _t_points(model):
-    return [float(model.quantile(p)) for p in _T_LEVELS]
 
 
 def _plugin_cov(T, r: float, s: float) -> float:
@@ -216,12 +208,15 @@ def _pick_t(sample: Sample, need_above: int = 0, need_below: int = 0):
     return float(0.5 * (x[i - 1] + x[i]))
 
 
-_W_SF1 = WeightSelector("sf-power", j=1.0)
-_W_CDF1 = WeightSelector("cdf-power", j=1.0)
-_PHI_2X = PhiSelector(c=2.0, v=1.0)
-_I7_PHIS = (_PHI_2X, PhiSelector(c=2.0, v=2.0))
+# each identity's fixed measures, read by its population and sample sides
+_I7_GE = tuple(MeasureSpec("ge", w=WeightSelector("sf-power", j=1.0), phi=PhiSelector(c=2.0, v=v))
+               for v in (1.0, 2.0))
+_I8_GCE = MeasureSpec("gce", w=WeightSelector("cdf-power", j=1.0), phi=PhiSelector(c=2.0, v=1.0))
+_GMD, _M110 = MeasureSpec("gmd"), MeasureSpec("pwm", p=1, r=1.0)
 _EXTROPIES = (MeasureSpec("crj"), MeasureSpec("cj"))  # -a_1 and -b_1, from one kernel walk
 _CRT2 = (MeasureSpec("crt", alpha=2.0),)
+_I14_PWMS = {k: (MeasureSpec("pwm", p=1, r=k - 1.0), MeasureSpec("pwm", p=1, s=k - 1.0))
+             for k in (2, 3)}  # k -> M_{1,k-1,0} and M_{1,0,k-1}
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +228,8 @@ def _i1_sample(s, conv):
 
 
 def _i2_pop(model, cfg):
-    cov = _mq(model, cfg, id="pwm", p=1, r=1.0) - 0.5 * model.mean()
-    return [(_mx(model, cfg, id="gmd"), 4.0 * cov)]
+    cov = _m(model, cfg, _M110) - 0.5 * model.mean()
+    return [(_m(model, cfg, _GMD, "direct"), 4.0 * cov)]
 
 
 def _i2_sample(s, conv):
@@ -243,7 +238,7 @@ def _i2_sample(s, conv):
 
 
 def _i3_pop(model, cfg):
-    return [(_mx(model, cfg, id="gmd"), 2.0 * _mq(model, cfg, id="crt", alpha=2.0))]
+    return [(_m(model, cfg, _GMD, "direct"), 2.0 * _m(model, cfg, _CRT2[0]))]
 
 
 def _i3_sample(s, conv):
@@ -251,8 +246,8 @@ def _i3_sample(s, conv):
 
 
 def _i4_pop(model, cfg):
-    lhs = 2.0 * _mx(model, cfg, id="crj") - 2.0 * _mx(model, cfg, id="cj")
-    return [(lhs, _mq(model, cfg, id="gmd"))]
+    crj, cj = (_m(model, cfg, spec, "direct") for spec in _EXTROPIES)
+    return [(2.0 * crj - 2.0 * cj, _m(model, cfg, _GMD))]
 
 
 def _i4_sample(s, conv):
@@ -263,8 +258,8 @@ def _i4_sample(s, conv):
 def _truncated_pairs(mid: str):
     """I5/I6: mid's defining quantile form against its mean-life decomposition at each t point."""
     def sides(model, cfg):
-        return [(_mq(model, cfg, id=mid, t=t), _mx(model, cfg, id=mid, t=t))
-                for t in _t_points(model)]
+        specs = [MeasureSpec(mid, t=float(model.quantile(p))) for p in _T_LEVELS]
+        return [(_m(model, cfg, spec), _m(model, cfg, spec, "direct")) for spec in specs]
     return sides
 
 
@@ -283,27 +278,27 @@ def _i6_sample(s, conv):
 
 
 def _range_moment_direct(model, v: float, cfg) -> float:
-    """E(max(X1,X2)^v) - E(min(X1,X2)^v) purely from F and the survival."""
+    """E(max(X1,X2)^v) - E(min(X1,X2)^v) purely from F and the survival; refused without E[X^v]."""
+    _margin(model, v, 0.0)
     return _XDomain(model, cfg)(lambda x, F, S: 2.0 * v * x ** (v - 1.0) * F * S, degree=v - 1.0)
 
 
 def _i7_pop(model, cfg):
-    return [(_mq(model, cfg, id="ge", w=_W_SF1, phi=phi),
-             _range_moment_direct(model, phi.v, cfg)) for phi in _I7_PHIS]
+    return [(_m(model, cfg, spec), _range_moment_direct(model, spec.phi.v, cfg))
+            for spec in _I7_GE]
 
 
 def _i7_sample(s, conv):
-    return [(generalized_residual_entropy(s, _W_SF1, phi, conv), _sorted_gmd(s.values, phi.v))
-            for phi in _I7_PHIS]
+    return [(generalized_residual_entropy(s, spec.w, spec.phi, conv),
+             _sorted_gmd(s.values, spec.phi.v)) for spec in _I7_GE]
 
 
 def _i8_pop(model, cfg):
-    return [(_mq(model, cfg, id="gce", w=_W_CDF1, phi=_PHI_2X), _mx(model, cfg, id="gmd"))]
+    return [(_m(model, cfg, _I8_GCE), _m(model, cfg, _GMD, "direct"))]
 
 
 def _i8_sample(s, conv):
-    lhs = generalized_cumulative_entropy(s, _W_CDF1, _PHI_2X, conv)
-    return [(lhs, _sorted_gmd(s.values))]
+    return [(generalized_cumulative_entropy(s, _I8_GCE.w, _I8_GCE.phi, conv), _sorted_gmd(s.values))]
 
 
 def _i9_sample(s, conv):
@@ -341,8 +336,9 @@ def _i13_x_sides(model, cfg):
     -1/2 E[m_Z(Z)] for Z = min(X1, X2) is int S^2 log S dx = -CRE(Z)/2;
     1/2 E[r_Z(Z)] for Z = max(X1, X2) is -int F^2 log F dx = CE(Z)/2, taken
     as int F^2 log1p(S/F) dx so that it does not cancel where F is near 1.
-    0 log 0 and 0 log1p(S/0) are 0.
+    0 log 0 and 0 log1p(S/0) are 0.  Both are refused where E[X] does not exist.
     """
+    _margin(model, 1.0, 0.0)
     X = _XDomain(model, cfg)
     return (X(lambda x, F, S: S * S * np.log(np.where(S > 0.0, S, 1.0))),
             X(lambda x, F, S: F * F * np.log1p(S / np.where(F > 0.0, F, 1.0))))
@@ -356,7 +352,7 @@ def _i13_u_sides(model, cfg):
     and int u (1 + 2 log u) Q(u) du.
     """
     Q = _QDomain(model, cfg, {})
-    return (Q(lambda u, v, q: v * (1.0 + 2.0 * np.log(v)) * q, vpow=1.0),
+    return (Q(lambda u, v, q: v * (1.0 + 2.0 * np.log(v)) * q, margin=_margin(model, 1.0, 1.0)),
             Q(lambda u, v, q: u * (1.0 + 2.0 * np.log(u)) * q))
 
 
@@ -365,18 +361,14 @@ def _i13_pop(model, cfg):
 
 
 def _premia_direct(model, k: int, cfg) -> float:
-    """E(max of k) - E(min of k) = int (1 - F^k) - S^k dx, from F and the survival alone."""
+    """E(max of k) - E(min of k) = int (1 - F^k) - S^k dx from F and S alone; needs E[X]."""
+    _margin(model, 1.0, 0.0)
     return _XDomain(model, cfg)(lambda x, F, S: _power_difference(F, S, 0.0, k) - S**k)
 
 
 def _i14_pop(model, cfg):
-    pairs = []
-    for k in (2, 3):
-        lhs = _premia_direct(model, k, cfg)
-        rhs = k * (_mq(model, cfg, id="pwm", p=1, r=k - 1.0)
-                   - _mq(model, cfg, id="pwm", p=1, s=k - 1.0))
-        pairs.append((lhs, rhs))
-    return pairs
+    return [(_premia_direct(model, k, cfg), k * (_m(model, cfg, upper) - _m(model, cfg, lower)))
+            for k, (upper, lower) in _I14_PWMS.items()]
 
 
 def _i14_sample(s, conv):

@@ -63,6 +63,7 @@ from .errors import (
     NonFiniteError,
     TooFewObservationsError,
 )
+from .models import _margin
 from .pwm import PwmIndex, _fused, pwm_unbiased_alpha, pwm_unbiased_beta
 
 __all__ = [
@@ -310,7 +311,6 @@ def _residual(X, t, power):
 
     It exists where power*tail_index > 1, and is refused as E[X^1] otherwise.
     """
-    from .population import _margin  # population imports this module
     _margin(X.model, 1.0, power - 1.0)
     st = X.above(t)
     return X(lambda x, F, S: (S / st) ** power, lo=t)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import BadParameterError, NonFiniteError
+from .errors import BadParameterError, NonFiniteError, UnsupportedSpecError
 
 __all__ = [
     "ParametricModel",
@@ -25,6 +25,15 @@ __all__ = [
     "make_model",
     "MODEL_FAMILIES",
 ]
+
+
+def _margin(model, degree: float, vpow: float, pwm=()) -> float:
+    """The margin 1 + vpow - degree/tail_index: at or below 0, E[X^degree] or M_pwm is refused."""
+    margin = 1.0 + vpow - degree / model.tail_index
+    if not margin > 0.0:
+        name = "M_{%s,%s,%s}" % pwm if pwm else f"E[X^{degree:g}]"
+        raise UnsupportedSpecError(f"{name} does not exist for {model.describe()}")
+    return margin
 
 
 def _check_positive(name: str, value: float) -> float:

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import (BadParameterError, EmptyTailError, NoConvergenceError, NonFiniteError,
                      UnsupportedSpecError)
 from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector, _past, _residual
+from .models import _margin
 from .pwm import PwmIndex
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _graded, _quad
 
@@ -66,15 +67,6 @@ _MAX_TAIL_GRADE = 16.0
 # A light tail, -log S = y = (x/lam)^kappa, is graded in y on both routes, so
 # S = S(a) w^6, and Q's factor y^(1/kappa) is weighted by w^5 at w = 0.
 _LIGHT_GRADE = 6.0
-
-
-def _margin(model, degree: float, vpow: float, pwm=()) -> float:
-    """The margin 1 + vpow - degree/tail_index: at or below 0, E[X^degree] or M_pwm is refused."""
-    margin = 1.0 + vpow - degree / model.tail_index
-    if not margin > 0.0:
-        name = "M_{%s,%s,%s}" % pwm if pwm else f"E[X^{degree:g}]"
-        raise UnsupportedSpecError(f"{name} does not exist for {model.describe()}")
-    return margin
 
 
 def _level(value, what: str, model) -> float:
@@ -109,8 +101,8 @@ class _XDomain:
     """
 
     def __init__(self, model, cfg: QuadratureConfig, margin=None):
-        self.model, self.cfg, self.mean, self.unit = model, cfg, model.mean, float(model.unit())
-        self.margin = margin
+        self.model, self.cfg, self.mean, self.margin = model, cfg, model.mean, margin
+        self.unit = float(model.unit())
 
     def above(self, t: float) -> float:
         return _level(self.model.sf(t), f"survival mass above t={t}", self.model)
@@ -162,20 +154,21 @@ class _XDomain:
             else:  # in w, x = b w^3, as _QDomain's lower half
                 f = _graded(h, b, _GRADE) if a == 0.0 else None
             ends = (a, b) if f is None else (0.0, 1.0)
-            total += _quad(f or h, *ends, self.cfg, f"[{a}, {b}]", self.unit, degree)
+            total += _quad(f or h, *ends, self.cfg, (a, b), self.unit, degree)
         return total
 
 
 class _QDomain:
     """The quantile evaluator: it reads the model's Q, and never F or S but at a level.
 
-    ``Q(f, top, hi, degree, vpow)`` is unit^degree int f(u, v, q) du over
+    ``Q(f, top, hi, degree, margin)`` is unit^degree int f(u, v, q) du over
     v = 1 - u in [1 - hi, top], with q = Q(u)/unit: f is array-valued and
     homogeneous of ``degree`` in Q, so its integral is taken in the
-    model's own units.  Near u = 1, f behaves like v^vpow q^degree, which
-    for a power tail is v^(margin - 1), :func:`_margin`: a range that
-    reaches u = 1 exists exactly when margin > 0, and is refused as
-    E[X^degree] otherwise; a head, hi < 1, is finite and takes margin 1.
+    model's own units.  Near u = 1, f behaves like v^(margin - 1) for a
+    power tail, :func:`_margin`: a range that reaches u = 1 exists exactly
+    when margin > 0.  A caller that has decided f's margin passes it, as
+    ``M`` does for v^s q^p; else f is taken to behave like q^degree, and
+    is refused as E[X^degree]; a head, hi < 1, is finite and takes margin 1.
     The range is split at u = 1/2.  The half that touches 0 runs in w with
     u = h w^3; the half that touches 1 runs in w with v = span w^mu,
     span = min(top, 1/2), and takes Q from ``isf(v)``, so neither u nor v
@@ -185,7 +178,8 @@ class _QDomain:
     Q(1 - v) = lam (-log v)^(1/kappa) in its hazard variable
     -log v = -log span - 6 log w, as :class:`_XDomain`'s tail.
     ``M(p, r, s)`` is the PWM M_{p,r,s}, integrated once per ``moments``
-    dict (PwmIndex -> value), which gains every new one.
+    dict ((p, r, s) -> value), which gains every new one, its existence
+    decided once per evaluator by ``margin(p, r, s)``, kept in ``margins``.
     ``above(t)`` and ``below(t)`` are :class:`_XDomain`'s: S(t) and F(t),
     the levels at which the truncated forms start or end.
     """
@@ -193,12 +187,12 @@ class _QDomain:
     above, below = _XDomain.above, _XDomain.below
 
     def __init__(self, model, cfg: QuadratureConfig, moments: dict):
-        self.model, self.cfg, self.moments = model, cfg, moments
+        self.model, self.cfg, self.moments, self.margins = model, cfg, moments, {}
 
     def __call__(self, f, top: float = 1.0, hi: float = 1.0, degree: float = 1.0,
-                 vpow: float = 0.0) -> float:
+                 margin=None) -> float:
         model, cfg = self.model, self.cfg
-        margin = _margin(model, degree, vpow) if hi >= 1.0 else 1.0  # a head ends short of Q(1)
+        margin = margin or (_margin(model, degree, 0.0) if hi >= 1.0 else 1.0)
         unit = float(model.unit())
         try:
             scale = unit**degree
@@ -208,21 +202,24 @@ class _QDomain:
         if top > 0.5:
             lo, h = 1.0 - top, min(hi, 0.5)
             lower = _graded(lambda u: f(u, 1.0 - u, model.quantile(u) / unit), h, _GRADE)
-            total += _quad(lower, (lo / h) ** (1.0 / _GRADE), 1.0, cfg, f"[{lo}, {h}]",
-                           scale=scale)
+            total += _quad(lower, (lo / h) ** (1.0 / _GRADE), 1.0, cfg, (lo, h), scale=scale)
         if hi > 0.5:
             span, mu = min(top, 0.5), (_LIGHT_GRADE if model.hazard is not None else
                                        min(_GRADE / min(margin, 1.0), _MAX_TAIL_GRADE))
             upper = _graded(lambda v: f(1.0 - v, v, model.isf(v) / unit), span, mu)
-            total += _quad(upper, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, cfg,
-                           f"[{1.0 - span}, {hi}]", scale=scale)
+            total += _quad(upper, ((1.0 - hi) / span) ** (1.0 / mu), 1.0, cfg, (1.0 - span, hi),
+                           scale=scale)
         return total * scale
 
+    def margin(self, *key) -> float:
+        if key not in self.margins:  # M_{p,r,s} exists where 1 + s - p/tail_index > 0
+            self.margins[key] = _margin(self.model, key[0], key[2], key)
+        return self.margins[key]
+
     def M(self, p, r, s) -> float:
-        idx = PwmIndex(p, r, s)
-        if idx not in self.moments:
-            _margin(self.model, p, s, (p, r, s))
-            p, r, s = int(idx.p), float(idx.r), float(idx.s)
+        key = p, r, s
+        if key not in self.moments:
+            margin, p, r, s = self.margin(p, r, s), int(p), float(r), float(s)
 
             def f(u, v, q):  # q^p u^r v^s, forming only the factors whose exponent is not 0
                 y = q if p else np.ones_like(u)
@@ -234,8 +231,8 @@ class _QDomain:
                     y = y * v**s
                 return y
 
-            self.moments[idx] = self(f, degree=p, vpow=s)
-        return self.moments[idx]
+            self.moments[key] = self(f, degree=p, margin=margin)
+        return self.moments[key]
 
 
 def pwm_population(model, idx: PwmIndex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -290,7 +287,7 @@ def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: 
                         moments: dict) -> float:
     """:func:`measure_population`, reusing the PWM values in ``moments``.
 
-    ``moments`` maps each PwmIndex integrated so far to its value and gains
+    ``moments`` maps each (p, r, s) integrated so far to its value and gains
     every new one.  The caller keeps it for one model and cfg, and only for
     one call, so the PWM forms of several measures integrate a shared moment once.
     """
@@ -299,16 +296,16 @@ def _measure_population(model, spec: MeasureSpec, cfg: QuadratureConfig, route: 
     entry = MEASURE_IDS[spec.id]
     if route == "auto":
         route = "direct" if entry.x is not None and entry.pwm is None else "quantile"
-    args, Q, margins = entry.args(spec), _QDomain(model, cfg, moments), []
+    args, Q = entry.args(spec), _QDomain(model, cfg, moments)
     try:
         if entry.pwm is not None:  # both routes refuse a PWM form with a moment that does not exist
-            entry.pwm(lambda p, r, s: margins.append(_margin(model, p, s, (p, r, s))) or 0.0, *args)
+            entry.pwm(Q.margin, *args)
         if route == "quantile" and entry.pwm is not None:
             value = entry.pwm(Q.M, *args)
         elif route == "quantile" and entry.q is not None:
             value = entry.q(Q, *args)
         elif route == "direct" and entry.x is not None:  # the form's least margin grades its tail
-            value = entry.x(_XDomain(model, cfg, min(margins, default=None)), *args)
+            value = entry.x(_XDomain(model, cfg, min(Q.margins.values(), default=None)), *args)
         else:
             domain = "quantile-domain" if route == "quantile" else "x-domain"
             raise UnsupportedSpecError(f"no {domain} route for measure {spec.id!r}")

@@ -97,32 +97,34 @@ _WK = [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503
 _WG = [0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
        0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0]
 _NODES = np.concatenate([-np.array(_XK[:-1]), _XK[::-1]])  # every node once, in order
+_UNIT_NODES = 0.5 + 0.5 * _NODES  # on [0, 1], the first interval of every run in w
+_UNIT_NODES.flags.writeable = False
 
 
 def _kronrod(f, lefts, rights) -> list:
     """G10K21 on each interval, in one call of f: [(result, abserr, resabs, resasc), ...].
 
-    The nodes go to f as one array, in order along each interval and the
-    intervals in the order given.  The four sums are written out in
-    dqk21's order (the centre, the Gauss pairs, then the other pairs, each
-    sum left to right), so they round as QUADPACK's do.  resg leaves out
-    the terms whose Gauss weight is 0: that changes at most the sign of a
-    zero under abs, and where one of those values is not finite, resasc is
+    The nodes go to f as one array: c + h*_NODES for each interval of centre c
+    and half-width h, joined in the order given where there are two.  The four
+    sums are written out in dqk21's order (the centre, the Gauss pairs, then
+    the other pairs, each left to right), so they round as QUADPACK's do.  resg
+    leaves out the terms whose Gauss weight is 0: that changes at most the sign
+    of a zero under abs, and where one of those values is not finite, resasc is
     NaN and sets abserr either way.  QUADPACK's error estimate: the
-    Kronrod-Gauss difference, scaled by resasc (the integral of |f - mean|)
-    and floored at 50 eps times resabs (the integral of |f|).
+    Kronrod-Gauss difference, scaled by resasc (the integral of |f - mean|),
+    floored at 50 eps times resabs (the integral of |f|).
     """
     k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, kc = _WK
-    g1, g3, g5, g7, g9 = _WG[1:10:2]
-    n = _NODES.size
+    _, g1, _, g3, _, g5, _, g7, _, g9, _ = _WG
     halves = [0.5 * (b - a) for a, b in zip(lefts, rights)]
-    ch = np.array([[0.5 * (a + b) for a, b in zip(lefts, rights)], halves])
-    fv = f((ch[0][:, None] + ch[1][:, None] * _NODES).ravel()).tolist()
+    nodes = [_UNIT_NODES if (a, b) == (0.0, 1.0) else 0.5 * (a + b) + h * _NODES
+             for a, b, h in zip(lefts, rights, halves)]
+    fv = f(nodes[0] if len(nodes) == 1 else np.concatenate(nodes)).tolist()
     out = []
-    for j, h in zip(range(0, len(fv), n), halves):
+    for j, h in enumerate(halves):
         # l<i> is f at -_XK[i], r<i> at +_XK[i], fc at the centre
         (l0, l1, l2, l3, l4, l5, l6, l7, l8, l9, fc,
-         r9, r8, r7, r6, r5, r4, r3, r2, r1, r0) = fv[j:j + n]
+         r9, r8, r7, r6, r5, r4, r3, r2, r1, r0) = fv[21 * j:21 * j + 21]
         s0, s1, s2, s3, s4 = l0 + r0, l1 + r1, l2 + r2, l3 + r3, l4 + r4
         s5, s6, s7, s8, s9 = l5 + r5, l6 + r6, l7 + r7, l8 + r8, l9 + r9
         resk = (kc * fc + k1 * s1 + k3 * s3 + k5 * s5 + k7 * s7 + k9 * s9
@@ -248,12 +250,11 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     1 subdivision limit, 2 roundoff, 3 bad integrand behaviour,
     4 extrapolation roundoff, 5 probably divergent.
     """
-    size = _NODES.size
     [(result, abserr, defabs, resasc)] = _kronrod(f, [a], [b])
     errbnd = max(epsabs, epsrel * abs(result))
     ier = 2 if errbnd < abserr <= 100.0 * _EPMACH * defabs else 0
     if ier or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
-        return result, abserr, size, ier
+        return result, abserr, _NODES.size, ier
     ksgn = 1 if abs(result) >= (1.0 - 50.0 * _EPMACH) * defabs else -1
     alist, blist, rlist, elist, iord = [a], [b], [result], [abserr], [0] * limit
     rlist2, res3la = [result] + [0.0] * (_LIMEXP + 1), [0.0, 0.0, 0.0]
@@ -343,7 +344,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         errmax, small, erlarg = elist[maxerr], small * 0.5, errsum
 
     # QUADPACK's choice between the extrapolated and the summed result
-    neval, divergence_test = size * (2 * last - 1), True
+    neval, divergence_test = _NODES.size * (2 * last - 1), True
     if not summed and abserr != _OFLOW and (ier or ierro):
         if ierro == 3:
             abserr += correc
@@ -380,16 +381,16 @@ _U_CLIP = 1e-12  # integrate_u never calls its f closer than this to 0 or 1
 _MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
-def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "", unit: float = 1.0,
+def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: tuple = (), unit: float = 1.0,
           degree: float = 0.0, scale: float = 1.0) -> float:
     """Integral of the array-valued f over [a, b], b finite or inf, in units of unit^(degree + 1).
 
     QUADPACK's absolute request is tol times those units, and [a, inf) is
     mapped in units of max(a, unit): ``integrate_x`` comes here, and no
     shipped model's x-domain tail does, as ``_XDomain`` grades each of them.
-    A failure names the interval as ``where``, or as [a, b] if that is
-    empty, and quotes the error estimate times ``scale``, the value's units
-    per unit of the integral.
+    A failure names the interval ``where`` = (lo, hi), or [a, b] if none
+    is given, formatting it only then, and quotes the error estimate
+    times ``scale``, the value's units per unit of the integral.
     """
     if b == math.inf:  # x = a + c (1 - t)/t on (0, 1], in units of c
         c = max(a, unit)
@@ -405,8 +406,9 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: str = "", unit: f
     if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(epsabs, tol * abs(value)):
         return value
     reason = _MESSAGES[ier].format(limit=_MAX_SUBDIVISIONS)
+    lo, hi = where or (a, b)
     raise NoConvergenceError(
-        f"quadrature on {where or f'[{a}, {b}]'} did not converge: {reason} "
+        f"quadrature on [{lo}, {hi}] did not converge: {reason} "
         f"(error estimate {abserr * scale:.3g} after {neval} evaluations)"
     )
 

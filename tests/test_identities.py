@@ -41,7 +41,6 @@ from gmdinfo import population
 from gmdinfo.identities import (
     _i13_u_sides,
     _i13_x_sides,
-    _mx,
     _pick_t,
     _premia_direct,
     _range_moment_direct,
@@ -507,7 +506,9 @@ class TestXDomainSidesNeverCallQ:
     @pytest.mark.parametrize("shape", [0.7, 1.5])
     def test_measures_and_mean_lives(self, shape):
         model, plain = NoQuantile(shape, 1.0), Weibull(shape, 1.0)
-        assert _mx(model, DEFAULT_CONFIG, id="gmd") == _mx(plain, DEFAULT_CONFIG, id="gmd")
+        gmd_spec = MeasureSpec("gmd")
+        assert (measure_population(model, gmd_spec, route="direct")
+                == measure_population(plain, gmd_spec, route="direct"))
         t = plain.median()
         spec = MeasureSpec("j_dyn", t=t)
         assert measure_population(model, spec) == measure_population(plain, spec)

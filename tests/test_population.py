@@ -11,6 +11,7 @@ import pytest
 from gmdinfo import (
     BadParameterError,
     ClippedTailWarning,
+    DEFAULT_CONFIG,
     EmptyTailError,
     Exponential,
     MEASURE_IDS,
@@ -38,7 +39,8 @@ from gmdinfo import (
     parse_weight,
     pwm_population,
 )
-from gmdinfo import quadrature
+from gmdinfo import population, quadrature
+from gmdinfo.identities import _i13_x_sides, _premia_direct, _range_moment_direct
 from oracles import nested_gce, nested_ge
 
 U01 = Uniform(0.0, 1.0)
@@ -508,6 +510,44 @@ class TestExistenceGuards:
                                                 phi=PhiSelector()), route="direct")
         assert str(info.value) == ("ge(w=const:1, phi=1*x^1) on uniform(a=0, b=1), direct route: "
                                    "no x-domain route for measure 'ge'")
+
+    @pytest.mark.parametrize("side, tail, want", [
+        (lambda m: _range_moment_direct(m, 2.0, DEFAULT_CONFIG), 1.5, "E[X^2]"),
+        (lambda m: _range_moment_direct(m, 1.0, DEFAULT_CONFIG), 0.8, "E[X^1]"),
+        (lambda m: _premia_direct(m, 2, DEFAULT_CONFIG), 0.8, "E[X^1]"),
+        (lambda m: _premia_direct(m, 3, DEFAULT_CONFIG), 1.0, "E[X^1]"),
+        (lambda m: _i13_x_sides(m, DEFAULT_CONFIG), 0.8, "E[X^1]"),
+    ], ids=["I7-v2", "I7-v1", "I14-k2", "I14-k3", "I13"])
+    def test_identity_x_sides_refuse_before_integrating(self, monkeypatch, side, tail, want):
+        """x-domain quadrature of these divergent integrals returned finite numbers: -12.0
+        for I7 at v = 2 on tail 1.5, -13.33 for I14 at k = 2 on tail 0.8, -2.22 and -7.20
+        for I13 on tail 0.8."""
+        runs = []
+        monkeypatch.setattr(quadrature, "_qags", lambda *args: runs.append(args))
+        model = HeavyPareto(tail)
+        with pytest.raises(UnsupportedSpecError) as info:
+            side(model)
+        assert str(info.value) == f"{want} does not exist for {model.describe()}"
+        assert runs == []
+
+    @pytest.mark.parametrize("route", ["quantile", "direct"])
+    @pytest.mark.parametrize("mid, params", [("gmd", {}), ("crt", {"alpha": 2.5}),
+                                             ("sp", {"alpha": 1.5, "beta": 3.0}),
+                                             ("s_gini", {"v": 3.0}), ("risk_premium", {"k": 3}),
+                                             ("wcrt", {"alpha": 2.0})])
+    def test_each_moment_is_decided_once_per_call(self, monkeypatch, mid, params, route):
+        """One measure_population call runs the existence check once per distinct moment of
+        the PWM form, and builds no PwmIndex for a moment looked up or integrated."""
+        margins, indices = [], []
+        decide, check = population._margin, PwmIndex.__post_init__
+        monkeypatch.setattr(population, "_margin", lambda *a: margins.append(a) or decide(*a))
+        monkeypatch.setattr(PwmIndex, "__post_init__",
+                            lambda idx: indices.append(idx) or check(idx))
+        spec, moments = MeasureSpec(mid, **params), set()
+        MEASURE_IDS[mid].pwm(lambda *key: moments.add(key) or 1.0, *MEASURE_IDS[mid].args(spec))
+        assert math.isfinite(measure_population(Pareto(4.0, 2.0), spec, route=route))
+        assert sorted(a[3] for a in margins) == sorted(moments)
+        assert indices == []
 
 
 @pytest.fixture

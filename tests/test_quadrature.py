@@ -143,7 +143,8 @@ def _kronrod_loop(f, lefts, rights) -> list:
 
 def _kronrod_battery():
     """(f, lefts, rights): seeded node values on one or two intervals, with sign changes,
-    exact zeros of both signs, constant and odd rows, and smooth and singular functions."""
+    exact zeros of both signs, constant and odd rows, and smooth and singular functions;
+    then [0, 1], and intervals far from 0 and narrow, where the nodes c + h*_NODES round."""
     rng = np.random.default_rng(2024)
     smooth = [lambda x: np.exp(-x) * np.cos(7.0 * x), lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-9),
               lambda x: np.sign(x - 0.3) * x * x]
@@ -172,6 +173,18 @@ def _kronrod_battery():
             cases.append((smooth[k % 3], lefts, rights))
             continue
         cases.append((lambda x, v=v: v, lefts, rights))
+    # [0, 1], whose nodes are built once; then far from 0 and narrow: centres of either
+    # sign up to 1e300, widths down to 1e-300 of them
+    cases += [(np.cos, [0.0], [1.0]), (np.cos, [-0.0, 0.5], [0.5, 1.0])]
+    for centre in (1e300, -1e300, 3.7e150, -2.5e-3, 1.0, -1e-200):
+        for rel in (1.0, 1e-8, 1e-16, 1e-300):
+            width = abs(centre) * rel
+            if width < 1e-300:
+                continue
+            lefts = [centre - width, centre]
+            for f in (np.cos, lambda x, c=centre, w=width: np.tanh((x - c) / w)):
+                cases.append((f, lefts[:1], [centre + width]))
+                cases.append((f, lefts, [centre, centre + width]))
     return cases
 
 
@@ -291,6 +304,18 @@ class TestNoConvergenceContext:
             assert f"direct route: quadrature on [0.0, {wide.median()}] did not converge" in text
         else:
             assert "quantile route: quadrature on [0.5, 1.0] did not converge" in text
+
+    @pytest.mark.parametrize("model", [Exponential(1.0), PARETO22], ids=lambda m: m.describe())
+    def test_failure_names_the_exact_half_or_piece(self, model):
+        """gmd_left at the median: the quantile route runs only its half at u = 1, the direct
+        route only its piece [median, inf); each failure names that interval, formatted
+        when it is raised."""
+        t = model.median()
+        for route, where in (("quantile", "[0.5, 1.0]"), ("direct", f"[{t}, inf]")):
+            with pytest.raises(NoConvergenceError) as info:
+                measure_population(model, MeasureSpec("gmd_left", t=t), BELOW_EPS, route=route)
+            head = f"gmd_left(t={t}) on {model.describe()}, {route} route: quadrature on {where}"
+            assert str(info.value).startswith(head + " did not converge: ")
 
     def test_verify_names_the_identity(self):
         with pytest.raises(NoConvergenceError, match=r"^I1: gmd\(\) on exponential"):
