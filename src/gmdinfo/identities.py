@@ -279,7 +279,6 @@ def _i6_sample(s, conv):
 
 def _range_moment_direct(model, v: float, cfg) -> float:
     """E(max(X1,X2)^v) - E(min(X1,X2)^v) purely from F and the survival; refused without E[X^v]."""
-    _margin(model, v, 0.0)
     return _XDomain(model, cfg)(lambda x, F, S: 2.0 * v * x ** (v - 1.0) * F * S, degree=v - 1.0)
 
 
@@ -338,7 +337,6 @@ def _i13_x_sides(model, cfg):
     as int F^2 log1p(S/F) dx so that it does not cancel where F is near 1.
     0 log 0 and 0 log1p(S/0) are 0.  Both are refused where E[X] does not exist.
     """
-    _margin(model, 1.0, 0.0)
     X = _XDomain(model, cfg)
     return (X(lambda x, F, S: S * S * np.log(np.where(S > 0.0, S, 1.0))),
             X(lambda x, F, S: F * F * np.log1p(S / np.where(F > 0.0, F, 1.0))))
@@ -362,7 +360,6 @@ def _i13_pop(model, cfg):
 
 def _premia_direct(model, k: int, cfg) -> float:
     """E(max of k) - E(min of k) = int (1 - F^k) - S^k dx from F and S alone; needs E[X]."""
-    _margin(model, 1.0, 0.0)
     return _XDomain(model, cfg)(lambda x, F, S: _power_difference(F, S, 0.0, k) - S**k)
 
 

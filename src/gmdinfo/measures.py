@@ -29,8 +29,9 @@ pwm                 raw probability weighted moment M_{p,r,s}    p, r, s
 Each measure is one entry of :data:`MEASURE_IDS`: its parameters, their
 check, its PWM form (one expression over an ``M(p, r, s)`` evaluator) or
 else its quantile integral, its x-domain integral and, where the data need
-one, a dedicated sample route.  The truncated forms divide by S(t) or F(t)
-inside their integrands, so each is taken in the value's own units.
+one, a dedicated sample route.  The truncated forms divide by S(t) or F(t),
+and the order families' x forms by their order gap, inside their integrands,
+so each is taken in the value's own units.
 The quantile route, the x-domain route and the sample estimators all read
 that entry, so adding a measure means adding one entry.
 
@@ -63,7 +64,6 @@ from .errors import (
     NonFiniteError,
     TooFewObservationsError,
 )
-from .models import _margin
 from .pwm import PwmIndex, _fused, pwm_unbiased_alpha, pwm_unbiased_beta
 
 __all__ = [
@@ -309,11 +309,11 @@ def _check_pair(alpha, beta):
 def _residual(X, t, power):
     """int_t^sup (S/S(t))^power dx on the x-domain evaluator X: m(t) at power 1, -2 J_t at 2.
 
-    It exists where power*tail_index > 1, and is refused as E[X^1] otherwise.
+    It exists where power*tail_index > 1, and is refused otherwise as E[X^1], or as
+    M_{1,0,1}, the moment that holds S^2, for J_t.
     """
-    _margin(X.model, 1.0, power - 1.0)
     st = X.above(t)
-    return X(lambda x, F, S: (S / st) ** power, lo=t)
+    return X(lambda x, F, S: (S / st) ** power, lo=t, pwm=(1, 0, power - 1) if power > 1 else ())
 
 
 def _past(X, t, power):
@@ -365,7 +365,7 @@ MEASURE_IDS = {
                           sample=lambda s, conv, t: (gmd_right(s, t), _TRUNC)),
     "s_gini": _Measure(("v",), check=_check_order("v"),
                        pwm=lambda M, v: M(1, 0, 0) / v - M(1, 0, v - 1.0),
-                       x=lambda X, v: X(lambda x, F, S: S - S**v) / v),
+                       x=lambda X, v: X(lambda x, F, S: (S - S**v) / v)),
     "crj": _CRJ,
     "cj": _Measure(pwm=lambda M: -M(1, 1, 0), x=lambda X: -0.5 * X(lambda x, F, S: S * (1.0 + F))),
     "ce": _CRJ,
@@ -378,27 +378,27 @@ MEASURE_IDS = {
     "h_dyn": _Measure(**_T, x=lambda X, t: -0.5 * _past(X, t, 2),
                       sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
     "crt": _Measure(**_A, pwm=lambda M, a: (M(1, 0, 0) - a * M(1, 0, a - 1.0)) / (a - 1.0),
-                    x=lambda X, a: X(lambda x, F, S: S - S**a) / (a - 1.0)),
+                    x=lambda X, a: X(lambda x, F, S: (S - S**a) / (a - 1.0))),
     "wcrt": _Measure(**_A, pwm=lambda M, a: (M(2, 0, 0) - a * M(2, 0, a - 1.0)) / (2.0 * (a - 1.0)),
-                     x=lambda X, a: X(lambda x, F, S: x * (S - S**a), degree=1) / (a - 1.0)),
+                     x=lambda X, a: X(lambda x, F, S: x * (S - S**a) / (a - 1.0), degree=1)),
     "ct": _Measure(**_A, pwm=lambda M, a: (a * M(1, a - 1.0, 0) - M(1, 0, 0)) / (a - 1.0),
-                   x=lambda X, a: X(lambda x, F, S: _power_difference(F, S, 1.0, a)) / (a - 1.0)),
+                   x=lambda X, a: X(lambda x, F, S: _power_difference(F, S, 1.0, a) / (a - 1.0))),
     "wct": _Measure(**_A, pwm=lambda M, a: (a * M(2, a - 1.0, 0) - M(2, 0, 0)) / (2.0 * (a - 1.0)),
-                    x=lambda X, a: X(lambda x, F, S: x * _power_difference(F, S, 1.0, a), degree=1)
-                    / (a - 1.0)),
+                    x=lambda X, a: X(lambda x, F, S: x * _power_difference(F, S, 1.0, a) / (a - 1.0),
+                                     degree=1)),
     "sr": _Measure(**_AB,
                    pwm=lambda M, a, b: (a * M(1, 0, a - 1.0) - b * M(1, 0, b - 1.0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x, F, S: S**a - S**b) / (b - a)),
+                   x=lambda X, a, b: X(lambda x, F, S: (S**a - S**b) / (b - a))),
     "sp": _Measure(**_AB,
                    pwm=lambda M, a, b: (b * M(1, b - 1.0, 0) - a * M(1, a - 1.0, 0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x, F, S: _power_difference(F, S, a, b)) / (b - a)),
+                   x=lambda X, a, b: X(lambda x, F, S: _power_difference(F, S, a, b) / (b - a))),
     "srw": _Measure(**_AB,
                     pwm=lambda M, a, b: (a * M(2, 0, a - 1.0) - b * M(2, 0, b - 1.0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x, F, S: x * (S**a - S**b), degree=1) / (b - a)),
+                    x=lambda X, a, b: X(lambda x, F, S: x * (S**a - S**b) / (b - a), degree=1)),
     "spw": _Measure(**_AB,
                     pwm=lambda M, a, b: (b * M(2, b - 1.0, 0) - a * M(2, a - 1.0, 0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b), degree=1)
-                    / (b - a)),
+                    x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b) / (b - a),
+                                        degree=1)),
     "ge": _Measure(("w", "phi"), q=_ge_q, sample=lambda s, conv, w, phi: (
         generalized_residual_entropy(s, w, phi, conv), "ecdf-double-mean")),
     "gce": _Measure(("w", "phi"), q=_gce_q, sample=lambda s, conv, w, phi: (

@@ -2,12 +2,12 @@
 
 Four non-negative families are provided: uniform, exponential, Weibull,
 and Pareto.  Each exposes exactly what the population-side machinery
-needs — ``cdf``/``sf``/``quantile``/``isf``/``mean``/``median``, the
-``unit`` its quantile integrals are measured in, the support, the
-tail index governing which moments exist and the closed-form hazard of
-a light tail — plus inverse-transform
-sampling for Monte Carlo work.  The distribution methods accept scalars
-or arrays.
+needs — ``cdf``/``sf``/``quantile``/``mean``/``median``, the ``unit``
+its quantile integrals are measured in, the support, the tail index
+governing which moments exist and ``tail_map``, the quantile in the
+hazard variable y = -log S, that every tail piece runs in — plus
+inverse-transform sampling for Monte Carlo work.  The distribution
+methods accept scalars or arrays.
 """
 
 import math
@@ -36,6 +36,12 @@ def _margin(model, degree: float, vpow: float, pwm=()) -> float:
     return margin
 
 
+def _show(value: float) -> str:
+    """value with :g where that reads back as the same float, else its repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def _check_positive(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -55,15 +61,10 @@ class ParametricModel:
     tail_index : float
         sup{q : E[X^q] < inf}; ``inf`` for light tails.  Lets callers
         refuse moment integrals that do not exist.
-    hazard : (float, float) or None
-        (lam, kappa) with -log sf(x) = (x/lam)^kappa for x >= 0, so a
-        light tail can be mapped in the hazard variable (x/lam)^kappa;
-        None where the cumulative hazard has no such form.
     """
 
     support = (0.0, math.inf)
     tail_index = math.inf
-    hazard = None
 
     def cdf(self, x):
         raise NotImplementedError
@@ -76,8 +77,12 @@ class ParametricModel:
         """Inverse CDF; u may touch 0 or 1 only where Q stays finite."""
         raise NotImplementedError
 
-    def isf(self, v):
-        """Complementary quantile Q(1 - v), from v itself, so no digit of a small v is lost."""
+    def tail_map(self, y):
+        """(log x, d log x/dy) at x = Q(1 - e^-y), in closed form from y = -log S itself.
+
+        Both population routes run a tail piece in this hazard variable, so
+        no 1 - u is formed and neither S nor x need be representable.
+        """
         raise NotImplementedError
 
     def unit(self) -> float:
@@ -127,8 +132,10 @@ class Uniform(ParametricModel):
     def quantile(self, u):
         return self.a + (self.b - self.a) * np.asarray(u, dtype=float)
 
-    def isf(self, v):
-        return self.b - (self.b - self.a) * np.asarray(v, dtype=float)
+    def tail_map(self, y):
+        drop = (self.b - self.a) * np.exp(-y)
+        x = self.b - drop
+        return np.log(x), drop / x
 
     def unit(self) -> float:
         return self.b
@@ -140,7 +147,7 @@ class Uniform(ParametricModel):
         return self.a + (self.b - self.a) * 0.5
 
     def describe(self) -> str:
-        return f"uniform(a={self.a:g}, b={self.b:g})"
+        return f"uniform(a={_show(self.a)}, b={_show(self.b)})"
 
 
 class Exponential(ParametricModel):
@@ -148,7 +155,6 @@ class Exponential(ParametricModel):
 
     def __init__(self, mean: float = 1.0):
         self.mu = _check_positive("exponential mean", mean)
-        self.hazard = (self.mu, 1.0)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -161,8 +167,8 @@ class Exponential(ParametricModel):
     def quantile(self, u):
         return -self.mu * np.log1p(-np.asarray(u, dtype=float))
 
-    def isf(self, v):
-        return -self.mu * np.log(np.asarray(v, dtype=float))
+    def tail_map(self, y):
+        return math.log(self.mu) + np.log(y), 1.0 / y
 
     def unit(self) -> float:
         return self.mu
@@ -174,7 +180,7 @@ class Exponential(ParametricModel):
         return self.mu * math.log(2.0)
 
     def describe(self) -> str:
-        return f"exponential(mean={self.mu:g})"
+        return f"exponential(mean={_show(self.mu)})"
 
 
 class Weibull(ParametricModel):
@@ -183,7 +189,6 @@ class Weibull(ParametricModel):
     def __init__(self, shape: float, scale: float = 1.0):
         self.kappa = _check_positive("weibull shape", shape)
         self.lam = _check_positive("weibull scale", scale)
-        self.hazard = (self.lam, self.kappa)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -197,8 +202,8 @@ class Weibull(ParametricModel):
         u = np.asarray(u, dtype=float)
         return self.lam * (-np.log1p(-u)) ** (1.0 / self.kappa)
 
-    def isf(self, v):
-        return self.lam * (-np.log(np.asarray(v, dtype=float))) ** (1.0 / self.kappa)
+    def tail_map(self, y):
+        return math.log(self.lam) + np.log(y) / self.kappa, (1.0 / self.kappa) / y
 
     def unit(self) -> float:
         return self.lam
@@ -210,7 +215,7 @@ class Weibull(ParametricModel):
         return self.lam * math.log(2.0) ** (1.0 / self.kappa)
 
     def describe(self) -> str:
-        return f"weibull(shape={self.kappa:g}, scale={self.lam:g})"
+        return f"weibull(shape={_show(self.kappa)}, scale={_show(self.lam)})"
 
 
 class Pareto(ParametricModel):
@@ -243,8 +248,8 @@ class Pareto(ParametricModel):
         u = np.asarray(u, dtype=float)
         return self.sigma * (1.0 - u) ** (-1.0 / self.a)
 
-    def isf(self, v):
-        return self.sigma * np.asarray(v, dtype=float) ** (-1.0 / self.a)
+    def tail_map(self, y):
+        return math.log(self.sigma) + y / self.a, 1.0 / self.a
 
     def unit(self) -> float:
         return self.sigma
@@ -256,7 +261,7 @@ class Pareto(ParametricModel):
         return self.sigma * 2.0 ** (1.0 / self.a)
 
     def describe(self) -> str:
-        return f"pareto(shape={self.a:g}, scale={self.sigma:g})"
+        return f"pareto(shape={_show(self.a)}, scale={_show(self.sigma)})"
 
 
 MODEL_FAMILIES = ("uniform", "exponential", "weibull", "pareto")

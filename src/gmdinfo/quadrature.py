@@ -5,18 +5,18 @@ unit probability interval, and ``integrate_x`` over (a segment of) the
 support.  The library's own integrands are array-valued and are taken in
 the model's units by the evaluators in ``population``: its quantile
 integrals by ``_QDomain`` and its x-domain integrals by ``_XDomain``, each
-half or piece through ``_quad``, graded toward an end by ``_graded`` or,
-on an x-domain tail, by the tail's own map.
+half or piece through ``_quad``, graded toward a finite end by ``_graded``
+and mapped toward an infinite one in the model's hazard variable by the
+evaluators themselves.
 All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
 adaptive G10K21 Gauss-Kronrod quadrature, bisecting the interval of
 largest error, with Wynn's epsilon algorithm extrapolating the sums when
 the error gathers at an endpoint.  ``_quad`` maps [a, inf) onto (0, 1] by
 x = a + c (1 - t)/t with c = max(a, unit), as QUADPACK's QAGI does with
-c = 1 and the rule G7K15; that map serves only ``integrate_x`` and a
-power tail of margin at or below 0, which ``_XDomain`` does not grade and
-no shipped model reaches.  Each bisection evaluates the integrand once,
-as one array call on the nodes of both halves, and the rule's four sums
-are written out in dqk21's order, so they round as QUADPACK's do.
+c = 1 and the rule G7K15; that map now serves only ``integrate_x``.  Each
+bisection evaluates the integrand once, as one array call on the nodes of
+both halves, and the rule's four sums are written out in dqk21's order,
+so they round as QUADPACK's do.
 
 Each integral runs once, with ``tol`` as QUADPACK's relative request and
 tol times the value's unit as its absolute one (1 for the public entry
@@ -386,8 +386,8 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: tuple = (), unit:
     """Integral of the array-valued f over [a, b], b finite or inf, in units of unit^(degree + 1).
 
     QUADPACK's absolute request is tol times those units, and [a, inf) is
-    mapped in units of max(a, unit): ``integrate_x`` comes here, and no
-    shipped model's x-domain tail does, as ``_XDomain`` grades each of them.
+    mapped in units of max(a, unit): only ``integrate_x`` comes here, as the
+    evaluators map every tail of their own.
     A failure names the interval ``where`` = (lo, hi), or [a, b] if none
     is given, formatting it only then, and quotes the error estimate
     times ``scale``, the value's units per unit of the integral.

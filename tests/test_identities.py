@@ -446,11 +446,10 @@ class TestNonFiniteSides:
 
 
 class NoQuantile(Weibull):
+    """F and S only: the x-domain sides map a tail by ``tail_map``, a change of variable."""
+
     def quantile(self, u):
         raise AssertionError("x-domain side called the quantile")
-
-    def isf(self, v):
-        raise AssertionError("x-domain side called the complementary quantile")
 
 
 class NoDistribution(Weibull):
@@ -472,7 +471,7 @@ class LevelOnly(NoDistribution):
 
 
 class TestQuantileSidesNeverCallFOrS:
-    """The quantile routes read Q through quantile and isf, and never F or S,
+    """The quantile routes read Q through quantile and tail_map, and never F or S,
     except F(t) or S(t) as the level at which gmd_left and gmd_right truncate."""
 
     def test_pwm_population(self):

@@ -64,36 +64,47 @@ class TestInverseConsistency:
         assert np.all(a >= lo) and np.all(a <= hi)
 
 
-def _mp_quantile(model, v):
-    """Q(1 - v) from each family's quantile formula, with 1 - v exact for v >= 1e-300.
+def _mp_log_tail(model, y):
+    """log Q(1 - e^-y) from each family's quantile formula, in mpmath at 60 digits or more.
 
-    The power laws keep the model's double exponents 1/kappa and -1/a:
-    at v = 1e-300, the rounding of -1/a alone moves a Pareto quantile by
-    up to 2e-14, and that is not what these tests are about.
+    The power laws keep the model's double exponents 1/kappa and 1/a, so
+    only the map's own arithmetic is measured.
     """
-    with mpmath.workdps(350):
-        u = 1 - mpmath.mpf(v)
+    with mpmath.workdps(max(mpmath.mp.dps, 60)):
+        y = mpmath.mpf(y)
         if isinstance(model, Uniform):
-            return model.a + (mpmath.mpf(model.b) - model.a) * u
+            return mpmath.log(model.b - (mpmath.mpf(model.b) - model.a) * mpmath.exp(-y))
         if isinstance(model, Exponential):
-            return -model.mu * mpmath.log(1 - u)
+            return mpmath.log(model.mu) + mpmath.log(y)
         if isinstance(model, Weibull):
-            return model.lam * (-mpmath.log(1 - u)) ** (1.0 / model.kappa)
-        return model.sigma * (1 - u) ** (-1.0 / model.a)
+            return mpmath.log(model.lam) + mpmath.log(y) * (1.0 / model.kappa)
+        return mpmath.log(model.sigma) + y * (1.0 / model.a)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
-class TestComplementaryQuantile:
-    """isf(v) is Q(1 - v) computed from v, so small v keep all their digits."""
+class TestTailMap:
+    """tail_map(y) is log Q(1 - e^-y) and its slope in y = -log S, from y itself, so a
+    tail keeps its digits however deep: x = e^L(y) where S = e^-y underflows."""
+
+    Y = (math.log(2.0), 1.0, 10.0, 1e2, 7e2, 1e3, 1e4)
 
     def test_matches_the_quantile_at_high_precision(self, model):
-        for v in (0.5, 1e-3, 1e-9, 1e-300):
-            want = float(_mp_quantile(model, v))
-            assert float(model.isf(v)) == pytest.approx(want, rel=1e-14, abs=0.0), v
+        for y in self.Y:
+            want = float(_mp_log_tail(model, y))
+            got = float(model.tail_map(y)[0])
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14), y  # x to 1e-14
+
+    def test_slope_is_the_derivative_of_the_log(self, model):
+        for y in self.Y:
+            with mpmath.workdps(60 + int(y)):  # the uniform's slope is e^-y of its log
+                h = mpmath.mpf(10) ** -20 * y  # a central difference, exact to 1e-40
+                want = float((_mp_log_tail(model, y + h) - _mp_log_tail(model, y - h)) / (2 * h))
+            assert float(model.tail_map(y)[1]) == pytest.approx(want, rel=1e-13, abs=1e-300), y
 
     def test_matches_the_quantile_where_one_minus_v_is_exact(self, model):
-        v = 2.0 ** -np.arange(1.0, 31.0)
-        np.testing.assert_array_max_ulp(model.isf(v), model.quantile(1.0 - v), maxulp=2)
+        k = np.arange(1.0, 31.0)
+        np.testing.assert_allclose(np.exp(model.tail_map(k * math.log(2.0))[0]),
+                                   model.quantile(1.0 - 2.0**-k), rtol=1e-14, atol=0.0)
 
 
 class TestClosedFormMoments:
@@ -125,18 +136,14 @@ class TestClosedFormMoments:
         assert math.isinf(Weibull(0.5, 1.0).tail_index)
 
     @pytest.mark.parametrize("model", [Exponential(2.0), Exponential(1e-6), Weibull(0.3, 1.0),
-                                       Weibull(0.7, 3.0), Weibull(1.5, 1e5), Weibull(5.0, 0.2)],
+                                       Weibull(0.7, 3.0), Weibull(1.5, 1e5), Weibull(5.0, 0.2),
+                                       Pareto(2.2, 1.0), Pareto(4.0, 2.0)],
                              ids=lambda m: m.describe())
-    def test_hazard(self, model):
-        """-log sf(x) is (x/lam)^kappa, the hazard variable a light tail is mapped in."""
-        lam, kappa = model.hazard
+    def test_tail_map_inverts_the_survival_function(self, model):
+        """-log sf(e^L(y)) is y: the map is the one sf's own hazard variable gives."""
         y = np.array([1.0, 3.0, 10.0, 100.0])
-        x = lam * y ** (1.0 / kappa)
-        assert np.allclose(-np.log(model.sf(x)), (x / lam) ** kappa, rtol=1e-15, atol=0.0)
-
-    def test_no_hazard(self):
-        assert Uniform(0.5, 2.0).hazard is None
-        assert Pareto(3.0, 2.0).hazard is None
+        x = np.exp(model.tail_map(y)[0])
+        np.testing.assert_allclose(-np.log(model.sf(x)), y, rtol=1e-13, atol=0.0)
 
     def test_supports(self):
         assert Uniform(0.5, 2.0).support == (0.5, 2.0)
@@ -187,6 +194,11 @@ class TestMakeModel:
             "weibull(shape=2, scale=1)"
         assert make_model("pareto", shape=3.0, scale=1.0).describe() == \
             "pareto(shape=3, scale=1)"
+
+    def test_a_parameter_that_six_digits_do_not_name_is_shown_whole(self):
+        assert Uniform(1e9, 1e9 + 1.0).describe() == "uniform(a=1e+09, b=1000000001.0)"
+        assert Pareto(2.01171875).describe() == "pareto(shape=2.01171875, scale=1)"
+        assert Weibull(1.5, 1e-4).describe() == "weibull(shape=1.5, scale=0.0001)"
 
     def test_defaults(self):
         assert make_model("uniform").describe() == "uniform(a=0, b=1)"

@@ -37,11 +37,12 @@ from gmdinfo import (
     measure_sample,
     parse_phi,
     parse_weight,
-    pwm_population,
+    verify_all,
 )
 from gmdinfo import population, quadrature
 from gmdinfo.identities import _i13_x_sides, _premia_direct, _range_moment_direct
 from oracles import nested_gce, nested_ge
+from reference import PARAMS, measure_reference
 
 U01 = Uniform(0.0, 1.0)
 EXP1 = Exponential(1.0)
@@ -288,7 +289,8 @@ class TestTruncatedFarTails:
     def test_tail(self, model, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.check(model, float(model.isf(10.0**-k)), ("gmd_left", "j_dyn"))
+            self.check(model, float(np.exp(model.tail_map(k * math.log(10.0))[0])),
+                       ("gmd_left", "j_dyn"))
 
     @pytest.mark.parametrize("model, k", [_head_case(model, k) for model in TAIL_MODELS
                                           for k in range(1, 16)],
@@ -483,8 +485,9 @@ class TestExistenceGuards:
 
     @pytest.mark.parametrize("tail", [0.4, 0.5])
     def test_dynamic_extropy_is_refused_where_its_integral_diverges(self, tail):
-        """J_t integrates S^2 over [t, inf), which diverges at tail index <= 1/2."""
-        with pytest.raises(UnsupportedSpecError, match=r"E\[X\^1\] does not exist"):
+        """J_t integrates S^2 over [t, inf), which diverges at tail index <= 1/2: the moment
+        M_{1,0,1} that holds S^2 does not exist."""
+        with pytest.raises(UnsupportedSpecError, match=r"M_\{1,0,1\} does not exist"):
             pop(HeavyPareto(tail), "j_dyn", t=2.0)
 
     @pytest.mark.parametrize("tail, want", [(0.8, 0.1606), (1.0, 0.1589)])
@@ -564,20 +567,34 @@ def intervals(monkeypatch):
     return runs
 
 
-class TestGradedXTails:
-    """The x side's piece [a, inf) runs in w on (0, 1], mapped by the tail's kind: a power
-    tail graded by the integrand's margin, a light one in its hazard variable, S = S(a) w^6."""
+class TestGradedTails:
+    """Each route runs its tail piece, the x side's [a, inf) and the quantile side's half
+    that touches u = 1, in the hazard variable y = -log S, graded by its moment's margin."""
 
-    #: model, measure, the tail piece's intervals
-    CASES = [(Exponential(1.0), "crj", 1), (Exponential(1.0), "gmd", 1),
-             (Weibull(1.5), "crj", 5), (Pareto(2.2), "crj", 1), (Pareto(2.2), "crjw", 3),
-             (Weibull(0.7), "crj", 3), (Weibull(0.3), "crj", 3), (Weibull(2.0), "crj", 5),
-             (Weibull(5.0), "crj", 5)]
+    #: model, measure, route, the tail piece's intervals
+    CASES = [(Exponential(1.0), MeasureSpec("crj"), "direct", 1),
+             (Exponential(1.0), MeasureSpec("gmd"), "direct", 1),
+             (Weibull(0.3), MeasureSpec("crj"), "direct", 3),
+             (Weibull(0.7), MeasureSpec("crj"), "direct", 1),
+             (Weibull(1.5), MeasureSpec("crj"), "direct", 1),
+             (Weibull(2.0), MeasureSpec("crj"), "direct", 3),
+             (Weibull(5.0), MeasureSpec("crj"), "direct", 3),
+             (Pareto(2.2), MeasureSpec("crj"), "direct", 1),
+             (Pareto(2.2), MeasureSpec("crjw"), "direct", 3),
+             (Exponential(1.0), MeasureSpec("pwm", p=1), "quantile", 1),
+             (Exponential(1.0), MeasureSpec("pwm", p=2), "quantile", 3),
+             (Weibull(0.7), MeasureSpec("pwm", p=1), "quantile", 3),
+             (Weibull(0.7), MeasureSpec("pwm", p=2), "quantile", 3),
+             (Weibull(1.5), MeasureSpec("crj"), "quantile", 1),
+             (Weibull(5.0), MeasureSpec("crj"), "quantile", 1),
+             (Pareto(2.2), MeasureSpec("crjw"), "quantile", 3),
+             (Pareto(2.2), MeasureSpec("pwm", p=2), "quantile", 1)]
 
-    @pytest.mark.parametrize("model, mid, want", CASES,
-                             ids=[f"{mid}@{m.describe()}" for m, mid, _ in CASES])
-    def test_tail_piece_intervals(self, intervals, model, mid, want):
-        measure_population(model, MeasureSpec(mid), route="direct")
+    @pytest.mark.parametrize("model, spec, route, want", CASES, ids=[
+        f"{spec.id}{''.join(map(str, spec.params_dict().values()))}.{route}@{m.describe()}"
+        for m, spec, route, _ in CASES])
+    def test_tail_piece_intervals(self, intervals, model, spec, route, want):
+        measure_population(model, spec, route=route)
         assert intervals[-1] == want
 
     @pytest.mark.parametrize("model", [Exponential(1.0), Weibull(1.5), Pareto(2.2)],
@@ -587,20 +604,39 @@ class TestGradedXTails:
         mean_residual_life(model, 3.0 * model.median())
         assert intervals == [1]
 
+    def test_x_route_refuses_mass_where_the_survival_underflows(self):
+        """s_gini(0.02)'s M_{1,0,-0.98} holds e^-14.9 of its mass where S < 5e-324, which sf
+        returns as 0; the quantile route, in log space, needs none of it as a double."""
+        model, spec = Weibull(2.0), MeasureSpec("s_gini", v=0.02)
+        with pytest.raises(UnsupportedSpecError) as info:
+            measure_population(model, spec, route="direct")
+        assert str(info.value) == (
+            "s_gini(v=0.02) on weibull(shape=2, scale=1), direct route: M_{1,0,-0.98} has more "
+            "than tol=1e-10 of its mass where S underflows to 0 for weibull(shape=2, scale=1), "
+            "which this route cannot read")
+        want = float(measure_reference(model, spec))
+        assert measure_population(model, spec, route="quantile") == pytest.approx(
+            want, rel=1e-12, abs=0.0)
 
-class TestGradedQuantileTails:
-    """The quantile half that touches u = 1 runs in w with v = span w^mu: mu = 6 on a light
-    tail, so Q(1 - v) = lam (-log span - 6 log w)^(1/kappa) is its hazard map."""
-
-    #: model, p, the upper half's intervals of M_{p,0,0}
-    CASES = [(Exponential(1.0), 1, 1), (Weibull(0.7), 1, 3),
-             (Exponential(1.0), 2, 3), (Weibull(0.7), 2, 3)]
-
-    @pytest.mark.parametrize("model, p, want", CASES,
-                             ids=[f"M{p}@{m.describe()}" for m, p, _ in CASES])
-    def test_upper_half_intervals(self, intervals, model, p, want):
-        pwm_population(model, PwmIndex(p))
-        assert intervals[-1] == want
+    @pytest.mark.parametrize("model", [U01, EXP1, Weibull(1.5), Weibull(0.7), Pareto(4.0, 2.0),
+                                       Pareto(2.2)], ids=lambda m: m.describe())
+    def test_no_population_path_takes_the_rational_map(self, monkeypatch, model):
+        """_quad maps [a, inf) for integrate_x alone: every measure, mean life and identity
+        side of a model maps its own tail."""
+        ends, quad = [], population._quad
+        monkeypatch.setattr(population, "_quad",
+                            lambda f, a, b, *args, **kw: ends.append(b) or quad(f, a, b, *args, **kw))
+        t = model.median()
+        params = {**PARAMS, "gmd_left": {"t": t}, "gmd_right": {"t": t}, "j_dyn": {"t": t},
+                  "h_dyn": {"t": t}, "ge": {"w": parse_weight("Fbar"), "phi": parse_phi("2*x")},
+                  "gce": {"w": parse_weight("F"), "phi": parse_phi("2*x^2")}}
+        for mid, entry in MEASURE_IDS.items():
+            for route in ("quantile", "direct"):
+                if (entry.pwm or entry.q) if route == "quantile" else entry.x:
+                    measure_population(model, MeasureSpec(mid, **params[mid]), route=route)
+        mean_residual_life(model, t)
+        assert all(report.passed for report in verify_all(model))
+        assert len(ends) > 100 and math.inf not in ends
 
 
 class TestNonFiniteValues:

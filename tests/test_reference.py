@@ -10,12 +10,14 @@ moments themselves are checked at 1e-11 on all of them.  None is skipped.
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from gmdinfo import (
     MEASURE_IDS,
     Exponential,
     MeasureSpec,
+    NoConvergenceError,
     Pareto,
     PwmIndex,
     Uniform,
@@ -24,7 +26,7 @@ from gmdinfo import (
     measure_population,
     pwm_population,
 )
-from reference import PARAMS, degree, measure_reference, pwm_reference
+from reference import PARAMS, degree, measure_reference, pwm_closed_form, pwm_reference
 
 REL = 1e-9
 #: the quantile route integrates each moment in the model's units, graded to its tail
@@ -58,6 +60,22 @@ def test_reference_closed_forms_agree_with_known_values():
     w1 = pwm_reference(Weibull(1.0, 3.0), 2, 1, 0.5)
     assert mpmath.almosteq(w1, pwm_reference(Exponential(3.0), 2, 1, 0.5), rel_eps=1e-28)
     assert float(pwm_reference(Pareto(2.2, 3.0), 1, 0, 0)) == pytest.approx(5.5, rel=1e-15)
+
+
+def test_double_precision_closed_forms_agree_with_mpmath():
+    models = [Uniform(0.0, 1.0), Uniform(0.5, 2.0), Exponential(2.0), Weibull(0.3),
+              Weibull(0.7, 3.0), Weibull(5.0, 1e-3), Pareto(2.2), Pareto(4.0, 2.0),
+              Pareto(2.0117, 1e3)]
+    for model in models:
+        for p in (0, 1, 2):
+            for r in (-0.95, -0.5, 0.0, 1.0, 2.0):
+                for s in (-0.95, -0.5, 0.0, 0.5, 2.5):
+                    if 1.0 + s - p / model.tail_index <= 0.0 or (
+                            r != int(r) and isinstance(model, (Exponential, Weibull))):
+                        continue
+                    want = float(pwm_reference(model, p, r, s))
+                    got = pwm_closed_form(model, p, r, s)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), (model, p, r, s)
 
 
 @pytest.mark.parametrize("tag", [*MODELS, *EDGE_MODELS])
@@ -143,3 +161,66 @@ def test_quantile_route_is_scale_equivariant(tag, c):
 def test_direct_route_is_scale_equivariant(tag, c):
     """The x-domain integrals are taken in the model's units too."""
     _check_scale_equivariance(tag, c, "direct")
+
+
+def _small_order_cases(n=72, seed=20261019):
+    """Orders log-uniform in [0.01, 0.1] (pwm: s in (-1, -0.9)) on every family, with its
+    shape and scale drawn too, plus the cases of a margin near 0 that motivated the map."""
+    rng = np.random.default_rng(seed)
+    order = lambda: float(10.0 ** rng.uniform(-2.0, -1.0))
+    cases = []
+    for i in range(n):
+        c = float(10.0 ** rng.uniform(-3.0, 3.0))
+        family = i % 4
+        model = (Uniform(0.0, c), Exponential(c),
+                 Weibull(float(np.exp(rng.uniform(math.log(0.3), math.log(5.0)))), c),
+                 Pareto(float(rng.uniform(2.001, 8.0)), c))[family]
+        mid = ("s_gini", "crt", "ct", "sr", "sp", "pwm")[(i // 4) % 6]
+        params = {"s_gini": lambda: {"v": order()}, "crt": lambda: {"alpha": order()},
+                  "ct": lambda: {"alpha": order()},
+                  "sr": lambda: {"alpha": order(), "beta": order()},
+                  "sp": lambda: {"alpha": order(), "beta": order()},
+                  "pwm": lambda: {"p": int(rng.integers(1, 3)), "r": float(rng.integers(0, 2)),
+                                  "s": float(rng.uniform(-1.0, -0.9))}}[mid]()
+        cases.append((model, MeasureSpec(mid, **params)))
+    return cases + [(Weibull(3.0), MeasureSpec("s_gini", v=0.04)),
+                    (Weibull(2.0), MeasureSpec("s_gini", v=0.032)),
+                    (Weibull(1.5), MeasureSpec("s_gini", v=0.05)),
+                    (Pareto(2.0117), MeasureSpec("pwm", p=2)),
+                    (Pareto(2.01171875), MeasureSpec("pwm", p=2))]
+
+
+SMALL_ORDERS = _small_order_cases()
+
+
+def _moment(model, key) -> float:
+    """M_{p,r,s} in closed form, or by mpmath for a Weibull's non-integer r."""
+    try:
+        return pwm_closed_form(model, *key)
+    except ValueError:
+        return float(pwm_reference(model, *key))
+
+
+@pytest.mark.parametrize("model, spec", SMALL_ORDERS, ids=[
+    f"{spec.id}({','.join(f'{v:.4g}' for v in spec.params_dict().values())})@{m.describe()}"
+    for m, spec in SMALL_ORDERS])
+def test_small_orders(model, spec):
+    """Each route's value is within 1e-10 of the closed form, or it raises naming the measure,
+    the model and the route.  The direct route integrates the measure's own integrand, and
+    is held to its value; the quantile route adds its PWM terms c_k M_k, each to 1e-10, so it
+    is held to 1e-10 of sum |c_k M_k|, which sr and sp at nearby orders exceed many times."""
+    entry, args = MEASURE_IDS[spec.id], MEASURE_IDS[spec.id].args(spec)
+    for route in ("quantile", "direct") if entry.x else ("quantile",):
+        try:
+            got = measure_population(model, spec, route=route)
+        except (UnsupportedSpecError, NoConvergenceError) as exc:
+            assert str(exc).startswith(f"{spec.id}(") and (
+                f" on {model.describe()}, {route} route: " in str(exc)), str(exc)
+            continue
+        keys = set()
+        entry.pwm(lambda *key: keys.add(key) or 0.0, *args)
+        moments = {key: _moment(model, key) for key in keys}
+        want = entry.pwm(lambda *key: moments[key], *args)
+        scale = abs(want) if route == "direct" else sum(
+            abs(entry.pwm(lambda *k: float(k == key), *args) * moments[key]) for key in keys)
+        assert abs(got - want) <= 1e-10 * scale, (route, got, want)
