@@ -98,15 +98,6 @@ def _check_convention(conv: str) -> None:
         )
 
 
-def _position(i, n: int, conv: str):
-    """u_i for a float rank i of n."""
-    if conv == "hazen":
-        return (i - 0.5) / n
-    if conv == "naive":
-        return i / n
-    return i / (n + 1)
-
-
 def _block_positions(lo: int, hi: int, n: int, conv: str) -> np.ndarray:
     """u_i for the ranks lo+1..hi of n, from one arange: hazen's i - 0.5 is exact in it."""
     if conv == "hazen":
@@ -134,7 +125,7 @@ def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:
         raise NonFiniteError("evaluation point must be finite")
     _check_convention(conv)
     k = int(np.searchsorted(sample.values, x, side="right"))
-    return 0.0 if k == 0 else float(_position(float(k), sample.n, conv))
+    return 0.0 if k == 0 else float(_block_positions(k - 1, k, sample.n, conv)[0])
 
 
 def values_above(sample: Sample, t: float) -> np.ndarray:
@@ -147,9 +138,17 @@ def values_upto(sample: Sample, t: float) -> np.ndarray:
     return sample.values[:np.searchsorted(sample.values, t, "right")]
 
 
+def _check_t(t) -> None:
+    """A truncation point t: finite and non-negative."""
+    if not np.isfinite(t):
+        raise NonFiniteError("t must be finite")
+    if t < 0:
+        raise BadParameterError("t must be non-negative")
+
+
 def conditional_mean_above(sample: Sample, t: float) -> float:
     """Empirical mean residual life m(t): mean of (x - t) over x > t."""
-    _check_truncation(t)
+    _check_t(t)
     tail = values_above(sample, t)
     if tail.size == 0:
         raise EmptyTailError(f"no observation above t={t}")
@@ -158,7 +157,7 @@ def conditional_mean_above(sample: Sample, t: float) -> float:
 
 def conditional_mean_below(sample: Sample, t: float) -> float:
     """Empirical mean past life r(t): mean of (t - x) over x <= t."""
-    _check_truncation(t)
+    _check_t(t)
     head = values_upto(sample, t)
     if head.size == 0:
         raise EmptyTailError(f"no observation at or below t={t}")
@@ -169,10 +168,3 @@ def _shifted_sum(values: np.ndarray, t: float) -> float:
     """sum of (x - t) over values, in blocks: no length-n temporary."""
     return sum(float(np.sum(values[lo:lo + _BLOCK] - t))
                for lo in range(0, values.shape[0], _BLOCK))
-
-
-def _check_truncation(t: float) -> None:
-    if not np.isfinite(t):
-        raise NonFiniteError("truncation point must be finite")
-    if t < 0:
-        raise BadParameterError("truncation point must be non-negative")

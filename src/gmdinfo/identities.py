@@ -32,7 +32,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, conditional_mean_above, conditional_mean_below
+from .empirical import (_BLOCK, Sample, _check_convention, conditional_mean_above,
+                        conditional_mean_below)
 from .errors import BadParameterError, NoConvergenceError, NonFiniteError, NotApplicableError
 from .measures import (
     MeasureSpec,
@@ -453,8 +454,10 @@ def verify(identity: Identity, source, cfg: QuadratureConfig = DEFAULT_CONFIG,
     naming the identity, when any side or the model's mean is NaN or
     infinite; a NoConvergenceError also names the identity.  A given
     ``tolerance`` must be finite (NonFiniteError) and non-negative
-    (BadParameterError).
+    (BadParameterError), and ``conv`` one of ECDF_CONVENTIONS
+    (BadParameterError), whatever the source.
     """
+    _check_convention(conv)
     if tolerance is not None:
         if not math.isfinite(tolerance):
             raise NonFiniteError(f"identity tolerance must be finite, got {tolerance}")

@@ -56,7 +56,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, _block_positions, _check_convention, values_above, values_upto
+from .empirical import (_BLOCK, Sample, _block_positions, _check_convention, _check_t,
+                        values_above, values_upto)
 from .errors import (
     BadParameterError,
     EmptyTailError,
@@ -279,11 +280,6 @@ class _Measure:
         return tuple(getattr(spec, name) for name in self.params + self.optional)
 
 
-def _check_t(t):
-    if t < 0:
-        raise BadParameterError("t must be non-negative")
-
-
 def _check_k(k):
     if k is None or not float(k).is_integer() or k < 2:
         raise BadParameterError("k must be an integer >= 2")
@@ -443,7 +439,7 @@ class MeasureSpec:
                 raise BadParameterError(f"measure {self.id!r} requires parameter {name!r}")
             if name not in entry.params + entry.optional and val is not None:
                 raise BadParameterError(f"measure {self.id!r} does not take parameter {name!r}")
-        for name in ("t", "v", "alpha", "beta", "p"):
+        for name in ("v", "alpha", "beta", "p"):  # t has its own check, _check_t
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
                 raise NonFiniteError(f"{name} must be finite")
@@ -515,6 +511,7 @@ def pairwise_max_mean(values: np.ndarray) -> float:
 
 
 def _tail(sample: Sample, t: float, need: int) -> np.ndarray:
+    _check_t(t)
     part = values_above(sample, t)
     if part.size == 0:
         raise EmptyTailError(f"no observation above t={t}")
@@ -524,6 +521,7 @@ def _tail(sample: Sample, t: float, need: int) -> np.ndarray:
 
 
 def _head(sample: Sample, t: float, need: int) -> np.ndarray:
+    _check_t(t)
     part = values_upto(sample, t)
     if part.size == 0:
         raise EmptyTailError(f"no observation at or below t={t}")
@@ -745,8 +743,9 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
     with one estimate per moment, all from one kernel walk; the route is
     unbiased-pwm only when every moment took the unbiased route.  A NaN or
     infinite value (the data overflow, e.g. x^2 near 1e200) raises
-    NonFiniteError.
+    NonFiniteError, and an unknown ``conv`` BadParameterError.
     """
+    _check_convention(conv)
     entry = MEASURE_IDS[spec.id]
     if entry.sample is None:
         return _sample_values(sample, [spec], conv)[0][0]

@@ -41,6 +41,7 @@ import sys
 
 import numpy as np
 
+from .empirical import _check_t
 from .errors import (BadParameterError, EmptyTailError, NoConvergenceError, NonFiniteError,
                      UnsupportedSpecError)
 from .measures import MEASURE_IDS, MeasureSpec, PhiSelector, WeightSelector, _past, _residual
@@ -301,11 +302,13 @@ def pwm_population(model, idx: PwmIndex, cfg: QuadratureConfig = DEFAULT_CONFIG)
 
 def mean_residual_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """m(t) = E(X - t | X > t) = int_t^inf sf/sf(t) dx."""
+    _check_t(t)
     return _residual(_XDomain(model, cfg), t, 1)
 
 
 def mean_past_life(model, t: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """r(t) = E(t - X | X <= t) = int_0^t F/F(t) dx."""
+    _check_t(t)
     return _past(_XDomain(model, cfg), t, 1)
 
 

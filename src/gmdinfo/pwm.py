@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, _block_positions, _check_convention, _position
+from .empirical import _BLOCK, Sample, _block_positions, _check_convention
 from .errors import BadParameterError, NonFiniteError, TooFewObservationsError
 
 __all__ = [
@@ -65,6 +65,7 @@ def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:
     Negative exponents require plotting positions strictly inside
     (0,1); the naive convention puts u_n = 1 and is refused there.
     """
+    _check_convention(conv)
     return _rank_sums(sample.values, conv, [(idx.p, idx.r, idx.s, False)])[0][0]
 
 
@@ -111,6 +112,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
     i/n (an iterable, which may make each gap's values as it is read);
     each g gives (sum_i dx_i g(i/n), sum_i 1/2 d(x^2)_i g(i/n)) over the
     n-1 steps dx_i = x_(i+1) - x_(i) of the naive step ECDF.
+    conv is one of ECDF_CONVENTIONS: the public doors check it.
     Returns (means, steps), in the order of terms and gaps.
     """
     n = values.shape[0]
@@ -125,12 +127,10 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
             raise TooFewObservationsError(f"{name}_{order} needs n > {order}, got n={n}")
         factors.append([("x", 1), (name, order)] if order else [("x", 1)])
     plugin_s = [s for _, _, s, exact in terms if not exact]
-    if plugin_s:
-        _check_convention(conv)
-        if min(plugin_s) < 0 and _position(float(n), n, conv) >= 1.0:
-            raise BadParameterError(
-                "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
-            )
+    if plugin_s and min(plugin_s) < 0 and _block_positions(n - 1, n, n, conv)[0] >= 1.0:
+        raise BadParameterError(
+            "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
+        )
     sums, steps = [0.0] * len(terms), []
     for lo in range(0, n, _BLOCK):
         x = values[lo:lo + _BLOCK]

@@ -9,14 +9,16 @@ half or piece through ``_quad``, graded toward a finite end by ``_graded``
 and mapped toward an infinite one in the model's hazard variable by the
 evaluators themselves.
 All of them run one core, QUADPACK's QAGS (Piessens et al. 1983):
-adaptive G10K21 Gauss-Kronrod quadrature, bisecting the interval of
-largest error, with Wynn's epsilon algorithm extrapolating the sums when
-the error gathers at an endpoint.  ``_quad`` maps [a, inf) onto (0, 1] by
-x = a + c (1 - t)/t with c = max(a, unit), as QUADPACK's QAGI does with
-c = 1 and the rule G7K15; that map now serves only ``integrate_x``.  Each
-bisection evaluates the integrand once, as one array call on the nodes of
-both halves, and the rule's four sums are written out in dqk21's order,
-so they round as QUADPACK's do.
+adaptive G10K21 Gauss-Kronrod quadrature on a finite interval, bisecting
+the interval of largest error next, with Wynn's epsilon algorithm
+extrapolating the sums when the error gathers at an endpoint.  All its
+intervals stay in one list in order of error, where QUADPACK's dqpsrt
+keeps fewer in order past 102 bisections.  ``integrate_x`` alone maps
+[a, inf) onto (0, 1], by x = a + c (1 - t)/t with c = max(a, 1), as
+QUADPACK's QAGI does with c = 1 and G7K15.  Each bisection evaluates the
+integrand once, as one array call on the nodes of both halves, and the
+rule's four sums are written out in dqk21's order, so they round as
+QUADPACK's do.
 
 Each integral runs once, with ``tol`` as QUADPACK's relative request and
 tol times the value's unit as its absolute one (1 for the public entry
@@ -31,6 +33,7 @@ away from 0 and 1 as a safety net, with a warning if it is ever hit where
 the integrand is large; the library's graded integrands need none.
 """
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,7 +81,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
-# the core: QUADPACK's dqagse, with its dqk21, dqpsrt and dqelg
+# the core: QUADPACK's dqagse, with its dqk21 and dqelg, and its intervals in error order
 
 
 _FINFO = np.finfo(float)
@@ -151,47 +154,8 @@ def _kronrod(f, lefts, rights) -> list:
     return out
 
 
-def _qpsrt(limit: int, last: int, maxerr: int, elist, iord, nrmax: int):
-    """Keep ``iord`` in descending order of error; returns (maxerr, errmax, nrmax).
-
-    Positions (nrmax, i, k, ...) count from 1 as in QUADPACK; ``iord``
-    holds 0-based interval indices, the newest being ``last - 1``.  Only
-    as many positions are kept in order as bisections remain.
-    """
-    if last <= 2:
-        iord[:2] = [0, 1]
-        return iord[nrmax - 1], elist[iord[nrmax - 1]], nrmax
-    errmax, errmin = elist[maxerr], elist[last - 1]
-    for _ in range(nrmax - 1):  # the bisected interval's error grew: move it up
-        isucc = iord[nrmax - 2]
-        if errmax <= elist[isucc]:
-            break
-        iord[nrmax - 1] = isucc
-        nrmax -= 1
-    jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
-    jbnd = jupbn - 1
-    for i in range(nrmax + 1, jbnd + 1):  # insert errmax top-down ...
-        isucc = iord[i - 1]
-        if errmax >= elist[isucc]:
-            iord[i - 2] = maxerr
-            k = jbnd
-            for _ in range(i, jbnd + 1):  # ... and errmin bottom-up
-                isucc = iord[k - 1]
-                if errmin < elist[isucc]:
-                    break
-                iord[k] = isucc
-                k -= 1
-            else:
-                k = i - 1
-            iord[k] = last - 1
-            break
-        iord[i - 2] = isucc
-    else:
-        iord[jbnd - 1], iord[jupbn - 1] = maxerr, last - 1
-    return iord[nrmax - 1], elist[iord[nrmax - 1]], nrmax
-
-
 _LIMEXP = 50  # the epsilon table keeps at most this many sums
+_MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
 def _qelg(n: int, epstab, res3la, nres: int):
@@ -243,7 +207,7 @@ def _qelg(n: int, epstab, res3la, nres: int):
     return n, result, max(abserr, 5.0 * _EPMACH * abs(result)), nres
 
 
-def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
+def _qags(f, a: float, b: float, epsabs: float, epsrel: float):
     """QUADPACK's QAGS on [a, b]: (result, abserr, neval, ier).
 
     ier is 0 on success, else QUADPACK's code:
@@ -256,14 +220,16 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
     if ier or (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
         return result, abserr, _NODES.size, ier
     ksgn = 1 if abs(result) >= (1.0 - 50.0 * _EPMACH) * defabs else -1
-    alist, blist, rlist, elist, iord = [a], [b], [result], [abserr], [0] * limit
+    # iord: every interval's slot, in descending order of error
+    alist, blist, rlist, elist, iord = [a], [b], [result], [abserr], [0]
+    key = lambda i: -elist[i]
     rlist2, res3la = [result] + [0.0] * (_LIMEXP + 1), [0.0, 0.0, 0.0]
     errmax, maxerr, area, errsum, abserr = abserr, 0, result, abserr, _OFLOW
     nrmax, nres, numrl2, ktmin, ierro = 1, 0, 2, 0, 0
     iroff = [0, 0, 0]  # roundoff counts: before extrapolation, during it, error growth
     extrap = noext = summed = False  # summed: the result is the plain sum of the pieces
     small = erlarg = ertest = correc = 0.0
-    for last in range(2, limit + 1):
+    for last in range(2, _MAX_SUBDIVISIONS + 1):
         # bisect the interval with the nrmax-th largest error estimate
         a1, b2 = alist[maxerr], blist[maxerr]
         a2 = b1 = 0.5 * (a1 + b2)
@@ -283,7 +249,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
             ier = 2
         if iroff[1] >= 5:
             ierro = 3
-        if last == limit:
+        if last == _MAX_SUBDIVISIONS:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
             ier = 4
@@ -293,7 +259,16 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         alist[maxerr], blist[maxerr], rlist[maxerr], elist[maxerr] = a1, b1, area1, error1
         for lst, value in ((alist, a2), (blist, b2), (rlist, area2), (elist, error2)):
             lst.append(value)
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        # dqpsrt's order: maxerr keeps its place among equal errors, and last - 1
+        # goes below it and above any other equal error
+        del iord[nrmax - 1]
+        moved = min(max(nrmax - 1, bisect.bisect_left(iord, -error1, key=key)),
+                    bisect.bisect_right(iord, -error1, key=key))
+        iord.insert(moved, maxerr)
+        iord.insert(bisect.bisect_left(iord, -error2, moved + 1, key=key), last - 1)
+        nrmax = min(nrmax, moved + 1)
+        maxerr = iord[nrmax - 1]
+        errmax = elist[maxerr]
         if errsum <= errbnd:
             summed = True
             break
@@ -315,6 +290,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
         if ierro != 3 and erlarg > ertest:
             # the smallest intervals hold the largest errors: first bisect
             # the larger ones whose errors come next
+            limit = _MAX_SUBDIVISIONS  # dqagse scans as many positions as bisections remain
             jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
             larger = False
             for _ in range(nrmax, jupbnd + 1):
@@ -366,7 +342,7 @@ def _qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
 
 
 _MESSAGES = {
-    1: "the maximum number of subdivisions ({limit}) has been achieved",
+    1: f"the maximum number of subdivisions ({_MAX_SUBDIVISIONS}) has been achieved",
     2: "roundoff error prevents the requested tolerance from being achieved",
     3: "extremely bad integrand behavior occurs at some points of the interval",
     4: "roundoff error is detected in the extrapolation table",
@@ -378,37 +354,28 @@ _MESSAGES = {
 # still its best estimate; accept it within this factor of the request.
 _ROUNDOFF_SLACK = 100.0
 _U_CLIP = 1e-12  # integrate_u never calls its f closer than this to 0 or 1
-_MAX_SUBDIVISIONS = 200  # QUADPACK's limit: bisections per integral
 
 
 def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: tuple = (), unit: float = 1.0,
           degree: float = 0.0, scale: float = 1.0) -> float:
-    """Integral of the array-valued f over [a, b], b finite or inf, in units of unit^(degree + 1).
+    """Integral of the array-valued f over the finite [a, b], in units of unit^(degree + 1).
 
-    QUADPACK's absolute request is tol times those units, and [a, inf) is
-    mapped in units of max(a, unit): only ``integrate_x`` comes here, as the
-    evaluators map every tail of their own.
+    QUADPACK's absolute request is tol times those units.
     A failure names the interval ``where`` = (lo, hi), or [a, b] if none
     is given, formatting it only then, and quotes the error estimate
     times ``scale``, the value's units per unit of the integral.
     """
-    if b == math.inf:  # x = a + c (1 - t)/t on (0, 1], in units of c
-        c = max(a, unit)
-        g, lo, hi = (lambda t: f(a + c * (1.0 - t) / t) * c / t / t), 0.0, 1.0
-    else:
-        g, lo, hi = f, a, b
     tol = cfg.tol
     try:
         epsabs = tol * unit ** (degree + 1.0)
     except OverflowError:  # so is the value; the caller's finiteness check says so
         epsabs = math.inf
-    value, abserr, neval, ier = _qags(g, lo, hi, epsabs, tol, _MAX_SUBDIVISIONS)
+    value, abserr, neval, ier = _qags(f, a, b, epsabs, tol)
     if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(epsabs, tol * abs(value)):
         return value
-    reason = _MESSAGES[ier].format(limit=_MAX_SUBDIVISIONS)
     lo, hi = where or (a, b)
     raise NoConvergenceError(
-        f"quadrature on [{lo}, {hi}] did not converge: {reason} "
+        f"quadrature on [{lo}, {hi}] did not converge: {_MESSAGES[ier]} "
         f"(error estimate {abserr * scale:.3g} after {neval} evaluations)"
     )
 
@@ -468,10 +435,16 @@ def integrate_x(f, a: float, b: float,
     ``breakpoints`` are interior points where the integrand is known to
     be non-smooth (e.g. the lower support endpoint, below which survival
     functions are identically 1); the interval is split there so each
-    piece is integrated as a smooth whole.
+    piece is integrated as a smooth whole.  A last piece [p, inf) is
+    mapped onto (0, 1] by x = p + c (1 - t)/t, in units of c = max(p, 1).
     """
     if not np.isfinite(a):
         raise BadParameterError("lower integration limit must be finite")
     pts = [p for p in sorted(set(float(p) for p in breakpoints)) if a < p < b]
     edges, g = [a] + pts + [b], _elementwise(f)
-    return sum(_quad(g, left, right, cfg) for left, right in zip(edges[:-1], edges[1:]))
+    total = sum(_quad(g, left, right, cfg) for left, right in zip(edges[:-2], edges[1:-1]))
+    left = edges[-2]
+    if b != math.inf:
+        return total + _quad(g, left, b, cfg)
+    c = max(left, 1.0)  # x = left + c (1 - t)/t on (0, 1], in units of c
+    return total + _quad(lambda t: g(left + c * (1.0 - t) / t) * c / t / t, 0.0, 1.0, cfg, (left, b))

@@ -13,13 +13,18 @@ import pytest
 from gmdinfo import (
     BadParameterError,
     EmptyTailError,
+    Exponential,
     FewerThanTwoError,
     MEASURE_IDS,
     MeasureSpec,
     NonFiniteError,
     PhiSelector,
+    PwmIndex,
+    REGISTRY,
     TooFewObservationsError,
     WeightSelector,
+    conditional_mean_above,
+    conditional_mean_below,
     expected_max_of_k,
     expected_min_of_k,
     gain_premium,
@@ -33,14 +38,18 @@ from gmdinfo import (
     integrate_u,
     j_dyn,
     make_sample,
+    mean_past_life,
+    mean_residual_life,
     measure_sample,
     pairwise_max_mean,
     pairwise_min_mean,
     parse_phi,
     parse_weight,
     plotting_positions,
+    pwm_plugin,
     pwm_unbiased_beta,
     risk_premium,
+    verify,
 )
 from gmdinfo import measures as measures_module
 from oracles import (
@@ -510,6 +519,53 @@ class TestTruncationErrors:
             expected_min_of_k(S123, 4)
         with pytest.raises(BadParameterError, match="k must be an integer >= 2"):
             expected_max_of_k(S123, 1)
+
+
+EXP50 = make_sample(np.random.default_rng(50).exponential(size=50))
+
+#: every public door that takes a truncation point t
+T_DOORS = {
+    **{f"MeasureSpec({mid})": (lambda t, mid=mid: MeasureSpec(mid, t=t))
+       for mid in ("gmd_left", "gmd_right", "j_dyn", "h_dyn")},
+    **{f.__name__: (lambda t, f=f: f(EXP50, t))
+       for f in (gmd_left, gmd_right, j_dyn, h_dyn, conditional_mean_above,
+                 conditional_mean_below)},
+    **{f.__name__: (lambda t, f=f: f(Exponential(1.0), t))
+       for f in (mean_residual_life, mean_past_life)},
+}
+
+#: every public door that takes an ECDF convention
+CONV_DOORS = {
+    **{f"measure_sample({mid})": (lambda conv, spec=spec: measure_sample(EXP50, spec, conv))
+       for mid, spec in (("gmd", MeasureSpec("gmd")), ("crj", MeasureSpec("crj")),
+                         ("j_dyn", MeasureSpec("j_dyn", t=0.5)))},
+    "pwm_plugin": lambda conv: pwm_plugin(EXP50, PwmIndex(1, 1.0), conv),
+    **{f"verify({ident.id})": (lambda conv, ident=ident: verify(ident, EXP50, conv=conv))
+       for ident in REGISTRY},
+    "verify(I1)@model": lambda conv: verify(REGISTRY[0], Exponential(1.0), conv=conv),
+}
+
+
+class TestEntryChecks:
+    """Each door checks t and conv itself: h_dyn(t=nan) returned nan, gmd_right(t=nan) the
+    whole sample's value, j_dyn(t=-1) a value, and mean_past_life(t=inf) integrated until
+    it failed; with conv="bogus", measure_sample returned values and verify passed I1."""
+
+    @pytest.mark.parametrize("t, error, text", [
+        (float("nan"), NonFiniteError, "t must be finite"),
+        (float("inf"), NonFiniteError, "t must be finite"),
+        (float("-inf"), NonFiniteError, "t must be finite"),
+        (-1.0, BadParameterError, "t must be non-negative"),
+    ], ids=["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("door", T_DOORS)
+    def test_truncation_point(self, door, t, error, text):
+        with pytest.raises(error, match=f"^{text}$"):
+            T_DOORS[door](t)
+
+    @pytest.mark.parametrize("door", CONV_DOORS)
+    def test_convention(self, door):
+        with pytest.raises(BadParameterError, match="^unknown ECDF convention 'bogus'"):
+            CONV_DOORS[door]("bogus")
 
 
 class TestDocumentedIds:

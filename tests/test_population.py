@@ -621,8 +621,8 @@ class TestGradedTails:
     @pytest.mark.parametrize("model", [U01, EXP1, Weibull(1.5), Weibull(0.7), Pareto(4.0, 2.0),
                                        Pareto(2.2)], ids=lambda m: m.describe())
     def test_no_population_path_takes_the_rational_map(self, monkeypatch, model):
-        """_quad maps [a, inf) for integrate_x alone: every measure, mean life and identity
-        side of a model maps its own tail."""
+        """_quad takes finite pieces only, and integrate_x alone maps [a, inf): every measure,
+        mean life and identity side of a model maps its own tail."""
         ends, quad = [], population._quad
         monkeypatch.setattr(population, "_quad",
                             lambda f, a, b, *args, **kw: ends.append(b) or quad(f, a, b, *args, **kw))

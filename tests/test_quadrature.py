@@ -109,6 +109,43 @@ def test_infinite_pieces_at_every_start(a):
         assert integrate_x(f, a, math.inf) == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def _kinks(count, d, off, root):
+    """sum over k < count of |x - p_k|^e, e = 1/2 if root else 1, with p_k = (k + off)/d;
+    and its integral over [0, 1], the sum of G(p_k) + G(1 - p_k), G(y) = sign(y) |y|^(e+1)/(e+1)."""
+    ps, e = [(k + off) / d for k in range(count)], 0.5 if root else 1.0
+    G = lambda y: math.copysign(abs(y) ** (e + 1.0) / (e + 1.0), y)
+    power = np.sqrt if root else (lambda y: y)
+    return (lambda x: sum(power(np.abs(x - p)) for p in ps)), sum(G(p) + G(1.0 - p) for p in ps)
+
+
+@pytest.mark.parametrize("kinks, a, tol, want", [
+    # the halves of the first bisection tie bit for bit
+    (None, -1.0, 1e-10, (1.3333333333333315, 4.6629367034256575e-15, 483, 0)),
+    # 183 bisections, past the 102 where QUADPACK's dqpsrt starts to keep fewer in order
+    ((12, 12.37, 0.5, True), 0.0, 1e-10, (6.34983315825418, 5.68058489136547e-10, 7707, 0)),
+    # dyadic kinks tie many errors: the bisected interval keeps its place among them,
+    # neither first nor last
+    ((13, 16.0, 0.5, False), 0.0, 1e-10, (4.0751953125, 4.5218820007852933e-14, 1155, 0)),
+    ((16, 16.0, 0.5, False), 0.0, 1e-10, (5.328125, 5.910864245978198e-14, 1323, 0)),
+    # at the subdivision limit: an error that grows moves up past nrmax; the new interval
+    # goes above equal errors; the scan for larger intervals keeps dqagse's bound
+    ((15, 12.37, 0.75, True), 0.0, 1e-10, (8.610018028141095, 1.081160050375729e-09, 8379, 1)),
+    ((17, 64.0, 0.5, True), 0.0, 1e-10, (9.799299295928288, 9.104062849616112e-07, 8379, 1)),
+    ((10, 12.37, 0.0, True), 0.0, 1e-12, (5.256483426764789, 1.3020340361435956e-10, 8379, 1)),
+], ids=["sqrt|x|", "12 kinks", "13 dyadic", "16 dyadic", "15 kinks", "17 kinks", "10 kinks"])
+def test_core_bisects_in_quadpacks_order(kinks, a, tol, want):
+    """(value, abserr, neval, ier) of the core, as QUADPACK's dqagse with dqpsrt gives them.
+
+    Only correctly rounded operations make these integrands, so the pins
+    hold on every numpy.
+    """
+    f, exact = (lambda x: np.sqrt(np.abs(x))), 4.0 / 3.0
+    if kinks:
+        f, exact = _kinks(*kinks)
+    assert quadrature._qags(f, a, 1.0, tol, tol) == want
+    assert abs(want[0] - exact) <= want[1]
+
+
 def _kronrod_loop(f, lefts, rights) -> list:
     """dqk21's sums as a loop over the node pairs: the oracle for the written-out _kronrod."""
     wk, wg, nodes = quadrature._WK, quadrature._WG, quadrature._NODES
@@ -212,15 +249,15 @@ ROUTES = [
 
 
 @pytest.mark.parametrize("f_array, f_scalar, a, b, breakpoints", ROUTES)
-def test_array_and_scalar_routes_are_identical(f_array, f_scalar, a, b, breakpoints):
-    """integrate_u/integrate_x map a scalar f over the same nodes _quad passes whole."""
+def test_array_and_scalar_routes_are_identical(f_array, f_scalar, a, b, breakpoints,
+                                               monkeypatch):
+    """integrate_u/integrate_x map a scalar f over the same nodes _quad, or integrate_x's own
+    [a, inf) map, passes whole."""
     if b == 1.0:
         assert _quad(f_array, a, b, QuadratureConfig()) == integrate_u(f_scalar, lo=a, hi=b)
-    edges = [a, *breakpoints, b]
-    pieces = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        pieces += _quad(f_array, left, right, QuadratureConfig())
-    assert pieces == integrate_x(f_scalar, a, b, breakpoints=breakpoints)
+    scalar = integrate_x(f_scalar, a, b, breakpoints=breakpoints)
+    monkeypatch.setattr(quadrature, "_elementwise", lambda f: f)  # f_array goes in whole
+    assert integrate_x(f_array, a, b, breakpoints=breakpoints) == scalar
 
 
 def test_exprel_is_faithful_and_matches_scipy():
