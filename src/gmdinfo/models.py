@@ -1,13 +1,13 @@
 """Parametric distribution families with closed-form F, survival, quantile.
 
-Four non-negative families are provided: uniform, exponential, Weibull,
-and Pareto.  Each exposes exactly what the population-side machinery
-needs — ``cdf``/``sf``/``quantile``/``mean``/``median``, the ``unit``
-its quantile integrals are measured in, the support, the tail index
-governing which moments exist and ``tail_map``, the quantile in the
-hazard variable y = -log S, that every tail piece runs in — plus
-inverse-transform sampling for Monte Carlo work.  The distribution
-methods accept scalars or arrays.
+Four non-negative families are provided: uniform, Weibull, its shape-1
+case the exponential, and Pareto.  Each exposes exactly what the
+population-side machinery needs — ``cdf``/``sf``/``quantile``/``mean``/
+``median``, the ``unit`` its quantile integrals are measured in, the
+support, the tail index governing which moments exist and ``tail_map``,
+the quantile in the hazard variable y = -log S, that every tail piece
+runs in — plus inverse-transform sampling for Monte Carlo work.  The
+distribution methods accept scalars or arrays.
 """
 
 import math
@@ -150,39 +150,6 @@ class Uniform(ParametricModel):
         return f"uniform(a={_show(self.a)}, b={_show(self.b)})"
 
 
-class Exponential(ParametricModel):
-    """Exponential with mean mu (rate 1/mu)."""
-
-    def __init__(self, mean: float = 1.0):
-        self.mu = _check_positive("exponential mean", mean)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 0.0, -np.expm1(-x / self.mu))
-
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 1.0, np.exp(-x / self.mu))
-
-    def quantile(self, u):
-        return -self.mu * np.log1p(-np.asarray(u, dtype=float))
-
-    def tail_map(self, y):
-        return math.log(self.mu) + np.log(y), 1.0 / y
-
-    def unit(self) -> float:
-        return self.mu
-
-    def mean(self) -> float:
-        return self.mu
-
-    def median(self) -> float:
-        return self.mu * math.log(2.0)
-
-    def describe(self) -> str:
-        return f"exponential(mean={_show(self.mu)})"
-
-
 class Weibull(ParametricModel):
     """Weibull with shape kappa and scale lam: sf(x) = exp(-(x/lam)^kappa)."""
 
@@ -190,13 +157,16 @@ class Weibull(ParametricModel):
         self.kappa = _check_positive("weibull shape", shape)
         self.lam = _check_positive("weibull scale", scale)
 
+    def _hazard(self, x):
+        """-log S = (max(x, 0)/lam)^kappa, 0 everywhere below the support."""
+        return (np.maximum(np.asarray(x, dtype=float), 0.0) / self.lam) ** self.kappa
+
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 0.0, -np.expm1(-((np.maximum(x, 0.0) / self.lam) ** self.kappa)))
+        # 0.0 - ...: -0.0 may come out of np.maximum, and F(-0.0) is +0.0
+        return 0.0 - np.expm1(-self._hazard(x))
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 1.0, np.exp(-((np.maximum(x, 0.0) / self.lam) ** self.kappa)))
+        return np.exp(-self._hazard(x))
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -218,6 +188,17 @@ class Weibull(ParametricModel):
         return f"weibull(shape={_show(self.kappa)}, scale={_show(self.lam)})"
 
 
+class Exponential(Weibull):
+    """Exponential with mean mu (rate 1/mu): the Weibull of shape 1 and scale mu."""
+
+    def __init__(self, mean: float = 1.0):
+        self.mu = _check_positive("exponential mean", mean)
+        super().__init__(1.0, self.mu)
+
+    def describe(self) -> str:
+        return f"exponential(mean={_show(self.mu)})"
+
+
 class Pareto(ParametricModel):
     """Pareto with sf(x) = (sigma/x)^a on [sigma, inf).
 
@@ -236,13 +217,15 @@ class Pareto(ParametricModel):
         self.support = (self.sigma, math.inf)
         self.tail_index = self.a
 
+    def _survival(self, x):
+        """(sigma/max(x, sigma))^a, 1 everywhere below the support."""
+        return (self.sigma / np.maximum(np.asarray(x, dtype=float), self.sigma)) ** self.a
+
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= self.sigma, 0.0, 1.0 - (self.sigma / np.maximum(x, self.sigma)) ** self.a)
+        return 1.0 - self._survival(x)
 
     def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= self.sigma, 1.0, (self.sigma / np.maximum(x, self.sigma)) ** self.a)
+        return self._survival(x)
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -265,6 +248,8 @@ class Pareto(ParametricModel):
 
 
 MODEL_FAMILIES = ("uniform", "exponential", "weibull", "pareto")
+_FAMILY_CLASSES = {"uniform": Uniform, "exponential": Exponential, "exp": Exponential,
+                   "weibull": Weibull, "pareto": Pareto}
 
 
 def make_model(family: str, **params) -> ParametricModel:
@@ -274,17 +259,9 @@ def make_model(family: str, **params) -> ParametricModel:
     ``weibull`` (shape, scale), ``pareto`` (shape, scale).
     """
     family = family.lower()
+    if family not in _FAMILY_CLASSES:
+        raise BadParameterError(f"unknown family {family!r}; expected one of {MODEL_FAMILIES}")
     try:
-        if family == "uniform":
-            return Uniform(**params)
-        if family in ("exponential", "exp"):
-            return Exponential(**params)
-        if family == "weibull":
-            return Weibull(**params)
-        if family == "pareto":
-            return Pareto(**params)
+        return _FAMILY_CLASSES[family](**params)
     except TypeError as exc:
         raise BadParameterError(f"bad parameters for {family}: {exc}") from None
-    raise BadParameterError(
-        f"unknown family {family!r}; expected one of {MODEL_FAMILIES}"
-    )

@@ -22,10 +22,9 @@ QUADPACK's do.
 
 Each integral runs once, with ``tol`` as QUADPACK's relative request and
 tol times the value's unit as its absolute one (1 for the public entry
-points).  Its value is returned on success, or when QUADPACK reports
-trouble (as at requests near double precision) but its error estimate is
-within 100x of the request; otherwise :class:`NoConvergenceError` gives
-that run's estimate, in the value's units, and its evaluation count.
+points).  Its value is returned only when QUADPACK reports success;
+otherwise :class:`NoConvergenceError` gives that run's estimate, in the
+value's units, and its evaluation count.
 
 The Kronrod nodes never fall on an endpoint of an interval.  For the scalar
 integrands of ``integrate_u`` alone, a clamp at 1e-12 keeps the argument
@@ -64,8 +63,7 @@ class QuadratureConfig:
     tol : float
         QUADPACK's epsrel, and its epsabs in the value's units U (1 for
         integrate_u/integrate_x): each error estimate must be at most
-        max(tol * U, tol * |value|), or 100 times that if QUADPACK reports
-        trouble.  Finite and positive.
+        max(tol * U, tol * |value|).  Finite and positive.
     """
 
     tol: float = 1e-10
@@ -349,10 +347,6 @@ _MESSAGES = {
     5: "the integral is probably divergent, or slowly convergent",
 }
 
-# When the core reports trouble (typically roundoff in the extrapolation
-# table: the request is below what floating point permits), its value is
-# still its best estimate; accept it within this factor of the request.
-_ROUNDOFF_SLACK = 100.0
 _U_CLIP = 1e-12  # integrate_u never calls its f closer than this to 0 or 1
 
 
@@ -371,7 +365,7 @@ def _quad(f, a: float, b: float, cfg: QuadratureConfig, where: tuple = (), unit:
     except OverflowError:  # so is the value; the caller's finiteness check says so
         epsabs = math.inf
     value, abserr, neval, ier = _qags(f, a, b, epsabs, tol)
-    if ier == 0 or abserr <= _ROUNDOFF_SLACK * max(epsabs, tol * abs(value)):
+    if ier == 0:
         return value
     lo, hi = where or (a, b)
     raise NoConvergenceError(
@@ -403,6 +397,8 @@ def integrate_u(f, cfg: QuadratureConfig = DEFAULT_CONFIG,
     true endpoint-singular integral; if the clamp itself is ever active
     where ``|f|`` is large, a :class:`ClippedTailWarning` is emitted.
     """
+    if not 0.0 <= lo < hi <= 1.0:
+        raise BadParameterError(f"integration limits must satisfy 0 <= lo < hi <= 1, got {lo}, {hi}")
     eps, g = _U_CLIP, _elementwise(f)
     # |f| at the clamp at or beyond 1/eps means a local power singularity
     # u^-c with c >= 1, i.e. a divergent integral; integrable singularities
@@ -440,6 +436,8 @@ def integrate_x(f, a: float, b: float,
     """
     if not np.isfinite(a):
         raise BadParameterError("lower integration limit must be finite")
+    if not b > a:
+        raise BadParameterError(f"upper integration limit must exceed the lower, got {a}, {b}")
     pts = [p for p in sorted(set(float(p) for p in breakpoints)) if a < p < b]
     edges, g = [a] + pts + [b], _elementwise(f)
     total = sum(_quad(g, left, right, cfg) for left, right in zip(edges[:-2], edges[1:-1]))

@@ -1,6 +1,7 @@
 """Parametric models: inverses, closed-form moments, parameter guards."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -145,10 +146,33 @@ class TestClosedFormMoments:
         x = np.exp(model.tail_map(y)[0])
         np.testing.assert_allclose(-np.log(model.sf(x)), y, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("mean", [1e-6, 1.0, 3.7, 1e5])
+    def test_exponential_is_the_weibull_of_shape_one(self, mean):
+        exp, weibull = Exponential(mean), Weibull(1.0, mean)
+        assert isinstance(exp, Weibull) and (exp.mu, exp.kappa, exp.lam) == (mean, 1.0, mean)
+        x = mean * np.array([0.0, 1e-300, 0.3, 5.0, 800.0, np.inf])
+        u, y = np.array([0.0, 1e-9, 0.5, 0.9]), np.array([1e-3, 1.0, 700.0])
+        for name, arg in (("cdf", x), ("sf", x), ("quantile", u), ("tail_map", y)):
+            assert np.array_equal(getattr(exp, name)(arg), getattr(weibull, name)(arg))
+        assert (exp.mean(), exp.median(), exp.unit()) == (mean, mean * math.log(2.0), mean)
+
     def test_supports(self):
         assert Uniform(0.5, 2.0).support == (0.5, 2.0)
         assert Exponential(1.0).support == (0.0, math.inf)
         assert Pareto(3.0, 2.0).support == (2.0, math.inf)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("family", ["uniform", "exponential", "weibull", "pareto"])
+def test_below_the_support_cdf_is_0_and_sf_is_1_without_warnings(family, scale):
+    """Also where x/scale would overflow a hazard, as x = -1 on a scale of 1e-6."""
+    model = {"uniform": Uniform(0.0, scale), "exponential": Exponential(scale),
+             "weibull": Weibull(1.5, scale), "pareto": Pareto(3.0, scale)}[family]
+    below = [-math.inf, -1.0, -0.0, 0.0] + ([scale / 2.0] if family == "pareto" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in [np.array(below)] + below:
+            assert np.all(model.cdf(x) == 0.0) and np.all(model.sf(x) == 1.0)
 
 
 class TestParameterGuards:

@@ -709,8 +709,7 @@ class TestQuadratureEngine:
             integrate_u(lambda u: math.sin(1.0 / u**2))
 
     def test_roundoff_limited_requests_still_return(self):
-        # tolerance far below double precision: QUADPACK reports roundoff,
-        # but its error estimate is within the slack, so the value returns
+        # a request near double precision that QUADPACK still certifies
         cfg = QuadratureConfig(tol=1e-13)
         v = integrate_u(lambda u: (-math.log(1.0 - u)) ** 4, cfg)
         assert v == pytest.approx(24.0, rel=1e-6)

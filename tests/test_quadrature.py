@@ -19,6 +19,7 @@ import pytest
 from scipy import integrate, special
 
 from gmdinfo import (
+    BadParameterError,
     Exponential,
     MeasureSpec,
     NoConvergenceError,
@@ -32,7 +33,7 @@ from gmdinfo import (
 )
 from gmdinfo import quadrature
 from gmdinfo.measures import _exprel
-from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _ROUNDOFF_SLACK, _quad
+from gmdinfo.quadrature import _MAX_SUBDIVISIONS, _quad
 
 PARETO22 = Pareto(2.2)
 BELOW_EPS = QuadratureConfig(tol=1e-17)  # no integral is certified this tightly in doubles
@@ -55,13 +56,14 @@ BATTERY = [
 
 
 def scipy_integral(f, a, b, cfg, breakpoints=()):
-    """scipy.integrate.quad once per piece, with the engine's acceptance rule; None if it fails."""
+    """scipy.integrate.quad once per piece; None if any piece reports trouble, as the engine
+    then raises."""
     pts = [p for p in sorted(breakpoints) if a < p < b]
     total = 0.0
     for left, right in zip([a] + pts, pts + [b]):
         out = integrate.quad(f, left, right, epsabs=cfg.tol, epsrel=cfg.tol,
                              limit=_MAX_SUBDIVISIONS, full_output=1)
-        if len(out) > 3 and out[1] > _ROUNDOFF_SLACK * max(cfg.tol, cfg.tol * abs(out[0])):
+        if len(out) > 3:  # the fourth output is scipy's message: QUADPACK's ier != 0
             return None
         total += out[0]
     return total
@@ -260,6 +262,23 @@ def test_array_and_scalar_routes_are_identical(f_array, f_scalar, a, b, breakpoi
     assert integrate_x(f_array, a, b, breakpoints=breakpoints) == scalar
 
 
+@pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (0.7, 0.2), (-0.1, 0.5), (0.3, 0.3),
+                                    (math.nan, 1.0), (0.0, math.nan)])
+def test_integrate_u_refuses_limits_outside_the_unit_interval(lo, hi):
+    calls = []
+    with pytest.raises(BadParameterError, match="0 <= lo < hi <= 1"):
+        integrate_u(lambda u: calls.append(u) or u, lo=lo, hi=hi)
+    assert not calls
+
+
+@pytest.mark.parametrize("b", [-1.0, 0.0, math.nan, -math.inf])
+def test_integrate_x_refuses_an_upper_limit_not_above_the_lower(b):
+    calls = []
+    with pytest.raises(BadParameterError, match="must exceed the lower"):
+        integrate_x(lambda x: calls.append(x) or x, 0.0, b)
+    assert not calls
+
+
 def test_exprel_is_faithful_and_matches_scipy():
     """expm1(z)/z against the correctly rounded value and against scipy.special.exprel.
 
@@ -306,6 +325,13 @@ class TestNoConvergenceContext:
         assert text.startswith("crjw() on exponential(mean=1), direct route: ")
         assert "did not converge" in text
 
+    def test_a_reported_failure_raises_even_within_the_request(self, monkeypatch):
+        """A value is returned only when QUADPACK reports success (ier 0)."""
+        monkeypatch.setattr(quadrature, "_qags",
+                            lambda f, a, b, epsabs, epsrel: (1.0, 0.5 * epsabs, 21, 2))
+        with pytest.raises(NoConvergenceError, match="roundoff error prevents"):
+            _quad(lambda x: x, 0.0, 1.0, QuadratureConfig())
+
     def test_each_piece_runs_once(self, monkeypatch):
         calls, qags = [], quadrature._qags
 
@@ -340,7 +366,7 @@ class TestNoConvergenceContext:
         if route == "direct":
             assert f"direct route: quadrature on [0.0, {wide.median()}] did not converge" in text
         else:
-            assert "quantile route: quadrature on [0.5, 1.0] did not converge" in text
+            assert "quantile route: quadrature on [0.0, 0.5] did not converge" in text
 
     @pytest.mark.parametrize("model", [Exponential(1.0), PARETO22], ids=lambda m: m.describe())
     def test_failure_names_the_exact_half_or_piece(self, model):
