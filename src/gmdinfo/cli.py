@@ -27,7 +27,7 @@ from .errors import (
     NoConvergenceError,
     TooFewObservationsError,
 )
-from .identities import _verify_each
+from .identities import IdentityReport, _verify_each
 from .measures import MEASURE_IDS, MeasureSpec, measure_sample, parse_phi, parse_weight
 from .models import MODEL_FAMILIES, ParametricModel, make_model
 from .population import measure_population
@@ -37,9 +37,7 @@ __all__ = ["main", "read_values", "cmd_compute", "cmd_verify", "cmd_mc"]
 
 _MODEL_FLAGS = ("a", "b", "mean", "shape", "scale")
 
-_VERIFY_FIELDS = ("identity", "description", "source", "level", "exactness",
-                  "lhs", "rhs", "abs_residual", "rel_residual", "tolerance",
-                  "passed")
+_VERIFY_FIELDS = tuple(field.name for field in dataclasses.fields(IdentityReport))
 _COMPUTE_FIELDS = ("measure", "parameters", "value", "estimator_route", "n")
 _MC_FIELDS = ("n", "reps", "mean", "bias", "sd", "rmse", "population")
 _SELECTORS = {"w": parse_weight, "phi": parse_phi}  # measure flags given as text

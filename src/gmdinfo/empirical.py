@@ -6,6 +6,7 @@ on ascending order.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,12 +106,22 @@ def _block_positions(lo: int, hi: int, n: int, conv: str) -> np.ndarray:
     return np.arange(lo + 1.0, hi + 1.0) / (n if conv == "naive" else n + 1.0)
 
 
+def _check_integer_order(name: str, value) -> int:
+    """A count or an integer order, such as n or the p of M_{p,r,s}: a non-negative integer."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"{name} must be finite")
+    if value != int(value) or value < 0:
+        raise BadParameterError(f"{name} must be a non-negative integer, got {value}")
+    return int(value)
+
+
 def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
-    """Plotting positions u_1 < ... < u_n for ranks 1..n.
+    """Plotting positions u_1 < ... < u_n for ranks 1..n; none for n = 0.
 
     hazen: (i - 0.5)/n;  naive: i/n;  mean-rank: i/(n + 1).
     Tied observations keep distinct consecutive positions.
     """
+    n = _check_integer_order("n", n)
     _check_convention(conv)
     return _block_positions(0, n, n, conv)
 

@@ -16,8 +16,8 @@ crjw                max-weighted extropy -1/4 E[max^2]           --
 wce                 min-weighted extropy -1/4 E[min^2]           --
 j_dyn               dynamic survival extropy at t                t
 h_dyn               dynamic cumulative (past) extropy at t       t
-crt / ct            cumulative residual / past Tsallis entropy   alpha
-wcrt / wct          weighted variants (second-moment)            alpha
+crt / ct            sr / sp at (1, alpha): Tsallis entropies     alpha
+wcrt / wct          srw / spw at (1, alpha): weighted variants   alpha
 sr / sp             survival / past two-parameter entropies      alpha, beta
 srw / spw           weighted variants                            alpha, beta
 ge / gce            generalized residual / cumulative entropy    w, phi
@@ -33,7 +33,9 @@ one, a dedicated sample route.  The truncated forms divide by S(t) or F(t),
 and the order families' x forms by their order gap, inside their integrands,
 so each is taken in the value's own units.
 The quantile route, the x-domain route and the sample estimators all read
-that entry, so adding a measure means adding one entry.
+that entry, so adding a measure means adding one entry.  The cumulative
+residual and past Tsallis entropies crt and ct, and their weighted forms
+wcrt and wct, are sr, sp, srw and spw at (1, alpha) (:func:`_at_one`).
 
 Note on crj vs ce: the survival-square integral and the pairwise-minimum
 representation are the same number (-1/2 E[min(X1,X2)] = -E[X(1-F(X))]),
@@ -132,7 +134,7 @@ def _power_difference(P, Q, a: float, b: float):
     """
     low, high = sorted((a, b))
     with np.errstate(divide="ignore", over="ignore"):  # Q/0 = inf: log 0 = -inf
-        d = P**low * -np.expm1((low - high) * np.log1p(Q / P))
+        d = (P if low == 1 else P**low) * -np.expm1((low - high) * np.log1p(Q / P))
     return d if a < b else -d
 
 
@@ -349,6 +351,24 @@ _AB = dict(params=("alpha", "beta"), check=_check_pair)
 _K = dict(params=("k",), check=_check_k)
 _TRUNC = "truncated-u-statistic"
 _CRJ = _Measure(pwm=lambda M: -M(1, 0, 1), x=lambda X: -0.5 * X(lambda x, F, S: S**2))
+_SR = _Measure(**_AB, pwm=lambda M, a, b: (a * M(1, 0, a - 1) - b * M(1, 0, b - 1)) / (b - a),
+               x=lambda X, a, b: X(lambda x, F, S: ((S if a == 1 else S**a) - S**b) / (b - a)))
+_SP = _Measure(**_AB, pwm=lambda M, a, b: (b * M(1, b - 1, 0) - a * M(1, a - 1, 0)) / (b - a),
+               x=lambda X, a, b: X(lambda x, F, S: _power_difference(F, S, a, b) / (b - a)))
+_SRW = _Measure(**_AB,
+                pwm=lambda M, a, b: (a * M(2, 0, a - 1) - b * M(2, 0, b - 1)) / (2.0 * (b - a)),
+                x=lambda X, a, b: X(lambda x, F, S: x * ((S if a == 1 else S**a) - S**b) / (b - a),
+                                    degree=1))
+_SPW = _Measure(**_AB,
+                pwm=lambda M, a, b: (b * M(2, b - 1, 0) - a * M(2, a - 1, 0)) / (2.0 * (b - a)),
+                x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b) / (b - a),
+                                    degree=1))
+
+
+def _at_one(family: _Measure) -> _Measure:
+    """The one-parameter member of an order family: the family at (1, alpha)."""
+    return _Measure(**_A, pwm=lambda M, a: family.pwm(M, 1, a), x=lambda X, a: family.x(X, 1, a))
+
 
 #: measure id -> its definition (see :class:`_Measure`)
 MEASURE_IDS = {
@@ -373,28 +393,8 @@ MEASURE_IDS = {
                       sample=lambda s, conv, t: (j_dyn(s, t), _TRUNC)),
     "h_dyn": _Measure(**_T, x=lambda X, t: -0.5 * _past(X, t, 2),
                       sample=lambda s, conv, t: (h_dyn(s, t), _TRUNC)),
-    "crt": _Measure(**_A, pwm=lambda M, a: (M(1, 0, 0) - a * M(1, 0, a - 1.0)) / (a - 1.0),
-                    x=lambda X, a: X(lambda x, F, S: (S - S**a) / (a - 1.0))),
-    "wcrt": _Measure(**_A, pwm=lambda M, a: (M(2, 0, 0) - a * M(2, 0, a - 1.0)) / (2.0 * (a - 1.0)),
-                     x=lambda X, a: X(lambda x, F, S: x * (S - S**a) / (a - 1.0), degree=1)),
-    "ct": _Measure(**_A, pwm=lambda M, a: (a * M(1, a - 1.0, 0) - M(1, 0, 0)) / (a - 1.0),
-                   x=lambda X, a: X(lambda x, F, S: _power_difference(F, S, 1.0, a) / (a - 1.0))),
-    "wct": _Measure(**_A, pwm=lambda M, a: (a * M(2, a - 1.0, 0) - M(2, 0, 0)) / (2.0 * (a - 1.0)),
-                    x=lambda X, a: X(lambda x, F, S: x * _power_difference(F, S, 1.0, a) / (a - 1.0),
-                                     degree=1)),
-    "sr": _Measure(**_AB,
-                   pwm=lambda M, a, b: (a * M(1, 0, a - 1.0) - b * M(1, 0, b - 1.0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x, F, S: (S**a - S**b) / (b - a))),
-    "sp": _Measure(**_AB,
-                   pwm=lambda M, a, b: (b * M(1, b - 1.0, 0) - a * M(1, a - 1.0, 0)) / (b - a),
-                   x=lambda X, a, b: X(lambda x, F, S: _power_difference(F, S, a, b) / (b - a))),
-    "srw": _Measure(**_AB,
-                    pwm=lambda M, a, b: (a * M(2, 0, a - 1.0) - b * M(2, 0, b - 1.0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x, F, S: x * (S**a - S**b) / (b - a), degree=1)),
-    "spw": _Measure(**_AB,
-                    pwm=lambda M, a, b: (b * M(2, b - 1.0, 0) - a * M(2, a - 1.0, 0)) / (2.0 * (b - a)),
-                    x=lambda X, a, b: X(lambda x, F, S: x * _power_difference(F, S, a, b) / (b - a),
-                                        degree=1)),
+    "crt": _at_one(_SR), "wcrt": _at_one(_SRW), "ct": _at_one(_SP), "wct": _at_one(_SPW),
+    "sr": _SR, "sp": _SP, "srw": _SRW, "spw": _SPW,
     "ge": _Measure(("w", "phi"), q=_ge_q, sample=lambda s, conv, w, phi: (
         generalized_residual_entropy(s, w, phi, conv), "ecdf-double-mean")),
     "gce": _Measure(("w", "phi"), q=_gce_q, sample=lambda s, conv, w, phi: (
@@ -619,11 +619,6 @@ def _runs(x: np.ndarray, lo: int, hi: int):
     return cut, start, end
 
 
-def _weight_at_ranks(w: WeightSelector, lo: int, hi: int, n: int, conv: str) -> np.ndarray:
-    """w at the plotting positions of ranks lo+1..hi of n."""
-    return w.at_probability(_block_positions(lo, hi, n, conv))
-
-
 def generalized_residual_entropy(sample: Sample, w: WeightSelector,
                                  phi: PhiSelector, conv: str = "hazen") -> float:
     """GE: (1/n) sum_i w(x_(i)) * mean over x_j > x_(i) of (phi(x_j) - phi(x_i)).
@@ -650,7 +645,7 @@ def generalized_residual_entropy(sample: Sample, w: WeightSelector,
         # suffix[k]: phi's sum from rank lo + k up, added from the top down as one cumsum would
         suffix = np.cumsum(np.concatenate(([above], ph[::-1])))[::-1]
         above = float(suffix[0])
-        wb, runs = _weight_at_ranks(w, lo, hi, n, conv), _runs(x, lo, hi)
+        wb, runs = w.at_probability(_block_positions(lo, hi, n, conv)), _runs(x, lo, hi)
         if runs is None:
             term = suffix[1:] / np.arange(n - lo - 1.0, n - hi - 1.0, -1.0) - ph
         else:
@@ -684,7 +679,7 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
         ph = phi(xb)
         prefix = np.cumsum(np.concatenate(([below], ph)))  # prefix[k]: phi's sum below rank lo + k
         below = float(prefix[-1])
-        wb, runs = _weight_at_ranks(w, lo, hi, n, conv), _runs(x, lo, hi)
+        wb, runs = w.at_probability(_block_positions(lo, hi, n, conv)), _runs(x, lo, hi)
         if runs is None:
             term = ph - prefix[1:] / np.arange(lo + 1.0, hi + 1.0)
         else:

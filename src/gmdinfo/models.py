@@ -124,7 +124,8 @@ class Uniform(ParametricModel):
         self.support = (a, b)
 
     def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
+        # x + (0 - a), not x - a: the same float, but +0.0 at x = -0.0 and a = 0
+        return np.clip((np.asarray(x, dtype=float) + (0.0 - self.a)) / (self.b - self.a), 0.0, 1.0)
 
     def sf(self, x):
         return np.clip((self.b - np.asarray(x, dtype=float)) / (self.b - self.a), 0.0, 1.0)

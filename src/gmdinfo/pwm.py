@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, _block_positions, _check_convention
+from .empirical import _BLOCK, Sample, _block_positions, _check_convention, _check_integer_order
 from .errors import BadParameterError, NonFiniteError, TooFewObservationsError
 
 __all__ = [
@@ -67,14 +67,6 @@ def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:
     """
     _check_convention(conv)
     return _rank_sums(sample.values, conv, [(idx.p, idx.r, idx.s, False)])[0][0]
-
-
-def _check_integer_order(name: str, value) -> int:
-    if not math.isfinite(value):
-        raise NonFiniteError(f"{name} must be finite")
-    if value != int(value) or value < 0:
-        raise BadParameterError(f"{name} must be a non-negative integer, got {value}")
-    return int(value)
 
 
 def pwm_unbiased_beta(sample: Sample, r) -> float:

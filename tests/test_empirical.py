@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,23 @@ class TestPlottingPositions:
     def test_unknown_convention(self):
         with pytest.raises(BadParameterError, match="convention"):
             plotting_positions(3, "weibull-style")
+
+    @pytest.mark.parametrize("n", [2.5, -3, -1.0])
+    def test_n_that_is_not_a_non_negative_integer_is_refused(self, n):
+        """2.5 gave three positions, the last 1.0, which hazen never reaches; -3 gave none."""
+        with pytest.raises(BadParameterError,
+                           match=re.escape(f"n must be a non-negative integer, got {n}")):
+            plotting_positions(n)
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf])
+    def test_non_finite_n_is_refused(self, n):
+        with pytest.raises(NonFiniteError, match="n must be finite"):
+            plotting_positions(n)
+
+    @pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+    def test_no_positions_for_n_0_and_an_integral_float_n_is_read_as_its_integer(self, conv):
+        assert plotting_positions(0, conv).shape == (0,)
+        np.testing.assert_array_equal(plotting_positions(4.0, conv), plotting_positions(4, conv))
 
 
 class TestEcdfAt:

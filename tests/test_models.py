@@ -165,14 +165,17 @@ class TestClosedFormMoments:
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
 @pytest.mark.parametrize("family", ["uniform", "exponential", "weibull", "pareto"])
 def test_below_the_support_cdf_is_0_and_sf_is_1_without_warnings(family, scale):
-    """Also where x/scale would overflow a hazard, as x = -1 on a scale of 1e-6."""
+    """Also where x/scale would overflow a hazard, as x = -1 on a scale of 1e-6; and the 0 is
+    +0.0, at x = -0.0 too."""
     model = {"uniform": Uniform(0.0, scale), "exponential": Exponential(scale),
              "weibull": Weibull(1.5, scale), "pareto": Pareto(3.0, scale)}[family]
     below = [-math.inf, -1.0, -0.0, 0.0] + ([scale / 2.0] if family == "pareto" else [])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in [np.array(below)] + below:
-            assert np.all(model.cdf(x) == 0.0) and np.all(model.sf(x) == 1.0)
+            F = np.ravel(model.cdf(x))
+            assert np.all(F == 0.0) and np.all(model.sf(x) == 1.0)
+            assert all(math.copysign(1.0, value) == 1.0 for value in F), (x, F)
 
 
 class TestParameterGuards:

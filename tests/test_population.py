@@ -1,6 +1,7 @@
 """Population values against hand-integrated closed forms, the two
 quadrature routes, existence guards, and the quadrature engine itself."""
 
+import itertools
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from gmdinfo import (
     BadParameterError,
     ClippedTailWarning,
     DEFAULT_CONFIG,
+    DomainError,
     EmptyTailError,
     Exponential,
     MEASURE_IDS,
@@ -415,6 +417,55 @@ class TestRoutes:
         # auto falls back to the x-domain definition
         assert measure_population(U01, MeasureSpec("j_dyn", t=0.5)) == pytest.approx(
             -0.5 / 6.0, abs=TOL)
+
+
+#: crt, ct, wcrt and wct, each with the two-parameter family it is at (1, alpha)
+AT_ONE = {"crt": "sr", "ct": "sp", "wcrt": "srw", "wct": "spw"}
+AT_ONE_ORDERS = [0.03, 0.5, 0.9, 1.0 + 1e-8, 1.5, 2.0, 2.5, 3.0, 7.0]
+
+
+def _outcome(call, spec):
+    """call(spec)'s value, or its error's type and text, less the name of the spec."""
+    try:
+        return call(spec)
+    except DomainError as exc:
+        return type(exc), str(exc).split(" route: ")[-1].replace(f"{spec.id} is", "it is")
+
+
+class TestOrderFamiliesAtOne:
+    """crt, ct, wcrt and wct read sr, sp, srw and spw at (1, alpha): on every route each
+    gives the same double as its family there, or the same error."""
+
+    @pytest.mark.parametrize("mid", sorted(AT_ONE))
+    @pytest.mark.parametrize("model", [U01, Exponential(1e-6), EXP1, Weibull(0.3, 2.0),
+                                       Weibull(1.5), Pareto(2.2), PAR31],
+                             ids=lambda m: m.describe())
+    def test_population(self, model, mid):
+        for alpha, route in itertools.product(AT_ONE_ORDERS, ("quantile", "direct")):
+            def call(spec):
+                return measure_population(model, spec, route=route)
+            assert _outcome(call, MeasureSpec(mid, alpha=alpha)) == _outcome(
+                call, MeasureSpec(AT_ONE[mid], alpha=1, beta=alpha)), (alpha, route)
+
+    @pytest.mark.parametrize("mid", sorted(AT_ONE))
+    def test_the_order_one_moment_keeps_its_integer_name(self, mid):
+        """crt's M_{1,0,0} and wcrt's M_{2,0,0} are so named in every text, not M_{1,0,0.0}."""
+        keys = []
+        MEASURE_IDS[mid].pwm(lambda *key: keys.append(key) or 1.0, 2.5)
+        p = 2 if mid.startswith("w") else 1
+        assert ["M_{%s,%s,%s}" % key for key in keys].count(f"M_{{{p},0,0}}") == 1, keys
+
+    @pytest.mark.parametrize("mid", sorted(AT_ONE))
+    @pytest.mark.parametrize("conv", ["hazen", "naive", "mean-rank"])
+    def test_sample(self, conv, mid):
+        rng = np.random.default_rng(29)
+        for sample in (make_sample([0.5, 1.25, 4.0]), make_sample(rng.exponential(size=50)),
+                       make_sample(np.round(rng.weibull(0.8, size=60), 1))):
+            for alpha in AT_ONE_ORDERS:
+                def call(spec):
+                    return measure_sample(sample, spec, conv)
+                assert _outcome(call, MeasureSpec(mid, alpha=alpha)) == _outcome(
+                    call, MeasureSpec(AT_ONE[mid], alpha=1, beta=alpha)), (sample.n, alpha)
 
 
 class TestExistenceGuards:
