@@ -32,9 +32,13 @@ __all__ = [
 
 #: ranks per block of every walk over a sorted sample.  A float64 temporary
 #: of this length (64 KiB) stays in cache, where a length-n one is fresh
-#: memory each time; and OpenBLAS runs np.dot on one thread up to 10,000
-#: elements, so the sums do not depend on the BLAS thread count (checked in
-#: tests/test_kernel.py)
+#: memory each time.  The walks call BLAS only as np.dot (ndarray.dot) of
+#: two 1-D arrays of at most this length, one table row of pwm._MONOMIALS
+#: with one block of x^p among them, and never as a matrix-vector product,
+#: which OpenBLAS may split across threads at these sizes; it runs a dot on
+#: one thread up to 10,000 elements, so the sums do not depend on the BLAS
+#: thread count (checked to the bit in tests/test_kernel.py).  A power of 2,
+#: so the rows (t/_BLOCK)^j of pwm._MONOMIALS are exact
 _BLOCK = 1 << 13
 
 #: Recognized plotting-position conventions for rank i of n.
@@ -99,11 +103,18 @@ def _check_convention(conv: str) -> None:
         )
 
 
+def _position_rule(n: int, conv: str):
+    """(c, d) with u = (k + c)/d at the rank k + 1 of n: hazen (0.5, n), naive (1, n),
+    mean-rank (1, n + 1)."""
+    if conv == "hazen":
+        return 0.5, n
+    return 1.0, (n if conv == "naive" else n + 1.0)
+
+
 def _block_positions(lo: int, hi: int, n: int, conv: str) -> np.ndarray:
     """u_i for the ranks lo+1..hi of n, from one arange: hazen's i - 0.5 is exact in it."""
-    if conv == "hazen":
-        return np.arange(lo + 0.5, hi + 0.5) / n
-    return np.arange(lo + 1.0, hi + 1.0) / (n if conv == "naive" else n + 1.0)
+    c, d = _position_rule(n, conv)
+    return np.arange(lo + c, hi + c) / d
 
 
 def _check_integer_order(name: str, value) -> int:

@@ -13,19 +13,29 @@ routes are provided here:
 Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
 ``_rank_sums`` computes any number of them, and the identities' step-ECDF
 sums, in one walk over the sorted sample in blocks of ``_BLOCK`` ranks
-(``empirical._BLOCK``), forming each power of x, u and 1-u and each
-b_r/a_s product once per block: no length-n array is made and nothing
-outlives the call.  ``_fused`` records the terms a computation reads and
-serves them from one walk.  The package's other sample estimators walk
-the same blocks, so no sample estimator makes a length-n array.
+(``empirical._BLOCK``): no length-n array is made and nothing outlives the
+call.  A weight of integer order 1..``_DEGREE`` on one side, b_r, a_s, u^r
+or (1-u)^s, is a polynomial in the rank.  A block reads it as non-negative
+coefficients times the dot products of x^p with the rows of one table of
+rank monomials, ``_MONOMIALS``, made at import, so no weight is formed; the
+ranks where b_r or a_s is 0 are left out, not cancelled.  Real or mixed
+exponents and higher orders form each power of u and 1-u and each b_r/a_s
+running-ratio product once per block.  ``_fused`` records the terms a
+computation reads and serves them from one walk.  The package's other
+sample estimators walk the same blocks, so no sample estimator makes a
+length-n array.
 """
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import _BLOCK, Sample, _block_positions, _check_convention, _check_integer_order
+from .empirical import (_BLOCK, Sample, _block_positions, _check_convention, _check_integer_order,
+                        _position_rule)
 from .errors import BadParameterError, NonFiniteError, TooFewObservationsError
 
 __all__ = [
@@ -73,8 +83,10 @@ def pwm_unbiased_beta(sample: Sample, r) -> float:
     """Unbiased b_r for M_{1,r,0}, integer r >= 0.
 
     b_r = (1/n) sum_{i} x_(i) * (i-1)(i-2)...(i-r) / [(n-1)...(n-r)];
-    the weight vanishes automatically for i <= r.  Products are built
-    as running ratios so no intermediate overflows for large n.
+    the weight vanishes for i <= r, and those ranks are left out.  Up to
+    order _DEGREE the weight is read from the monomial table; above it,
+    the product is built as running ratios, one order at a time, so no
+    intermediate overflows for large n and any order up to n - 1 works.
     """
     return _rank_sums(sample.values, "hazen", [(1, _check_integer_order("r", r), 0, True)])[0][0]
 
@@ -83,13 +95,59 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
     """Unbiased a_s for M_{1,0,s}, integer s >= 0.
 
     a_s = (1/n) sum_{i} x_(i) * (n-i)(n-i-1)...(n-i-s+1) / [(n-1)...(n-s)];
-    the weight vanishes automatically for i > n - s.
+    the weight vanishes for i > n - s, and those ranks are left out.
     """
     return _rank_sums(sample.values, "hazen", [(1, 0, _check_integer_order("s", s), True)])[0][0]
 
 
 # ---------------------------------------------------------------------------
 # the sample kernel
+
+
+#: the highest integer order whose weights _rank_sums reads from _MONOMIALS
+_DEGREE = 3
+#: row j - 1 is (t/_BLOCK)^j for t = 0.._BLOCK-1 and j = 1.._DEGREE, by multiplication: exact,
+#: as _BLOCK is a power of 2, and at most 1, so a value times it overflows only where the
+#: value does (row j = 0, all ones, is a plain sum)
+_MONOMIALS = np.array(list(itertools.accumulate([np.arange(_BLOCK) / _BLOCK] * _DEGREE,
+                                                np.multiply)))
+#: each row reversed, for weights counted from the top
+_REVERSED = np.ascontiguousarray(_MONOMIALS[:, ::-1])
+_MONOMIALS.flags.writeable = _REVERSED.flags.writeable = False
+
+
+def _coefficients(base, a, order: int, n: int, d: float) -> list:
+    """The coefficients, lowest first, of the weight (a, order) as a polynomial in t/_BLOCK
+    on a span of ranks whose first, t = 0, is q = base from the weight's end; base may be
+    an array, one per span.  Each factor (q + a)/d, or (q - j)/(n - 1 - j) when a is None,
+    is at0 + slope t/_BLOCK with at0 >= 0, so no coefficient is negative."""
+    coef = [1.0]
+    for j in range(order):
+        div = n - 1.0 - j if a is None else d
+        at0, slope = (base + (-j if a is None else a)) / div, _BLOCK / div
+        coef.append(slope * coef[-1])
+        for i in range(j, 0, -1):
+            coef[i] = at0 * coef[i] + slope * coef[i - 1]
+        coef[0] = at0 * coef[0]
+    return coef
+
+
+@functools.lru_cache(maxsize=16)
+def _power_sums(length: int, degree: int) -> tuple:
+    """The sums over t < length of (t/_BLOCK)^j, j = 0..degree: each an integer below 2^53
+    over a power of 2, so exact."""
+    s1 = length * (length - 1) // 2
+    return tuple(total / _BLOCK**j for j, total in
+                 enumerate((length, s1, s1 * (2 * length - 1) // 3, s1 * s1)[:degree + 1]))
+
+
+def _moments(y, top: bool, degree: int, total: float) -> list:
+    """The sums over t of y_t (t/_BLOCK)^j, j = 0..degree, t counted from the top when top,
+    given y's sum, total."""
+    length, out = y.shape[0], [total]
+    for j in range(degree):
+        out.append(float(y.dot(_REVERSED[j, -length:] if top else _MONOMIALS[j, :length])))
+    return out
 
 
 def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
@@ -99,6 +157,23 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
     the plug-in weight u_i^r (1-u_i)^s; exact (p = 1, integer orders, one
     of them 0), w_i is the unbiased b_r weight prod_{j=1..r} (i-j)/(n-j),
     or the a_s weight, the same product of ranks counted from the top.
+    A weight of integer order e, 1 <= e <= _DEGREE, on one side (b_e, a_e,
+    u^e or (1-u)^e) is a product of e factors (q + a)/d, linear in the rank
+    q counted from 0 at its end: (q - j)/(n - 1 - j) for j < e, or
+    (q + c)/d with u = (k + c)/d, and 1-u the same from the top.  Below the
+    highest order E of the walk's b_e (and a_e) the E ranks at the bottom
+    (top) are added one by one, each term skipping the ranks where its own
+    b_e or a_e is 0; the walk's spans start past them.  There every factor
+    is non-negative, so on a span of a block the weight is a polynomial in
+    t/_BLOCK, t the span's own ranks, with non-negative coefficients
+    (_coefficients).  The span adds those coefficients times the sums of
+    x^p (t/_BLOCK)^j, x^p's dot products with the rows of _MONOMIALS
+    (_REVERSED from the top), each made once per block for all the terms
+    (_moments): no weight is formed.  The whole blocks between the first
+    and the last keep their sums, and each weight's coefficients on all of
+    them are taken at once after the walk.  Order 0 is a plain sum, and
+    real or mixed exponents and higher orders form their weights per block,
+    b_e and a_e as running ratio products.
     gaps, if given, maps a block's levels i/n to the values g(i/n) of every
     gap g, in a fixed order, so that the gaps can share their powers of
     i/n (an iterable, which may make each gap's values as it is read);
@@ -108,29 +183,50 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
     Returns (means, steps), in the order of terms and gaps.
     """
     n = values.shape[0]
-    factors = []  # per term, the keys of its factors, multiplied left to right
-    for p, r, s, exact in terms:
-        if not exact:
+    c, d = _position_rule(n, conv)  # u = (k + c)/d, and 1 - u = (m + 1 + d - n - c)/d
+    weights, factors, rows, negative = {}, [], {}, False  # rows: the highest j per (p, top)
+    edge = [0, 0]  # per end, E: the ranks there that are added one by one
+    for k, (p, r, s, exact) in enumerate(terms):
+        order, top = r + s, s != 0  # the one non-zero order when the other is 0
+        if exact and n <= order:
+            raise TooFewObservationsError(f"{'a' if top else 'b'}_{int(order)} needs "
+                                          f"n > {int(order)}, got n={n}")
+        negative = negative or s < 0
+        if 0 < order <= _DEGREE and order == int(order) and not (r and s):
+            # the weight's factors: (q + a)/d, or (q - j)/(n - 1 - j) when a is None
+            e = int(order)
+            weights.setdefault((top, None if exact else 1.0 + d - n - c if top else c, e),
+                               []).append((k, p))
+            if exact and e > edge[top]:
+                edge[top] = e
+            if e > rows.get((p, top), 0):
+                rows[p, top] = e
+        elif exact:  # order 0, the mean, or b_e/a_e formed per block
+            factors.append((k, [("x", 1), ("a" if top else "b", int(order))] if order
+                            else [("x", 1)]))
+        else:
             keys = [key for key in (("x", p), ("u", r), ("1-u", s)) if key[1]]
-            factors.append(keys or [("x", 0)])  # M_{0,0,0}: x^0 is all ones
-            continue
-        order, name = int(r + s), "b" if s == 0 else "a"
-        if n <= order:
-            raise TooFewObservationsError(f"{name}_{order} needs n > {order}, got n={n}")
-        factors.append([("x", 1), (name, order)] if order else [("x", 1)])
-    plugin_s = [s for _, _, s, exact in terms if not exact]
-    if plugin_s and min(plugin_s) < 0 and _block_positions(n - 1, n, n, conv)[0] >= 1.0:
+            factors.append((k, keys or [("x", 0)]))  # M_{0,0,0}: x^0 is all ones
+    if negative and _block_positions(n - 1, n, n, conv)[0] >= 1.0:
         raise BadParameterError(
             "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
         )
     sums, steps = [0.0] * len(terms), []
+    for (top, a, e), ks in weights.items():  # the edge ranks; b_e and a_e are 0 below e
+        for q in range(e if a is None else 0, edge[top]):
+            w, v = 1.0, values[n - 1 - q if top else q]  # v ** p overflows as x^p does
+            for j in range(e):
+                w *= (q - j) / (n - 1.0 - j) if a is None else (q + a) / d
+            for k, p in ks:
+                sums[k] += float(v ** p * w)
+    whole, inner = [], {key: [] for key in rows}  # the whole blocks' starts and sums
     for lo in range(0, n, _BLOCK):
         x = values[lo:lo + _BLOCK]
         hi = lo + x.shape[0]
         parts = {("x", 1): x}
 
         def part(key):
-            """This block's x^e, u^e, (1-u)^e, b_e or a_e weight, or ("b"/"a", 0): i-1 or n-i."""
+            """This block's x^e, u^e, (1-u)^e, b_e or a_e weight, or the sum of one."""
             if key not in parts:
                 kind, e = key
                 if kind in ("x", "u", "1-u") and e != 1:
@@ -139,30 +235,65 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
                     value = _block_positions(lo, hi, n, conv)
                 elif kind == "1-u":
                     value = 1.0 - part(("u", 1))
-                elif e == 0:
-                    value = (np.arange(lo, hi, dtype=float) if kind == "b"
-                             else np.arange(n - 1.0 - lo, n - 1.0 - hi, -1.0))
+                elif kind == "sum":  # of the values of the key e
+                    value = float(part(e).sum())
                 else:  # the running ratio product
-                    m = part((kind, 0))
-                    value = (m / (n - 1.0) if e == 1
-                             else part((kind, e - 1)) * ((m - (e - 1)) / (n - e)))
+                    m = (np.arange(lo, hi, dtype=float) if kind == "b"
+                         else np.arange(n - 1.0 - lo, n - 1.0 - hi, -1.0))
+                    value = m / (n - 1.0)
+                    for j in range(2, e + 1):
+                        value = value * ((m - (j - 1)) / (n - j))
                 parts[key] = value
             return parts[key]
 
-        for k, keys in enumerate(factors):
+        if 0 < lo and hi < n and hi <= n - edge[1]:  # no edge rank: the sums wait
+            whole.append(lo)
+            for (p, top), j in rows.items():
+                inner[p, top].append(_moments(part(("x", p)), top, j, part(("sum", ("x", p))))
+                                     if p else _power_sums(_BLOCK, j))
+        elif weights:  # the spans past the edge ranks
+            spans, moments = ((max(lo, edge[0]), hi), (lo, min(hi, n - edge[1]))), {}
+            for (top, a, e), ks in weights.items():
+                start, stop = spans[top]
+                if start >= stop:
+                    continue
+                coef = _coefficients(n - stop if top else start, a, e, n, d)
+                for k, p in ks:
+                    got = moments.get((p, top))
+                    if got is None and p:
+                        y = part(("x", p))[start - lo:stop - lo]
+                        got = moments[p, top] = _moments(
+                            y, top, rows[p, top],
+                            part(("sum", ("x", p))) if stop - start == hi - lo else float(y.sum()))
+                    elif got is None:
+                        got = moments[p, top] = _power_sums(stop - start, rows[p, top])
+                    sums[k] += sum(map(operator.mul, coef, got))
+        for k, keys in factors:
+            if len(keys) == 1:  # the sum the spans above made, if they did
+                total = parts.get(("sum", keys[0]))
+                sums[k] += float(part(keys[0]).sum()) if total is None else total
+                continue
             y = part(keys[0])
             for key in keys[1:-1]:
                 y = y * part(key)
-            sums[k] += float(np.dot(y, part(keys[-1])) if len(keys) > 1 else y.sum())
+            sums[k] += float(np.dot(y, part(keys[-1])))
         if gaps is not None:
             j = 1 if lo == 0 else 0  # the first step lies between ranks 1 and 2
             xs = values[lo + j - 1:hi]  # one value of overlap with the block before
             dx, half_dx2 = np.diff(xs), 0.5 * np.diff(xs * xs)
-            for k, gv in enumerate(gaps(part(("b", 0))[j:] / n)):
+            for k, gv in enumerate(gaps(np.arange(lo + j, hi, dtype=float) / n)):
                 if k == len(steps):  # the first block
                     steps.append([0.0, 0.0])
                 steps[k][0] += float(np.dot(dx, gv))
                 steps[k][1] += float(np.dot(half_dx2, gv))
+    if whole:  # row j of a weight's coefficients times row j of its terms' sums
+        starts = np.array(whole, dtype=float)
+        moments = {key: np.array(got).T.copy() for key, got in inner.items()}
+        for (top, a, e), ks in weights.items():
+            coef = np.array([np.broadcast_to(cj, starts.shape) for cj in
+                             _coefficients(n - _BLOCK - starts if top else starts, a, e, n, d)])
+            for k, p in ks:
+                sums[k] += float((coef * moments[p, top][:e + 1]).sum())  # no BLAS call
     return [total / n for total in sums], [tuple(step) for step in steps]
 
 

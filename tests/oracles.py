@@ -253,14 +253,36 @@ def full_step_integrals(values, gs) -> list:
     return [(float(np.sum(dx * g(levels))), float(np.sum(half_dx2 * g(levels)))) for g in gs]
 
 
-def exact_order_weighted_mean(values, order: int, reverse: bool) -> float:
+def _exact_weighted_mean(values, weights, denominator: int) -> Fraction:
+    """(1/n) sum x_i w_i / denominator in exact rational arithmetic, for integer weights w_i:
+    every float is an integer over a power of 2, so the sum is one integer over the largest."""
+    ratios = [float(x).as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    total = sum(w * num * (den // d) for w, (num, d) in zip(weights, ratios))
+    return Fraction(total, den * denominator * len(ratios))
+
+
+def exact_order_weighted_fraction(values, order: int, reverse: bool) -> Fraction:
     """b_r or a_s in exact rational arithmetic, through binomial weights."""
     n = len(values)
-    total = Fraction(0)
-    for i, x in enumerate(values, start=1):
-        k = n - i if reverse else i - 1
-        total += math.comb(k, order) * Fraction(float(x))
-    return float(total / (n * math.comb(n - 1, order)))
+    return _exact_weighted_mean(
+        values, (math.comb(n - i if reverse else i - 1, order) for i in range(1, n + 1)),
+        math.comb(n - 1, order))
+
+
+def exact_order_weighted_mean(values, order: int, reverse: bool) -> float:
+    return float(exact_order_weighted_fraction(values, order, reverse))
+
+
+def exact_plugin_mean(values, r: int, s: int, conv: str) -> float:
+    """(1/n) sum x_(i) u_i^r (1-u_i)^s for integer r, s in exact rational arithmetic: 2 u_i is
+    (2i - 1)/n (hazen), 2i/n (naive) or 2i/(n + 1) (mean-rank)."""
+    n = len(values)
+    d = n + 1 if conv == "mean-rank" else n
+    shift = 1 if conv == "hazen" else 0
+    return float(_exact_weighted_mean(
+        values, ((2 * i - shift) ** r * (2 * d - 2 * i + shift) ** s for i in range(1, n + 1)),
+        (2 * d) ** (r + s)))
 
 
 def run_ends(x: np.ndarray) -> np.ndarray:

@@ -142,6 +142,18 @@ class TestCompute:
         assert cells[4] == "3"
 
 
+class TestDeepOrders:
+    def test_a_premium_of_order_past_the_recursion_limit_exits_0(self, tmp_path):
+        path = tmp_path / "x.csv"
+        x = [0.5 + (7 * i % 10007) / 1000.0 for i in range(10**4)]
+        path.write_text("\n".join(map(repr, x)) + "\n")
+        res = run("compute", "--input", str(path), "--measure", "gain_premium", "--k", "2000")
+        assert res.returncode == 0, res.stderr
+        (rec,) = json_lines(res.stdout)
+        assert rec["parameters"] == {"k": 2000} and rec["n"] == 10**4
+        assert 0.0 < rec["value"] < max(x) - sum(x) / len(x)
+
+
 class TestInputParsing:
     def test_header_comments_blanks_and_crlf(self, tmp_path):
         path = tmp_path / "data.csv"

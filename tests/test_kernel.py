@@ -39,7 +39,7 @@ from gmdinfo import (
 )
 from gmdinfo import identities, measures, pwm
 from gmdinfo.identities import _pick_t, _plugin_cov
-from gmdinfo.pwm import _BLOCK, _fused, _rank_sums
+from gmdinfo.pwm import _BLOCK, _DEGREE, _fused, _rank_sums
 from oracles import (
     brute_gce,
     brute_ge,
@@ -47,6 +47,7 @@ from oracles import (
     exact_gce,
     exact_ge,
     exact_order_weighted_mean,
+    exact_plugin_mean,
     full_gce,
     full_ge,
     full_plugin_cov,
@@ -107,14 +108,21 @@ def test_exact_terms_match_full_array(n, ties, seed, orders):
         assert close(got, full_rank_weighted_mean(x, order, reverse=top)), (order, top)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])
-@pytest.mark.parametrize("ties", [False, True])
-def test_exact_terms_match_binomial_fractions(n, ties):
-    x = data(n, ties, 1000 + n)
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40, B - 1, B, B + 1, 2 * B + 1, 2 * B + 2,
+                               2 * B + 3])
+@pytest.mark.parametrize("kind", ["continuous", "ties", "huge-top"])
+def test_exact_terms_match_binomial_fractions(n, kind):
+    """b_r and a_s to 1e-15 of exact rationals.  With the top three values at 1e28-1e30, a_s
+    is 0 on them for s >= 3: an a_3 that cancelled their terms instead of leaving them out
+    would be off by far more than its own size."""
+    x = data(n, kind == "ties", 1000 + n)
+    if kind == "huge-top":
+        x[max(n - 3, 0):] = (1e28, 1e29, 1e30)[-min(n, 3):]
     for order in range(min(n, 6)):
         (b, a), _ = _rank_sums(x, "hazen", [(1, order, 0, True), (1, 0, order, True)])
-        assert close(b, exact_order_weighted_mean(x, order, reverse=False))
-        assert close(a, exact_order_weighted_mean(x, order, reverse=True))
+        for got, top in ((b, False), (a, True)):
+            want = exact_order_weighted_mean(x, order, reverse=top)
+            assert abs(got - want) <= 1e-15 * want, (order, top, got, want)
 
 
 _GAPS = [lambda F: (1 - F) - (1 - F) ** 2.0, lambda F: F - F**3.0,
@@ -141,6 +149,32 @@ def test_plugin_cov_matches_full_array(n, ties, seed, conv, r, s):
     want = full_plugin_cov(x, u**r * (1.0 - u) ** s)
     # a covariance is a difference: compare on the scale of its two products
     assert abs(cov - want) <= REL * float(np.mean(x))
+
+
+@pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+def test_values_near_the_largest_float_stay_finite_and_exact(conv):
+    """Values near 1e300 summed over a block stay below the largest float, and so does every
+    monomial term, as no monomial exceeds 1: b_r, a_s and the one-sided integer plug-ins are
+    finite and within 1e-15 of exact rationals."""
+    x = 1e300 * (1.0 + data(2 * B + 3, False, 5))
+    orders = range(_DEGREE + 2)
+    terms = ([(1, e, 0, True) for e in orders] + [(1, 0, e, True) for e in orders]
+             + [(1, e, 0, False) for e in orders] + [(1, 0, e, False) for e in orders])
+    means, _ = _rank_sums(x, conv, terms)
+    wants = ([exact_order_weighted_mean(x, e, reverse=False) for e in orders]
+             + [exact_order_weighted_mean(x, e, reverse=True) for e in orders]
+             + [exact_plugin_mean(x, e, 0, conv) for e in orders]
+             + [exact_plugin_mean(x, 0, e, conv) for e in orders])
+    for term, got, want in zip(terms, means, wants):
+        assert np.isfinite(got) and abs(got - want) <= 1e-15 * want, (term, got, want)
+
+
+def test_the_monomial_table_is_exact():
+    """(t/B)^j is t^j over a power of 2, so the table holds it exactly, and reversed."""
+    t = np.arange(B, dtype=float)
+    for j in range(1, _DEGREE + 1):
+        assert np.array_equal(pwm._MONOMIALS[j - 1] * float(B) ** j, t**j)
+        assert np.array_equal(pwm._REVERSED[j - 1], pwm._MONOMIALS[j - 1][::-1])
 
 
 def test_the_zero_moment_is_one_exactly():
@@ -381,7 +415,30 @@ def test_the_first_verify_of_a_fresh_sample_makes_no_length_n_temporary():
     assert _traced_peak(lambda: verify_all(fresh)) <= 2 * 2**20
 
 
+#: a walk of every kind of term: b_r and a_s, one-sided integer plug-ins of each power of x up
+#: to the monomials' degree and past it, and real and mixed exponents
+_EVERY_KIND = ([(1, e, 0, True) for e in range(6)] + [(1, 0, e, True) for e in range(6)]
+               + [(p, e, 0, False) for p in (0, 1, 2) for e in range(5)]
+               + [(p, 0, e, False) for p in (0, 1, 2) for e in range(1, 5)]
+               + [(1, 1.5, 0, False), (2, 0, 0.5, False), (1, 1, 1, False), (0, 2, 0.5, False)])
+
+
 def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
+    """The kernel's means are the same to the bit, and so is the CLI's output, whether
+    OpenBLAS may split a product across one thread or two."""
+    script = ("import numpy as np; from gmdinfo.pwm import _rank_sums\n"
+              f"for n in ({2 * B + 3}, 10**5):\n"
+              "    x = np.sort(np.random.default_rng(n).pareto(3.0, n) + 1.0)\n"
+              f"    print(repr(_rank_sums(x, 'hazen', {_EVERY_KIND!r})[0]))\n")
+    means = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=False)
+        assert res.returncode == 0, res.stderr
+        means.append(res.stdout)
+    assert means[0] == means[1]
+    assert means[0].count("\n") == 2
     path = tmp_path / "x.csv"
     x = np.random.default_rng(11).pareto(3.0, 5 * B + 7) + 1.0
     path.write_text("\n".join(repr(float(v)) for v in x) + "\n")

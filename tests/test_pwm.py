@@ -14,14 +14,17 @@ from gmdinfo import (
     TooFewObservationsError,
     Uniform,
     UnsupportedSpecError,
+    gain_premium,
     make_sample,
     plotting_positions,
     pwm_plugin,
     pwm_population,
     pwm_unbiased_alpha,
     pwm_unbiased_beta,
+    risk_premium,
 )
-from oracles import brute_gmd, brute_pwm_plugin, brute_unbiased_alpha, brute_unbiased_beta
+from oracles import (brute_gmd, brute_pwm_plugin, brute_unbiased_alpha, brute_unbiased_beta,
+                     exact_order_weighted_fraction)
 
 
 class TestPwmIndex:
@@ -153,6 +156,24 @@ class TestUnbiasedRoutes:
             for bad in (1.5, -1):
                 with pytest.raises(BadParameterError, match="non-negative integer"):
                     est(s, bad)
+
+    @pytest.mark.parametrize("n", [40, 1500])
+    def test_premia_at_k_near_n_match_exact_rationals(self, n):
+        """k b_{k-1} and k a_{k-1} are built one order at a time, so an order past the
+        interpreter's recursion limit (about 1000) is as good as a small one."""
+        s = make_sample(np.random.default_rng(n).exponential(1.0, n))
+        x = s.values
+        mean = exact_order_weighted_fraction(x, 0, reverse=False)
+        for k in (n - 300, n - 1, n) if n > 300 else (n - 2, n - 1, n):
+            gain = k * exact_order_weighted_fraction(x, k - 1, reverse=False) - mean
+            risk = mean - k * exact_order_weighted_fraction(x, k - 1, reverse=True)
+            assert gain_premium(s, k) == pytest.approx(float(gain), rel=1e-12), k
+            assert risk_premium(s, k) == pytest.approx(float(risk), rel=1e-12), k
+
+    def test_an_order_past_the_recursion_limit(self):
+        s = make_sample(np.random.default_rng(6).exponential(1.0, 5000))
+        want = exact_order_weighted_fraction(s.values, 1200, reverse=False)
+        assert pwm_unbiased_beta(s, 1200) == pytest.approx(float(want), rel=1e-12)
 
     def test_needs_more_data_than_order(self):
         s = make_sample([1.0, 2.0])
