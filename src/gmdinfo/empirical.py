@@ -1,8 +1,8 @@
 """Sample container, plotting positions, and empirical conditional means.
 
 Every estimator in the package is a function of the sorted sample only,
-so the container sorts once at construction and downstream code relies
-on ascending order.
+so make_sample sorts once, the container checks the order at construction,
+and downstream code relies on it.
 """
 
 import hashlib
@@ -51,10 +51,30 @@ ECDF_CONVENTIONS = ("hazen", "naive", "mean-rank")
 class Sample:
     """Validated, ascending, non-negative observations.
 
-    Construct via :func:`make_sample`; ``values`` is read-only.
+    Construct via :func:`make_sample`, which sorts raw data and makes
+    ``values`` read-only.  ``values`` must be a 1-D float64 array of at
+    least two finite, non-negative (all measures assume X >= 0) values in
+    ascending order, or TooFewObservationsError, NonFiniteError,
+    NegativeValueError or, for the type, shape or order,
+    BadParameterError is raised.
     """
 
     values: np.ndarray
+
+    def __post_init__(self):
+        x = self.values
+        if not isinstance(x, np.ndarray) or x.ndim != 1 or x.dtype != np.float64:
+            raise BadParameterError("values must be a 1-D float64 array; use make_sample")
+        if x.shape[0] < 2:
+            raise TooFewObservationsError(f"need at least 2 observations, got {x.shape[0]}")
+        if not (x[1:] >= x[:-1]).all():  # False at a NaN too
+            if np.isnan(x).any():
+                raise NonFiniteError("observations must be finite")
+            raise BadParameterError("values must be ascending; use make_sample")
+        if not (math.isfinite(x[0]) and math.isfinite(x[-1])):  # ascending: the ends suffice
+            raise NonFiniteError("observations must be finite")
+        if x[0] < 0:
+            raise NegativeValueError("observations must be non-negative")
 
     @property
     def n(self) -> int:
@@ -71,27 +91,9 @@ class Sample:
 
 
 def make_sample(raw) -> Sample:
-    """Validate and sort raw observations into a :class:`Sample`.
-
-    Raises
-    ------
-    TooFewObservationsError
-        fewer than two observations
-    NonFiniteError
-        any NaN or infinity
-    NegativeValueError
-        any negative value (all measures assume X >= 0)
-    """
-    arr = np.asarray(raw, dtype=float).ravel()
-    if arr.size < 2:
-        raise TooFewObservationsError(
-            f"need at least 2 observations, got {arr.size}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("observations must be finite")
-    if np.any(arr < 0):
-        raise NegativeValueError("observations must be non-negative")
-    values = np.sort(arr)
+    """Sort raw observations, flattened, into a read-only :class:`Sample`, which checks
+    them and raises as documented there."""
+    values = np.sort(np.asarray(raw, dtype=float).ravel())  # NaN sorts to the top
     values.flags.writeable = False
     return Sample(values)
 

@@ -325,9 +325,9 @@ def _i11_sample(s, conv):
 
 
 def _i12_sample(s, conv):
-    return _fused(s.values, conv, lambda T: [
-        (-_plugin_cov(T, 0.0, v - 1.0), _pwm_form(T, s.n, MeasureSpec("s_gini", v=v))[0])
-        for v in (2.0, 3.0)])[0]
+    forms = {v: _pwm_form(s.n, MeasureSpec("s_gini", v=v)) for v in (2.0, 3.0)}
+    return _fused(s.values, conv, lambda T: [(-_plugin_cov(T, 0.0, v - 1.0), form(T)[0])
+                                             for v, form in forms.items()])[0]
 
 
 def _i13_x_sides(model, cfg):
@@ -370,12 +370,14 @@ def _i14_pop(model, cfg):
 
 
 def _i14_sample(s, conv):
+    forms = {k: [_pwm_form(s.n, MeasureSpec(mid, k=k)) for mid in ("risk_premium", "gain_premium")]
+             for k in (2, 3) if k <= s.n}
+
     def pair(T, k):
-        risk, gain = (_pwm_form(T, s.n, MeasureSpec(mid, k=k))[0]
-                      for mid in ("risk_premium", "gain_premium"))
+        risk, gain = (form(T)[0] for form in forms[k])
         return risk + gain, k * (_plugin_cov(T, k - 1.0, 0.0) - _plugin_cov(T, 0.0, k - 1.0))
 
-    return _fused(s.values, conv, lambda T: [pair(T, k) for k in (2, 3) if k <= s.n])[0]
+    return _fused(s.values, conv, lambda T: [pair(T, k) for k in forms])[0]
 
 
 REGISTRY = (

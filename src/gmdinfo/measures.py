@@ -45,6 +45,9 @@ kept because they arise from different definitions.
 All estimators are pure functions of the sorted sample.  Pairwise
 statistics are i<j U-statistics (no self-pairs), which is what makes
 the sample-level decompositions below exact rather than asymptotic.
+A measure with a PWM form and no dedicated sample route, the premia
+among them, has one sample estimator: its form, with every moment read
+by the one estimator ``_pwm_form`` chooses for the whole form.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
 pairwise means through ``_rank_dot``, and ge/gce through phi's running
@@ -65,9 +68,8 @@ from .errors import (
     EmptyTailError,
     FewerThanTwoError,
     NonFiniteError,
-    TooFewObservationsError,
 )
-from .pwm import PwmIndex, _fused, pwm_unbiased_alpha, pwm_unbiased_beta
+from .pwm import PwmIndex, _fused
 
 __all__ = [
     "WeightSelector",
@@ -86,10 +88,6 @@ __all__ = [
     "h_dyn",
     "generalized_residual_entropy",
     "generalized_cumulative_entropy",
-    "expected_min_of_k",
-    "expected_max_of_k",
-    "risk_premium",
-    "gain_premium",
     "measure_sample",
 ]
 
@@ -400,12 +398,10 @@ MEASURE_IDS = {
     "gce": _Measure(("w", "phi"), q=_gce_q, sample=lambda s, conv, w, phi: (
         generalized_cumulative_entropy(s, w, phi, conv), "ecdf-double-mean")),
     "risk_premium": _Measure(**_K, pwm=lambda M, k: M(1, 0, 0) - k * M(1, 0, k - 1.0),
-                             x=lambda X, k: X.mean() - X(lambda x, F, S: S**k),
-                             sample=lambda s, conv, k: (risk_premium(s, k), "order-statistic-weights")),
+                             x=lambda X, k: X.mean() - X(lambda x, F, S: S**k)),
     "gain_premium": _Measure(**_K, pwm=lambda M, k: k * M(1, k - 1.0, 0) - M(1, 0, 0),
                              x=lambda X, k: X(lambda x, F, S: _power_difference(F, S, 0.0, k))
-                             - X.mean(),
-                             sample=lambda s, conv, k: (gain_premium(s, k), "order-statistic-weights")),
+                             - X.mean()),
     "pwm": _Measure(("p",), ("r", "s"), check=lambda p, r, s: PwmIndex(p, r or 0.0, s or 0.0),
                     pwm=lambda M, p, r, s: M(p, r or 0.0, s or 0.0)),
 }
@@ -562,25 +558,28 @@ _UNBIASED = "unbiased-pwm"
 _PLUGIN = "plugin-pwm"
 
 
-def _pwm_form(T, n: int, spec: MeasureSpec):
-    """(value, route) of spec's PWM form on n observations, each moment read as a kernel term T.
+def _pwm_form(n: int, spec: MeasureSpec):
+    """spec's PWM form on n observations: form(T) -> (value, route), each moment a kernel term T.
 
-    M_{1,e,0} and M_{1,0,e} with an integer e < n take the exact unbiased
-    order-statistic route (b_e, a_e; b_0 = a_0 = the mean); everything
-    else is the plug-in.  The route is unbiased-pwm only when every moment
-    took the unbiased route.
+    The one place a sample estimator is chosen, and it is chosen for the
+    whole form.  When every moment is M_{1,e,0} or M_{1,0,e} with an
+    integer 0 <= e < n, each takes the exact unbiased order-statistic route
+    (b_e, a_e; b_0 = a_0 = the mean); otherwise each takes the plug-in.  A
+    form that mixed the two would divide their O(1/n) gap by its order gap
+    (sr, sp).  The moments are listed once, here, not on every kernel pass.
     """
-    entry, routes = MEASURE_IDS[spec.id], set()
+    entry, moments = MEASURE_IDS[spec.id], []
+    args = entry.args(spec)
+    entry.pwm(lambda p, r, s: moments.append((p, float(r), float(s))) or 0.0, *args)
+    exact = all(p == 1 and (r == 0 or s == 0) and (r + s).is_integer() and 0 <= r + s < n
+                for p, r, s in moments)
+    route = _UNBIASED if exact else _PLUGIN
 
-    def M(p, r, s):
-        r, s = float(r), float(s)
-        e = r + s  # the one non-zero exponent when the other is 0
-        exact = p == 1 and (r == 0 or s == 0) and e >= 0 and e == int(e) and n > int(e)
-        routes.add(_UNBIASED if exact else _PLUGIN)
-        return T((p, r, s, exact))
+    def form(T):
+        value = entry.pwm(lambda p, r, s: T((p, float(r), float(s), exact)), *args)
+        return _check_finite(spec, value), route
 
-    value = _check_finite(spec, entry.pwm(M, *entry.args(spec)))
-    return value, _PLUGIN if _PLUGIN in routes else _UNBIASED
+    return form
 
 
 def _check_finite(spec: MeasureSpec, value: float) -> float:
@@ -591,8 +590,8 @@ def _check_finite(spec: MeasureSpec, value: float) -> float:
 
 def _sample_values(sample: Sample, specs, conv: str, gaps=None):
     """(value, route) of each PWM-form spec, and the step sums of gaps, from one kernel walk."""
-    return _fused(sample.values, conv, lambda T: [_pwm_form(T, sample.n, spec) for spec in specs],
-                  gaps)
+    forms = [_pwm_form(sample.n, spec) for spec in specs]
+    return _fused(sample.values, conv, lambda T: [form(T) for form in forms], gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -694,40 +693,6 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
 
 
 # ---------------------------------------------------------------------------
-# order-k premia
-
-
-def _check_order_k(sample: Sample, k) -> int:
-    _check_k(k)
-    k = int(k)
-    if sample.n < k:
-        raise TooFewObservationsError(f"k={k} needs at least {k} observations, got {sample.n}")
-    return k
-
-
-def expected_min_of_k(sample: Sample, k) -> float:
-    """Unbiased estimate of E(min of k draws): k a_{k-1} = sum C(n-i, k-1)/C(n,k) x_(i)."""
-    k = _check_order_k(sample, k)
-    return k * pwm_unbiased_alpha(sample, k - 1)
-
-
-def expected_max_of_k(sample: Sample, k) -> float:
-    """Unbiased estimate of E(max of k draws): k b_{k-1} = sum C(i-1, k-1)/C(n,k) x_(i)."""
-    k = _check_order_k(sample, k)
-    return k * pwm_unbiased_beta(sample, k - 1)
-
-
-def risk_premium(sample: Sample, k) -> float:
-    """EG_k(X) = mean - E(min of k)."""
-    return float(np.mean(sample.values)) - expected_min_of_k(sample, k)
-
-
-def gain_premium(sample: Sample, k) -> float:
-    """EG_k(-X) = E(max of k) - mean."""
-    return expected_max_of_k(sample, k) - float(np.mean(sample.values))
-
-
-# ---------------------------------------------------------------------------
 # dispatcher
 
 
@@ -735,8 +700,9 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
     """Evaluate a measure on a sample; returns (value, estimator_route).
 
     Without a dedicated sample route, the measure's PWM form is evaluated
-    with one estimate per moment, all from one kernel walk; the route is
-    unbiased-pwm only when every moment took the unbiased route.  A NaN or
+    from one kernel walk, every moment by the one estimator ``_pwm_form``
+    chooses for the form: unbiased-pwm when each moment has an exact
+    unbiased estimator on this sample, plugin-pwm otherwise.  A NaN or
     infinite value (the data overflow, e.g. x^2 near 1e200) raises
     NonFiniteError, and an unknown ``conv`` BadParameterError.
     """

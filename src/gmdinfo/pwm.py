@@ -233,8 +233,8 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
                     value = part((kind, 1)) ** e
                 elif kind == "u":
                     value = _block_positions(lo, hi, n, conv)
-                elif kind == "1-u":
-                    value = 1.0 - part(("u", 1))
+                elif kind == "1-u":  # (d - k - c)/d from one arange, exact as u is
+                    value = np.arange(d - lo - c, d - hi - c, -1.0) / d
                 elif kind == "sum":  # of the values of the key e
                     value = float(part(e).sum())
                 else:  # the running ratio product

@@ -229,6 +229,23 @@ def full_pwm_plugin(values, p, r, s, conv) -> float:
     return float(np.mean(y))
 
 
+#: the PWM forms of the order measures over a moment evaluator M(p, r, s), written out here
+#: from their definitions rather than read from the package's measure table
+PWM_FORMS = {
+    "sr": lambda M, alpha, beta: (alpha * M(1, 0, alpha - 1) - beta * M(1, 0, beta - 1))
+    / (beta - alpha),
+    "sp": lambda M, alpha, beta: (beta * M(1, beta - 1, 0) - alpha * M(1, alpha - 1, 0))
+    / (beta - alpha),
+    "risk_premium": lambda M, k: M(1, 0, 0) - k * M(1, 0, k - 1),
+    "gain_premium": lambda M, k: k * M(1, k - 1, 0) - M(1, 0, 0),
+}
+
+
+def full_plugin_form(values, mid: str, conv: str = "hazen", **params) -> float:
+    """mid's PWM form with every moment the full-array plug-in full_pwm_plugin."""
+    return PWM_FORMS[mid](lambda p, r, s: full_pwm_plugin(values, p, r, s, conv), **params)
+
+
 def full_rank_weighted_mean(values, order: int, reverse: bool) -> float:
     """b_r (reverse False) or a_s (True): (1/n) sum x_(i) prod_j (m_i - j + 1)/(n - j)."""
     n = values.shape[0]
@@ -255,8 +272,9 @@ def full_step_integrals(values, gs) -> list:
 
 def _exact_weighted_mean(values, weights, denominator: int) -> Fraction:
     """(1/n) sum x_i w_i / denominator in exact rational arithmetic, for integer weights w_i:
-    every float is an integer over a power of 2, so the sum is one integer over the largest."""
-    ratios = [float(x).as_integer_ratio() for x in values]
+    every float, and every product of floats given as a Fraction (such as x^2), is an
+    integer over a power of 2, so the sum is one integer over the largest."""
+    ratios = [Fraction(x).as_integer_ratio() for x in values]
     den = max(d for _, d in ratios)
     total = sum(w * num * (den // d) for w, (num, d) in zip(weights, ratios))
     return Fraction(total, den * denominator * len(ratios))
@@ -275,7 +293,8 @@ def exact_order_weighted_mean(values, order: int, reverse: bool) -> float:
 
 
 def exact_plugin_mean(values, r: int, s: int, conv: str) -> float:
-    """(1/n) sum x_(i) u_i^r (1-u_i)^s for integer r, s in exact rational arithmetic: 2 u_i is
+    """(1/n) sum x_(i) u_i^r (1-u_i)^s for integer r, s in exact rational arithmetic (values
+    may be Fractions of x^p, see _exact_weighted_mean): 2 u_i is
     (2i - 1)/n (hazen), 2i/n (naive) or 2i/(n + 1) (mean-rank)."""
     n = len(values)
     d = n + 1 if conv == "mean-rank" else n

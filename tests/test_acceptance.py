@@ -19,7 +19,6 @@ from gmdinfo import (
     Pareto,
     Uniform,
     Weibull,
-    gain_premium,
     gmd,
     gmd_via_pwm,
     make_sample,
@@ -27,7 +26,6 @@ from gmdinfo import (
     measure_population,
     measure_sample,
     pwm_unbiased_beta,
-    risk_premium,
     verify_all,
 )
 from oracles import (
@@ -113,7 +111,8 @@ def test_c3_exact_sample_identities():
         g = gmd(sample)
         tol = 1e-12 * max(1.0, abs(g))
         assert abs(gmd_via_pwm(sample) - g) <= tol
-        assert abs(risk_premium(sample, 2) + gain_premium(sample, 2) - g) <= tol
+        assert abs(sample_value(sample, "risk_premium", k=2)
+                   + sample_value(sample, "gain_premium", k=2) - g) <= tol
         crt2, route = measure_sample(sample, MeasureSpec("crt", alpha=2.0))
         assert route == "unbiased-pwm"
         assert abs(crt2 - 0.5 * g) <= tol
@@ -142,8 +141,9 @@ def test_c4_brute_force_equivalence():
         for k in (2, 3):
             if sample.n < k:
                 continue
-            assert abs(risk_premium(sample, k) - brute_risk_premium(x, k)) <= 1e-12
-            assert abs(gain_premium(sample, k) - brute_gain_premium(x, k)) <= 1e-12
+            for mid, brute in (("risk_premium", brute_risk_premium),
+                               ("gain_premium", brute_gain_premium)):
+                assert abs(sample_value(sample, mid, k=k) - brute(x, k)) <= 1e-12
             checks += 2
         distinct = np.unique(x)
         for t in 0.5 * (distinct[:-1] + distinct[1:]):

@@ -14,6 +14,7 @@ from gmdinfo import (
     EmptyTailError,
     NegativeValueError,
     NonFiniteError,
+    Sample,
     TooFewObservationsError,
     conditional_mean_above,
     conditional_mean_below,
@@ -25,6 +26,35 @@ from gmdinfo import (
 from gmdinfo import empirical
 from oracles import run_ends
 
+
+class TestSampleConstructor:
+    """Sample checks its values itself, with make_sample's errors: built directly,
+    Sample([3, 1, 2]) gave a gmd of -0.667, Sample([1, nan]) a crj of -0.5, and
+    Sample([-3, 1]) was accepted."""
+
+    @pytest.mark.parametrize("values, error", [
+        (np.array([3.0, 1.0, 2.0]), BadParameterError),
+        (np.array([1.0, np.nan]), NonFiniteError),
+        (np.array([1.0, np.nan, 2.0]), NonFiniteError),
+        (np.array([1.0, np.inf]), NonFiniteError),
+        (np.array([-np.inf, 1.0]), NonFiniteError),
+        (np.array([-3.0, 1.0]), NegativeValueError),
+        (np.array([[1.0, 2.0], [3.0, 4.0]]), BadParameterError),
+        (np.array([1.0]), TooFewObservationsError),
+        (np.array([], dtype=float), TooFewObservationsError),
+        (np.array([1, 2, 3]), BadParameterError),
+        ([1.0, 2.0], BadParameterError),
+    ], ids=["unsorted", "nan", "inner-nan", "inf", "-inf", "negative", "2-D", "one", "empty",
+            "integers", "list"])
+    def test_rejects(self, values, error):
+        with pytest.raises(error):
+            Sample(values)
+
+    def test_accepts_ascending_values_with_ties_and_zero(self):
+        x = np.array([0.0, 1.0, 1.0, 2.5])
+        assert Sample(x).n == 4
+        assert Sample(x).values is x
+        assert make_sample(x[::-1]).values.tolist() == x.tolist()
 
 class TestMakeSample:
     def test_sorts_input(self):
@@ -56,6 +86,10 @@ class TestMakeSample:
     def test_rejects_negative(self):
         with pytest.raises(NegativeValueError):
             make_sample([1.0, -0.5])
+
+    def test_rejects_negative_infinity(self):
+        with pytest.raises(NonFiniteError):
+            make_sample([1.0, -np.inf])
 
     def test_digest_is_stable_and_content_based(self):
         a = make_sample([1.0, 2.0, 3.0])

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,6 +169,21 @@ def test_values_near_the_largest_float_stay_finite_and_exact(conv):
     for term, got, want in zip(terms, means, wants):
         assert np.isfinite(got) and abs(got - want) <= 1e-15 * want, (term, got, want)
 
+
+@pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+def test_one_minus_u_past_the_table_is_exact(conv):
+    """(1-u)^s of an order past the monomial table is formed per block from 1 - u, which is
+    made from the ranks as u is; as 1.0 - u it lost about n eps of its relative accuracy at
+    the top, where it is smallest, and so 4e-12 of M_{1,0,4} on data whose top two values
+    are 1e20 and 1e22.  p = 2 reads x^2 as exact fractions."""
+    x = data(5 * B + 2, False, 9)
+    x[-2:] = (1e20, 1e22)
+    squares = [Fraction(v) ** 2 for v in x]
+    for s in (4, 5):
+        means, _ = _rank_sums(x, conv, [(1, 0.0, s, False), (2, 0.0, s, False)])
+        for got, values in zip(means, (x, squares)):
+            want = exact_plugin_mean(values, 0, s, conv)
+            assert abs(got - want) <= 1e-15 * want, (s, got, want)
 
 def test_the_monomial_table_is_exact():
     """(t/B)^j is t^j over a power of 2, so the table holds it exactly, and reversed."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gmdinfo import (
+    ECDF_CONVENTIONS,
     BadParameterError,
     EmptyTailError,
     Exponential,
@@ -25,9 +26,6 @@ from gmdinfo import (
     WeightSelector,
     conditional_mean_above,
     conditional_mean_below,
-    expected_max_of_k,
-    expected_min_of_k,
-    gain_premium,
     generalized_cumulative_entropy,
     generalized_residual_entropy,
     gmd,
@@ -47,8 +45,8 @@ from gmdinfo import (
     parse_weight,
     plotting_positions,
     pwm_plugin,
+    pwm_unbiased_alpha,
     pwm_unbiased_beta,
-    risk_premium,
     verify,
 )
 from gmdinfo import measures as measures_module
@@ -66,6 +64,8 @@ from oracles import (
     brute_pair_max_mean,
     brute_pair_min_mean,
     brute_risk_premium,
+    full_plugin_form,
+    full_pwm_plugin,
 )
 
 S123 = make_sample([1.0, 2.0, 3.0])
@@ -113,13 +113,16 @@ class TestFrozenValues:
         assert gmd_right(S123, 3.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_order_k_premia(self):
-        assert expected_min_of_k(S123, 2) == pytest.approx(4.0 / 3.0, abs=1e-15)
-        assert expected_max_of_k(S123, 2) == pytest.approx(8.0 / 3.0, abs=1e-15)
-        assert risk_premium(S123, 2) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert gain_premium(S123, 2) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        # E(min of k) = k a_{k-1} and E(max of k) = k b_{k-1}
+        assert 2 * pwm_unbiased_alpha(S123, 1) == pytest.approx(4.0 / 3.0, abs=1e-15)
+        assert 2 * pwm_unbiased_beta(S123, 1) == pytest.approx(8.0 / 3.0, abs=1e-15)
+        assert value(S123, "risk_premium", k=2) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert value(S123, "gain_premium", k=2) == pytest.approx(2.0 / 3.0, abs=1e-15)
         # k = n reduces to the extreme order statistics
-        assert expected_min_of_k(S123, 3) == pytest.approx(1.0, abs=1e-15)
-        assert expected_max_of_k(S123, 3) == pytest.approx(3.0, abs=1e-15)
+        assert 3 * pwm_unbiased_alpha(S123, 2) == pytest.approx(1.0, abs=1e-15)
+        assert 3 * pwm_unbiased_beta(S123, 2) == pytest.approx(3.0, abs=1e-15)
+        assert value(S123, "risk_premium", k=3) == pytest.approx(1.0, abs=1e-15)
+        assert value(S123, "gain_premium", k=3) == pytest.approx(1.0, abs=1e-15)
 
     def test_inequality_and_tsallis(self):
         val, route = measure_sample(S123, MeasureSpec("s_gini", v=2.0))
@@ -158,8 +161,8 @@ class TestExactRelations:
         assert value(sample, "s_gini", v=2.0) == pytest.approx(g / 4.0, abs=1e-12)
         assert value(sample, "crt", alpha=2.0) == pytest.approx(g / 2.0, abs=1e-12)
         assert value(sample, "ct", alpha=2.0) == pytest.approx(g / 2.0, abs=1e-12)
-        assert risk_premium(sample, 2) == pytest.approx(g / 2.0, abs=1e-12)
-        assert gain_premium(sample, 2) == pytest.approx(g / 2.0, abs=1e-12)
+        assert value(sample, "risk_premium", k=2) == pytest.approx(g / 2.0, abs=1e-12)
+        assert value(sample, "gain_premium", k=2) == pytest.approx(g / 2.0, abs=1e-12)
 
     def test_scale_equivariance_and_shift_invariance(self):
         rng = np.random.default_rng(3)
@@ -204,10 +207,103 @@ class TestBruteForceOracles:
         if sample.n < k:
             pytest.skip("k exceeds sample size")
         x = sample.values
-        assert expected_min_of_k(sample, k) == pytest.approx(brute_min_of_k(x, k), abs=1e-12)
-        assert expected_max_of_k(sample, k) == pytest.approx(brute_max_of_k(x, k), abs=1e-12)
-        assert risk_premium(sample, k) == pytest.approx(brute_risk_premium(x, k), abs=1e-12)
-        assert gain_premium(sample, k) == pytest.approx(brute_gain_premium(x, k), abs=1e-12)
+        assert k * pwm_unbiased_alpha(sample, k - 1) == pytest.approx(brute_min_of_k(x, k),
+                                                                      abs=1e-12)
+        assert k * pwm_unbiased_beta(sample, k - 1) == pytest.approx(brute_max_of_k(x, k),
+                                                                     abs=1e-12)
+
+
+#: I14's sample side, which reads the premia's PWM form
+I14_SAMPLE = next(ident.sample_sides for ident in REGISTRY if ident.id == "I14")
+
+
+class TestPremiaHaveOneDefinition:
+    """risk_premium and gain_premium have one sample estimator, their PWM form
+    M(1,0,0) - k M(1,0,k-1) and k M(1,k-1,0) - M(1,0,0), which I14's sample side reads
+    too; they no longer have an order-statistic route of their own."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_against_enumeration(self, k):
+        for sample in random_samples(25, allow_ties=True, seed=113 + k):
+            if sample.n < k:
+                continue
+            for mid, brute in (("risk_premium", brute_risk_premium),
+                               ("gain_premium", brute_gain_premium)):
+                got, route = measure_sample(sample, MeasureSpec(mid, k=k))
+                assert route == "unbiased-pwm"
+                assert got == pytest.approx(brute(sample.values, k), abs=1e-12), (mid, sample)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 8193, 16385])
+    def test_risk_plus_gain_is_the_i14_sample_lhs(self, n):
+        """Bit for bit when the premia are evaluated in one walk, as I14 evaluates them;
+        measure_sample's own walk of one premium may differ in the last digit, as the
+        kernel adds its edge ranks one by one up to the walk's highest b_e or a_e order."""
+        sample = make_sample(np.random.default_rng(n).exponential(size=n))
+        specs = [MeasureSpec(mid, k=k) for k in (2, 3) if k <= n
+                 for mid in ("risk_premium", "gain_premium")]
+        values = measures_module._sample_values(sample, specs, "hazen")[0]
+        sides = [risk + gain for (risk, _), (gain, _) in zip(values[::2], values[1::2])]
+        assert [lhs for lhs, _ in I14_SAMPLE(sample, "hazen")] == sides
+        for spec, (want, _) in zip(specs, values):
+            assert measure_sample(sample, spec) == (pytest.approx(want, rel=1e-14),
+                                                    "unbiased-pwm")
+
+    @pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+    @pytest.mark.parametrize("mid", ["risk_premium", "gain_premium"])
+    def test_k_above_n_takes_the_plugin_form(self, mid, conv):
+        """k > n has no unbiased estimator; the form then reads every moment by the
+        plug-in, as pwm with s >= n does, where it used to raise TooFewObservationsError."""
+        for sample, k in ((S123, 4), (S123, 7), (EXP50, 51), (EXP50, 400)):
+            got, route = measure_sample(sample, MeasureSpec(mid, k=k), conv)
+            want = full_plugin_form(sample.values, mid, conv, k=k)
+            assert route == "plugin-pwm"
+            assert abs(got - want) <= 1e-12 * abs(want), (sample.n, k, got, want)
+
+
+class TestOneEstimatorPerForm:
+    """A PWM form reads all its moments from one estimator.  sr and sp once read an integer
+    order's moment by the unbiased route and a non-integer one's by the plug-in, and divided
+    the O(1/n) gap between the two by beta - alpha: on 1,000 exp(1) draws, sr(2, 2 + 1e-6)
+    read -508.05 and sr(1.999999, 2) +508.56."""
+
+    SAMPLES = (make_sample(np.random.default_rng(1).exponential(size=1000)),
+               make_sample(np.random.default_rng(2).pareto(3.0, size=300) + 1.0),
+               make_sample(np.round(np.random.default_rng(3).gamma(2.0, 1.0, size=40), 1)))
+
+    @staticmethod
+    def rounding_floor(values, mid, a, b):
+        """1e-15 of sum |c_k M_k|, the scale of the form's two terms, which cancel to
+        |b - a| of it: a difference quotient's rounding floor."""
+        side = (lambda o: (1, 0, o - 1)) if mid == "sr" else (lambda o: (1, o - 1, 0))
+        return 1e-15 * sum(o * full_pwm_plugin(values, *side(o), "hazen") for o in (a, b)) \
+            / abs(b - a)
+
+    @pytest.mark.parametrize("delta", [1e-1, -1e-1, 1e-2, -1e-2, 1e-3, -1e-3])
+    @pytest.mark.parametrize("e", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("mid", ["sr", "sp"])
+    def test_near_an_integer_order_is_the_all_plugin_form(self, mid, e, delta):
+        """1e-12 relative plus the rounding floor: at delta = 1e-3 on the Pareto draws both
+        this oracle and the kernel are 3e-12 to 6e-12 off the form in 40-digit arithmetic."""
+        a, b = e, e + delta
+        for sample in self.SAMPLES:
+            got, route = measure_sample(sample, MeasureSpec(mid, alpha=a, beta=b))
+            want = full_plugin_form(sample.values, mid, alpha=a, beta=b)
+            assert route == "plugin-pwm"
+            assert abs(got - want) <= 1e-12 * abs(want) + self.rounding_floor(
+                sample.values, mid, a, b), (sample.n, got, want)
+
+    @pytest.mark.parametrize("e", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("mid", ["sr", "sp"])
+    def test_continuous_across_an_integer_order(self, mid, e):
+        """1e-6 relative, plus the same rounding floor: at delta = 1e-8 the Pareto draws'
+        sr(3, 3 + delta) moves by 1.2e-6 of itself when alpha moves by 1e-9, a difference
+        quotient's loss of eps/delta, which divided-difference moments would remove."""
+        for sample in self.SAMPLES:
+            for delta in 10.0 ** -np.arange(1, 9):
+                at = value(sample, mid, alpha=e, beta=e + delta)
+                past = value(sample, mid, alpha=e + 1e-9, beta=e + delta)
+                assert abs(at - past) <= 1e-6 * abs(at) + self.rounding_floor(
+                    sample.values, mid, e, e + delta), (sample.n, delta, at, past)
 
 
 class TestGeneralizedEntropies:
@@ -428,7 +524,7 @@ class TestDispatcher:
         assert measure_sample(S123, MeasureSpec("crj"))[1] == "unbiased-pwm"
         assert measure_sample(S123, MeasureSpec("crjw"))[1] == "plugin-pwm"
         assert measure_sample(S123, MeasureSpec("gmd_left", t=1.5))[1] == "truncated-u-statistic"
-        assert measure_sample(S123, MeasureSpec("risk_premium", k=2))[1] == "order-statistic-weights"
+        assert measure_sample(S123, MeasureSpec("risk_premium", k=2))[1] == "unbiased-pwm"
         spec = MeasureSpec("ge", w=WeightSelector("const"), phi=PhiSelector())
         assert measure_sample(S123, spec)[1] == "ecdf-double-mean"
 
@@ -459,8 +555,10 @@ class TestDispatcher:
             (MeasureSpec("gmd_right", t=top), gmd_right(sample, top)),
             (MeasureSpec("h_dyn", t=top), h_dyn(sample, top)),
             (MeasureSpec("j_dyn", t=0.0), j_dyn(sample, 0.0)),
-            (MeasureSpec("risk_premium", k=3), risk_premium(sample, 3)),
-            (MeasureSpec("gain_premium", k=3), gain_premium(sample, 3)),
+            (MeasureSpec("risk_premium", k=3),
+             pwm_unbiased_alpha(sample, 0) - 3 * pwm_unbiased_alpha(sample, 2)),
+            (MeasureSpec("gain_premium", k=3),
+             3 * pwm_unbiased_beta(sample, 2) - pwm_unbiased_beta(sample, 0)),
         ]
         for spec, want in pairs:
             assert measure_sample(sample, spec)[0] == want, spec.id
@@ -511,14 +609,8 @@ class TestTruncationErrors:
         sample = make_sample(x)
         want_min = sum(comb(n - i, k - 1) / comb(n, k) * x[i - 1] for i in range(1, n + 1))
         want_max = sum(comb(i - 1, k - 1) / comb(n, k) * x[i - 1] for i in range(1, n + 1))
-        assert expected_min_of_k(sample, k) == pytest.approx(want_min, rel=1e-12)
-        assert expected_max_of_k(sample, k) == pytest.approx(want_max, rel=1e-12)
-
-    def test_order_k_guards(self):
-        with pytest.raises(TooFewObservationsError, match="k=4 needs at least 4"):
-            expected_min_of_k(S123, 4)
-        with pytest.raises(BadParameterError, match="k must be an integer >= 2"):
-            expected_max_of_k(S123, 1)
+        assert k * pwm_unbiased_alpha(sample, k - 1) == pytest.approx(want_min, rel=1e-12)
+        assert k * pwm_unbiased_beta(sample, k - 1) == pytest.approx(want_max, rel=1e-12)
 
 
 EXP50 = make_sample(np.random.default_rng(50).exponential(size=50))

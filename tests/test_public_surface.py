@@ -7,10 +7,12 @@ import gmdinfo
 
 MODULES = ("empirical", "errors", "identities", "measures", "models", "population", "pwm",
            "quadrature")
-#: one-spec forwarders, replaced by measure_sample and measure_population
+#: one-spec forwarders, replaced by measure_sample and measure_population, and the premia's
+#: order-statistic route, replaced by their PWM form in measure_sample
 REMOVED = {"s_gini", "crj", "ce", "cj", "crjw", "wce", "crt", "ct", "wcrt", "wct", "sr", "sp",
            "srw", "spw", "j_dyn_population", "h_dyn_population", "gmd_left_population",
-           "gmd_right_population"}
+           "gmd_right_population", "risk_premium", "gain_premium", "expected_min_of_k",
+           "expected_max_of_k"}
 
 
 def declared():

@@ -8,20 +8,20 @@ from gmdinfo import (
     BadParameterError,
     DomainError,
     Exponential,
+    MeasureSpec,
     NonFiniteError,
     Pareto,
     PwmIndex,
     TooFewObservationsError,
     Uniform,
     UnsupportedSpecError,
-    gain_premium,
     make_sample,
+    measure_sample,
     plotting_positions,
     pwm_plugin,
     pwm_population,
     pwm_unbiased_alpha,
     pwm_unbiased_beta,
-    risk_premium,
 )
 from oracles import (brute_gmd, brute_pwm_plugin, brute_unbiased_alpha, brute_unbiased_beta,
                      exact_order_weighted_fraction)
@@ -167,8 +167,9 @@ class TestUnbiasedRoutes:
         for k in (n - 300, n - 1, n) if n > 300 else (n - 2, n - 1, n):
             gain = k * exact_order_weighted_fraction(x, k - 1, reverse=False) - mean
             risk = mean - k * exact_order_weighted_fraction(x, k - 1, reverse=True)
-            assert gain_premium(s, k) == pytest.approx(float(gain), rel=1e-12), k
-            assert risk_premium(s, k) == pytest.approx(float(risk), rel=1e-12), k
+            for mid, want in (("gain_premium", gain), ("risk_premium", risk)):
+                got = measure_sample(s, MeasureSpec(mid, k=k))
+                assert got == (pytest.approx(float(want), rel=1e-12), "unbiased-pwm"), (mid, k)
 
     def test_an_order_past_the_recursion_limit(self):
         s = make_sample(np.random.default_rng(6).exponential(1.0, 5000))
