@@ -10,7 +10,9 @@ and the route.  No quadrature runs inside an integrand: the conditional means
 inside ge/gce and inside I13's transform averages are integrated out by
 hand (Fubini).  At sample level the two sides use different estimator
 constructions (order-statistic weights vs step-ECDF integrals vs
-double-loop means).
+double-loop means).  The PWM forms of a side, its covariances among them,
+are read by ``measures._sample_values`` from one kernel walk; the
+step-ECDF sides of I10 and I11 are a walk of their own, ``_step_sums``.
 
 Exactness classes:
 
@@ -40,7 +42,6 @@ from .measures import (
     PhiSelector,
     WeightSelector,
     _power_difference,
-    _pwm_form,
     _sample_values,
     _sorted_gmd,
     generalized_cumulative_entropy,
@@ -56,7 +57,6 @@ from .measures import (
 )
 from .models import ParametricModel, _margin
 from .population import _QDomain, _XDomain, _measure_population, measure_population
-from .pwm import _fused
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 __all__ = [
@@ -140,9 +140,15 @@ def _worst(pairs, tol: float, floor: float):
     return max(pairs, key=over)
 
 
-def _plugin_cov(T, r: float, s: float) -> float:
-    """Plug-in Cov(X, u^r (1-u)^s) over kernel terms: E[X g] - E[X] E[g]."""
-    return T((1, r, s, False)) - T((1, 0.0, 0.0, False)) * T((0, r, s, False))
+def _values(s: Sample, conv: str, forms) -> list:
+    """The value of each PWM form on s (see ``_sample_values``), from one kernel walk."""
+    return [value for value, _ in _sample_values(s.values, forms, conv)]
+
+
+def _cov(r: float, s: float) -> tuple:
+    """The form of Cov(X, u^r (1-u)^s) = M(1,r,s) - M(1,0,0) M(0,r,s): E[X g] - E[X] E[g].
+    Its p = 0 moment has no unbiased estimator, so the form takes the plug-in."""
+    return (lambda M, r, s: M(1, r, s) - M(1, 0, 0) * M(0, r, s)), (r, s), f"cov({r:g}, {s:g})"
 
 
 def _ecdf_gaps(orders):
@@ -156,15 +162,33 @@ def _ecdf_gaps(orders):
     return gaps
 
 
+def _step_sums(values: np.ndarray, gaps) -> list:
+    """(sum dx_i g(i/n), sum 1/2 d(x^2)_i g(i/n)) of every gap g over the n-1 steps dx_i =
+    x_(i+1) - x_(i) of the naive step ECDF of sorted values, walked in blocks of _BLOCK ranks;
+    gaps maps a block's levels i/n to every gap's values g(i/n), in order (see _ecdf_gaps)."""
+    n, steps = values.shape[0], []
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        j = 1 if lo == 0 else 0  # the first step lies between ranks 1 and 2
+        xs = values[lo + j - 1:hi]  # one value of overlap with the block before
+        dx, half_dx2 = np.diff(xs), 0.5 * np.diff(xs * xs)
+        for k, gv in enumerate(gaps(np.arange(lo + j, hi, dtype=float) / n)):
+            if k == len(steps):  # the first block
+                steps.append([0.0, 0.0])
+            steps[k][0] += float(np.dot(dx, gv))
+            steps[k][1] += float(np.dot(half_dx2, gv))
+    return [tuple(step) for step in steps]
+
+
 def _family_pairs(s, conv, specs, gaps, scales):
     """I10/I11: per order, int g(F_hat) dx and int x g(F_hat) dx (naive step ECDF) of its
     survival-side and distribution-side g, over its scale, against its four measures; gaps
     maps the levels F_hat to every order's two g, in order."""
-    values, steps = _sample_values(s, specs, conv, gaps)
+    values, steps = _values(s, conv, specs), _step_sums(s.values, gaps)
     pairs = []
     for k, scale in enumerate(scales):
         (surv, surv_x), (dist, dist_x) = steps[2 * k:2 * k + 2]
-        pairs += [(side / scale, value) for side, (value, _) in
+        pairs += [(side / scale, value) for side, value in
                   zip((surv, dist, surv_x, dist_x), values[4 * k:4 * k + 4])]
     return pairs
 
@@ -234,7 +258,7 @@ def _i2_pop(model, cfg):
 
 
 def _i2_sample(s, conv):
-    cov = _fused(s.values, conv, lambda T: _plugin_cov(T, 1.0, 0.0))[0]
+    cov, = _values(s, conv, [_cov(1.0, 0.0)])
     return [(gmd(s), 4.0 * cov)]
 
 
@@ -243,7 +267,7 @@ def _i3_pop(model, cfg):
 
 
 def _i3_sample(s, conv):
-    return [(gmd(s), 2.0 * _sample_values(s, _CRT2, conv)[0][0][0])]
+    return [(gmd(s), 2.0 * _values(s, conv, _CRT2)[0])]
 
 
 def _i4_pop(model, cfg):
@@ -252,7 +276,7 @@ def _i4_pop(model, cfg):
 
 
 def _i4_sample(s, conv):
-    (crj_value, _), (cj_value, _) = _sample_values(s, _EXTROPIES, conv)[0]
+    crj_value, cj_value = _values(s, conv, _EXTROPIES)
     return [(2.0 * crj_value - 2.0 * cj_value, gmd(s))]
 
 
@@ -302,7 +326,7 @@ def _i8_sample(s, conv):
 
 
 def _i9_sample(s, conv):
-    (crj_value, _), (cj_value, _) = _sample_values(s, _EXTROPIES, conv)[0]
+    crj_value, cj_value = _values(s, conv, _EXTROPIES)
     return [(-0.5 * pairwise_min_mean(s.values), crj_value),
             (-0.5 * pairwise_max_mean(s.values), cj_value)]
 
@@ -325,9 +349,9 @@ def _i11_sample(s, conv):
 
 
 def _i12_sample(s, conv):
-    forms = {v: _pwm_form(s.n, MeasureSpec("s_gini", v=v)) for v in (2.0, 3.0)}
-    return _fused(s.values, conv, lambda T: [(-_plugin_cov(T, 0.0, v - 1.0), form(T)[0])
-                                             for v, form in forms.items()])[0]
+    values = _values(s, conv, [form for v in (2.0, 3.0)
+                               for form in (_cov(0.0, v - 1.0), MeasureSpec("s_gini", v=v))])
+    return [(-cov, s_gini) for cov, s_gini in zip(values[::2], values[1::2])]
 
 
 def _i13_x_sides(model, cfg):
@@ -370,14 +394,12 @@ def _i14_pop(model, cfg):
 
 
 def _i14_sample(s, conv):
-    forms = {k: [_pwm_form(s.n, MeasureSpec(mid, k=k)) for mid in ("risk_premium", "gain_premium")]
-             for k in (2, 3) if k <= s.n}
-
-    def pair(T, k):
-        risk, gain = (form(T)[0] for form in forms[k])
-        return risk + gain, k * (_plugin_cov(T, k - 1.0, 0.0) - _plugin_cov(T, 0.0, k - 1.0))
-
-    return _fused(s.values, conv, lambda T: [pair(T, k) for k in forms])[0]
+    ks = [k for k in (2, 3) if k <= s.n]
+    values = _values(s, conv, [form for k in ks for form in (
+        MeasureSpec("risk_premium", k=k), MeasureSpec("gain_premium", k=k),
+        _cov(k - 1.0, 0.0), _cov(0.0, k - 1.0))])
+    return [(risk + gain, k * (upper - lower))
+            for k, risk, gain, upper, lower in zip(ks, *(values[j::4] for j in range(4)))]
 
 
 REGISTRY = (

@@ -47,7 +47,7 @@ statistics are i<j U-statistics (no self-pairs), which is what makes
 the sample-level decompositions below exact rather than asymptotic.
 A measure with a PWM form and no dedicated sample route, the premia
 among them, has one sample estimator: its form, with every moment read
-by the one estimator ``_pwm_form`` chooses for the whole form.
+by the one estimator ``_sample_values`` chooses for the whole form.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
 pairwise means through ``_rank_dot``, and ge/gce through phi's running
@@ -69,7 +69,7 @@ from .errors import (
     FewerThanTwoError,
     NonFiniteError,
 )
-from .pwm import PwmIndex, _fused
+from .pwm import PwmIndex, _rank_sums
 
 __all__ = [
     "WeightSelector",
@@ -487,7 +487,7 @@ def gmd_via_pwm(sample: Sample) -> float:
     Equals :func:`gmd` exactly (not just asymptotically) because b_1 and
     a_1 reweigh the same order statistics.
     """
-    return _sample_values(sample, [MeasureSpec("gmd")], "hazen")[0][0][0]
+    return _sample_values(sample.values, [MeasureSpec("gmd")], "hazen")[0][0]
 
 
 def pairwise_min_mean(values: np.ndarray) -> float:
@@ -558,40 +558,41 @@ _UNBIASED = "unbiased-pwm"
 _PLUGIN = "plugin-pwm"
 
 
-def _pwm_form(n: int, spec: MeasureSpec):
-    """spec's PWM form on n observations: form(T) -> (value, route), each moment a kernel term T.
-
-    The one place a sample estimator is chosen, and it is chosen for the
-    whole form.  When every moment is M_{1,e,0} or M_{1,0,e} with an
-    integer 0 <= e < n, each takes the exact unbiased order-statistic route
-    (b_e, a_e; b_0 = a_0 = the mean); otherwise each takes the plug-in.  A
-    form that mixed the two would divide their O(1/n) gap by its order gap
-    (sr, sp).  The moments are listed once, here, not on every kernel pass.
-    """
-    entry, moments = MEASURE_IDS[spec.id], []
-    args = entry.args(spec)
-    entry.pwm(lambda p, r, s: moments.append((p, float(r), float(s))) or 0.0, *args)
-    exact = all(p == 1 and (r == 0 or s == 0) and (r + s).is_integer() and 0 <= r + s < n
-                for p, r, s in moments)
-    route = _UNBIASED if exact else _PLUGIN
-
-    def form(T):
-        value = entry.pwm(lambda p, r, s: T((p, float(r), float(s), exact)), *args)
-        return _check_finite(spec, value), route
-
-    return form
-
-
-def _check_finite(spec: MeasureSpec, value: float) -> float:
+def _check_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
-        raise NonFiniteError(f"{spec.id} is not finite on this sample: {value!r}")
+        raise NonFiniteError(f"{name} is not finite on this sample: {value!r}")
     return value
 
 
-def _sample_values(sample: Sample, specs, conv: str, gaps=None):
-    """(value, route) of each PWM-form spec, and the step sums of gaps, from one kernel walk."""
-    forms = [_pwm_form(sample.n, spec) for spec in specs]
-    return _fused(sample.values, conv, lambda T: [form(T) for form in forms], gaps)
+def _sample_values(values: np.ndarray, forms, conv: str) -> list:
+    """(value, route) of each PWM form on the sorted values, from one kernel walk.
+
+    A form is a MeasureSpec, or a (pwm, args, name) triple whose pwm(M, *args)
+    is written over M(p, r, s) as a table entry's is.  The one place a sample
+    estimator is chosen, and it is chosen for the whole form.  When every
+    moment is M_{1,e,0} or M_{1,0,e} with an integer 0 <= e < n, each takes
+    the exact unbiased order-statistic route (b_e, a_e; b_0 = a_0 = the
+    mean); otherwise each takes the plug-in.  A form that mixed the two
+    would divide their O(1/n) gap by its order gap (sr, sp).  The moments
+    are listed once, here, not on every kernel pass.
+    """
+    n, read, terms = values.shape[0], [], {}
+    for form in forms:
+        if isinstance(form, MeasureSpec):
+            entry = MEASURE_IDS[form.id]
+            form = entry.pwm, entry.args(form), form.id
+        pwm, args, name = form
+        moments = []
+        pwm(lambda p, r, s: moments.append((p, float(r), float(s))) or 0.0, *args)
+        exact = all(p == 1 and (r == 0 or s == 0) and (r + s).is_integer() and 0 <= r + s < n
+                    for p, r, s in moments)
+        for p, r, s in moments:
+            terms.setdefault((p, r, s, exact), len(terms))
+        read.append((pwm, args, name, exact))
+    means = _rank_sums(values, conv, list(terms))
+    return [(_check_finite(name, pwm(lambda p, r, s: means[terms[p, float(r), float(s), exact]],
+                                     *args)), _UNBIASED if exact else _PLUGIN)
+            for pwm, args, name, exact in read]
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +701,7 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
     """Evaluate a measure on a sample; returns (value, estimator_route).
 
     Without a dedicated sample route, the measure's PWM form is evaluated
-    from one kernel walk, every moment by the one estimator ``_pwm_form``
+    from one kernel walk, every moment by the one estimator ``_sample_values``
     chooses for the form: unbiased-pwm when each moment has an exact
     unbiased estimator on this sample, plugin-pwm otherwise.  A NaN or
     infinite value (the data overflow, e.g. x^2 near 1e200) raises
@@ -709,6 +710,6 @@ def measure_sample(sample: Sample, spec: MeasureSpec, conv: str = "hazen"):
     _check_convention(conv)
     entry = MEASURE_IDS[spec.id]
     if entry.sample is None:
-        return _sample_values(sample, [spec], conv)[0][0]
+        return _sample_values(sample.values, [spec], conv)[0]
     value, route = entry.sample(sample, conv, *entry.args(spec))
-    return _check_finite(spec, value), route
+    return _check_finite(spec.id, value), route

@@ -11,19 +11,18 @@ routes are provided here:
   integer orders (Greenwood-style PWM estimators).
 
 Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
-``_rank_sums`` computes any number of them, and the identities' step-ECDF
-sums, in one walk over the sorted sample in blocks of ``_BLOCK`` ranks
-(``empirical._BLOCK``): no length-n array is made and nothing outlives the
-call.  A weight of integer order 1..``_DEGREE`` on one side, b_r, a_s, u^r
+``_rank_sums`` computes any number of them in one walk over the sorted
+sample in blocks of ``_BLOCK`` ranks (``empirical._BLOCK``): no length-n
+array is made and nothing outlives the call.  A weight of integer order 1..``_DEGREE`` on one side, b_r, a_s, u^r
 or (1-u)^s, is a polynomial in the rank.  A block reads it as non-negative
 coefficients times the dot products of x^p with the rows of one table of
 rank monomials, ``_MONOMIALS``, made at import, so no weight is formed; the
 ranks where b_r or a_s is 0 are left out, not cancelled.  Real or mixed
 exponents and higher orders form each power of u and 1-u and each b_r/a_s
-running-ratio product once per block.  ``_fused`` records the terms a
-computation reads and serves them from one walk.  The package's other
-sample estimators walk the same blocks, so no sample estimator makes a
-length-n array.
+running-ratio product once per block.  ``measures._sample_values`` reads
+every sample PWM form through one walk.  The package's other sample
+estimators walk the same blocks, so no sample estimator makes a length-n
+array.
 """
 
 import functools
@@ -76,7 +75,7 @@ def pwm_plugin(sample: Sample, idx: PwmIndex, conv: str = "hazen") -> float:
     (0,1); the naive convention puts u_n = 1 and is refused there.
     """
     _check_convention(conv)
-    return _rank_sums(sample.values, conv, [(idx.p, idx.r, idx.s, False)])[0][0]
+    return _rank_sums(sample.values, conv, [(idx.p, idx.r, idx.s, False)])[0]
 
 
 def pwm_unbiased_beta(sample: Sample, r) -> float:
@@ -88,7 +87,7 @@ def pwm_unbiased_beta(sample: Sample, r) -> float:
     the product is built as running ratios, one order at a time, so no
     intermediate overflows for large n and any order up to n - 1 works.
     """
-    return _rank_sums(sample.values, "hazen", [(1, _check_integer_order("r", r), 0, True)])[0][0]
+    return _rank_sums(sample.values, "hazen", [(1, _check_integer_order("r", r), 0, True)])[0]
 
 
 def pwm_unbiased_alpha(sample: Sample, s) -> float:
@@ -97,7 +96,7 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
     a_s = (1/n) sum_{i} x_(i) * (n-i)(n-i-1)...(n-i-s+1) / [(n-1)...(n-s)];
     the weight vanishes for i > n - s, and those ranks are left out.
     """
-    return _rank_sums(sample.values, "hazen", [(1, 0, _check_integer_order("s", s), True)])[0][0]
+    return _rank_sums(sample.values, "hazen", [(1, 0, _check_integer_order("s", s), True)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +149,8 @@ def _moments(y, top: bool, degree: int, total: float) -> list:
     return out
 
 
-def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
-    """Every term's mean and every gap's step sums, from one blocked walk over sorted values.
+def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
+    """Every term's mean, in the order of terms, from one blocked walk over sorted values.
 
     A term (p, r, s, exact) is (1/n) sum_i x_(i)^p w_i.  Not exact, w_i is
     the plug-in weight u_i^r (1-u_i)^s; exact (p = 1, integer orders, one
@@ -174,13 +173,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
     them are taken at once after the walk.  Order 0 is a plain sum, and
     real or mixed exponents and higher orders form their weights per block,
     b_e and a_e as running ratio products.
-    gaps, if given, maps a block's levels i/n to the values g(i/n) of every
-    gap g, in a fixed order, so that the gaps can share their powers of
-    i/n (an iterable, which may make each gap's values as it is read);
-    each g gives (sum_i dx_i g(i/n), sum_i 1/2 d(x^2)_i g(i/n)) over the
-    n-1 steps dx_i = x_(i+1) - x_(i) of the naive step ECDF.
     conv is one of ECDF_CONVENTIONS: the public doors check it.
-    Returns (means, steps), in the order of terms and gaps.
     """
     n = values.shape[0]
     c, d = _position_rule(n, conv)  # u = (k + c)/d, and 1 - u = (m + 1 + d - n - c)/d
@@ -211,7 +204,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
         raise BadParameterError(
             "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
         )
-    sums, steps = [0.0] * len(terms), []
+    sums = [0.0] * len(terms)
     for (top, a, e), ks in weights.items():  # the edge ranks; b_e and a_e are 0 below e
         for q in range(e if a is None else 0, edge[top]):
             w, v = 1.0, values[n - 1 - q if top else q]  # v ** p overflows as x^p does
@@ -277,15 +270,6 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
             for key in keys[1:-1]:
                 y = y * part(key)
             sums[k] += float(np.dot(y, part(keys[-1])))
-        if gaps is not None:
-            j = 1 if lo == 0 else 0  # the first step lies between ranks 1 and 2
-            xs = values[lo + j - 1:hi]  # one value of overlap with the block before
-            dx, half_dx2 = np.diff(xs), 0.5 * np.diff(xs * xs)
-            for k, gv in enumerate(gaps(np.arange(lo + j, hi, dtype=float) / n)):
-                if k == len(steps):  # the first block
-                    steps.append([0.0, 0.0])
-                steps[k][0] += float(np.dot(dx, gv))
-                steps[k][1] += float(np.dot(half_dx2, gv))
     if whole:  # row j of a weight's coefficients times row j of its terms' sums
         starts = np.array(whole, dtype=float)
         moments = {key: np.array(got).T.copy() for key, got in inner.items()}
@@ -294,22 +278,5 @@ def _rank_sums(values: np.ndarray, conv: str, terms, gaps=None):
                              _coefficients(n - _BLOCK - starts if top else starts, a, e, n, d)])
             for k, p in ks:
                 sums[k] += float((coef * moments[p, top][:e + 1]).sum())  # no BLAS call
-    return [total / n for total in sums], [tuple(step) for step in steps]
+    return [total / n for total in sums]
 
-
-def _fused(values: np.ndarray, conv: str, compute, gaps=None):
-    """compute(T), with every T(term) it reads taken from one _rank_sums walk; and the gap sums.
-
-    compute runs twice: first each T(term) is recorded and reads 0.0, then,
-    after one walk over the recorded terms, each reads its mean.  compute
-    must ask for the same terms both times.
-    """
-    slots, means = {}, None
-
-    def T(term):
-        slot = slots.setdefault(term, len(slots))
-        return 0.0 if means is None else means[slot]
-
-    compute(T)
-    means, steps = _rank_sums(values, conv, list(slots), gaps)
-    return compute(T), steps

@@ -1,15 +1,17 @@
 """The blocked walks behind every sample estimator.
 
-``pwm._rank_sums``, the generalized entropies and the truncation point of
-I5/I6 walk the sorted sample in blocks of ``_BLOCK`` ranks.  These tests
-check them against the full-array estimators kept in ``oracles.py`` (and
-against exact binomial weights in rational arithmetic, brute-force loops
-and the exhaustive truncation rule) at sizes and tie layouts around the
-block edges, check that every PWM-form measure and every fused identity
-side costs one walk, and that no sample measure or identity side makes a
-length-n temporary.
+``pwm._rank_sums``, the step sums of I10/I11, the generalized entropies
+and the truncation point of I5/I6 walk the sorted sample in blocks of
+``_BLOCK`` ranks.  These tests check them against the full-array
+estimators kept in ``oracles.py`` (and against exact binomial weights in
+rational arithmetic, brute-force loops and the exhaustive truncation rule)
+at sizes and tie layouts around the block edges, check that every
+PWM-form measure and every identity side that reads PWM forms costs one
+kernel walk, and that no sample measure or identity side makes a length-n
+temporary.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -39,8 +41,9 @@ from gmdinfo import (
     verify_all,
 )
 from gmdinfo import identities, measures, pwm
-from gmdinfo.identities import _pick_t, _plugin_cov
-from gmdinfo.pwm import _BLOCK, _DEGREE, _fused, _rank_sums
+from gmdinfo.identities import _cov, _pick_t, _step_sums
+from gmdinfo.measures import _sample_values
+from gmdinfo.pwm import _BLOCK, _DEGREE, _rank_sums
 from oracles import (
     brute_gce,
     brute_ge,
@@ -88,8 +91,7 @@ def test_plugin_terms_match_full_array(n, ties, seed, conv, terms):
         with pytest.raises(BadParameterError, match="negative s exponent needs u_n < 1"):
             _rank_sums(x, conv, [(p, r, s, False) for p, r, s in terms])
         return
-    means, steps = _rank_sums(x, conv, [(p, r, s, False) for p, r, s in terms])
-    assert steps == []
+    means = _rank_sums(x, conv, [(p, r, s, False) for p, r, s in terms])
     for (p, r, s), got in zip(terms, means):
         assert close(got, full_pwm_plugin(x, p, r, s, conv)), (p, r, s)
 
@@ -104,7 +106,7 @@ def test_exact_terms_match_full_array(n, ties, seed, orders):
         with pytest.raises(TooFewObservationsError, match=f"needs n > .*, got n={n}"):
             _rank_sums(x, "hazen", terms)
         return
-    means, _ = _rank_sums(x, "hazen", terms)
+    means = _rank_sums(x, "hazen", terms)
     for (order, top), got in zip(orders, means):
         assert close(got, full_rank_weighted_mean(x, order, reverse=top)), (order, top)
 
@@ -120,7 +122,7 @@ def test_exact_terms_match_binomial_fractions(n, kind):
     if kind == "huge-top":
         x[max(n - 3, 0):] = (1e28, 1e29, 1e30)[-min(n, 3):]
     for order in range(min(n, 6)):
-        (b, a), _ = _rank_sums(x, "hazen", [(1, order, 0, True), (1, 0, order, True)])
+        b, a = _rank_sums(x, "hazen", [(1, order, 0, True), (1, 0, order, True)])
         for got, top in ((b, False), (a, True)):
             want = exact_order_weighted_mean(x, order, reverse=top)
             assert abs(got - want) <= 1e-15 * want, (order, top, got, want)
@@ -134,8 +136,8 @@ _GAPS = [lambda F: (1 - F) - (1 - F) ** 2.0, lambda F: F - F**3.0,
 @given(gaps=st.lists(st.sampled_from(_GAPS), min_size=1, max_size=4), **sample_args)
 def test_gap_sums_match_full_array(n, ties, seed, gaps):
     x = data(n, ties, seed)
-    means, steps = _rank_sums(x, "hazen", [(1, 0.0, 0.0, True)], lambda F: [g(F) for g in gaps])
-    assert close(means[0], float(np.mean(x)))
+    steps = _step_sums(x, lambda F: [g(F) for g in gaps])
+    assert len(steps) == len(gaps)
     for got, want in zip(steps, full_step_integrals(x, gaps)):
         assert close(got[0], want[0]) and close(got[1], want[1])
 
@@ -146,8 +148,9 @@ def test_gap_sums_match_full_array(n, ties, seed, gaps):
 def test_plugin_cov_matches_full_array(n, ties, seed, conv, r, s):
     x = data(n, ties, seed)
     u = full_positions(n, conv)
-    cov = _fused(x, conv, lambda T: _plugin_cov(T, r, s))[0]
+    (cov, route), = _sample_values(x, [_cov(r, s)], conv)
     want = full_plugin_cov(x, u**r * (1.0 - u) ** s)
+    assert route == "plugin-pwm"
     # a covariance is a difference: compare on the scale of its two products
     assert abs(cov - want) <= REL * float(np.mean(x))
 
@@ -161,7 +164,7 @@ def test_values_near_the_largest_float_stay_finite_and_exact(conv):
     orders = range(_DEGREE + 2)
     terms = ([(1, e, 0, True) for e in orders] + [(1, 0, e, True) for e in orders]
              + [(1, e, 0, False) for e in orders] + [(1, 0, e, False) for e in orders])
-    means, _ = _rank_sums(x, conv, terms)
+    means = _rank_sums(x, conv, terms)
     wants = ([exact_order_weighted_mean(x, e, reverse=False) for e in orders]
              + [exact_order_weighted_mean(x, e, reverse=True) for e in orders]
              + [exact_plugin_mean(x, e, 0, conv) for e in orders]
@@ -180,7 +183,7 @@ def test_one_minus_u_past_the_table_is_exact(conv):
     x[-2:] = (1e20, 1e22)
     squares = [Fraction(v) ** 2 for v in x]
     for s in (4, 5):
-        means, _ = _rank_sums(x, conv, [(1, 0.0, s, False), (2, 0.0, s, False)])
+        means = _rank_sums(x, conv, [(1, 0.0, s, False), (2, 0.0, s, False)])
         for got, values in zip(means, (x, squares)):
             want = exact_plugin_mean(values, 0, s, conv)
             assert abs(got - want) <= 1e-15 * want, (s, got, want)
@@ -194,7 +197,7 @@ def test_the_monomial_table_is_exact():
 
 
 def test_the_zero_moment_is_one_exactly():
-    assert _rank_sums(data(2 * B + 3, False, 0), "naive", [(0, 0.0, 0.0, False)])[0] == [1.0]
+    assert _rank_sums(data(2 * B + 3, False, 0), "naive", [(0, 0.0, 0.0, False)]) == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,17 +365,22 @@ def million():
     return make_sample(np.random.default_rng(7).exponential(1.0, 10**6))
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Patch module.name to record each call's arguments; returns the record."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def walks(monkeypatch):
-    calls = []
-    kernel = pwm._rank_sums
-
-    def counted(*args, **kw):
-        calls.append(args[2])
-        return kernel(*args, **kw)
-
-    monkeypatch.setattr(pwm, "_rank_sums", counted)
-    return calls
+    """The kernel walks, patched where measures._sample_values looks the kernel up."""
+    return _count_calls(monkeypatch, measures, "_rank_sums")
 
 
 @pytest.mark.parametrize("mid", [mid for mid in PWM_FORM_IDS if MEASURE_IDS[mid].sample is None])
@@ -387,6 +395,27 @@ def test_a_fused_identity_side_is_one_walk(iid, walks):
     sample = make_sample(np.random.default_rng(3).exponential(1.0, 3 * B))
     SIDES[iid](sample, "hazen")
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("iid", ["I10", "I11"])
+def test_a_step_ecdf_side_is_one_kernel_walk_and_one_step_walk(iid, walks, monkeypatch):
+    steps = _count_calls(monkeypatch, identities, "_step_sums")
+    SIDES[iid](make_sample(np.random.default_rng(3).exponential(1.0, 3 * B)), "hazen")
+    assert (len(walks), len(steps)) == (1, 1)
+
+
+def test_measure_sample_reads_a_form_twice(monkeypatch):
+    """Once to list the form's moments, once on their means."""
+    entry, reads = MEASURE_IDS["sr"], []
+
+    def pwm_form(M, *args):
+        reads.append(args)
+        return entry.pwm(M, *args)
+
+    monkeypatch.setitem(MEASURE_IDS, "sr", dataclasses.replace(entry, pwm=pwm_form))
+    sample = make_sample(np.random.default_rng(3).exponential(1.0, 3 * B))
+    measure_sample(sample, MeasureSpec("sr", alpha=1.5, beta=2.5))
+    assert reads == [(1.5, 2.5)] * 2
 
 
 def test_gmd_via_pwm_is_one_walk(walks):
@@ -445,7 +474,7 @@ def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
     script = ("import numpy as np; from gmdinfo.pwm import _rank_sums\n"
               f"for n in ({2 * B + 3}, 10**5):\n"
               "    x = np.sort(np.random.default_rng(n).pareto(3.0, n) + 1.0)\n"
-              f"    print(repr(_rank_sums(x, 'hazen', {_EVERY_KIND!r})[0]))\n")
+              f"    print(repr(_rank_sums(x, 'hazen', {_EVERY_KIND!r})))\n")
     means = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)

@@ -241,7 +241,7 @@ class TestPremiaHaveOneDefinition:
         sample = make_sample(np.random.default_rng(n).exponential(size=n))
         specs = [MeasureSpec(mid, k=k) for k in (2, 3) if k <= n
                  for mid in ("risk_premium", "gain_premium")]
-        values = measures_module._sample_values(sample, specs, "hazen")[0]
+        values = measures_module._sample_values(sample.values, specs, "hazen")
         sides = [risk + gain for (risk, _), (gain, _) in zip(values[::2], values[1::2])]
         assert [lhs for lhs, _ in I14_SAMPLE(sample, "hazen")] == sides
         for spec, (want, _) in zip(specs, values):
