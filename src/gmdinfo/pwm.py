@@ -159,13 +159,13 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
     A weight of integer order e, 1 <= e <= _DEGREE, on one side (b_e, a_e,
     u^e or (1-u)^e) is a product of e factors (q + a)/d, linear in the rank
     q counted from 0 at its end: (q - j)/(n - 1 - j) for j < e, or
-    (q + c)/d with u = (k + c)/d, and 1-u the same from the top.  Below the
-    highest order E of the walk's b_e (and a_e) the E ranks at the bottom
-    (top) are added one by one, each term skipping the ranks where its own
-    b_e or a_e is 0; the walk's spans start past them.  There every factor
-    is non-negative, so on a span of a block the weight is a polynomial in
-    t/_BLOCK, t the span's own ranks, with non-negative coefficients
-    (_coefficients).  The span adds those coefficients times the sums of
+    (q + c)/d with u = (k + c)/d, and 1-u the same from the top.  The
+    min(_DEGREE, n) ranks at each end are added one by one, each term
+    skipping the ranks where its own b_e or a_e is 0, so that no term's
+    sum depends on the other terms of its walk; the spans start past them.
+    There every factor is non-negative, so on a span of a block the weight
+    is a polynomial in t/_BLOCK, t the span's own ranks, with non-negative
+    coefficients (_coefficients).  The span adds those coefficients times the sums of
     x^p (t/_BLOCK)^j, x^p's dot products with the rows of _MONOMIALS
     (_REVERSED from the top), each made once per block for all the terms
     (_moments): no weight is formed.  The whole blocks between the first
@@ -178,7 +178,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
     n = values.shape[0]
     c, d = _position_rule(n, conv)  # u = (k + c)/d, and 1 - u = (m + 1 + d - n - c)/d
     weights, factors, rows, negative = {}, [], {}, False  # rows: the highest j per (p, top)
-    edge = [0, 0]  # per end, E: the ranks there that are added one by one
+    edge = min(_DEGREE, n)  # at each end, the ranks that are added one by one
     for k, (p, r, s, exact) in enumerate(terms):
         order, top = r + s, s != 0  # the one non-zero order when the other is 0
         if exact and n <= order:
@@ -190,8 +190,6 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
             e = int(order)
             weights.setdefault((top, None if exact else 1.0 + d - n - c if top else c, e),
                                []).append((k, p))
-            if exact and e > edge[top]:
-                edge[top] = e
             if e > rows.get((p, top), 0):
                 rows[p, top] = e
         elif exact:  # order 0, the mean, or b_e/a_e formed per block
@@ -206,7 +204,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
         )
     sums = [0.0] * len(terms)
     for (top, a, e), ks in weights.items():  # the edge ranks; b_e and a_e are 0 below e
-        for q in range(e if a is None else 0, edge[top]):
+        for q in range(e if a is None else 0, edge):
             w, v = 1.0, values[n - 1 - q if top else q]  # v ** p overflows as x^p does
             for j in range(e):
                 w *= (q - j) / (n - 1.0 - j) if a is None else (q + a) / d
@@ -239,13 +237,13 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                 parts[key] = value
             return parts[key]
 
-        if 0 < lo and hi < n and hi <= n - edge[1]:  # no edge rank: the sums wait
+        if 0 < lo and hi <= n - edge:  # no edge rank: the sums wait
             whole.append(lo)
             for (p, top), j in rows.items():
                 inner[p, top].append(_moments(part(("x", p)), top, j, part(("sum", ("x", p))))
                                      if p else _power_sums(_BLOCK, j))
         elif weights:  # the spans past the edge ranks
-            spans, moments = ((max(lo, edge[0]), hi), (lo, min(hi, n - edge[1]))), {}
+            spans, moments = ((max(lo, edge), hi), (lo, min(hi, n - edge))), {}
             for (top, a, e), ks in weights.items():
                 start, stop = spans[top]
                 if start >= stop:

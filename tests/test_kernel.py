@@ -418,6 +418,28 @@ def test_measure_sample_reads_a_form_twice(monkeypatch):
     assert reads == [(1.5, 2.5)] * 2
 
 
+#: every PWM-form measure without a sample route of its own, at a real order and at integer
+#: orders, so that one walk holds b_e, a_e and plug-in terms of several orders at both ends
+_FORMS = ([MeasureSpec(mid, **_PARAMS.get(mid, {})) for mid in PWM_FORM_IDS
+           if MEASURE_IDS[mid].sample is None]
+          + [MeasureSpec(mid, alpha=a) for a in (2.0, 3.0) for mid in ("crt", "ct", "wcrt", "wct")]
+          + [MeasureSpec(mid, alpha=1.0, beta=3.0) for mid in ("sr", "sp", "srw", "spw")]
+          + [MeasureSpec(mid, k=k) for k in (2, 4) for mid in ("risk_premium", "gain_premium")]
+          + [MeasureSpec("s_gini", v=3.0), MeasureSpec("pwm", p=1, r=2.0),
+             MeasureSpec("pwm", p=2, s=3.0), MeasureSpec("pwm", p=0, r=1.0)])
+
+
+@pytest.mark.parametrize("n", [2, 5, B - 1, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("ties", [False, True])
+def test_one_walk_of_every_form_is_each_form_alone(n, ties):
+    """Bit for bit: the kernel adds the same min(_DEGREE, n) ranks one by one at each end of
+    every walk, so no term's sum depends on the other terms of its walk."""
+    sample = make_sample(data(n, ties, n))
+    for conv in ECDF_CONVENTIONS:
+        together = _sample_values(sample.values, _FORMS, conv)
+        assert together == [measure_sample(sample, spec, conv) for spec in _FORMS], conv
+
+
 def test_gmd_via_pwm_is_one_walk(walks):
     gmd_via_pwm(make_sample(np.random.default_rng(3).exponential(1.0, 3 * B)))
     assert len(walks) == 1
