@@ -13,13 +13,14 @@ routes are provided here:
 Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
 ``_rank_sums`` computes any number of them in one walk over the sorted
 sample in blocks of ``_BLOCK`` ranks (``empirical._BLOCK``): no length-n
-array is made and nothing outlives the call.  A weight of integer order 1..``_DEGREE`` on one side, b_r, a_s, u^r
-or (1-u)^s, is a polynomial in the rank.  A block reads it as non-negative
-coefficients times the dot products of x^p with the rows of one table of
-rank monomials, ``_MONOMIALS``, made at import, so no weight is formed; the
-ranks where b_r or a_s is 0 are left out, not cancelled.  Real or mixed
-exponents and higher orders form each power of u and 1-u and each b_r/a_s
-running-ratio product once per block.  ``measures._sample_values`` reads
+array is made and nothing outlives the call.  A weight of integer order
+1..``_DEGREE`` on one side, b_r, a_s, u^r or (1-u)^s, is a polynomial in the
+rank.  A block reads it as non-negative coefficients times the dot
+products of x^p with the rows of one table of rank monomials,
+``_MONOMIALS``, made at import, so no weight is formed; the ranks where b_r
+or a_s is 0 are left out, not cancelled.  Real or mixed exponents and
+higher orders form each power of u and 1-u and each b_r/a_s running-ratio
+product once per block.  ``measures._sample_values`` reads
 every sample PWM form through one walk.  The package's other sample
 estimators walk the same blocks, so no sample estimator makes a length-n
 array.
@@ -165,10 +166,10 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
     sum depends on the other terms of its walk; the spans start past them.
     There every factor is non-negative, so on a span of a block the weight
     is a polynomial in t/_BLOCK, t the span's own ranks, with non-negative
-    coefficients (_coefficients).  The span adds those coefficients times the sums of
-    x^p (t/_BLOCK)^j, x^p's dot products with the rows of _MONOMIALS
-    (_REVERSED from the top), each made once per block for all the terms
-    (_moments): no weight is formed.  The whole blocks between the first
+    coefficients (_coefficients).  The span adds those coefficients times
+    the sums of x^p (t/_BLOCK)^j, x^p's dot products with the rows of
+    _MONOMIALS (_REVERSED from the top), each made once per block for all
+    the terms (_moments): no weight is formed.  The whole blocks between the first
     and the last keep their sums, and each weight's coefficients on all of
     them are taken at once after the walk.  Order 0 is a plain sum, and
     real or mixed exponents and higher orders form their weights per block,
