@@ -140,11 +140,6 @@ def _worst(pairs, tol: float, floor: float):
     return max(pairs, key=over)
 
 
-def _values(s: Sample, conv: str, forms) -> list:
-    """The value of each PWM form on s (see ``_sample_values``), from one kernel walk."""
-    return [value for value, _ in _sample_values(s.values, forms, conv)]
-
-
 def _cov(r: float, s: float) -> tuple:
     """The form of Cov(X, u^r (1-u)^s) = M(1,r,s) - M(1,0,0) M(0,r,s): E[X g] - E[X] E[g].
     Its p = 0 moment has no unbiased estimator, so the form takes the plug-in."""
@@ -184,11 +179,11 @@ def _family_pairs(s, conv, specs, gaps, scales):
     """I10/I11: per order, int g(F_hat) dx and int x g(F_hat) dx (naive step ECDF) of its
     survival-side and distribution-side g, over its scale, against its four measures; gaps
     maps the levels F_hat to every order's two g, in order."""
-    values, steps = _values(s, conv, specs), _step_sums(s.values, gaps)
+    values, steps = _sample_values(s.values, specs, conv), _step_sums(s.values, gaps)
     pairs = []
     for k, scale in enumerate(scales):
         (surv, surv_x), (dist, dist_x) = steps[2 * k:2 * k + 2]
-        pairs += [(side / scale, value) for side, value in
+        pairs += [(side / scale, value) for side, (value, _) in
                   zip((surv, dist, surv_x, dist_x), values[4 * k:4 * k + 4])]
     return pairs
 
@@ -258,7 +253,7 @@ def _i2_pop(model, cfg):
 
 
 def _i2_sample(s, conv):
-    cov, = _values(s, conv, [_cov(1.0, 0.0)])
+    (cov, _), = _sample_values(s.values, [_cov(1.0, 0.0)], conv)
     return [(gmd(s), 4.0 * cov)]
 
 
@@ -267,7 +262,7 @@ def _i3_pop(model, cfg):
 
 
 def _i3_sample(s, conv):
-    return [(gmd(s), 2.0 * _values(s, conv, _CRT2)[0])]
+    return [(gmd(s), 2.0 * _sample_values(s.values, _CRT2, conv)[0][0])]
 
 
 def _i4_pop(model, cfg):
@@ -276,7 +271,7 @@ def _i4_pop(model, cfg):
 
 
 def _i4_sample(s, conv):
-    crj_value, cj_value = _values(s, conv, _EXTROPIES)
+    (crj_value, _), (cj_value, _) = _sample_values(s.values, _EXTROPIES, conv)
     return [(2.0 * crj_value - 2.0 * cj_value, gmd(s))]
 
 
@@ -326,7 +321,7 @@ def _i8_sample(s, conv):
 
 
 def _i9_sample(s, conv):
-    crj_value, cj_value = _values(s, conv, _EXTROPIES)
+    (crj_value, _), (cj_value, _) = _sample_values(s.values, _EXTROPIES, conv)
     return [(-0.5 * pairwise_min_mean(s.values), crj_value),
             (-0.5 * pairwise_max_mean(s.values), cj_value)]
 
@@ -349,9 +344,9 @@ def _i11_sample(s, conv):
 
 
 def _i12_sample(s, conv):
-    values = _values(s, conv, [form for v in (2.0, 3.0)
-                               for form in (_cov(0.0, v - 1.0), MeasureSpec("s_gini", v=v))])
-    return [(-cov, s_gini) for cov, s_gini in zip(values[::2], values[1::2])]
+    values = _sample_values(s.values, [form for v in (2.0, 3.0) for form in
+                                       (_cov(0.0, v - 1.0), MeasureSpec("s_gini", v=v))], conv)
+    return [(-cov, s_gini) for (cov, _), (s_gini, _) in zip(values[::2], values[1::2])]
 
 
 def _i13_x_sides(model, cfg):
@@ -395,9 +390,9 @@ def _i14_pop(model, cfg):
 
 def _i14_sample(s, conv):
     ks = [k for k in (2, 3) if k <= s.n]
-    values = _values(s, conv, [form for k in ks for form in (
+    values = [value for value, _ in _sample_values(s.values, [form for k in ks for form in (
         MeasureSpec("risk_premium", k=k), MeasureSpec("gain_premium", k=k),
-        _cov(k - 1.0, 0.0), _cov(0.0, k - 1.0))])
+        _cov(k - 1.0, 0.0), _cov(0.0, k - 1.0))], conv)]
     return [(risk + gain, k * (upper - lower))
             for k, risk, gain, upper, lower in zip(ks, *(values[j::4] for j in range(4)))]
 

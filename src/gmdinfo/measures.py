@@ -589,10 +589,11 @@ def _sample_values(values: np.ndarray, forms, conv: str) -> list:
         for p, r, s in moments:
             terms.setdefault((p, r, s, exact), len(terms))
         read.append((pwm, args, name, exact))
-    means = _rank_sums(values, conv, list(terms))
-    return [(_check_finite(name, pwm(lambda p, r, s: means[terms[p, float(r), float(s), exact]],
-                                     *args)), _UNBIASED if exact else _PLUGIN)
-            for pwm, args, name, exact in read]
+    means, out = _rank_sums(values, conv, list(terms)), []
+    for pwm, args, name, exact in read:
+        value = pwm(lambda p, r, s: means[terms[p, float(r), float(s), exact]], *args)
+        out.append((_check_finite(name, value), _UNBIASED if exact else _PLUGIN))
+    return out
 
 
 # ---------------------------------------------------------------------------
