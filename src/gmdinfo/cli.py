@@ -363,7 +363,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        with np.errstate(all="ignore"):  # a value that overflows is reported as an error line
+            return args.func(args, parser)
     except InputFormatError as exc:
         print(f"gmdinfo: error: {exc}", file=sys.stderr)
         return 2

@@ -40,6 +40,9 @@ __all__ = [
 #: thread count (checked to the bit in tests/test_kernel.py).  A power of 2,
 #: so the rows (t/_BLOCK)^j of pwm._MONOMIALS are exact
 _BLOCK = 1 << 13
+#: the ranks 0.0 .. _BLOCK - 1 of every walk's rank arrays: first +- t is exact, as an arange
+_RANKS = np.arange(_BLOCK, dtype=float)
+_RANKS.flags.writeable = False
 
 #: Recognized plotting-position conventions for rank i of n.
 #: hazen keeps u_i strictly inside (0,1), so powers of u and 1-u never
@@ -113,10 +116,15 @@ def _position_rule(n: int, conv: str):
     return 1.0, (n if conv == "naive" else n + 1.0)
 
 
+def _ranks(first: float, length: int, down: bool = False) -> np.ndarray:
+    """first + t, or first - t when down, for t < length <= _BLOCK, from _RANKS."""
+    return first - _RANKS[:length] if down else _RANKS[:length] + first
+
+
 def _block_positions(lo: int, hi: int, n: int, conv: str) -> np.ndarray:
-    """u_i for the ranks lo+1..hi of n, from one arange: hazen's i - 0.5 is exact in it."""
+    """u_i for the ranks lo+1..hi of n, hi - lo <= _BLOCK: hazen's i - 0.5 is exact."""
     c, d = _position_rule(n, conv)
-    return np.arange(lo + c, hi + c) / d
+    return _ranks(lo + c, hi - lo) / d
 
 
 def _check_integer_order(name: str, value) -> int:
@@ -136,7 +144,8 @@ def plotting_positions(n: int, conv: str = "hazen") -> np.ndarray:
     """
     n = _check_integer_order("n", n)
     _check_convention(conv)
-    return _block_positions(0, n, n, conv)
+    c, d = _position_rule(n, conv)
+    return np.arange(c, n + c) / d
 
 
 def ecdf_at(sample: Sample, x: float, conv: str = "hazen") -> float:

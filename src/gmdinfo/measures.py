@@ -50,8 +50,8 @@ among them, has one sample estimator: its form, with every moment read
 by the one estimator ``_sample_values`` chooses for the whole form.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
-pairwise means through ``_rank_dot``, and ge/gce through phi's running
-sum, read per tie run at the run's boundary (``_runs``).
+pairwise means through ``_rank_dot``, ge as an L-statistic whose weights
+hold no phi (``_ge_values``) and gce through phi's running sum (``_runs``).
 """
 
 import math
@@ -61,7 +61,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .empirical import (_BLOCK, Sample, _block_positions, _check_convention, _check_t,
+from .empirical import (_BLOCK, Sample, _block_positions, _check_convention, _check_t, _ranks,
                         values_above, values_upto)
 from .errors import (
     BadParameterError,
@@ -460,20 +460,20 @@ class MeasureSpec:
 # Gini mean difference and truncated variants
 
 
-def _rank_dot(values: np.ndarray, first: float, step: float, power: float = 1.0) -> float:
-    """sum_k (first + step*k) values[k]^power over k = 0..m-1, in blocks: no length-m temporary."""
+def _rank_dot(values: np.ndarray, first: float, down: bool = False, power: float = 1.0) -> float:
+    """sum_k (first + k, or first - k when down) values[k]^power over k < m, in blocks."""
     total = 0.0
     for lo in range(0, values.shape[0], _BLOCK):
         x = values[lo:lo + _BLOCK]
-        w = np.arange(first + step * lo, first + step * (lo + x.shape[0]), step)
-        total += float(np.dot(w, x if power == 1.0 else x**power))
+        ranks = _ranks(first - lo if down else first + lo, x.shape[0], down)
+        total += float(np.dot(ranks, x if power == 1.0 else x**power))
     return total
 
 
 def _sorted_gmd(values: np.ndarray, power: float = 1.0) -> float:
-    """Mean |y_i - y_j| over pairs i<j of y = x^power, x sorted: (2/(n(n-1))) sum (2i-n-1) y_(i)."""
+    """Mean |y_i - y_j|, i<j, of y = x^power, x sorted: (4/(n(n-1))) sum (i - (n+1)/2) y_(i)."""
     n = values.shape[0]
-    return 2.0 * _rank_dot(values, 1.0 - n, 2.0, power) / (n * (n - 1.0))
+    return 4.0 * _rank_dot(values, (1.0 - n) / 2.0, power=power) / (n * (n - 1.0))
 
 
 def gmd(sample: Sample) -> float:
@@ -495,7 +495,7 @@ def pairwise_min_mean(values: np.ndarray) -> float:
     m = values.shape[0]
     if m < 2:
         raise FewerThanTwoError("pairwise mean needs at least 2 points")
-    return 2.0 * _rank_dot(values, m - 1.0, -1.0) / (m * (m - 1.0))
+    return 2.0 * _rank_dot(values, m - 1.0, down=True) / (m * (m - 1.0))
 
 
 def pairwise_max_mean(values: np.ndarray) -> float:
@@ -503,7 +503,7 @@ def pairwise_max_mean(values: np.ndarray) -> float:
     m = values.shape[0]
     if m < 2:
         raise FewerThanTwoError("pairwise mean needs at least 2 points")
-    return 2.0 * _rank_dot(values, 0.0, 1.0) / (m * (m - 1.0))
+    return 2.0 * _rank_dot(values, 0.0) / (m * (m - 1.0))
 
 
 def _tail(sample: Sample, t: float, need: int) -> np.ndarray:
@@ -620,44 +620,57 @@ def _runs(x: np.ndarray, lo: int, hi: int):
     return cut, start, end
 
 
+def _prefix_sums(w: np.ndarray, denom: np.ndarray, parts: list) -> np.ndarray:
+    """A_t = the sum of w_i/denom_i over i < t, past parts, the sums of the blocks below, added
+    exactly; this block's pairwise sum is appended to them.  The quotients, one place up, fill
+    chains of 64 terms, each summed on its own and then offset once by the chains before it
+    and the blocks below, so no long running sum adds small terms to a large one."""
+    m = w.shape[0]
+    chains = np.zeros((-(-m // 64), 64))
+    flat = chains.reshape(-1)
+    np.divide(w[:-1], denom[:-1], out=flat[1:m])
+    below = math.fsum(parts) if math.isfinite(sum(parts)) else sum(parts)  # fsum raises on inf
+    parts.append(float(np.add.reduce(flat)) + float(w[-1] / denom[-1]))
+    np.add.accumulate(chains, axis=1, out=chains)
+    chains += (np.concatenate(([0.0], np.add.accumulate(chains[:-1, -1]))) + below)[:, None]
+    return flat[:m]
+
+
+def _ge_values(values: np.ndarray, w: WeightSelector, phis, conv: str) -> list:
+    """GE of each phi on the sorted values, from one walk: the L-statistic (1/n) sum_j phi(x_(j))
+    (A_j - w_j), A_j the sum of w_i/(n - e_i) over the ranks i below the start of j's tie run,
+    e_i the end of i's run, and no w_j in the top run, whose upper tail is empty.  A holds no
+    phi, so a phi costs a dot product per block.  In a block with a tie or a run across an edge
+    each run is one term, and a run that starts in a block below reads A carried from there."""
+    n, top = values.shape[0], int(np.searchsorted(values, values[-1]))
+    totals, parts, held = [0.0] * len(phis), [], 0.0  # held: A at a run going on past its block
+    for lo in range(0, top, _BLOCK):
+        hi = min(lo + _BLOCK, top)
+        x, runs = values[lo:hi], _runs(values, lo, hi)
+        wb = w.at_probability(_block_positions(lo, hi, n, conv))
+        if runs is None:
+            A = _prefix_sums(wb, _ranks(n - lo - 1.0, hi - lo, down=True), parts)
+            coef = np.subtract(A, wb, out=A)
+        else:
+            cut, start, end = runs
+            wb = np.add.reduceat(wb, cut)
+            A = _prefix_sums(wb, n - end, parts)
+            A[0] = held if start[0] < lo else A[0]
+            held = float(A[-1])
+            coef, x = np.diff(cut, append=hi - lo) * A - wb, x[cut]
+        for k, phi in enumerate(phis):
+            totals[k] += float(np.dot(coef, phi(x)))
+    carry = math.fsum(parts) if math.isfinite(sum(parts)) else sum(parts)  # A at the top run
+    return [(total + ((n - top) * carry * phi(values[-1:]).item() if top else 0.0)) / n
+            for total, phi in zip(totals, phis)]
+
+
 def generalized_residual_entropy(sample: Sample, w: WeightSelector,
                                  phi: PhiSelector, conv: str = "hazen") -> float:
-    """GE: (1/n) sum_i w(x_(i)) * mean over x_j > x_(i) of (phi(x_j) - phi(x_i)).
-
-    The top tie run has an empty strict upper tail and contributes 0, so
-    the walk starts below it, with phi's sum over it as (n - top) phi(x_(n)).
-    The weight is evaluated through the chosen plotting positions when it
-    references the distribution function.  The ranks below the top run are
-    walked from the top down in blocks of _BLOCK ranks, carrying phi's sum
-    from the top.  A block whose ranks are each their own run reads that
-    sum one rank up; in any other block each run is one term, its weights
-    summed, reading the sum at the run's end, or, when that end lies in a
-    block above, the sum carried from there: a block of single-rank runs
-    shares no run with its neighbours.
-    """
+    """GE: (1/n) sum_i w(x_(i)) * mean over x_j > x_(i) of (phi(x_j) - phi(x_i)), w through the
+    chosen plotting positions where it reads F: the L-statistic of _ge_values."""
     _check_convention(conv)
-    x, n = sample.values, sample.n
-    top = int(np.searchsorted(x, x[-1]))
-    above = (n - top) * float(phi(x[-1:])[0])
-    total, carry = 0.0, 0.0  # carry: phi's sum above the run at the bottom of a tied block
-    for lo in reversed(range(0, top, _BLOCK)):
-        hi = min(lo + _BLOCK, top)
-        ph = phi(x[lo:hi])
-        # suffix[k]: phi's sum from rank lo + k up, added from the top down as one cumsum would
-        suffix = np.cumsum(np.concatenate(([above], ph[::-1])))[::-1]
-        above = float(suffix[0])
-        wb, runs = w.at_probability(_block_positions(lo, hi, n, conv)), _runs(x, lo, hi)
-        if runs is None:
-            term = suffix[1:] / np.arange(n - lo - 1.0, n - hi - 1.0, -1.0) - ph
-        else:
-            cut, _, end = runs
-            sums = suffix[np.minimum(end, hi) - lo]
-            if end[-1] > hi:
-                sums[-1] = carry
-            carry = float(sums[0])
-            wb, term = np.add.reduceat(wb, cut), sums / (n - end) - ph[cut]
-        total += float(np.dot(wb, term))
-    return total / n
+    return _ge_values(sample.values, w, [phi], conv)[0]
 
 
 def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
@@ -682,7 +695,7 @@ def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
         below = float(prefix[-1])
         wb, runs = w.at_probability(_block_positions(lo, hi, n, conv)), _runs(x, lo, hi)
         if runs is None:
-            term = ph - prefix[1:] / np.arange(lo + 1.0, hi + 1.0)
+            term = ph - prefix[1:] / _ranks(lo + 1.0, hi - lo)
         else:
             cut, start, end = runs
             sums = prefix[np.maximum(start, lo) - lo]

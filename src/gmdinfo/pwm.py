@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import (_BLOCK, Sample, _block_positions, _check_convention, _check_integer_order,
-                        _position_rule)
+from .empirical import (_BLOCK, _RANKS, Sample, _block_positions, _check_convention,
+                        _check_integer_order, _position_rule, _ranks)
 from .errors import BadParameterError, NonFiniteError, TooFewObservationsError
 
 __all__ = [
@@ -109,7 +109,7 @@ _DEGREE = 3
 #: row j - 1 is (t/_BLOCK)^j for t = 0.._BLOCK-1 and j = 1.._DEGREE, by multiplication: exact,
 #: as _BLOCK is a power of 2, and at most 1, so a value times it overflows only where the
 #: value does (row j = 0, all ones, is a plain sum)
-_MONOMIALS = np.array(list(itertools.accumulate([np.arange(_BLOCK) / _BLOCK] * _DEGREE,
+_MONOMIALS = np.array(list(itertools.accumulate([_RANKS / _BLOCK] * _DEGREE,
                                                 np.multiply)))
 #: each row reversed, for weights counted from the top
 _REVERSED = np.ascontiguousarray(_MONOMIALS[:, ::-1])
@@ -225,13 +225,13 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                     value = part((kind, 1)) ** e
                 elif kind == "u":
                     value = _block_positions(lo, hi, n, conv)
-                elif kind == "1-u":  # (d - k - c)/d from one arange, exact as u is
-                    value = np.arange(d - lo - c, d - hi - c, -1.0) / d
+                elif kind == "1-u":  # (d - k - c)/d from the ranks, exact as u is
+                    value = _ranks(d - lo - c, hi - lo, down=True) / d
                 elif kind == "sum":  # of the values of the key e
                     value = float(part(e).sum())
                 else:  # the running ratio product
-                    m = (np.arange(lo, hi, dtype=float) if kind == "b"
-                         else np.arange(n - 1.0 - lo, n - 1.0 - hi, -1.0))
+                    m = (_ranks(lo, hi - lo) if kind == "b"
+                         else _ranks(n - 1.0 - lo, hi - lo, down=True))
                     value = m / (n - 1.0)
                     for j in range(2, e + 1):
                         value = value * ((m - (j - 1)) / (n - j))

@@ -270,6 +270,23 @@ def full_step_integrals(values, gs) -> list:
     return [(float(np.sum(dx * g(levels))), float(np.sum(half_dx2 * g(levels)))) for g in gs]
 
 
+def exact_step_integrals(values, k: int, l: int) -> list:
+    """(int g dx, int x g dx) for the naive step ECDF, g = (1-F)^k - (1-F)^l and then
+    F^k - F^l, in exact rational arithmetic: n^l g(i/n) is an integer at each level i/n,
+    and every x an integer over the largest denominator."""
+    n, ratios = len(values), [Fraction(float(x)).as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    xs = [num * (den // d) for num, d in ratios]
+    out = []
+    for gap in (lambda i: (n - i) ** k * n ** (l - k) - (n - i) ** l,
+                lambda i: i ** k * n ** (l - k) - i ** l):
+        gs = [gap(i) for i in range(1, n)]
+        dx = sum(g * (b - a) for g, a, b in zip(gs, xs, xs[1:]))
+        dx2 = sum(g * (b * b - a * a) for g, a, b in zip(gs, xs, xs[1:]))
+        out.append((float(Fraction(dx, den * n**l)), float(Fraction(dx2, 2 * den * den * n**l))))
+    return out
+
+
 def _exact_weighted_mean(values, weights, denominator: int) -> Fraction:
     """(1/n) sum x_i w_i / denominator in exact rational arithmetic, for integer weights w_i:
     every float, and every product of floats given as a Fraction (such as x^2), is an

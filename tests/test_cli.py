@@ -225,6 +225,14 @@ class TestNonFiniteResults:
         errors = [line for line in res.stderr.splitlines() if line.startswith("gmdinfo: error:")]
         assert [line.split()[2] for line in errors] == ["I7:", "I10:", "I11:"]
 
+    @pytest.mark.parametrize("argv", [("compute", "--measure", "crjw"), ("verify",)])
+    def test_overflow_prints_only_error_lines(self, huge, argv):
+        """numpy's RuntimeWarnings, with their source paths, stay out of the CLI's stderr."""
+        res = run(*argv, "--input", huge)
+        assert res.returncode == 3
+        lines = res.stderr.splitlines()
+        assert lines and all(line.startswith("gmdinfo: error: ") for line in lines), lines
+
 
 class TestPopulationErrors:
     """Population failures say which measure, parameters, model and route."""

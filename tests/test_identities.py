@@ -45,6 +45,7 @@ from gmdinfo.identities import (
     _premia_direct,
     _range_moment_direct,
     _route_pairs,
+    _worst,
 )
 from gmdinfo.population import gce_population, ge_population, mean_residual_life
 from oracles import brute_pick_t
@@ -283,6 +284,27 @@ class TestRelativeGate:
         pairs = identity.population_sides(model, DEFAULT_CONFIG)
         assert len(pairs) > 1
         assert over(report.lhs, report.rhs) == max(over(*map(float, pair)) for pair in pairs)
+
+    @pytest.mark.parametrize("moved", [0, 1])
+    @pytest.mark.parametrize("way", [-np.inf, np.inf])
+    def test_reported_pair_keeps_through_a_last_bit_change(self, moved, way):
+        """Two pairs 1/n over their gate in exact arithmetic, as I7's under naive at n = 1e5,
+        tie; the first is reported whichever side of either pair moves by one bit."""
+        pairs = [(1.0, 1.0 + 1.000000004869066e-05), (3.0, 3.0 * (1.0 + 1.000000005539016e-05))]
+        for side in (None, 0, 1):
+            bumped = [list(pair) for pair in pairs]
+            if side is not None:
+                bumped[moved][side] = float(np.nextafter(bumped[moved][side], way))
+            assert _worst([tuple(pair) for pair in bumped], 0.05, 1e-12) == tuple(bumped[0])
+
+    def test_a_pair_beyond_the_margin_is_reported(self):
+        pairs = [(1.0, 1.0 + 1e-5), (1.0, 1.0 + 1.0001e-5)]
+        assert _worst(pairs, 0.05, 1e-12) == pairs[1]
+
+    def test_a_failing_pair_is_reported_over_a_tied_passing_one(self):
+        """Residuals 1 -+ 1e-10 times their gates: they tie, but only the second fails."""
+        pairs = [(1.0, 1.0 / (1.0 - 0.05 * (1.0 + sign * 1e-10))) for sign in (-1.0, 1.0)]
+        assert _worst(pairs, 0.05, 0.0) == pairs[1]
 
     def test_model_mean_that_overflows_is_named(self):
         with pytest.raises(NonFiniteError, match=r"^I1: the mean of weibull\(shape=0.005, "):

@@ -41,8 +41,9 @@ from gmdinfo import (
     verify_all,
 )
 from gmdinfo import identities, measures, pwm
+from gmdinfo.empirical import _block_positions, _position_rule
 from gmdinfo.identities import _cov, _pick_t, _step_sums
-from gmdinfo.measures import _sample_values
+from gmdinfo.measures import _ge_values, _sample_values
 from gmdinfo.pwm import _BLOCK, _DEGREE, _rank_sums
 from oracles import (
     brute_gce,
@@ -52,6 +53,7 @@ from oracles import (
     exact_ge,
     exact_order_weighted_mean,
     exact_plugin_mean,
+    exact_step_integrals,
     full_gce,
     full_ge,
     full_plugin_cov,
@@ -128,18 +130,39 @@ def test_exact_terms_match_binomial_fractions(n, kind):
             assert abs(got - want) <= 1e-15 * want, (order, top, got, want)
 
 
-_GAPS = [lambda F: (1 - F) - (1 - F) ** 2.0, lambda F: F - F**3.0,
-         lambda F: (1 - F) ** 1.5 - (1 - F) ** 2.5, lambda F: F**0.5 + 0 * F]
+#: each gap as _step_sums reads it, of F and G = 1 - F with no difference, and as the
+#: full-array oracle reads it, of F alone
+_GAPS = [(lambda F, G: G * F, lambda F: (1 - F) - (1 - F) ** 2.0),
+         (lambda F, G: G * F * (1 + F), lambda F: F - F**3.0),
+         (lambda F, G: G**1.5 * F, lambda F: (1 - F) ** 1.5 - (1 - F) ** 2.5),
+         (lambda F, G: F**0.5, lambda F: F**0.5 + 0 * F)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(gaps=st.lists(st.sampled_from(_GAPS), min_size=1, max_size=4), **sample_args)
 def test_gap_sums_match_full_array(n, ties, seed, gaps):
     x = data(n, ties, seed)
-    steps = _step_sums(x, lambda F: [g(F) for g in gaps])
+    steps = _step_sums(x, lambda F, G: [g(F, G) for g, _ in gaps])
     assert len(steps) == len(gaps)
-    for got, want in zip(steps, full_step_integrals(x, gaps)):
+    for got, want in zip(steps, full_step_integrals(x, [g for _, g in gaps])):
         assert close(got[0], want[0]) and close(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [3000, 20000])
+@pytest.mark.parametrize("family", ["pareto", "exponential"])
+def test_step_sides_match_exact_rationals(family, n):
+    """I10's and I11's step-ECDF sides to 1e-15 of exact rationals: each gap is a sum of
+    non-negative monomials in F and 1 - F, with no difference to cancel."""
+    rng = np.random.default_rng(n)
+    x = np.sort(rng.pareto(3.0, n) + 1.0 if family == "pareto" else rng.exponential(1.0, n))
+    sample = make_sample(x)
+    for iid, orders in (("I10", ((1, 2), (1, 3))), ("I11", ((1, 2), (2, 3)))):
+        pairs = SIDES[iid](sample, "hazen")
+        for j, (k, l) in enumerate(orders):
+            (surv, surv_x), (dist, dist_x) = exact_step_integrals(x, k, l)
+            for (got, _), want in zip(pairs[4 * j:4 * j + 4], (surv, dist, surv_x, dist_x)):
+                want /= l - k
+                assert abs(got - want) <= 1e-15 * want, (iid, k, l, got, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,6 +217,30 @@ def test_the_monomial_table_is_exact():
     for j in range(1, _DEGREE + 1):
         assert np.array_equal(pwm._MONOMIALS[j - 1] * float(B) ** j, t**j)
         assert np.array_equal(pwm._REVERSED[j - 1], pwm._MONOMIALS[j - 1][::-1])
+
+
+@pytest.mark.parametrize("n", [B - 1, B + 1, 3 * B + 5])
+def test_rank_arrays_are_their_aranges(n, monkeypatch):
+    """Bit for bit, at every block of n: the plotting positions, and the rank arrays from which
+    the kernel forms 1 - u and the b and a weights, as the aranges they replace made them."""
+    made = []
+    ranks = pwm._ranks
+    monkeypatch.setattr(pwm, "_ranks", lambda *args, **kw: made.append(ranks(*args, **kw))
+                        or made[-1])
+    x = data(n, False, n)
+    for conv in ECDF_CONVENTIONS:
+        c, d = _position_rule(n, conv)
+        made.clear()
+        _rank_sums(x, conv, [(1, 0, 1.5, False), (1, 5, 0, True), (1, 0, 5, True)])
+        want = []
+        for lo in range(0, n, B):
+            hi = min(lo + B, n)
+            assert np.array_equal(_block_positions(lo, hi, n, conv), np.arange(lo + c, hi + c) / d)
+            want += [np.arange(d - lo - c, d - hi - c, -1.0), np.arange(lo, hi, dtype=float),
+                     np.arange(n - 1.0 - lo, n - 1.0 - hi, -1.0)]
+        assert len(made) == len(want)
+        for got, arange in zip(made, want):
+            assert got.dtype == arange.dtype and np.array_equal(got, arange)
 
 
 def test_the_zero_moment_is_one_exactly():
@@ -332,15 +379,64 @@ def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["continuous", "straddling", "long-run", "top-run"])
 def test_generalized_entropies_are_one_walk(kind, monkeypatch):
-    """gce evaluates phi once per rank; ge once per rank below the top run, and once at x_(n)."""
+    """gce evaluates phi once per rank; ge once per distinct value of each block below the
+    top run, which is once per rank where the block holds no tie, and once at x_(n)."""
     x = layout(3 * B + 5, kind)
     sample, seen = make_sample(x), []
     monkeypatch.setattr(PhiSelector, "__call__", lambda self, v: seen.append(v.shape[0]) or v)
     generalized_residual_entropy(sample, WEIGHTS[0], PHI)
-    assert sum(seen) == np.searchsorted(x, x[-1]) + 1
+    top = int(np.searchsorted(x, x[-1]))
+    assert sum(seen) == 1 + sum(np.unique(x[lo:min(lo + B, top)]).shape[0]
+                                for lo in range(0, top, B))
     seen.clear()
     generalized_cumulative_entropy(sample, WEIGHTS[0], PHI)
     assert sum(seen) == x.shape[0]
+
+
+#: weights of each kind, at orders that are and are not 1
+_GE_WEIGHTS = WEIGHTS + (WeightSelector("cdf-power"), WeightSelector("sf-power"))
+_PHIS = (PHI, PhiSelector(2.0), PhiSelector(2.0, 2.0), PhiSelector(0.5, 0.7))
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (2, 3)
+                                     for kind in ("continuous", "top-run")]
+                         + [(n, kind) for n in (B - 1, B, B + 1, 2 * B + 3)
+                            for kind in ("continuous", "straddling", "long-run", "top-run")])
+def test_one_ge_walk_of_several_phi_is_each_phi_alone(n, kind):
+    """Bit for bit: the walk's weights A_j - w_j hold no phi."""
+    x = layout(n, kind)
+    for conv in ECDF_CONVENTIONS:
+        for w in _GE_WEIGHTS:
+            together = _ge_values(x, w, _PHIS, conv)
+            assert together == [_ge_values(x, w, [phi], conv)[0] for phi in _PHIS], (conv, w)
+            assert together[0] == generalized_residual_entropy(make_sample(x), w, PHI, conv)
+
+
+def _draw(family: str, n: int, seed: int, rounding=None) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.pareto(3.0, n) + 1.0 if family == "pareto" else rng.exponential(1.0, n)
+    return np.sort(x if rounding is None else np.round(x, rounding))
+
+
+_FBAR, _CONST = WeightSelector("sf-power"), WeightSelector("const", c=2.5)
+_EVERY_PAIR = [(w, phi) for w in (_FBAR, _CONST)
+               for phi in (PhiSelector(2.0), PhiSelector(2.0, 2.0))]
+
+
+@pytest.mark.parametrize("family, n, rounding, pairs, conv", [
+    ("pareto", 10**5, None, [(_FBAR, PhiSelector(2.0))], "hazen"),
+    ("pareto", 10**5, None, [(_FBAR, PhiSelector(2.0))], "naive"),
+    ("exponential", 20000, None, _EVERY_PAIR, "hazen"), ("pareto", 10**5, 1, _EVERY_PAIR, "hazen"),
+    ("exponential", 20000, 1, _EVERY_PAIR, "naive"), ("pareto", 5000, 2, _EVERY_PAIR, "mean-rank")])
+def test_ge_matches_exact_sums(family, n, rounding, pairs, conv):
+    """ge to 1e-14 of run-by-run rational sums on data without ties, and to 1e-15 on tied
+    data, whose runs each read one A: no long running sum loses digits, not even under naive,
+    where every w_i/(n - e_i) below the top is 1/n and a plain running sum of them drifts."""
+    x = _draw(family, n, n, rounding)
+    sample = make_sample(x)
+    for w, phi in pairs:
+        got, want = generalized_residual_entropy(sample, w, phi, conv), exact_ge(x, w, phi, conv)
+        assert abs(got - want) <= (1e-14 if rounding is None else 1e-15) * abs(want), (w, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +498,13 @@ def test_a_step_ecdf_side_is_one_kernel_walk_and_one_step_walk(iid, walks, monke
     steps = _count_calls(monkeypatch, identities, "_step_sums")
     SIDES[iid](make_sample(np.random.default_rng(3).exponential(1.0, 3 * B)), "hazen")
     assert (len(walks), len(steps)) == (1, 1)
+
+
+def test_i7_sample_side_is_one_ge_walk(monkeypatch):
+    walks = _count_calls(monkeypatch, identities, "_ge_values")
+    blocks = _count_calls(monkeypatch, measures, "_runs")
+    SIDES["I7"](make_sample(np.random.default_rng(3).exponential(1.0, 3 * B)), "hazen")
+    assert (len(walks), len(blocks)) == (1, 3)
 
 
 def test_measure_sample_reads_a_form_twice(monkeypatch):
