@@ -77,6 +77,9 @@ ASYMPTOTIC_SAMPLE_TOL = 5e-2
 #: _worst's relative tie margin: pairs equal in exact arithmetic, as I7's under naive or
 #: I14's, spread by up to 1.2e-9 at n = 1e5, and by more as n grows
 _WORST_MARGIN = 1e-6
+#: _worst's rounding slack, relative to a pair's larger side: residuals at rounding level, as
+#: I9's exact-sample 0, 2.2e-16 and 4.4e-16, tie however many times apart they are
+_WORST_ROUNDING = 16 * np.finfo(float).eps
 
 # single-sample relative gate for asymptotic identities grows as 1/n:
 # the deterministic plug-in-vs-U-statistic gap is about 1.6/n, so a
@@ -137,15 +140,18 @@ def _route_pairs(*specs):
 
 def _worst(pairs, tol: float, floor: float):
     """The (lhs, rhs) pair worst against its own gate, max(tol max(|lhs|, |rhs|), floor).
-    Of pairs that tie within _WORST_MARGIN, on the same side of the gate, the first is
-    given, so a change of the sides at rounding level keeps the pair."""
-    def over(pair):  # the residual in units of the gate
-        res = abs(pair[0] - pair[1])
-        gate = max(tol * max(abs(pair[0]), abs(pair[1])), floor)
-        return res / gate if gate > 0.0 else math.inf if res else 0.0
-    overs = [over(pair) for pair in pairs]
-    return next(pair for pair, o in zip(pairs, overs)
-                if o * (1.0 + _WORST_MARGIN) >= max(overs) and (o > 1.0) == (max(overs) > 1.0))
+    Of pairs that tie, on the same side of the gate, the first is given, so a change of the
+    sides at rounding level keeps the pair: a pair ties when its residual, grown by
+    _WORST_ROUNDING times its larger side, is within _WORST_MARGIN of the worst."""
+    overs = []  # each pair's residual over its gate, without and with the rounding slack
+    for lhs, rhs in pairs:
+        big = max(abs(lhs), abs(rhs))
+        res, gate = abs(lhs - rhs), max(tol * big, floor)
+        overs.append((res / gate, (res + _WORST_ROUNDING * big) / gate) if gate > 0.0
+                     else (math.inf,) * 2 if res else (0.0, 0.0))
+    worst = max(over for over, _ in overs)
+    return next(pair for pair, (over, tied) in zip(pairs, overs)
+                if (over > 1.0) == (worst > 1.0) and tied * (1.0 + _WORST_MARGIN) >= worst)
 
 
 def _cov(r: float, s: float) -> tuple:

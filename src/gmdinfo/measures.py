@@ -624,7 +624,7 @@ def _prefix_sums(w: np.ndarray, denom: np.ndarray, parts: list) -> np.ndarray:
     """A_t = the sum of w_i/denom_i over i < t, past parts, the sums of the blocks below, added
     exactly; this block's pairwise sum is appended to them.  The quotients, one place up, fill
     chains of 64 terms, each summed on its own and then offset once by the chains before it
-    and the blocks below, so no long running sum adds small terms to a large one."""
+    and the blocks below (if not 0), so no long running sum adds small terms to a large one."""
     m = w.shape[0]
     chains = np.zeros((-(-m // 64), 64))
     flat = chains.reshape(-1)
@@ -632,7 +632,10 @@ def _prefix_sums(w: np.ndarray, denom: np.ndarray, parts: list) -> np.ndarray:
     below = math.fsum(parts) if math.isfinite(sum(parts)) else sum(parts)  # fsum raises on inf
     parts.append(float(np.add.reduce(flat)) + float(w[-1] / denom[-1]))
     np.add.accumulate(chains, axis=1, out=chains)
-    chains += (np.concatenate(([0.0], np.add.accumulate(chains[:-1, -1]))) + below)[:, None]
+    if m > 64:
+        chains[1:] += (np.add.accumulate(chains[:-1, -1]) + below)[:, None]
+    if below:
+        chains[0] += below
     return flat[:m]
 
 

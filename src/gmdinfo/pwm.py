@@ -15,10 +15,10 @@ Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
 sample in blocks of ``_BLOCK`` ranks (``empirical._BLOCK``): no length-n
 array is made and nothing outlives the call.  A weight of integer order
 1..``_DEGREE`` on one side, b_r, a_s, u^r or (1-u)^s, is a polynomial in the
-rank.  A block reads it as non-negative coefficients times the dot
-products of x^p with the rows of one table of rank monomials,
-``_MONOMIALS``, made at import, so no weight is formed; the ranks where b_r
-or a_s is 0 are left out, not cancelled.  Real or mixed exponents and
+rank, read as non-negative coefficients times the moments of x^p against
+the rank monomials of ``_MONOMIALS`` (first and last block) or ``_TABLE``
+(the whole blocks, by matrix products), so no weight is formed; the ranks
+where b_r or a_s is 0 are left out, not cancelled.  Real or mixed exponents and
 higher orders form each power of u and 1-u and each b_r/a_s running-ratio
 product once per block.  ``measures._sample_values`` reads
 every sample PWM form through one walk.  The package's other sample
@@ -113,18 +113,29 @@ _MONOMIALS = np.array(list(itertools.accumulate([_RANKS / _BLOCK] * _DEGREE,
                                                 np.multiply)))
 #: each row reversed, for weights counted from the top
 _REVERSED = np.ascontiguousarray(_MONOMIALS[:, ::-1])
+#: ranks per row of the whole blocks' matrix products.  A GEMM sums a row in one sequence,
+#: whose errors on equal values all lean one way: so summed, a_3 was 3.1e-15 off exact
+#: rationals on tied data, so plain sums are pairwise; rows of 8192 were 4.0e-15 off even so
+_ROW = 1 << 9
+_CHUNK = 8 * _BLOCK  # ranks per matrix product: a chunk's x^2 is 512 KiB
+#: the columns [s, s^2, s^3, sbar, sbar^2, sbar^3], s = t/_ROW and sbar = (_ROW-1-t)/_ROW
+#: for a row's own ranks t, exact as _MONOMIALS is (24 KiB)
+_TABLE = np.column_stack([power for step in (_RANKS[:_ROW] / _ROW, _RANKS[_ROW - 1::-1] / _ROW)
+                          for power in itertools.accumulate([step] * _DEGREE, np.multiply)])
+_TABLE_SUMS = np.concatenate(([_ROW], _TABLE.sum(axis=0)))  # a row's moments of x^0, exact
 _MONOMIALS.flags.writeable = _REVERSED.flags.writeable = False
+_TABLE.flags.writeable = _TABLE_SUMS.flags.writeable = False
 
 
-def _coefficients(base, a, order: int, n: int, d: float) -> list:
-    """The coefficients, lowest first, of the weight (a, order) as a polynomial in t/_BLOCK
+def _coefficients(base, a, order: int, n: int, d: float, unit: int = _BLOCK) -> list:
+    """The coefficients, lowest first, of the weight (a, order) as a polynomial in t/unit
     on a span of ranks whose first, t = 0, is q = base from the weight's end; base may be
     an array, one per span.  Each factor (q + a)/d, or (q - j)/(n - 1 - j) when a is None,
-    is at0 + slope t/_BLOCK with at0 >= 0, so no coefficient is negative."""
+    is at0 + slope t/unit with at0 >= 0, so no coefficient is negative."""
     coef = [1.0]
     for j in range(order):
         div = n - 1.0 - j if a is None else d
-        at0, slope = (base + (-j if a is None else a)) / div, _BLOCK / div
+        at0, slope = (base + (-j if a is None else a)) / div, unit / div
         coef.append(slope * coef[-1])
         for i in range(j, 0, -1):
             coef[i] = at0 * coef[i] + slope * coef[i - 1]
@@ -164,16 +175,17 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
     min(_DEGREE, n) ranks at each end are added one by one, each term
     skipping the ranks where its own b_e or a_e is 0, so that no term's
     sum depends on the other terms of its walk; the spans start past them.
-    There every factor is non-negative, so on a span of a block the weight
-    is a polynomial in t/_BLOCK, t the span's own ranks, with non-negative
-    coefficients (_coefficients).  The span adds those coefficients times
-    the sums of x^p (t/_BLOCK)^j, x^p's dot products with the rows of
-    _MONOMIALS (_REVERSED from the top), each made once per block for all
-    the terms (_moments): no weight is formed.  The whole blocks between the first
-    and the last keep their sums, and each weight's coefficients on all of
-    them are taken at once after the walk.  Order 0 is a plain sum, and
-    real or mixed exponents and higher orders form their weights per block,
-    b_e and a_e as running ratio products.
+    There every factor is non-negative, so on a span of ranks the weight
+    is a polynomial in t/unit, t the span's own ranks, with non-negative
+    coefficients (_coefficients), times the sums of x^p (t/unit)^j: no
+    weight is formed.  In the first and the last block they are x^p's dot
+    products with the rows of _MONOMIALS (_REVERSED from the top), made
+    once per block for all the terms (_moments).  The whole blocks between
+    hold no edge rank: after the walk, one matrix product of x^p in rows of
+    _ROW ranks with _TABLE per _CHUNK ranks, and each row's pairwise sum,
+    give every row's sums at once.  Order 0 is a plain sum, and real or mixed
+    exponents and higher orders form their weights per block, b_e and a_e
+    as running ratio products.
     conv is one of ECDF_CONVENTIONS: the public doors check it.
     """
     n = values.shape[0]
@@ -211,8 +223,14 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                 w *= (q - j) / (n - 1.0 - j) if a is None else (q + a) / d
             for k, p in ks:
                 sums[k] += float(v ** p * w)
-    whole, inner = [], {key: [] for key in rows}  # the whole blocks' starts and sums
+    # the whole blocks, _BLOCK <= lo < last, hold no edge rank: their table terms and plain
+    # sums wait for the matrix products after the walk, and only the other terms visit them
+    last = (n - edge) // _BLOCK * _BLOCK
+    plain = {k: keys[0][1] for k, keys in factors if len(keys) == 1 and keys[0][0] == "x"}
     for lo in range(0, n, _BLOCK):
+        whole = _BLOCK <= lo < last
+        if whole and len(plain) == len(factors):
+            continue
         x = values[lo:lo + _BLOCK]
         hi = lo + x.shape[0]
         parts = {("x", 1): x}
@@ -238,12 +256,7 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                 parts[key] = value
             return parts[key]
 
-        if 0 < lo and hi <= n - edge:  # no edge rank: the sums wait
-            whole.append(lo)
-            for (p, top), j in rows.items():
-                inner[p, top].append(_moments(part(("x", p)), top, j, part(("sum", ("x", p))))
-                                     if p else _power_sums(_BLOCK, j))
-        elif weights:  # the spans past the edge ranks
+        if weights and not whole:  # the spans past the edge ranks
             spans, moments = ((max(lo, edge), hi), (lo, min(hi, n - edge))), {}
             for (top, a, e), ks in weights.items():
                 start, stop = spans[top]
@@ -261,6 +274,8 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                         got = moments[p, top] = _power_sums(stop - start, rows[p, top])
                     sums[k] += sum(map(operator.mul, coef, got))
         for k, keys in factors:
+            if whole and k in plain:
+                continue
             if len(keys) == 1:  # the sum the spans above made, if they did
                 total = parts.get(("sum", keys[0]))
                 sums[k] += float(part(keys[0]).sum()) if total is None else total
@@ -269,13 +284,25 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
             for key in keys[1:-1]:
                 y = y * part(key)
             sums[k] += float(np.dot(y, part(keys[-1])))
-    if whole:  # row j of a weight's coefficients times row j of its terms' sums
-        starts = np.array(whole, dtype=float)
-        moments = {key: np.array(got).T.copy() for key, got in inner.items()}
-        for (top, a, e), ks in weights.items():
-            coef = np.array([np.broadcast_to(cj, starts.shape) for cj in
-                             _coefficients(n - _BLOCK - starts if top else starts, a, e, n, d)])
+    if last > _BLOCK:  # each row's moments of x^p: its pairwise sum and one matrix product
+        table = {p for p, _ in rows}  # the powers of x that a table term reads
+        chunks = {p: [] for p in table | set(plain.values()) if p}
+        for lo in range(_BLOCK, last, _CHUNK):
+            x = values[lo:min(lo + _CHUNK, last)]
+            for p, got in chunks.items():
+                y = (x if p == 1 else x ** p).reshape(-1, _ROW)
+                total = np.add.reduce(y, axis=1)
+                got.append(np.column_stack((total, y @ _TABLE)) if p in table else total[:, None])
+        starts = np.arange(_BLOCK, last, _ROW, dtype=float)
+        moments = {p: np.concatenate(got).T for p, got in chunks.items()}
+        moments[0] = np.broadcast_to(_TABLE_SUMS[:, None], (_TABLE_SUMS.shape[0], starts.shape[0]))
+        for (top, a, e), ks in weights.items():  # row j of the coefficients times moment j
+            coef = _coefficients(n - _ROW - starts if top else starts, a, e, n, d, _ROW)
+            coef = np.array([np.broadcast_to(cj, starts.shape) for cj in coef])
             for k, p in ks:
-                sums[k] += float((coef * moments[p, top][:e + 1]).sum())  # no BLAS call
+                got = moments[p][[0, *range(1 + _DEGREE * top, 1 + _DEGREE * top + e)]]
+                sums[k] += float((coef * got).sum())
+        for k, p in plain.items():
+            sums[k] += float(moments[p][0].sum())
     return [total / n for total in sums]
 

@@ -2,6 +2,7 @@
 machine-precision checks for the exact sample identities, and residual
 shrinkage for the asymptotic ones."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -305,6 +306,19 @@ class TestRelativeGate:
         """Residuals 1 -+ 1e-10 times their gates: they tie, but only the second fails."""
         pairs = [(1.0, 1.0 / (1.0 - 0.05 * (1.0 + sign * 1e-10))) for sign in (-1.0, 1.0)]
         assert _worst(pairs, 0.05, 0.0) == pairs[1]
+
+    def test_i9_pair_keeps_through_rounding_level_residuals(self):
+        """I9's exact-sample residuals sit at 0, 2.2e-16 and 4.4e-16, whole factors apart:
+        either pair's residual moved among them, the report keeps the first pair."""
+        sample = make_sample(np.random.default_rng(4).exponential(1.0, 10**5))
+        identity = BY_ID["I9"]
+        (lhs0, _), (lhs1, _) = identity.sample_sides(sample, "hazen")
+        for res0 in (0.0, 2.2e-16, 4.4e-16):
+            for res1 in (0.0, 2.2e-16, 4.4e-16):
+                pairs = [(lhs0, lhs0 - res0), (lhs1, lhs1 - res1)]
+                report = verify(dataclasses.replace(identity, sample_sides=lambda s, c: pairs),
+                                sample)
+                assert report.passed and (report.lhs, report.rhs) == pairs[0], (res0, res1)
 
     def test_model_mean_that_overflows_is_named(self):
         with pytest.raises(NonFiniteError, match=r"^I1: the mean of weibull\(shape=0.005, "):

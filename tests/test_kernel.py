@@ -65,6 +65,8 @@ from oracles import (
 
 B = _BLOCK
 SIZES = (1, 2, B - 1, B, B + 1, 2 * B + 3)
+#: more whole blocks than one matrix product takes, and a last block past the last full row
+CHUNKED = 9 * B + 517
 REL = 1e-12
 
 
@@ -114,7 +116,7 @@ def test_exact_terms_match_full_array(n, ties, seed, orders):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40, B - 1, B, B + 1, 2 * B + 1, 2 * B + 2,
-                               2 * B + 3])
+                               2 * B + 3, CHUNKED])
 @pytest.mark.parametrize("kind", ["continuous", "ties", "huge-top"])
 def test_exact_terms_match_binomial_fractions(n, kind):
     """b_r and a_s to 1e-15 of exact rationals.  With the top three values at 1e28-1e30, a_s
@@ -197,6 +199,19 @@ def test_values_near_the_largest_float_stay_finite_and_exact(conv):
 
 
 @pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
+def test_chunked_plugin_terms_match_exact_rationals(conv):
+    """One-sided integer plug-ins of x^0, x^1 and x^2 at both ends, to 1e-15 of exact rationals
+    at an n whose whole blocks take two matrix products, on tied data, where every rank of a
+    row can hold the same value."""
+    x = data(CHUNKED, True, 12)
+    powers = {p: [Fraction(v) ** p for v in x] for p in (0, 1, 2)}
+    terms = [(p, r, s, False) for p in (0, 1, 2) for r, s in ((3, 0), (0, 3), (1, 0), (0, 2))]
+    for (p, r, s, _), got in zip(terms, _rank_sums(x, conv, terms)):
+        want = exact_plugin_mean(powers[p], r, s, conv)
+        assert abs(got - want) <= 1e-15 * want, (p, r, s, got, want)
+
+
+@pytest.mark.parametrize("conv", ECDF_CONVENTIONS)
 def test_one_minus_u_past_the_table_is_exact(conv):
     """(1-u)^s of an order past the monomial table is formed per block from 1 - u, which is
     made from the ranks as u is; as 1.0 - u it lost about n eps of its relative accuracy at
@@ -212,11 +227,19 @@ def test_one_minus_u_past_the_table_is_exact(conv):
             assert abs(got - want) <= 1e-15 * want, (s, got, want)
 
 def test_the_monomial_table_is_exact():
-    """(t/B)^j is t^j over a power of 2, so the table holds it exactly, and reversed."""
+    """(t/B)^j is t^j over a power of 2, so the table holds it exactly, and reversed; so does
+    the whole blocks' row table, with its column sums."""
     t = np.arange(B, dtype=float)
     for j in range(1, _DEGREE + 1):
         assert np.array_equal(pwm._MONOMIALS[j - 1] * float(B) ** j, t**j)
         assert np.array_equal(pwm._REVERSED[j - 1], pwm._MONOMIALS[j - 1][::-1])
+    row = pwm._ROW
+    t = np.arange(row, dtype=float)
+    assert pwm._TABLE.shape == (row, 2 * _DEGREE) and pwm._TABLE_SUMS[0] == row
+    for j in range(1, _DEGREE + 1):
+        for column, ranks in ((j - 1, t), (_DEGREE + j - 1, t[::-1])):
+            assert np.array_equal(pwm._TABLE[:, column] * float(row) ** j, ranks**j)
+            assert pwm._TABLE_SUMS[column + 1] * row**j == sum(int(k) ** j for k in ranks)
 
 
 @pytest.mark.parametrize("n", [B - 1, B + 1, 3 * B + 5])
@@ -532,7 +555,7 @@ _FORMS = ([MeasureSpec(mid, **_PARAMS.get(mid, {})) for mid in PWM_FORM_IDS
              MeasureSpec("pwm", p=2, s=3.0), MeasureSpec("pwm", p=0, r=1.0)])
 
 
-@pytest.mark.parametrize("n", [2, 5, B - 1, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("n", [2, 5, B - 1, B + 1, 2 * B + 3, CHUNKED])
 @pytest.mark.parametrize("ties", [False, True])
 def test_one_walk_of_every_form_is_each_form_alone(n, ties):
     """Bit for bit: the kernel adds the same min(_DEGREE, n) ranks one by one at each end of
@@ -541,6 +564,18 @@ def test_one_walk_of_every_form_is_each_form_alone(n, ties):
     for conv in ECDF_CONVENTIONS:
         together = _sample_values(sample.values, _FORMS, conv)
         assert together == [measure_sample(sample, spec, conv) for spec in _FORMS], conv
+
+
+def test_whole_blocks_make_no_per_block_dot_products(monkeypatch):
+    """Table terms read the whole blocks from one matrix product per chunk of rows: the
+    per-block moments are made on the first and the last block only, whatever n is."""
+    calls = _count_calls(monkeypatch, pwm, "_moments")
+    terms = [(p, e, 0, False) for p in (1, 2) for e in (1, 3)] + [(1, 2, 0, True), (1, 0, 3, True),
+                                                                    (2, 0, 2, False)]
+    for n in (3 * B + 7, CHUNKED, 30 * B + 5):
+        calls.clear()
+        _rank_sums(data(n, False, n), "hazen", terms)
+        assert len(calls) == 2 * 4, n  # (p, top) = (1 or 2, bottom or top)
 
 
 def test_gmd_via_pwm_is_one_walk(walks):
@@ -591,6 +626,24 @@ _EVERY_KIND = ([(1, e, 0, True) for e in range(6)] + [(1, 0, e, True) for e in r
                + [(p, e, 0, False) for p in (0, 1, 2) for e in range(5)]
                + [(p, 0, e, False) for p in (0, 1, 2) for e in range(1, 5)]
                + [(1, 1.5, 0, False), (2, 0, 0.5, False), (1, 1, 1, False), (0, 2, 0.5, False)])
+
+
+def test_kernel_means_do_not_depend_on_blas_threads():
+    """Bit for bit, whether OpenBLAS may split the whole blocks' matrix products across one,
+    two or four threads: at an n of two products and a partial row, every kind of term."""
+    script = ("import numpy as np; from gmdinfo.pwm import _rank_sums\n"
+              f"x = np.sort(np.random.default_rng(3).pareto(3.0, {CHUNKED}) + 1.0)\n"
+              "for conv in ('hazen', 'naive', 'mean-rank'):\n"
+              f"    print(repr(_rank_sums(x, conv, {_EVERY_KIND!r})))\n")
+    means = []
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=False)
+        assert res.returncode == 0, res.stderr
+        means.append(res.stdout)
+    assert means[0] == means[1] == means[2]
+    assert means[0].count("\n") == 3
 
 
 def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
