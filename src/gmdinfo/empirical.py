@@ -34,11 +34,11 @@ __all__ = [
 #: of this length (64 KiB) stays in cache, where a length-n one is fresh
 #: memory each time.  The walks call BLAS as np.dot of two 1-D arrays of at
 #: most this length, one thread up to 10,000 elements in OpenBLAS, and as the
-#: PWM kernel's matrix products, x^p in rows of 512 ranks times pwm._TABLE,
-#: which OpenBLAS may split across threads but not along a row: the means
-#: were measured identical under 1, 2, 4 and 8 threads, and tests/test_kernel.py
-#: checks them to the bit under 1, 2 and 4.  A power of 2, so the rows
-#: (t/_BLOCK)^j of pwm._MONOMIALS are exact
+#: row products of pwm._row_moments (x^p or its steps in rows of 512 ranks times
+#: a table), which OpenBLAS may split across threads but not along a row: the
+#: kernel's means, the step sums and the rank-linear sums were measured identical
+#: under 1, 2, 4 and 8 threads and are tested to the bit under 1, 2 and 4.  A
+#: power of 2, so the rows (t/_BLOCK)^j of pwm._MONOMIALS are exact
 _BLOCK = 1 << 13
 #: the ranks 0.0 .. _BLOCK - 1 of every walk's rank arrays: first +- t is exact, as an arange
 _RANKS = np.arange(_BLOCK, dtype=float)

@@ -12,7 +12,7 @@ hand (Fubini).  At sample level the two sides use different estimator
 constructions (order-statistic weights vs step-ECDF integrals vs
 double-loop means).  The PWM forms of a side, its covariances among them,
 are read by ``measures._sample_values`` from one kernel walk; the
-step-ECDF sides of I10 and I11 are a walk of their own, ``_step_sums``.
+step-ECDF sides of I10 and I11 are a row-product walk of their own, ``_step_sums``.
 
 Exactness classes:
 
@@ -56,6 +56,7 @@ from .measures import (
     pairwise_min_mean,
 )
 from .models import ParametricModel, _margin
+from .pwm import _ROW, _STEP_ROWS_FROM, _STEP_TABLE, _coefficients, _row_moments
 from .population import _QDomain, _XDomain, _measure_population, measure_population
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -160,34 +161,43 @@ def _cov(r: float, s: float) -> tuple:
     return (lambda M, r, s: M(1, r, s) - M(1, 0, 0) * M(0, r, s)), (r, s), f"cov({r:g}, {s:g})"
 
 
-def _step_sums(values: np.ndarray, gaps) -> list:
-    """(sum dx_i g_i, sum 1/2 d(x^2)_i g_i) of every g that gaps makes of a block's levels
-    F_i = i/n and G_i = (n - i)/n, each from the ranks, over the n-1 steps dx_i = x_(i+1) -
-    x_(i) of the naive step ECDF of sorted values, walked in blocks of _BLOCK ranks."""
-    n, steps = values.shape[0], []
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        j = 1 if lo == 0 else 0  # the first step lies between ranks 1 and 2
-        xs = values[lo + j - 1:hi]  # one value of overlap with the block before
+def _step_sums(values: np.ndarray, monomials=((1, 1), (1, 2), (2, 1))) -> list:
+    """(sum dx_i g_i, sum 1/2 d(x^2)_i g_i) of each monomial g = F^a G^b, (a, b) in monomials,
+    1 <= a, b and a + b <= 3, of F_i = i/n and G_i = (n - i)/n over the n-1 steps dx_i =
+    x_(i+1) - x_(i) of the naive step ECDF of sorted values.  From _STEP_ROWS_FROM values up,
+    each whole row of _ROW steps from step j reads them from _row_moments: there F = (j + t)/n
+    and G = (n - j - t)/n are linear in s and sbar with coefficients >= 0 (_coefficients), so g
+    is too in the s^i sbar^j of _STEP_TABLE.  Other steps go in blocks, g formed from the ranks."""
+    n = values.shape[0]
+    rows = (n - 1) // _ROW * _ROW if n >= _STEP_ROWS_FROM else 0  # the steps 1..rows
+    sums = [[0.0, 0.0] for _ in monomials]
+    if rows:  # (dx or d(x^2), column 3i + j, row)
+        moments = np.stack(list(_row_moments(values, 1, 1 + rows, {1: _STEP_TABLE, 2: _STEP_TABLE},
+                                             steps=True).values()))
+        first = np.arange(1.0, 1.0 + rows, _ROW)
+        F, G = ([_coefficients(base, 0.0, e, n, n, _ROW) for e in range(3)]
+                for base in (first, n + 1.0 - _ROW - first))
+        for got, (a, b) in zip(sums, monomials):
+            got[:] = np.add.reduce([f * g * moments[:, 3 * i + j] for i, f in enumerate(F[a])
+                                    for j, g in enumerate(G[b])], axis=(0, 2)).tolist()
+    for lo in range(rows // _BLOCK * _BLOCK, n, _BLOCK):
+        start, hi = max(lo, rows + 1), min(lo + _BLOCK, n)  # step 1 lies between ranks 1 and 2
+        xs = values[start - 1:hi]  # one value of overlap with the steps before
         dx, dx2 = np.diff(xs), np.diff(xs * xs)
-        m = hi - lo - j
-        for k, g in enumerate(gaps(_ranks(lo + j, m) / n, _ranks(n - lo - j, m, down=True) / n)):
-            if k == len(steps):  # the first block
-                steps.append([0.0, 0.0])
-            steps[k][0] += float(np.dot(dx, g))
-            steps[k][1] += float(np.dot(dx2, g))
-    return [(dx, 0.5 * dx2) for dx, dx2 in steps]
+        F, G = _ranks(start, hi - start) / n, _ranks(n - start, hi - start, down=True) / n
+        GF = G * F
+        for got, (a, b) in zip(sums, monomials):
+            g = GF if a == b else GF * (G if b > a else F)
+            got[:] = got[0] + float(np.dot(dx, g)), got[1] + float(np.dot(dx2, g))
+    return [(dx, 0.5 * dx2) for dx, dx2 in sums]
 
 
 def _family_pairs(s, conv, specs, orders):
     """I10/I11: per order (k, l), 1 <= k < l <= 3, int g(F_hat) dx and int x g(F_hat) dx (naive
     step ECDF) of its survival-side and distribution-side gaps g, over l - k, against its four
     measures.  The gaps are (1-F)^k - (1-F)^l = F sum_{k<=i<l} G^i, G = 1 - F, and F^k - F^l =
-    G sum_{k<=i<l} F^i: each a sum of the step sums of G F, G^2 F and F^2 G, no difference."""
-    def monomials(F, G):
-        GF = G * F
-        return GF, GF * G, GF * F
-    values, steps = _sample_values(s.values, specs, conv), _step_sums(s.values, monomials)
+    G sum_{k<=i<l} F^i: each a sum of the step sums of F G, F G^2 and F^2 G, no difference."""
+    values, steps = _sample_values(s.values, specs, conv), _step_sums(s.values)
     sides = [sum(steps[0 if i == 1 else m][x] for i in range(k, l)) / (l - k)
              for k, l in orders for x in (0, 1) for m in (1, 2)]  # surv, dist, surv_x, dist_x
     return [(side, value) for side, (value, _) in zip(sides, values)]

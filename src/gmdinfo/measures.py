@@ -50,8 +50,9 @@ among them, has one sample estimator: its form, with every moment read
 by the one estimator ``_sample_values`` chooses for the whole form.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
-pairwise means through ``_rank_dot``, ge as an L-statistic whose weights
-hold no phi (``_ge_values``) and gce through phi's running sum (``_runs``).
+pairwise means through ``_rank_dot`` (both by ``pwm._row_moments`` in rows),
+ge as an L-statistic whose weights hold no phi (``_ge_values``) and gce
+through phi's running sum (``_runs``).
 """
 
 import math
@@ -69,7 +70,7 @@ from .errors import (
     FewerThanTwoError,
     NonFiniteError,
 )
-from .pwm import PwmIndex, _rank_sums
+from .pwm import _ROW, _RANK_ROWS_FROM, _STEP_TABLE, PwmIndex, _rank_sums, _row_moments
 
 __all__ = [
     "WeightSelector",
@@ -98,6 +99,7 @@ __all__ = [
 
 #: 1 - 2^-40: _power_over_complement's 2F1 is not evaluated beyond this
 _HYP_CAP = 1.0 - 2.0**-40
+_NORMAL = np.finfo(float).tiny  # the smallest normal float: Q/P overflows only below it
 
 
 def _power_over_complement(j: float, x, y):
@@ -131,8 +133,12 @@ def _power_difference(P, Q, a: float, b: float):
     exactly 0^a - 0^b at P = 0.
     """
     low, high = sorted((a, b))
-    with np.errstate(divide="ignore", over="ignore"):  # Q/0 = inf: log 0 = -inf
-        d = (P if low == 1 else P**low) * -np.expm1((low - high) * np.log1p(Q / P))
+    if np.minimum.reduce(P, axis=None) >= _NORMAL and high - low < 1e300:  # nothing overflows
+        exponent = (low - high) * np.log1p(Q / P)
+    else:
+        with np.errstate(divide="ignore", over="ignore"):  # Q/0 = inf: log 0 = -inf
+            exponent = (low - high) * np.log1p(Q / P)
+    d = (P if low == 1 else P**low) * -np.expm1(exponent)
     return d if a < b else -d
 
 
@@ -461,9 +467,17 @@ class MeasureSpec:
 
 
 def _rank_dot(values: np.ndarray, first: float, down: bool = False, power: float = 1.0) -> float:
-    """sum_k (first + k, or first - k when down) values[k]^power over k < m, in blocks."""
-    total = 0.0
-    for lo in range(0, values.shape[0], _BLOCK):
+    """sum_k (first + k, or first - k when down) values[k]^power over k < m.  From
+    _RANK_ROWS_FROM values up, each whole row from rank k0 is its pairwise sum times first + k0
+    (or first + 1 - _ROW - k0) plus _ROW times its moment of s (or sbar); the rest by blocks."""
+    m, total = values.shape[0], 0.0
+    rows = m // _ROW * _ROW if m >= _RANK_ROWS_FROM else 0
+    if rows:
+        k0 = np.arange(0.0, rows, _ROW)
+        at0, column = (first + 1.0 - _ROW - k0, slice(0, 1)) if down else (first + k0, slice(2, 3))
+        got = _row_moments(values, 0, rows, {power: _STEP_TABLE[:, column]})[power]
+        total = float((at0 * got[0] + _ROW * got[1]).sum())
+    for lo in range(rows, m, _BLOCK):
         x = values[lo:lo + _BLOCK]
         ranks = _ranks(first - lo if down else first + lo, x.shape[0], down)
         total += float(np.dot(ranks, x if power == 1.0 else x**power))

@@ -17,10 +17,10 @@ array is made and nothing outlives the call.  A weight of integer order
 1..``_DEGREE`` on one side, b_r, a_s, u^r or (1-u)^s, is a polynomial in the
 rank, read as non-negative coefficients times the moments of x^p against
 the rank monomials of ``_MONOMIALS`` (first and last block) or ``_TABLE``
-(the whole blocks, by matrix products), so no weight is formed; the ranks
-where b_r or a_s is 0 are left out, not cancelled.  Real or mixed exponents and
-higher orders form each power of u and 1-u and each b_r/a_s running-ratio
-product once per block.  ``measures._sample_values`` reads
+(the whole blocks, by ``_row_moments``' row products), so no weight is formed;
+the ranks where b_r or a_s is 0 are left out, not cancelled.  Real or mixed
+exponents and higher orders form each power of u and 1-u and each b_r/a_s
+running-ratio product once per block.  ``measures._sample_values`` reads
 every sample PWM form through one walk.  The package's other sample
 estimators walk the same blocks, so no sample estimator makes a length-n
 array.
@@ -118,12 +118,15 @@ _REVERSED = np.ascontiguousarray(_MONOMIALS[:, ::-1])
 #: rationals on tied data, so plain sums are pairwise; rows of 8192 were 4.0e-15 off even so
 _ROW = 1 << 9
 _CHUNK = 8 * _BLOCK  # ranks per matrix product: a chunk's x^2 is 512 KiB
-#: the columns [s, s^2, s^3, sbar, sbar^2, sbar^3], s = t/_ROW and sbar = (_ROW-1-t)/_ROW
-#: for a row's own ranks t, exact as _MONOMIALS is (24 KiB)
-_TABLE = np.column_stack([power for step in (_RANKS[:_ROW] / _ROW, _RANKS[_ROW - 1::-1] / _ROW)
+_STEP_ROWS_FROM, _RANK_ROWS_FROM = 3 * _BLOCK, 6 * _BLOCK  # below, blocks are as fast (measured)
+_S, _SBAR = _RANKS[:_ROW] / _ROW, _RANKS[_ROW - 1::-1] / _ROW  # s = t/_ROW, sbar = 1 - (t+1)/_ROW
+#: the columns [s, s^2, s^3, sbar, sbar^2, sbar^3], exact as _MONOMIALS is (24 KiB)
+_TABLE = np.column_stack([power for step in (_S, _SBAR)
                           for power in itertools.accumulate([step] * _DEGREE, np.multiply)])
 _TABLE_SUMS = np.concatenate(([_ROW], _TABLE.sum(axis=0)))  # a row's moments of x^0, exact
-_MONOMIALS.flags.writeable = _REVERSED.flags.writeable = False
+#: column 3i + j - 1 is s^i sbar^j, i, j <= 2 and 0 < i + j <= 3, exact too (28 KiB)
+_STEP_TABLE = np.column_stack([_S ** (c // 3) * _SBAR ** (c % 3) for c in range(1, 8)])
+_MONOMIALS.flags.writeable = _REVERSED.flags.writeable = _STEP_TABLE.flags.writeable = False
 _TABLE.flags.writeable = _TABLE_SUMS.flags.writeable = False
 
 
@@ -159,6 +162,24 @@ def _moments(y, top: bool, degree: int, total: float) -> list:
     for j in range(degree):
         out.append(float(y.dot(_REVERSED[j, -length:] if top else _MONOMIALS[j, :length])))
     return out
+
+
+def _row_moments(values: np.ndarray, lo: int, hi: int, tables: dict, steps: bool = False) -> dict:
+    """{p: (1 + columns, rows) array}, p -> table in tables: for each _ROW-rank row of x_(k)^p,
+    lo <= k < hi, or of its steps x_(k)^p - x_(k-1)^p, its pairwise sum and its products with
+    table's columns (None: the sum alone); a matrix product per _CHUNK ranks, x^p and the steps
+    formed in buffers that every chunk reuses."""
+    out, size = {p: [] for p in tables}, min(_CHUNK, hi - lo)
+    power, step = (np.empty(size + steps) if set(tables) != {1} else None), np.empty(size * steps)
+    for start in range(lo, hi, _CHUNK):
+        x = values[start - steps:min(start + _CHUNK, hi)]
+        for p, table in tables.items():
+            y = (x if p == 1 else np.square(x, out=power[:len(x)]) if p == 2
+                 else np.power(x, p, out=power[:len(x)]))
+            y = (np.subtract(y[1:], y[:-1], out=step[:len(y) - 1]) if steps else y).reshape(-1, _ROW)
+            total = np.add.reduce(y, axis=1)
+            out[p].append(total[:, None] if table is None else np.column_stack((total, y @ table)))
+    return {p: np.concatenate(got).T for p, got in out.items()}
 
 
 def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
@@ -286,15 +307,9 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
             sums[k] += float(np.dot(y, part(keys[-1])))
     if last > _BLOCK:  # each row's moments of x^p: its pairwise sum and one matrix product
         table = {p for p, _ in rows}  # the powers of x that a table term reads
-        chunks = {p: [] for p in table | set(plain.values()) if p}
-        for lo in range(_BLOCK, last, _CHUNK):
-            x = values[lo:min(lo + _CHUNK, last)]
-            for p, got in chunks.items():
-                y = (x if p == 1 else x ** p).reshape(-1, _ROW)
-                total = np.add.reduce(y, axis=1)
-                got.append(np.column_stack((total, y @ _TABLE)) if p in table else total[:, None])
+        moments = _row_moments(values, _BLOCK, last, {p: _TABLE if p in table else None
+                                                      for p in table | set(plain.values()) if p})
         starts = np.arange(_BLOCK, last, _ROW, dtype=float)
-        moments = {p: np.concatenate(got).T for p, got in chunks.items()}
         moments[0] = np.broadcast_to(_TABLE_SUMS[:, None], (_TABLE_SUMS.shape[0], starts.shape[0]))
         for (top, a, e), ks in weights.items():  # row j of the coefficients times moment j
             coef = _coefficients(n - _ROW - starts if top else starts, a, e, n, d, _ROW)

@@ -362,9 +362,12 @@ class TestPowerDifference:
                     assert got == pytest.approx(want, rel=1e-14, abs=0.0), (level, p < q)
 
     def test_ends_are_exact_and_warning_free(self):
-        zero, one = np.array([0.0]), np.array([1.0])
+        """At P = 0 and at the smallest subnormal P, where Q/P divides by 0 or overflows, and
+        at P = 1, with no RuntimeWarning (the suite makes one an error)."""
+        zero, tiny, one = np.array([0.0]), np.array([5e-324]), np.array([1.0])
         for a, b in self.ORDERS:
             assert measures_module._power_difference(zero, one, a, b)[0] == 0.0**a - 0.0**b
+            assert measures_module._power_difference(tiny, one, a, b)[0] == 5e-324**a - 5e-324**b
             assert measures_module._power_difference(one, zero, a, b)[0] == 0.0
 
 
