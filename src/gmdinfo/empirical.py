@@ -38,7 +38,7 @@ __all__ = [
 #: a table), which OpenBLAS may split across threads but not along a row: the
 #: kernel's means, the step sums and the rank-linear sums were measured identical
 #: under 1, 2, 4 and 8 threads and are tested to the bit under 1, 2 and 4.  A
-#: power of 2, so the rows (t/_BLOCK)^j of pwm._MONOMIALS are exact
+#: power of 2, so a chunk of blocks is whole rows of pwm._ROW ranks
 _BLOCK = 1 << 13
 #: the ranks 0.0 .. _BLOCK - 1 of every walk's rank arrays: first +- t is exact, as an arange
 _RANKS = np.arange(_BLOCK, dtype=float)

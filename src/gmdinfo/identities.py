@@ -175,7 +175,7 @@ def _step_sums(values: np.ndarray, monomials=((1, 1), (1, 2), (2, 1))) -> list:
         moments = np.stack(list(_row_moments(values, 1, 1 + rows, {1: _STEP_TABLE, 2: _STEP_TABLE},
                                              steps=True).values()))
         first = np.arange(1.0, 1.0 + rows, _ROW)
-        F, G = ([_coefficients(base, 0.0, e, n, n, _ROW) for e in range(3)]
+        F, G = ([_coefficients(base, 0.0, e, n, n) for e in range(3)]
                 for base in (first, n + 1.0 - _ROW - first))
         for got, (a, b) in zip(sums, monomials):
             got[:] = np.add.reduce([f * g * moments[:, 3 * i + j] for i, f in enumerate(F[a])

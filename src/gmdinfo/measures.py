@@ -50,9 +50,10 @@ among them, has one sample estimator: its form, with every moment read
 by the one estimator ``_sample_values`` chooses for the whole form.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
-pairwise means through ``_rank_dot`` (both by ``pwm._row_moments`` in rows),
-ge as an L-statistic whose weights hold no phi (``_ge_values``) and gce
-through phi's running sum (``_runs``).
+pairwise means through ``_rank_dot`` (both by ``pwm._row_moments`` in rows
+once a sample is large), ge as an L-statistic whose weights hold no phi
+(``_ge_values``, its A summed in short chains by ``_prefix_sums``) and gce
+through phi's running sum, carried as one float (``_runs``).
 """
 
 import math
@@ -130,14 +131,16 @@ def _power_difference(P, Q, a: float, b: float):
 
     +-P^low (1 - P^(high - low)), the bracket as -expm1((high - low) log P)
     with log P = -log1p(Q/P), as 1/P = 1 + Q/P: accurate for every P, and
-    exactly 0^a - 0^b at P = 0.
+    exactly 0^a - 0^b at P = 0.  Where Q/P overflows (subnormal P, Q = 1)
+    log P is log(P) itself.
     """
     low, high = sorted((a, b))
     if np.minimum.reduce(P, axis=None) >= _NORMAL and high - low < 1e300:  # nothing overflows
         exponent = (low - high) * np.log1p(Q / P)
     else:
         with np.errstate(divide="ignore", over="ignore"):  # Q/0 = inf: log 0 = -inf
-            exponent = (low - high) * np.log1p(Q / P)
+            ratio = Q / P
+            exponent = (low - high) * np.where(np.isinf(ratio), -np.log(P), np.log1p(ratio))
     d = (P if low == 1 else P**low) * -np.expm1(exponent)
     return d if a < b else -d
 
@@ -637,16 +640,16 @@ def _runs(x: np.ndarray, lo: int, hi: int):
 def _prefix_sums(w: np.ndarray, denom: np.ndarray, parts: list) -> np.ndarray:
     """A_t = the sum of w_i/denom_i over i < t, past parts, the sums of the blocks below, added
     exactly; this block's pairwise sum is appended to them.  The quotients, one place up, fill
-    chains of 64 terms, each summed on its own and then offset once by the chains before it
+    chains of 32 terms, each summed on its own and then offset once by the chains before it
     and the blocks below (if not 0), so no long running sum adds small terms to a large one."""
     m = w.shape[0]
-    chains = np.zeros((-(-m // 64), 64))
+    chains = np.zeros((-(-m // 32), 32))
     flat = chains.reshape(-1)
     np.divide(w[:-1], denom[:-1], out=flat[1:m])
     below = math.fsum(parts) if math.isfinite(sum(parts)) else sum(parts)  # fsum raises on inf
     parts.append(float(np.add.reduce(flat)) + float(w[-1] / denom[-1]))
     np.add.accumulate(chains, axis=1, out=chains)
-    if m > 64:
+    if m > 32:
         chains[1:] += (np.add.accumulate(chains[:-1, -1]) + below)[:, None]
     if below:
         chains[0] += below

@@ -15,21 +15,20 @@ Every sample route is an L-statistic (1/n) sum_i x_(i)^p w_i.  The kernel
 sample in blocks of ``_BLOCK`` ranks (``empirical._BLOCK``): no length-n
 array is made and nothing outlives the call.  A weight of integer order
 1..``_DEGREE`` on one side, b_r, a_s, u^r or (1-u)^s, is a polynomial in the
-rank, read as non-negative coefficients times the moments of x^p against
-the rank monomials of ``_MONOMIALS`` (first and last block) or ``_TABLE``
-(the whole blocks, by ``_row_moments``' row products), so no weight is formed;
-the ranks where b_r or a_s is 0 are left out, not cancelled.  Real or mixed
-exponents and higher orders form each power of u and 1-u and each b_r/a_s
-running-ratio product once per block.  ``measures._sample_values`` reads
-every sample PWM form through one walk.  The package's other sample
-estimators walk the same blocks, so no sample estimator makes a length-n
-array.
+rank.  From ``_TABLE_ROWS_FROM`` whole rows of ``_ROW`` ranks on, the rows
+between the ``_DEGREE`` ranks at each end are read by ``_row_moments``'
+row products: non-negative coefficients times the moments of x^p against
+the columns of ``_TABLE``, so no weight is formed there.  Every other rank,
+and every rank of real or mixed exponents and higher orders, forms each
+power of u and 1-u and each b_r/a_s running-ratio product once per block;
+the ranks where b_r or a_s is 0 get a weight of exactly 0.
+``measures._sample_values`` reads every sample PWM form through one walk.
+The package's other sample estimators walk the same blocks, so no sample
+estimator makes a length-n array.
 """
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +82,9 @@ def pwm_unbiased_beta(sample: Sample, r) -> float:
     """Unbiased b_r for M_{1,r,0}, integer r >= 0.
 
     b_r = (1/n) sum_{i} x_(i) * (i-1)(i-2)...(i-r) / [(n-1)...(n-r)];
-    the weight vanishes for i <= r, and those ranks are left out.  Up to
-    order _DEGREE the weight is read from the monomial table; above it,
-    the product is built as running ratios, one order at a time, so no
+    the weight vanishes for i <= r, where it is exactly 0.  Up to order
+    _DEGREE the rows of a large sample read it from the row table; else the
+    product is built as running ratios, one order at a time, so no
     intermediate overflows for large n and any order up to n - 1 works.
     """
     return _rank_sums(sample.values, "hazen", [(1, _check_integer_order("r", r), 0, True)])[0]
@@ -95,7 +94,7 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
     """Unbiased a_s for M_{1,0,s}, integer s >= 0.
 
     a_s = (1/n) sum_{i} x_(i) * (n-i)(n-i-1)...(n-i-s+1) / [(n-1)...(n-s)];
-    the weight vanishes for i > n - s, and those ranks are left out.
+    the weight vanishes for i > n - s, where it is exactly 0.
     """
     return _rank_sums(sample.values, "hazen", [(1, 0, _check_integer_order("s", s), True)])[0]
 
@@ -104,64 +103,42 @@ def pwm_unbiased_alpha(sample: Sample, s) -> float:
 # the sample kernel
 
 
-#: the highest integer order whose weights _rank_sums reads from _MONOMIALS
+#: the highest integer order whose one-sided weights _rank_sums reads from _TABLE
 _DEGREE = 3
-#: row j - 1 is (t/_BLOCK)^j for t = 0.._BLOCK-1 and j = 1.._DEGREE, by multiplication: exact,
-#: as _BLOCK is a power of 2, and at most 1, so a value times it overflows only where the
-#: value does (row j = 0, all ones, is a plain sum)
-_MONOMIALS = np.array(list(itertools.accumulate([_RANKS / _BLOCK] * _DEGREE,
-                                                np.multiply)))
-#: each row reversed, for weights counted from the top
-_REVERSED = np.ascontiguousarray(_MONOMIALS[:, ::-1])
-#: ranks per row of the whole blocks' matrix products.  A GEMM sums a row in one sequence,
-#: whose errors on equal values all lean one way: so summed, a_3 was 3.1e-15 off exact
-#: rationals on tied data, so plain sums are pairwise; rows of 8192 were 4.0e-15 off even so
+#: ranks per row of the row products.  A GEMM sums a row in one sequence, whose errors on
+#: equal values all lean one way: so summed, a_3 was 3.1e-15 off exact rationals on tied
+#: data, so plain sums are pairwise; rows of 8192 were 4.0e-15 off even so
 _ROW = 1 << 9
 _CHUNK = 8 * _BLOCK  # ranks per matrix product: a chunk's x^2 is 512 KiB
-_STEP_ROWS_FROM, _RANK_ROWS_FROM = 3 * _BLOCK, 6 * _BLOCK  # below, blocks are as fast (measured)
+#: the sizes from which the walks read rows, measured: below them the blocks are as fast or
+#: faster.  The step sums and the rank-linear sums from this many ranks, the kernel from this
+#: many whole rows between its end ranks
+_STEP_ROWS_FROM, _RANK_ROWS_FROM, _TABLE_ROWS_FROM = 3 * _BLOCK, 6 * _BLOCK, 48
 _S, _SBAR = _RANKS[:_ROW] / _ROW, _RANKS[_ROW - 1::-1] / _ROW  # s = t/_ROW, sbar = 1 - (t+1)/_ROW
-#: the columns [s, s^2, s^3, sbar, sbar^2, sbar^3], exact as _MONOMIALS is (24 KiB)
+#: the columns [s, s^2, s^3, sbar, sbar^2, sbar^3] by multiplication: exact, as _ROW is a power
+#: of 2, and at most 1, so a value times one overflows only where the value does (24 KiB)
 _TABLE = np.column_stack([power for step in (_S, _SBAR)
                           for power in itertools.accumulate([step] * _DEGREE, np.multiply)])
 _TABLE_SUMS = np.concatenate(([_ROW], _TABLE.sum(axis=0)))  # a row's moments of x^0, exact
 #: column 3i + j - 1 is s^i sbar^j, i, j <= 2 and 0 < i + j <= 3, exact too (28 KiB)
 _STEP_TABLE = np.column_stack([_S ** (c // 3) * _SBAR ** (c % 3) for c in range(1, 8)])
-_MONOMIALS.flags.writeable = _REVERSED.flags.writeable = _STEP_TABLE.flags.writeable = False
-_TABLE.flags.writeable = _TABLE_SUMS.flags.writeable = False
+_TABLE.flags.writeable = _TABLE_SUMS.flags.writeable = _STEP_TABLE.flags.writeable = False
 
 
-def _coefficients(base, a, order: int, n: int, d: float, unit: int = _BLOCK) -> list:
-    """The coefficients, lowest first, of the weight (a, order) as a polynomial in t/unit
-    on a span of ranks whose first, t = 0, is q = base from the weight's end; base may be
-    an array, one per span.  Each factor (q + a)/d, or (q - j)/(n - 1 - j) when a is None,
-    is at0 + slope t/unit with at0 >= 0, so no coefficient is negative."""
-    coef = [1.0]
+def _coefficients(base: np.ndarray, a, order: int, n: int, d: float) -> list:
+    """The coefficients, lowest first, of the weight (a, order) as a polynomial in t/_ROW on
+    rows whose first rank, t = 0, is q = base from the weight's end, an array of one base per
+    row.  Each factor (q + a)/d, or (q - j)/(n - 1 - j) when a is None, is at0 + slope t/_ROW
+    with at0 >= 0, so no coefficient is negative."""
+    coef = [np.ones_like(base)]
     for j in range(order):
         div = n - 1.0 - j if a is None else d
-        at0, slope = (base + (-j if a is None else a)) / div, unit / div
+        at0, slope = (base + (-j if a is None else a)) / div, _ROW / div
         coef.append(slope * coef[-1])
         for i in range(j, 0, -1):
             coef[i] = at0 * coef[i] + slope * coef[i - 1]
         coef[0] = at0 * coef[0]
     return coef
-
-
-@functools.lru_cache(maxsize=16)
-def _power_sums(length: int, degree: int) -> tuple:
-    """The sums over t < length of (t/_BLOCK)^j, j = 0..degree: each an integer below 2^53
-    over a power of 2, so exact."""
-    s1 = length * (length - 1) // 2
-    return tuple(total / _BLOCK**j for j, total in
-                 enumerate((length, s1, s1 * (2 * length - 1) // 3, s1 * s1)[:degree + 1]))
-
-
-def _moments(y, top: bool, degree: int, total: float) -> list:
-    """The sums over t of y_t (t/_BLOCK)^j, j = 0..degree, t counted from the top when top,
-    given y's sum, total."""
-    length, out = y.shape[0], [total]
-    for j in range(degree):
-        out.append(float(y.dot(_REVERSED[j, -length:] if top else _MONOMIALS[j, :length])))
-    return out
 
 
 def _row_moments(values: np.ndarray, lo: int, hi: int, tables: dict, steps: bool = False) -> dict:
@@ -189,75 +166,64 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
     the plug-in weight u_i^r (1-u_i)^s; exact (p = 1, integer orders, one
     of them 0), w_i is the unbiased b_r weight prod_{j=1..r} (i-j)/(n-j),
     or the a_s weight, the same product of ranks counted from the top.
-    A weight of integer order e, 1 <= e <= _DEGREE, on one side (b_e, a_e,
-    u^e or (1-u)^e) is a product of e factors (q + a)/d, linear in the rank
-    q counted from 0 at its end: (q - j)/(n - 1 - j) for j < e, or
-    (q + c)/d with u = (k + c)/d, and 1-u the same from the top.  The
-    min(_DEGREE, n) ranks at each end are added one by one, each term
-    skipping the ranks where its own b_e or a_e is 0, so that no term's
-    sum depends on the other terms of its walk; the spans start past them.
-    There every factor is non-negative, so on a span of ranks the weight
-    is a polynomial in t/unit, t the span's own ranks, with non-negative
-    coefficients (_coefficients), times the sums of x^p (t/unit)^j: no
-    weight is formed.  In the first and the last block they are x^p's dot
-    products with the rows of _MONOMIALS (_REVERSED from the top), made
-    once per block for all the terms (_moments).  The whole blocks between
-    hold no edge rank: after the walk, one matrix product of x^p in rows of
-    _ROW ranks with _TABLE per _CHUNK ranks, and each row's pairwise sum,
-    give every row's sums at once.  Order 0 is a plain sum, and real or mixed
-    exponents and higher orders form their weights per block, b_e and a_e
-    as running ratio products.
+    Where n holds at least _TABLE_ROWS_FROM whole rows of _ROW ranks between
+    the min(_DEGREE, n) ranks at each end, the rows are read after the walk
+    by _row_moments for the plain sums (order 0) and the table terms: a
+    weight of integer order e, 1 <= e <= _DEGREE, on one side (b_e, a_e,
+    u^e or (1-u)^e).  That weight is a product of e factors (q + a)/d,
+    linear in the rank q counted from 0 at its end: (q - j)/(n - 1 - j)
+    for j < e, or (q + c)/d with u = (k + c)/d, and 1-u the same from the
+    top.  Past the end ranks every factor is non-negative, so on a row
+    the weight is a polynomial in t/_ROW, t the row's own ranks, with
+    non-negative coefficients (_coefficients) times the row's moments
+    against _TABLE's columns: no weight is formed there.  Every other
+    rank, and every rank of the other terms (real or mixed exponents,
+    higher orders), is walked in blocks, each weight formed once per
+    block and b_e and a_e as running ratio products, exactly 0 where the
+    weight is.  The row span depends on n alone, so no term's sum
+    depends on the other terms of its walk.
     conv is one of ECDF_CONVENTIONS: the public doors check it.
     """
     n = values.shape[0]
     c, d = _position_rule(n, conv)  # u = (k + c)/d, and 1 - u = (m + 1 + d - n - c)/d
-    weights, factors, rows, negative = {}, [], {}, False  # rows: the highest j per (p, top)
-    edge = min(_DEGREE, n)  # at each end, the ranks that are added one by one
+    edge = min(_DEGREE, n)  # at each end, the ranks where a factor (q - j) can be negative
+    rows = (n - 2 * edge) // _ROW
+    first, last = (edge, edge + rows * _ROW) if rows >= _TABLE_ROWS_FROM else (0, 0)
+    weights, factors, plain, negative = {}, [], {}, False  # weights, plain: the rows' terms
     for k, (p, r, s, exact) in enumerate(terms):
         order, top = r + s, s != 0  # the one non-zero order when the other is 0
         if exact and n <= order:
             raise TooFewObservationsError(f"{'a' if top else 'b'}_{int(order)} needs "
                                           f"n > {int(order)}, got n={n}")
         negative = negative or s < 0
+        if exact:  # order 0, the mean, or b_e/a_e
+            keys = [("x", 1), ("a" if top else "b", int(order))] if order else [("x", 1)]
+        else:  # M_{0,0,0}: x^0 is all ones
+            keys = [key for key in (("x", p), ("u", r), ("1-u", s)) if key[1]] or [("x", 0)]
+        factors.append((k, keys))
         if 0 < order <= _DEGREE and order == int(order) and not (r and s):
             # the weight's factors: (q + a)/d, or (q - j)/(n - 1 - j) when a is None
-            e = int(order)
-            weights.setdefault((top, None if exact else 1.0 + d - n - c if top else c, e),
-                               []).append((k, p))
-            if e > rows.get((p, top), 0):
-                rows[p, top] = e
-        elif exact:  # order 0, the mean, or b_e/a_e formed per block
-            factors.append((k, [("x", 1), ("a" if top else "b", int(order))] if order
-                            else [("x", 1)]))
-        else:
-            keys = [key for key in (("x", p), ("u", r), ("1-u", s)) if key[1]]
-            factors.append((k, keys or [("x", 0)]))  # M_{0,0,0}: x^0 is all ones
+            weights.setdefault((top, None if exact else 1.0 + d - n - c if top else c,
+                                int(order)), []).append((k, p))
+        elif len(keys) == 1 and keys[0][0] == "x":  # a plain sum
+            plain[k] = keys[0][1]
     if negative and _block_positions(n - 1, n, n, conv)[0] >= 1.0:
         raise BadParameterError(
             "negative s exponent needs u_n < 1; use the hazen or mean-rank convention"
         )
+    # the walk, in spans of at most _BLOCK ranks: the rows' terms walk only the ranks at each
+    # end of the rows, the other terms every block
+    rowed = set(plain).union(k for ks in weights.values() for k, _ in ks) if last else set()
+    ends = [(k, keys) for k, keys in factors if k in rowed]
+    blocks = [(k, keys) for k, keys in factors if k not in rowed]
+    spans = [(lo, min(lo + _BLOCK, n), blocks) for lo in range(0, n, _BLOCK) if blocks]
     sums = [0.0] * len(terms)
-    for (top, a, e), ks in weights.items():  # the edge ranks; b_e and a_e are 0 below e
-        for q in range(e if a is None else 0, edge):
-            w, v = 1.0, values[n - 1 - q if top else q]  # v ** p overflows as x^p does
-            for j in range(e):
-                w *= (q - j) / (n - 1.0 - j) if a is None else (q + a) / d
-            for k, p in ks:
-                sums[k] += float(v ** p * w)
-    # the whole blocks, _BLOCK <= lo < last, hold no edge rank: their table terms and plain
-    # sums wait for the matrix products after the walk, and only the other terms visit them
-    last = (n - edge) // _BLOCK * _BLOCK
-    plain = {k: keys[0][1] for k, keys in factors if len(keys) == 1 and keys[0][0] == "x"}
-    for lo in range(0, n, _BLOCK):
-        whole = _BLOCK <= lo < last
-        if whole and len(plain) == len(factors):
-            continue
-        x = values[lo:lo + _BLOCK]
-        hi = lo + x.shape[0]
+    for lo, hi, group in ([(0, first, ends), (last, n, ends)] if ends else []) + spans:
+        x = values[lo:hi]
         parts = {("x", 1): x}
 
         def part(key):
-            """This block's x^e, u^e, (1-u)^e, b_e or a_e weight, or the sum of one."""
+            """This block's x^e, u^e, (1-u)^e, b_e or a_e weight."""
             if key not in parts:
                 kind, e = key
                 if kind in ("x", "u", "1-u") and e != 1:
@@ -266,8 +232,6 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                     value = _block_positions(lo, hi, n, conv)
                 elif kind == "1-u":  # (d - k - c)/d from the ranks, exact as u is
                     value = _ranks(d - lo - c, hi - lo, down=True) / d
-                elif kind == "sum":  # of the values of the key e
-                    value = float(part(e).sum())
                 else:  # the running ratio product
                     m = (_ranks(lo, hi - lo) if kind == "b"
                          else _ranks(n - 1.0 - lo, hi - lo, down=True))
@@ -277,47 +241,25 @@ def _rank_sums(values: np.ndarray, conv: str, terms) -> list:
                 parts[key] = value
             return parts[key]
 
-        if weights and not whole:  # the spans past the edge ranks
-            spans, moments = ((max(lo, edge), hi), (lo, min(hi, n - edge))), {}
-            for (top, a, e), ks in weights.items():
-                start, stop = spans[top]
-                if start >= stop:
-                    continue
-                coef = _coefficients(n - stop if top else start, a, e, n, d)
-                for k, p in ks:
-                    got = moments.get((p, top))
-                    if got is None and p:
-                        y = part(("x", p))[start - lo:stop - lo]
-                        got = moments[p, top] = _moments(
-                            y, top, rows[p, top],
-                            part(("sum", ("x", p))) if stop - start == hi - lo else float(y.sum()))
-                    elif got is None:
-                        got = moments[p, top] = _power_sums(stop - start, rows[p, top])
-                    sums[k] += sum(map(operator.mul, coef, got))
-        for k, keys in factors:
-            if whole and k in plain:
-                continue
-            if len(keys) == 1:  # the sum the spans above made, if they did
-                total = parts.get(("sum", keys[0]))
-                sums[k] += float(part(keys[0]).sum()) if total is None else total
-                continue
+        for k, keys in group:
             y = part(keys[0])
+            if len(keys) == 1:
+                sums[k] += float(np.add.reduce(y))
+                continue
             for key in keys[1:-1]:
                 y = y * part(key)
-            sums[k] += float(np.dot(y, part(keys[-1])))
-    if last > _BLOCK:  # each row's moments of x^p: its pairwise sum and one matrix product
-        table = {p for p, _ in rows}  # the powers of x that a table term reads
-        moments = _row_moments(values, _BLOCK, last, {p: _TABLE if p in table else None
-                                                      for p in table | set(plain.values()) if p})
-        starts = np.arange(_BLOCK, last, _ROW, dtype=float)
+            sums[k] += float(y.dot(part(keys[-1])))
+    if last:  # each row's moments of x^p: its pairwise sum and one matrix product
+        table = {p for ks in weights.values() for _, p in ks}  # the powers of x a table term reads
+        moments = _row_moments(values, first, last, {p: _TABLE if p in table else None
+                                                     for p in table | set(plain.values()) if p})
+        starts = np.arange(first, last, _ROW, dtype=float)
         moments[0] = np.broadcast_to(_TABLE_SUMS[:, None], (_TABLE_SUMS.shape[0], starts.shape[0]))
         for (top, a, e), ks in weights.items():  # row j of the coefficients times moment j
-            coef = _coefficients(n - _ROW - starts if top else starts, a, e, n, d, _ROW)
-            coef = np.array([np.broadcast_to(cj, starts.shape) for cj in coef])
+            coef = np.array(_coefficients(n - _ROW - starts if top else starts, a, e, n, d))
             for k, p in ks:
                 got = moments[p][[0, *range(1 + _DEGREE * top, 1 + _DEGREE * top + e)]]
                 sums[k] += float((coef * got).sum())
         for k, p in plain.items():
             sums[k] += float(moments[p][0].sum())
     return [total / n for total in sums]
-
