@@ -51,14 +51,15 @@ by the one estimator ``_sample_values`` chooses for the whole form.
 Every estimator walks the sorted sample in blocks of ``_BLOCK`` ranks and
 makes no length-n array: the PWM forms through ``pwm._rank_sums``, the
 pairwise means through ``_rank_dot`` (both by ``pwm._row_moments`` in rows
-once a sample is large), ge as an L-statistic whose weights hold no phi
-(``_ge_values``, its A summed in short chains by ``_prefix_sums``) and gce
-through phi's running sum, carried as one float (``_runs``).
+once a sample is large), and ge and gce through one L-statistic whose weights
+hold no phi, walked up for ge and down for gce, its mirror (``_ge_values``,
+the weights' sums in short chains by ``_prefix_sums``).
 """
 
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -183,14 +184,15 @@ class WeightSelector:
         return -log_sf * _exprel(self.j * log_sf)  # (1 - (1-q)^j)/j
 
     def cumulative_down(self, q, v=None):
-        """W_down(q) = int_q^1 w(p)/p dp (works on arrays); v = 1 - q if given."""
+        """W_down(q) = int_q^1 w(p)/p dp = W_up(1-q) of w(1-p), on arrays; v = 1 - q if given."""
         q = np.asarray(q, dtype=float)
-        if self.kind == "sf-power":
-            return _power_over_complement(self.j, 1.0 - q if v is None else v, q)
-        log_q = np.log(q)
-        if self.kind == "const":
-            return -self.c * log_q
-        return -log_q * _exprel(self.j * log_q)  # (1 - q^j)/j
+        return self._mirror.cumulative_up(1.0 - q if v is None else v, q)
+
+    @cached_property
+    def _mirror(self) -> "WeightSelector":
+        """w(1 - p): F^j and (1-F)^j swap, a constant stays."""
+        swap = {"cdf-power": "sf-power", "sf-power": "cdf-power"}
+        return WeightSelector(swap.get(self.kind, self.kind), self.c, self.j)
 
     def describe(self) -> str:
         if self.kind == "const":
@@ -523,47 +525,38 @@ def pairwise_max_mean(values: np.ndarray) -> float:
     return 2.0 * _rank_dot(values, 0.0) / (m * (m - 1.0))
 
 
-def _tail(sample: Sample, t: float, need: int) -> np.ndarray:
+def _part(sample: Sample, t: float, where: str) -> np.ndarray:
+    """The values "above" t or "at or below" it, as where says: at least two of them."""
     _check_t(t)
-    part = values_above(sample, t)
+    part = values_above(sample, t) if where == "above" else values_upto(sample, t)
     if part.size == 0:
-        raise EmptyTailError(f"no observation above t={t}")
-    if part.size < need:
-        raise FewerThanTwoError(f"only {part.size} observation(s) above t={t}")
-    return part
-
-
-def _head(sample: Sample, t: float, need: int) -> np.ndarray:
-    _check_t(t)
-    part = values_upto(sample, t)
-    if part.size == 0:
-        raise EmptyTailError(f"no observation at or below t={t}")
-    if part.size < need:
-        raise FewerThanTwoError(f"only {part.size} observation(s) at or below t={t}")
+        raise EmptyTailError(f"no observation {where} t={t}")
+    if part.size < 2:
+        raise FewerThanTwoError(f"only {part.size} observation(s) {where} t={t}")
     return part
 
 
 def gmd_left(sample: Sample, t: float) -> float:
     """Left-truncated GMD: E(X | X>t) minus the pairwise-min mean above t."""
-    part = _tail(sample, t, 2)
+    part = _part(sample, t, "above")
     return float(np.mean(part)) - pairwise_min_mean(part)
 
 
 def gmd_right(sample: Sample, t: float) -> float:
     """Right-truncated GMD: pairwise-max mean minus E(X | X<=t), at or below t."""
-    part = _head(sample, t, 2)
+    part = _part(sample, t, "at or below")
     return pairwise_max_mean(part) - float(np.mean(part))
 
 
 def j_dyn(sample: Sample, t: float) -> float:
     """Dynamic survival extropy: -1/2 mean of (min - t) over pairs above t."""
-    part = _tail(sample, t, 2)
+    part = _part(sample, t, "above")
     return -0.5 * (pairwise_min_mean(part) - t)
 
 
 def h_dyn(sample: Sample, t: float) -> float:
     """Dynamic cumulative extropy: -1/2 mean of (t - max) over pairs at or below t."""
-    part = _head(sample, t, 2)
+    part = _part(sample, t, "at or below")
     return -0.5 * (t - pairwise_max_mean(part))
 
 
@@ -638,10 +631,10 @@ def _runs(x: np.ndarray, lo: int, hi: int):
 
 
 def _prefix_sums(w: np.ndarray, denom: np.ndarray, parts: list) -> np.ndarray:
-    """A_t = the sum of w_i/denom_i over i < t, past parts, the sums of the blocks below, added
-    exactly; this block's pairwise sum is appended to them.  The quotients, one place up, fill
-    chains of 32 terms, each summed on its own and then offset once by the chains before it
-    and the blocks below (if not 0), so no long running sum adds small terms to a large one."""
+    """A_t = the sum of w_i/denom_i over i < t, past parts, the sums of the blocks walked before,
+    added exactly; this block's pairwise sum is appended to them.  The quotients, one place up,
+    fill chains of 32 terms, each summed on its own and then offset once by the chains and the
+    blocks before (if not 0), so no long running sum adds small terms to a large one."""
     m = w.shape[0]
     chains = np.zeros((-(-m // 32), 32))
     flat = chains.reshape(-1)
@@ -656,32 +649,42 @@ def _prefix_sums(w: np.ndarray, denom: np.ndarray, parts: list) -> np.ndarray:
     return flat[:m]
 
 
-def _ge_values(values: np.ndarray, w: WeightSelector, phis, conv: str) -> list:
-    """GE of each phi on the sorted values, from one walk: the L-statistic (1/n) sum_j phi(x_(j))
-    (A_j - w_j), A_j the sum of w_i/(n - e_i) over the ranks i below the start of j's tie run,
-    e_i the end of i's run, and no w_j in the top run, whose upper tail is empty.  A holds no
-    phi, so a phi costs a dot product per block.  In a block with a tie or a run across an edge
-    each run is one term, and a run that starts in a block below reads A carried from there."""
-    n, top = values.shape[0], int(np.searchsorted(values, values[-1]))
-    totals, parts, held = [0.0] * len(phis), [], 0.0  # held: A at a run going on past its block
-    for lo in range(0, top, _BLOCK):
-        hi = min(lo + _BLOCK, top)
+def _ge_values(values: np.ndarray, w: WeightSelector, phis, conv: str,
+               mirror: bool = False) -> list:
+    """GE of each phi on the sorted values, from one walk up: (1/n) sum_j phi(x_(j)) (A_j - w_j),
+    A_j the sum of w_i/(n - e_i) over the runs below j's tie run, e_i the end of i's run, and no
+    w_j in the top run, whose upper tail is empty.  With mirror, GCE from one walk down, (1/n)
+    sum_j phi(x_(j)) (w_j s_j/e_j - B_j), s_j the start of j's run, B_j the sum of w_i/e_i over
+    the runs above it, summed as A is, and s_j = 0 in the bottom run.  A and B hold no phi, so
+    a phi costs a dot product per block.  In a block with a tie or a run across an edge each run
+    is one term; one begun in the block walked before reads A (or B) carried from there."""
+    n, way = values.shape[0], slice(None, None, -1 if mirror else 1)  # way: the walk's order
+    if mirror:  # down to the bottom run, not walked, in blocks aligned at the top
+        last = int(np.searchsorted(values, values[0], "right"))
+        blocks = [(max(hi - _BLOCK, last), hi) for hi in range(n, last, -_BLOCK)]
+    else:  # up to the top run, not walked, in blocks aligned at the bottom
+        last = int(np.searchsorted(values, values[-1]))
+        blocks = [(lo, min(lo + _BLOCK, last)) for lo in range(0, last, _BLOCK)]
+    totals, parts, held = [0.0] * len(phis), [], 0.0  # held: A at a run going on past a block
+    for lo, hi in blocks:
         x, runs = values[lo:hi], _runs(values, lo, hi)
         wb = w.at_probability(_block_positions(lo, hi, n, conv))
-        if runs is None:
-            A = _prefix_sums(wb, _ranks(n - lo - 1.0, hi - lo, down=True), parts)
-            coef = np.subtract(A, wb, out=A)
+        if runs is None:  # each rank its own run, s = e - 1, in the walk's order
+            wb, x = wb[way], x[way]  # n - e (ge) or e (gce) falls by 1 at each step
+            denom = _ranks(hi if mirror else n - lo - 1.0, hi - lo, down=True)
+            A = _prefix_sums(wb, denom, parts)  # gce's w s/e is w - w/e here
+            coef = np.subtract(wb - wb / denom, A, out=A) if mirror else np.subtract(A, wb, out=A)
         else:
             cut, start, end = runs
-            wb = np.add.reduceat(wb, cut)
-            A = _prefix_sums(wb, n - end, parts)
-            A[0] = held if start[0] < lo else A[0]
+            wb, size, x = np.add.reduceat(wb, cut), np.diff(cut, append=hi - lo), x[cut]
+            A = _prefix_sums(wb[way], (end if mirror else n - end)[way], parts)
+            A[0] = held if (end[-1] > hi if mirror else start[0] < lo) else A[0]
             held = float(A[-1])
-            coef, x = np.diff(cut, append=hi - lo) * A - wb, x[cut]
-        for k, phi in enumerate(phis):
-            totals[k] += float(np.dot(coef, phi(x)))
-    carry = math.fsum(parts) if math.isfinite(sum(parts)) else sum(parts)  # A at the top run
-    return [(total + ((n - top) * carry * phi(values[-1:]).item() if top else 0.0)) / n
+            coef = wb * start / end - size * A[way] if mirror else size * A[way] - wb
+        totals = [total + float(np.dot(coef, phi(x))) for total, phi in zip(totals, phis)]
+    carry = math.fsum(parts) if math.isfinite(sum(parts)) else sum(parts)  # A or B at the run
+    size, edge = (-last, values[:1]) if mirror else (n - last, values[-1:])  # not walked
+    return [(total + (size * carry * phi(edge).item() if blocks else 0.0)) / n
             for total, phi in zip(totals, phis)]
 
 
@@ -695,36 +698,9 @@ def generalized_residual_entropy(sample: Sample, w: WeightSelector,
 
 def generalized_cumulative_entropy(sample: Sample, w: WeightSelector,
                                    phi: PhiSelector, conv: str = "hazen") -> float:
-    """GCE: (1/n) sum_i w(x_(i)) * mean over x_j <= x_(i) of (phi(x_i) - phi(x_j)).
-
-    The sample is walked from the bottom up in blocks of _BLOCK ranks,
-    carrying phi's sum from the bottom.  A block whose ranks are each their
-    own run reads that sum at each rank.  In any other block each run is one
-    term, its weights summed: with P phi's sum below the run's start s and e
-    its end, (s phi - P)/e, since the run's own differences are 0.  When s
-    lies in a block below, P is the sum carried from there.
-    """
+    """GCE: (1/n) sum_i w(x_(i)) * mean over x_j <= x_(i) of (phi(x_i) - phi(x_j)), mirrored GE."""
     _check_convention(conv)
-    x, n = sample.values, sample.n
-    total, below, carry = 0.0, 0.0, 0.0  # carry: phi's sum below the top run of a tied block
-    for lo in range(0, n, _BLOCK):
-        xb = x[lo:lo + _BLOCK]
-        hi = lo + xb.shape[0]
-        ph = phi(xb)
-        prefix = np.cumsum(np.concatenate(([below], ph)))  # prefix[k]: phi's sum below rank lo + k
-        below = float(prefix[-1])
-        wb, runs = w.at_probability(_block_positions(lo, hi, n, conv)), _runs(x, lo, hi)
-        if runs is None:
-            term = ph - prefix[1:] / _ranks(lo + 1.0, hi - lo)
-        else:
-            cut, start, end = runs
-            sums = prefix[np.maximum(start, lo) - lo]
-            if start[0] < lo:
-                sums[0] = carry
-            carry = float(sums[-1])
-            wb, term = np.add.reduceat(wb, cut), (start * ph[cut] - sums) / end
-        total += float(np.dot(wb, term))
-    return total / n
+    return _ge_values(sample.values, w, [phi], conv, mirror=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -349,8 +349,8 @@ def test_generalized_entropies_match_full_arrays_at_block_edges(n, kind):
 
 @pytest.mark.parametrize("kind", ["long-run", "top-run"])
 def test_generalized_entropies_match_exact_sums_on_long_runs(kind):
-    """Each tie run reads phi's sum at its own boundary, so a run over several blocks, or one
-    that holds most of phi's mass, costs no accuracy against run-by-run sums in rationals."""
+    """Each tie run reads one A (ge) or B (gce), so a run over several blocks, or one that
+    holds most of phi's mass, costs no accuracy against run-by-run sums in rationals."""
     x = layout(2 * B + 8, kind)
     sample = make_sample(x)
     for w in WEIGHTS:
@@ -389,18 +389,23 @@ def test_small_blocks_match_brute_force_loops(n, kind, monkeypatch):
 
 
 #: per n and layout, the blocks of 4 ranks in which (ge, gce) find tie runs: those that hold a
-#: tie or whose run at an edge goes on across it.  ge walks only the ranks below the top run,
-#: so no block of all-equal data.
+#: tie or whose run at an edge goes on across it.  ge walks up the ranks below the top run, in
+#: blocks aligned at the bottom (ranks 1-4, 5-8, ...); gce, its mirror, walks down the ranks
+#: above the bottom run, in blocks aligned at the top (ranks n-3 to n, n-7 to n-4, ...).  So
+#: the pair at ranks 4 and 5 crosses an edge of both walks at n = 8, and of ge's only at n = 9;
+#: the bottom pair is a run that gce does not walk, the top pair one that ge does not; and
+#: neither walks a block of all-equal data.
 SEARCHED_BLOCKS = {(8, "no-ties"): (0, 0), (9, "no-ties"): (0, 0),
-                   (8, "edge-pair"): (2, 2), (9, "edge-pair"): (2, 2),
-                   (8, "bottom-pair"): (1, 1), (9, "bottom-pair"): (1, 1),
-                   (8, "all-equal"): (0, 2), (9, "all-equal"): (0, 3)}
+                   (8, "edge-pair"): (2, 2), (9, "edge-pair"): (2, 1),
+                   (8, "bottom-pair"): (1, 0), (9, "bottom-pair"): (1, 0),
+                   (8, "top-pair"): (0, 1), (9, "top-pair"): (0, 1),
+                   (8, "all-equal"): (0, 0), (9, "all-equal"): (0, 0)}
 
 
 @pytest.mark.parametrize("n, kind", sorted(SEARCHED_BLOCKS))
 def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
     """A block whose ranks are each their own run shares no run with its neighbours; the
-    blocks with runs hand on (ge) or take up (gce) the sum at a run across an edge."""
+    blocks with runs hand on the sum at a run across an edge, up (ge) or down (gce)."""
     monkeypatch.setattr(measures, "_BLOCK", 4)
     searched, search = [], measures._runs
 
@@ -415,6 +420,8 @@ def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
         x[4] = x[3]
     elif kind == "bottom-pair":  # ranks 1 and 2 only
         x[1] = x[0]
+    elif kind == "top-pair":  # ranks n - 1 and n only
+        x[-2] = x[-1]
     elif kind == "all-equal":
         x[:] = 1.7
     sample = make_sample(x)
@@ -434,10 +441,11 @@ def test_tie_free_blocks_match_brute_force_loops(n, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["continuous", "straddling", "long-run", "top-run"])
 def test_generalized_entropies_are_one_walk(kind, monkeypatch):
-    """gce evaluates phi once per rank; ge once per distinct value of each block below the
-    top run, which is once per rank where the block holds no tie, and once at x_(n)."""
+    """ge evaluates phi once per distinct value of each block below the top run, which is once
+    per rank where the block holds no tie, and once at x_(n); gce likewise in its blocks, aligned
+    at the top, above the bottom run, and once at x_(1)."""
     x = layout(3 * B + 5, kind)
-    sample, seen = make_sample(x), []
+    n, sample, seen = x.shape[0], make_sample(x), []
     monkeypatch.setattr(PhiSelector, "__call__", lambda self, v: seen.append(v.shape[0]) or v)
     generalized_residual_entropy(sample, WEIGHTS[0], PHI)
     top = int(np.searchsorted(x, x[-1]))
@@ -445,7 +453,9 @@ def test_generalized_entropies_are_one_walk(kind, monkeypatch):
                                 for lo in range(0, top, B))
     seen.clear()
     generalized_cumulative_entropy(sample, WEIGHTS[0], PHI)
-    assert sum(seen) == x.shape[0]
+    bottom = int(np.searchsorted(x, x[0], "right"))
+    assert sum(seen) == 1 + sum(np.unique(x[max(hi - B, bottom):hi]).shape[0]
+                                for hi in range(n, bottom, -B))
 
 
 #: weights of each kind, at orders that are and are not 1
@@ -458,13 +468,17 @@ _PHIS = (PHI, PhiSelector(2.0), PhiSelector(2.0, 2.0), PhiSelector(0.5, 0.7))
                          + [(n, kind) for n in (B - 1, B, B + 1, 2 * B + 3)
                             for kind in ("continuous", "straddling", "long-run", "top-run")])
 def test_one_ge_walk_of_several_phi_is_each_phi_alone(n, kind):
-    """Bit for bit: the walk's weights A_j - w_j hold no phi."""
+    """Bit for bit: the walk's weights, A_j - w_j up (ge) and w_j s_j/e_j - B_j down (gce), hold
+    no phi."""
     x = layout(n, kind)
+    doors = {False: generalized_residual_entropy, True: generalized_cumulative_entropy}
     for conv in ECDF_CONVENTIONS:
         for w in _GE_WEIGHTS:
-            together = _ge_values(x, w, _PHIS, conv)
-            assert together == [_ge_values(x, w, [phi], conv)[0] for phi in _PHIS], (conv, w)
-            assert together[0] == generalized_residual_entropy(make_sample(x), w, PHI, conv)
+            for mirror, door in doors.items():
+                together = _ge_values(x, w, _PHIS, conv, mirror)
+                alone = [_ge_values(x, w, [phi], conv, mirror)[0] for phi in _PHIS]
+                assert together == alone, (conv, w, mirror)
+                assert together[0] == door(make_sample(x), w, PHI, conv)
 
 
 def _draw(family: str, n: int, seed: int, rounding=None) -> np.ndarray:
@@ -473,17 +487,20 @@ def _draw(family: str, n: int, seed: int, rounding=None) -> np.ndarray:
     return np.sort(x if rounding is None else np.round(x, rounding))
 
 
-_FBAR, _CONST = WeightSelector("sf-power"), WeightSelector("const", c=2.5)
+_F, _FBAR = WeightSelector("cdf-power"), WeightSelector("sf-power")
+_CONST = WeightSelector("const", c=2.5)
 _EVERY_PAIR = [(w, phi) for w in (_FBAR, _CONST)
                for phi in (PhiSelector(2.0), PhiSelector(2.0, 2.0))]
-
-
-@pytest.mark.parametrize("family, n, rounding, pairs, conv", [
+_EXACT_CASES = pytest.mark.parametrize("family, n, rounding, pairs, conv", [
     ("pareto", 10**5, None, [(_FBAR, PhiSelector(2.0))], "hazen"),
     ("pareto", 10**5, None, [(_FBAR, PhiSelector(2.0))], "naive"),
     ("exponential", 20000, None, _EVERY_PAIR, "hazen"), ("pareto", 10**5, 1, _EVERY_PAIR, "hazen"),
     ("exponential", 20000, 1, _EVERY_PAIR, "naive"), ("pareto", 5000, 2, _EVERY_PAIR, "mean-rank"),
-    ("pareto", 8192, 2, [(_FBAR, PhiSelector(2.0))], "hazen")])
+    ("pareto", 8192, 2, [(_FBAR, PhiSelector(2.0))], "hazen"),
+    ("pareto", 10**5, 2, [(_FBAR, PhiSelector(2.0))], "hazen")])
+
+
+@_EXACT_CASES
 def test_ge_matches_exact_sums(family, n, rounding, pairs, conv):
     """ge to 1e-14 of run-by-run rational sums on data without ties, and to 1e-15 on tied
     data, whose runs each read one A: no long running sum loses digits, not even under naive,
@@ -495,21 +512,15 @@ def test_ge_matches_exact_sums(family, n, rounding, pairs, conv):
         assert abs(got - want) <= (1e-14 if rounding is None else 1e-15) * abs(want), (w, phi)
 
 
-def _gce_miss(off: str):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 7: gce carries phi's running sum "
-                                                 f"as one float, {off} off its exact sums")
-
-
-@pytest.mark.parametrize("family, n, rounding, conv", [
-    ("exponential", 20000, None, "hazen"),
-    pytest.param("pareto", 10**5, None, "hazen", marks=_gce_miss("1.4e-14")),
-    pytest.param("pareto", 10**5, 2, "hazen", marks=_gce_miss("1.4e-12"))])
-def test_gce_matches_exact_sums(family, n, rounding, conv):
-    """gce at ge's gates: 1e-14 of run-by-run rational sums without ties, 1e-15 with them."""
+@_EXACT_CASES
+def test_gce_matches_exact_sums(family, n, rounding, pairs, conv):
+    """gce at ge's gates on ge's cases, and with the weight F as well: its B is ge's A summed
+    from the top down in the same chains, so it loses no more digits."""
     x = _draw(family, n, n, rounding)
-    got, want = (generalized_cumulative_entropy(make_sample(x), _FBAR, PhiSelector(2.0), conv),
-                 exact_gce(x, _FBAR, PhiSelector(2.0), conv))
-    assert abs(got - want) <= (1e-14 if rounding is None else 1e-15) * abs(want)
+    sample = make_sample(x)
+    for w, phi in pairs + [(_F, phi) for phi in dict.fromkeys(phi for _, phi in pairs)]:
+        got, want = generalized_cumulative_entropy(sample, w, phi, conv), exact_gce(x, w, phi, conv)
+        assert abs(got - want) <= (1e-14 if rounding is None else 1e-15) * abs(want), (w, phi)
 
 
 # ---------------------------------------------------------------------------
